@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 from .series import (PowerSeries, OccupancySeries, DatasetManifest, HomeEntry,
                      load_power_csv, write_power_csv, load_occupancy_csv,
                      window_occupancy, resample, clock_window_mean,
-                     load_manifest, save_manifest)
+                     load_manifest, save_manifest, load_home)
 from .events import (Event, EventPair, BackgroundProfile, DetectorConfig,
                      detect_events, pair_events, learn_background,
                      remove_background, cluster_magnitudes)
@@ -31,7 +31,8 @@ from .occupancy import (OccupancyConfig, OccupancyMetrics,
                         window_power_features, evaluate_occupancy,
                         occupancy_experiment)
 from .disagg import (ApplianceHMM, DisaggResult, NilmMetrics, train_hmm,
-                     fhmm_disaggregate, hart_disaggregate, nilm_metrics)
+                     train_appliance_models, fhmm_disaggregate,
+                     hart_disaggregate, nilm_metrics)
 from .features import (FeatureVector, extract_consumption_features,
                        extract_appliance_features, chi2_select, pearson,
                        build_feature_table, write_feature_csv)

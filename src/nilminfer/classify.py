@@ -336,7 +336,7 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     from .features import build_feature_table, chi2_select
 
     rf_cfg = rf_cfg or RandomForestConfig(seed=seed)
-    table = build_feature_table(manifest, feature_sources, det=det)
+    table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
     records = {e.home_id: label_characteristics(e.characteristics, e.home_id)
                for e in manifest.homes}
 
@@ -346,7 +346,7 @@ def characteristics_experiment(manifest, feature_sources=("both",),
                     if records[h].labels.get(characteristic) is not None]
         y_all = np.array([records[h].labels[characteristic] for h in labelled],
                          dtype=object)
-        class_counts = {c: int((y_all == c).sum()) for c in set(y_all.tolist())}
+        class_counts = {c: int((y_all == c).sum()) for c in sorted(set(y_all.tolist()))}
         if len(class_counts) < 2 or min(class_counts.values()) < folds:
             warnings.warn(f"skipping {characteristic}: class counts "
                           f"{class_counts} too small for {folds}-fold CV",

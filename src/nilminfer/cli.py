@@ -20,12 +20,14 @@ from pathlib import Path
 
 from . import __version__
 from .classify import RandomForestConfig, characteristics_experiment
-from .disagg import fhmm_disaggregate, hart_disaggregate, nilm_metrics, train_hmm
+from .disagg import (fhmm_disaggregate, hart_disaggregate, nilm_metrics,
+                     train_appliance_models)
 from .errors import DegenerateModelError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
 from .occupancy import occupancy_experiment
-from .series import load_manifest, load_power_csv, write_power_csv
+from .series import load_home, load_manifest, write_power_csv
+from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 from .synth import gen_corpus
 from .report import render_classification_report, render_occupancy_report
 
@@ -48,7 +50,9 @@ def _resolved_config(args, keys) -> dict:
 
 
 def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, default=str).encode()
+    """Hash of the keys that change results; `out` only says where they go."""
+    hashed = {k: v for k, v in cfg.items() if k != "out"}
+    blob = json.dumps(hashed, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -64,9 +68,9 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _detector(args) -> DetectorConfig:
-    return DetectorConfig(steady_tol_w=args.steady_tol,
-                          min_event_w=args.min_event)
+def _detector(cfg: dict) -> DetectorConfig:
+    return DetectorConfig(steady_tol_w=cfg["steady_tol"],
+                          min_event_w=cfg["min_event"])
 
 
 def cmd_synth(args) -> int:
@@ -85,11 +89,10 @@ def cmd_detect_events(args) -> int:
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    det = _detector(args)
+    det = _detector(cfg)
     counts = {}
     for entry in sorted(manifest.homes, key=lambda e: e.home_id):
-        series = load_power_csv(manifest.resolve(entry.aggregate_path),
-                                timezone=entry.timezone)
+        series = load_home(manifest, entry).aggregate
         events = detect_events(series, det.steady_tol_w, det.min_event_w)
         pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
         with open(out / f"events_{entry.home_id}.csv", "w") as f:
@@ -110,13 +113,12 @@ def cmd_detect_events(args) -> int:
 
 def cmd_occupancy(args) -> int:
     cfg = _resolved_config(args, ["manifest", "algo", "protocol", "out",
-                                  "seed", "jobs", "steady_tol", "min_event"])
+                                  "seed", "steady_tol", "min_event"])
     manifest = load_manifest(cfg["manifest"])
     algorithms = tuple(cfg["algo"].split(","))
     results = occupancy_experiment(
         manifest, protocol=cfg["protocol"], algorithms=algorithms,
-        det=_detector(args),
-        rf_cfg=RandomForestConfig(seed=cfg["seed"]), jobs=cfg["jobs"])
+        det=_detector(cfg), rf_cfg=RandomForestConfig(seed=cfg["seed"]))
     _write_json(cfg["out"], _envelope(cfg, results))
     print(f"wrote occupancy results for {len(results['per_home'])} rows "
           f"to {cfg['out']}")
@@ -129,30 +131,20 @@ def cmd_disaggregate(args) -> int:
                                   "on_threshold"])
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
-    det = _detector(args)
+    det = _detector(cfg)
     all_metrics = {}
     for entry in sorted(manifest.homes, key=lambda e: e.home_id):
-        aggregate = load_power_csv(manifest.resolve(entry.aggregate_path),
-                                   timezone=entry.timezone)
+        home = load_home(manifest, entry)
+        aggregate = home.aggregate
         cut = max(1, int(len(aggregate) * cfg["train_split"]))
         test = aggregate.slice(cut, len(aggregate))
         if cfg["algo"] == "hart":
             result = hart_disaggregate(test, det)
         elif cfg["algo"] == "fhmm":
-            models = []
-            for name, rel in sorted(entry.appliance_paths.items()):
-                trace = load_power_csv(manifest.resolve(rel),
-                                       timezone=entry.timezone)
-                train = trace.slice(0, cut)
-                n_states = 3 if name == "hvac" else 2
-                for k in (n_states, 2):
-                    try:
-                        models.append(train_hmm(train, k, name=name,
-                                                seed=cfg["seed"]))
-                        break
-                    except DegenerateModelError:
-                        if k == 2:
-                            pass
+            models = train_appliance_models(
+                {name: home.appliance(name).slice(0, cut)
+                 for name in entry.appliance_paths},
+                seed=cfg["seed"], home_id=entry.home_id)
             if not models:
                 raise DegenerateModelError(
                     f"home {entry.home_id}: no trainable appliances")
@@ -166,9 +158,7 @@ def cmd_disaggregate(args) -> int:
         for name, trace in sorted(result.appliances.items()):
             write_power_csv(trace, home_dir / f"{name}.csv")
             if name in entry.appliance_paths:
-                truth = load_power_csv(
-                    manifest.resolve(entry.appliance_paths[name]),
-                    timezone=entry.timezone).slice(cut, len(aggregate))
+                truth = home.appliance(name).slice(cut, len(aggregate))
                 home_metrics[name] = nilm_metrics(
                     trace, truth, cfg["on_threshold"]).as_dict()
         all_metrics[entry.home_id] = home_metrics
@@ -183,7 +173,8 @@ def cmd_features(args) -> int:
     cfg = _resolved_config(args, ["manifest", "source", "out", "seed",
                                   "steady_tol", "min_event"])
     manifest = load_manifest(cfg["manifest"])
-    table = build_feature_table(manifest, (cfg["source"],), det=_detector(args))
+    table = build_feature_table(manifest, (cfg["source"],), det=_detector(cfg),
+                                seed=cfg["seed"])
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
     write_feature_csv(table, cfg["source"], cfg["out"])
     _write_json(Path(cfg["out"]).with_suffix(".meta.json"),
@@ -201,7 +192,7 @@ def cmd_classify(args) -> int:
     rows = characteristics_experiment(
         manifest, feature_sources=tuple(cfg["source"].split(",")),
         classifier=cfg["classifier"], folds=cfg["folds"], seed=cfg["seed"],
-        rf_cfg=RandomForestConfig(seed=cfg["seed"]), det=_detector(args))
+        rf_cfg=RandomForestConfig(seed=cfg["seed"]), det=_detector(cfg))
     _write_json(cfg["out"], _envelope(cfg, {"rows": rows}))
     print(f"wrote {len(rows)} classification rows to {cfg['out']}")
     return 0
@@ -264,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: ours,ours-optimised,chen,chen-median,knn,rf")
     p.add_argument("--protocol", choices=("split-half", "loho"),
                    default="split-half")
-    p.add_argument("--jobs", type=int, default=1)
+    # accepted so existing command lines keep working; homes run serially
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_occupancy)

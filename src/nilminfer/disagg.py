@@ -4,6 +4,7 @@ NILM accuracy metrics.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +132,26 @@ def train_hmm(appliance: PowerSeries, n_states: int = 2, *, name: str = "",
                         state_means_w=centers, state_vars=variances,
                         transition=transition, initial=initial,
                         period_s=appliance.period_s)
+
+
+def train_appliance_models(traces: dict, *, seed: int,
+                           home_id: str) -> list[ApplianceHMM]:
+    """One HMM per submetered appliance of a home, in name order: 3 states
+    for hvac and 2 for anything else. An hvac fit that collapses is retried
+    at 2 states; an appliance that cannot be fitted at 2 states is skipped
+    with a warning. traces maps appliance name -> training series."""
+    models = []
+    for name, trace in sorted(traces.items()):
+        for k in ((3, 2) if name == "hvac" else (2,)):
+            try:
+                models.append(train_hmm(trace, k, name=name, seed=seed))
+                break
+            except DegenerateModelError:
+                continue
+        else:
+            warnings.warn(f"skipping degenerate appliance {name} for home "
+                          f"{home_id}", stacklevel=2)
+    return models
 
 
 def _product_space(models: list[ApplianceHMM]):

@@ -234,10 +234,3 @@ def remove_background(pairs: list[EventPair],
             kept.append(p)
     return kept
 
-
-def events_to_rows(events: list[Event]) -> list[tuple]:
-    return [(e.time, e.delta_w) for e in events]
-
-
-def pairs_to_rows(pairs: list[EventPair]) -> list[tuple]:
-    return [(p.on_time, p.off_time, p.magnitude_w) for p in pairs]

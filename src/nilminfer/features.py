@@ -11,15 +11,16 @@ non-negative by construction, which the chi-squared scorer requires.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .disagg import fhmm_disaggregate, hart_disaggregate, train_appliance_models
 from .errors import CoverageError, UndefinedStatisticError
 from .events import DetectorConfig, cluster_magnitudes, detect_events, pair_events
-from .series import (PowerSeries, SECONDS_PER_DAY, load_power_csv,
+from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, load_home,
                      local_clock_hours, local_weekdays)
+from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 CLOCK_WINDOWS = {
     "mean_day": (6, 22),
@@ -258,40 +259,17 @@ class FeatureTable:
         return np.array(ids, dtype=object), X
 
 
-def _fhmm_hvac_trace(manifest, entry, aggregate, det):
-    """Train per-appliance models on the first half of each submetered trace
-    and decode the aggregate; returns the decoded hvac trace."""
-    from .disagg import fhmm_disaggregate, train_hmm
-    from .errors import DegenerateModelError
-
-    models = []
-    for name, rel in sorted(entry.appliance_paths.items()):
-        trace = load_power_csv(manifest.resolve(rel), timezone=entry.timezone)
-        half = trace.slice(0, max(len(trace) // 2, 1))
-        k = 3 if name == "hvac" else 2
-        for k_try in (k, 2):
-            try:
-                models.append(train_hmm(half, k_try, name=name))
-                break
-            except DegenerateModelError:
-                if k_try == 2:
-                    warnings.warn(f"skipping degenerate appliance {name} for "
-                                  f"home {entry.home_id}", stacklevel=2)
-    if not any(m.name == "hvac" for m in models):
-        raise ValueError(f"home {entry.home_id}: no usable hvac model")
-    return fhmm_disaggregate(aggregate, models).appliances["hvac"]
-
-
-def build_home_features(manifest, entry, sources, det: DetectorConfig | None = None,
+def build_home_features(home: HomeData, sources,
+                        det: DetectorConfig | None = None, *, seed: int = 0,
                         on_threshold_w: float = 50.0,
                         hvac_min_w: float = 1000.0) -> dict:
     """FeatureVector per requested source for one home. Shared inputs
-    (aggregate stream, detected events, pair list) are computed once."""
-    from .disagg import hart_disaggregate
-
+    (aggregate stream, detected events, pair list) are computed once. The
+    disagg-fhmm source trains its appliance models, with this seed, on the
+    first half of each submetered trace and decodes the whole aggregate."""
     det = det or DetectorConfig()
-    aggregate = load_power_csv(manifest.resolve(entry.aggregate_path),
-                               timezone=entry.timezone)
+    entry = home.entry
+    aggregate = home.aggregate
     agg_fv = extract_consumption_features(aggregate, "aggregate")
     events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
     pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
@@ -311,16 +289,21 @@ def build_home_features(manifest, entry, sources, det: DetectorConfig | None = N
         elif source in ("hvac-only", "both"):
             if "hvac" not in entry.appliance_paths:
                 raise ValueError(f"home {entry.home_id} has no submetered hvac")
-            hvac = load_power_csv(manifest.resolve(entry.appliance_paths["hvac"]),
-                                  timezone=entry.timezone)
-            bundle = hvac_bundle(hvac, "hvac_submeter")
+            bundle = hvac_bundle(home.appliance("hvac"), "hvac_submeter")
             out[source] = bundle if source == "hvac-only" else agg_fv.merge(bundle)
         elif source == "disagg-hart":
             hvac = hart_disaggregate(aggregate, det,
                                      hvac_min_w=hvac_min_w).appliances["hvac"]
             out[source] = agg_fv.merge(hvac_bundle(hvac, "hvac_disagg"))
         elif source == "disagg-fhmm":
-            hvac = _fhmm_hvac_trace(manifest, entry, aggregate, det)
+            halves = {name: home.appliance(name).slice(
+                          0, max(len(home.appliance(name)) // 2, 1))
+                      for name in entry.appliance_paths}
+            models = train_appliance_models(halves, seed=seed,
+                                            home_id=entry.home_id)
+            if not any(m.name == "hvac" for m in models):
+                raise ValueError(f"home {entry.home_id}: no usable hvac model")
+            hvac = fhmm_disaggregate(aggregate, models).appliances["hvac"]
             out[source] = agg_fv.merge(hvac_bundle(hvac, "hvac_disagg"))
         else:
             raise ValueError(f"unknown feature source {source!r}")
@@ -329,14 +312,14 @@ def build_home_features(manifest, entry, sources, det: DetectorConfig | None = N
 
 def build_feature_table(manifest, sources, det: DetectorConfig | None = None,
                         **kwargs) -> FeatureTable:
-    home_ids = sorted(e.home_id for e in manifest.homes)
+    entries = sorted(manifest.homes, key=lambda e: e.home_id)
     vectors: dict = {source: {} for source in sources}
-    for home_id in home_ids:
-        entry = manifest.home(home_id)
-        per_source = build_home_features(manifest, entry, sources, det, **kwargs)
+    for entry in entries:
+        per_source = build_home_features(load_home(manifest, entry), sources,
+                                         det, **kwargs)
         for source, fv in per_source.items():
-            vectors[source][home_id] = fv
-    return FeatureTable(home_ids=home_ids, vectors=vectors)
+            vectors[source][entry.home_id] = fv
+    return FeatureTable(home_ids=[e.home_id for e in entries], vectors=vectors)
 
 
 def write_feature_csv(table: FeatureTable, source: str, path) -> None:

@@ -29,8 +29,9 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
 from .events import (DetectorConfig, detect_events, learn_background,
                      pair_events, remove_background)
 from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY,
-                     load_occupancy_csv, load_power_csv, local_clock_hours,
-                     local_day_bounds, local_midnight_before, window_occupancy)
+                     load_home, local_clock_hours, local_day_bounds,
+                     local_midnight_before, window_occupancy)
+from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 UNSUPERVISED_ALGORITHMS = ("ours", "ours-optimised", "chen", "chen-median")
 SUPERVISED_ALGORITHMS = ("knn", "rf")
@@ -281,49 +282,27 @@ def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries,
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _supervised_xy(series: PowerSeries, truth_ts, truth_occ,
-                   cfg: OccupancyConfig):
-    """Eval-hour window features and occupancy labels for one series."""
+def _supervised_xy(series: PowerSeries, truth, cfg: OccupancyConfig):
+    """Eval-hour window starts, features and occupancy labels for one series;
+    truth is the (timestamps, flags) ground truth."""
     starts, X = window_power_features(series, cfg.window_s)
     anchor, n_windows = window_grid(series, cfg.window_s)
-    truth = window_occupancy(truth_ts, truth_occ, window_start=anchor,
-                             window_s=cfg.window_s, n_windows=n_windows,
-                             timezone=series.timezone)
+    labels = window_occupancy(*truth, window_start=anchor,
+                              window_s=cfg.window_s, n_windows=n_windows,
+                              timezone=series.timezone)
     hours = local_clock_hours(starts, series.timezone)
     keep = (hours >= cfg.eval_start_hour) & (hours < cfg.eval_end_hour)
-    starts = starts[keep]
-    X = X[keep]
-    y = truth.flags[(starts - anchor) // cfg.window_s].astype(int)
+    starts, X = starts[keep], X[keep]
+    y = labels.flags[(starts - anchor) // cfg.window_s].astype(int)
     return starts, X, y
-
-
-def _predict_supervised(algorithm, train_parts, test_series, cfg, knn_k,
-                        rf_cfg) -> OccupancySeries:
-    X_tr, y_tr = [], []
-    for series, truth_ts, truth_occ in train_parts:
-        _, X, y = _supervised_xy(series, truth_ts, truth_occ, cfg)
-        X_tr.append(X)
-        y_tr.append(y)
-    X_tr = np.vstack(X_tr)
-    y_tr = np.concatenate(y_tr)
-    starts, X_te = window_power_features(test_series, cfg.window_s)
-    hours = local_clock_hours(starts, test_series.timezone)
-    keep = (hours >= cfg.eval_start_hour) & (hours < cfg.eval_end_hour)
-    starts, X_te = starts[keep], X_te[keep]
-    if algorithm == "knn":
-        pred = knn_classify(X_tr, y_tr, X_te, k=min(knn_k, len(y_tr)))
-    else:
-        pred = rf_classify(X_tr, y_tr, X_te, rf_cfg)
-    anchor, n_windows = window_grid(test_series, cfg.window_s)
-    flags = np.zeros(n_windows, dtype=bool)
-    flags[(starts - anchor) // cfg.window_s] = np.asarray(pred, dtype=int) == 1
-    return OccupancySeries(anchor, cfg.window_s, flags, test_series.timezone)
 
 
 def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
                            cfg: OccupancyConfig, det: DetectorConfig,
-                           train_parts=None, knn_k: int = 5,
+                           train=None, test=None, knn_k: int = 5,
                            rf_cfg: RandomForestConfig | None = None) -> OccupancySeries:
+    """Occupancy of test_series by one algorithm. knn and rf take the (X, y)
+    training arrays and the _supervised_xy arrays of test_series."""
     if algorithm == "ours":
         return predict_occupancy_events(test_series, cfg, det)
     if algorithm == "ours-optimised":
@@ -333,24 +312,21 @@ def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
         return predict_occupancy_night_threshold(test_series, cfg, "max")
     if algorithm == "chen-median":
         return predict_occupancy_night_threshold(test_series, cfg, "median")
-    if algorithm in SUPERVISED_ALGORITHMS:
-        if not train_parts:
-            raise ConfigurationError(
-                f"algorithm {algorithm} requires occupancy-labelled training data")
-        return _predict_supervised(algorithm, train_parts, test_series, cfg,
-                                   knn_k, rf_cfg or RandomForestConfig())
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def _load_home(manifest, entry, cfg):
-    series = load_power_csv(manifest.resolve(entry.aggregate_path),
-                            timezone=entry.timezone)
-    if entry.occupancy_path is None:
+    if algorithm not in SUPERVISED_ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if train is None:
         raise ConfigurationError(
-            f"home {entry.home_id} has no occupancy ground truth")
-    truth_ts, truth_occ = load_occupancy_csv(
-        manifest.resolve(entry.occupancy_path))
-    return series, truth_ts, truth_occ
+            f"algorithm {algorithm} requires occupancy-labelled training data")
+    X_tr, y_tr = train
+    starts, X_te, _ = test
+    if algorithm == "knn":
+        pred = knn_classify(X_tr, y_tr, X_te, k=min(knn_k, len(y_tr)))
+    else:
+        pred = rf_classify(X_tr, y_tr, X_te, rf_cfg or RandomForestConfig())
+    anchor, n_windows = window_grid(test_series, cfg.window_s)
+    flags = np.zeros(n_windows, dtype=bool)
+    flags[(starts - anchor) // cfg.window_s] = np.asarray(pred, dtype=int) == 1
+    return OccupancySeries(anchor, cfg.window_s, flags, test_series.timezone)
 
 
 def _split_half(series: PowerSeries):
@@ -368,8 +344,7 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                          cfg: OccupancyConfig | None = None,
                          det: DetectorConfig | None = None,
                          knn_k: int = 5,
-                         rf_cfg: RandomForestConfig | None = None,
-                         jobs: int = 1) -> dict:
+                         rf_cfg: RandomForestConfig | None = None) -> dict:
     """Run the per-home occupancy comparison.
 
     split-half trains on the first half of each home and scores everything on
@@ -384,43 +359,41 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     for a in algorithms:
         if a not in UNSUPERVISED_ALGORITHMS + SUPERVISED_ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
-
-    homes = {e.home_id: _load_home(manifest, e, cfg) for e in manifest.homes}
     needs_training = any(a in SUPERVISED_ALGORITHMS for a in algorithms)
 
-    tasks = []
-    for home_id in sorted(homes):
-        series, truth_ts, truth_occ = homes[home_id]
-        if protocol == "split-half":
-            train_series, test_series = _split_half(series)
-            train_parts = [(train_series, truth_ts, truth_occ)] if needs_training else []
-        else:
-            test_series = series
-            train_parts = [homes[h] for h in sorted(homes) if h != home_id] \
-                if needs_training else []
-        tasks.append((home_id, test_series, train_parts, truth_ts, truth_occ))
+    # Each home is read, split and featurised once; its supervised arrays
+    # serve every held-out home and every algorithm.
+    homes = []
+    for entry in sorted(manifest.homes, key=lambda e: e.home_id):
+        home = load_home(manifest, entry)
+        series, truth = home.aggregate, home.occupancy
+        train_series, test_series = (_split_half(series) if protocol == "split-half"
+                                     else (series, series))
+        train_xy = test_xy = None
+        if needs_training:
+            train_xy = _supervised_xy(train_series, truth, cfg)
+            test_xy = _supervised_xy(test_series, truth, cfg) \
+                if protocol == "split-half" else train_xy
+        homes.append((entry.home_id, test_series, truth, train_xy, test_xy))
 
-    def run_one(task):
-        home_id, test_series, train_parts, truth_ts, truth_occ = task
-        rows = []
+    all_rows = []
+    for home_id, test_series, truth, train_xy, test_xy in homes:
+        parts = [train_xy] if protocol == "split-half" else \
+            [h[3] for h in homes if h[0] != home_id]
+        train = None
+        if needs_training and parts:
+            train = (np.vstack([X for _, X, _ in parts]),
+                     np.concatenate([y for _, _, y in parts]))
         for algorithm in algorithms:
             pred = predict_with_algorithm(algorithm, test_series, cfg, det,
-                                          train_parts, knn_k, rf_cfg)
-            truth = window_occupancy(
-                truth_ts, truth_occ, window_start=pred.window_start,
+                                          train, test_xy, knn_k, rf_cfg)
+            truth_w = window_occupancy(
+                *truth, window_start=pred.window_start,
                 window_s=pred.window_s, n_windows=len(pred),
                 timezone=pred.timezone)
-            metrics = evaluate_occupancy(pred, truth, cfg)
-            rows.append({"home_id": home_id, "algorithm": algorithm,
-                         **metrics.as_dict()})
-        return rows
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            all_rows = [r for rows in pool.map(run_one, tasks) for r in rows]
-    else:
-        all_rows = [r for task in tasks for r in run_one(task)]
+            metrics = evaluate_occupancy(pred, truth_w, cfg)
+            all_rows.append({"home_id": home_id, "algorithm": algorithm,
+                             **metrics.as_dict()})
     all_rows.sort(key=lambda r: (r["home_id"], r["algorithm"]))
 
     summary = []

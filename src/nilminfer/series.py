@@ -12,12 +12,13 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone as _utc_tz
+from functools import cached_property
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import EmptyWindowError, GapError, ParseError
+from .errors import ConfigurationError, EmptyWindowError, GapError, ParseError
 
 SECONDS_PER_DAY = 86400
 
@@ -460,6 +461,41 @@ def load_manifest(path) -> DatasetManifest:
                 raise FileNotFoundError(
                     f"manifest {path}: home {h.home_id} references missing file {p}")
     return m
+
+
+@dataclass
+class HomeData:
+    """One manifest home's series. Each file is read on first use and kept:
+    a run parses it at most once and never reads a file it does not use."""
+    manifest: DatasetManifest
+    entry: HomeEntry
+    _power: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def aggregate(self) -> PowerSeries:
+        return self._load_power(self.entry.aggregate_path)
+
+    def appliance(self, name: str) -> PowerSeries:
+        return self._load_power(self.entry.appliance_paths[name])
+
+    @cached_property
+    def occupancy(self) -> tuple[np.ndarray, np.ndarray]:
+        """(timestamps, flags) of the occupancy ground truth."""
+        if self.entry.occupancy_path is None:
+            raise ConfigurationError(
+                f"home {self.entry.home_id} has no occupancy ground truth")
+        return load_occupancy_csv(self.manifest.resolve(self.entry.occupancy_path))
+
+    def _load_power(self, rel_path: str) -> PowerSeries:
+        if rel_path not in self._power:
+            self._power[rel_path] = load_power_csv(
+                self.manifest.resolve(rel_path), timezone=self.entry.timezone)
+        return self._power[rel_path]
+
+
+def load_home(manifest: DatasetManifest, entry: HomeEntry) -> HomeData:
+    """One home's data, read lazily from the files its manifest entry names."""
+    return HomeData(manifest, entry)
 
 
 def save_manifest(m: DatasetManifest, path) -> None:

@@ -243,7 +243,11 @@ def test_characteristics_experiment_deterministic(default_corpus):
 
 def test_characteristics_experiment_skips_small_classes(small_corpus):
     # 5 homes: some classes have < 2 members and must be skipped with warning
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         rows = characteristics_experiment(small_corpus.manifest,
                                           ("aggregate-only",), seed=0)
     assert all(r["n_homes"] <= 5 for r in rows)
+    # class counts print in sorted order, whatever the hash seed
+    messages = [str(w.message) for w in caught]
+    assert ("skipping rooms: class counts {'GT8': 1, 'LE6': 2, "
+            "'SevenToEight': 2} too small for 2-fold CV") in messages

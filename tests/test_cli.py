@@ -1,8 +1,14 @@
 """CLI harness: subcommands, artifacts, determinism, exit codes."""
+import copy
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from nilminfer.cli import run
+from nilminfer.series import (DatasetManifest, PowerSeries, save_manifest,
+                              write_power_csv)
 
 
 def manifest_path(corpus):
@@ -152,3 +158,70 @@ def test_env_seed_default(tmp_path, monkeypatch):
                 "--out", str(out)]) == 0
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["seed"] == 99
+
+
+def test_occupancy_jobs_flag_is_accepted_and_ignored(tmp_path, small_corpus):
+    out = tmp_path / "occ.json"
+    args = ["occupancy", "--manifest", manifest_path(small_corpus),
+            "--algo", "ours", "--out", str(out)]
+    assert run(args) == 0
+    serial = out.read_bytes()
+    assert run(args + ["--jobs", "3"]) == 0
+    assert out.read_bytes() == serial
+    assert "jobs" not in json.loads(serial)["config"]
+
+
+def test_config_file_detector_settings_reach_detection(tmp_path, small_corpus):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steady_tol": 40.0, "min_event": 400.0}))
+    counts = {}
+    for name, extra in (("default", []), ("file", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert run(["detect-events", "--manifest", manifest_path(small_corpus),
+                    "--out", str(out), *extra]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        counts[name] = sum(c["events"] for c in meta["counts"].values())
+    assert meta["config"]["steady_tol"] == 40.0
+    assert meta["config"]["min_event"] == 400.0
+    assert counts["file"] < counts["default"]
+
+
+def test_config_hash_ignores_out(tmp_path, small_corpus):
+    metas = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert run(["occupancy", "--manifest", manifest_path(small_corpus),
+                    "--algo", "chen", "--out", str(out)]) == 0
+        metas.append(json.loads(out.read_text()))
+    assert metas[0]["config"]["out"] != metas[1]["config"]["out"]
+    assert metas[0]["config_hash"] == metas[1]["config_hash"]
+
+
+def test_degenerate_appliance_warns_alike_in_disaggregate_and_features(
+        tmp_path, small_corpus):
+    src = small_corpus.manifest
+    entry = copy.deepcopy(src.homes[0])
+    entry.aggregate_path = str(src.resolve(entry.aggregate_path))
+    entry.occupancy_path = str(src.resolve(entry.occupancy_path))
+    entry.appliance_paths = {
+        "hvac": str(src.resolve(entry.appliance_paths["hvac"])),
+        "fridge": str(tmp_path / "fridge.csv")}
+    agg = small_corpus.homes[entry.home_id].aggregate
+    write_power_csv(PowerSeries(agg.start_time, agg.period_s,
+                                np.full(len(agg), 80.0)), tmp_path / "fridge.csv")
+    manifest = tmp_path / "manifest.json"
+    save_manifest(DatasetManifest([entry], base_dir=tmp_path), manifest)
+
+    messages = {}
+    for name, argv in (
+            ("disaggregate", ["disaggregate", "--algo", "fhmm",
+                              "--out", str(tmp_path / "traces")]),
+            ("features", ["features", "--source", "disagg-fhmm",
+                          "--out", str(tmp_path / "features.csv")])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*argv, "--manifest", str(manifest)]) == 0
+        messages[name] = [str(w.message) for w in caught
+                          if "degenerate" in str(w.message)]
+    want = [f"skipping degenerate appliance fridge for home {entry.home_id}"]
+    assert messages == {"disaggregate": want, "features": want}

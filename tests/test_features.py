@@ -303,3 +303,15 @@ def test_feature_table_and_csv(default_corpus, tmp_path):
     assert len(lines) == 4
     header = lines[0].split(",")[1:]
     assert header == sorted(header)
+
+
+def test_disagg_fhmm_source_depends_on_seed(small_corpus):
+    manifest = small_corpus.manifest
+    one = type(manifest)(homes=manifest.homes[:1], base_dir=manifest.base_dir)
+    _, X0 = build_feature_table(one, ("disagg-fhmm",), seed=0).matrix("disagg-fhmm")
+    _, X0_again = build_feature_table(one, ("disagg-fhmm",),
+                                      seed=0).matrix("disagg-fhmm")
+    _, X7 = build_feature_table(one, ("disagg-fhmm",), seed=7).matrix("disagg-fhmm")
+    assert X0.shape == (1, 52) and (X0 >= 0).all()
+    assert np.array_equal(X0, X0_again)
+    assert not np.array_equal(X0, X7)

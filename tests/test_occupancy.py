@@ -359,10 +359,3 @@ def test_experiment_rejects_unknown_algorithm(small_corpus):
     with pytest.raises(ValueError):
         occupancy_experiment(small_corpus.manifest, "split-half", ("svm",))
 
-
-def test_experiment_parallel_matches_serial(small_corpus):
-    a = occupancy_experiment(small_corpus.manifest, "split-half",
-                             ("ours",), jobs=1)
-    b = occupancy_experiment(small_corpus.manifest, "split-half",
-                             ("ours",), jobs=3)
-    assert a == b
