@@ -6,8 +6,9 @@ SVG outputs are derived views. Every JSON artifact embeds the tool version,
 the seed and a hash of the resolved configuration, and contains no
 timestamps, so identical configs reproduce identical bytes.
 
-Config precedence: CLI flags > --config file > defaults. The default seed
-comes from the DISAGG_SEED environment variable when set.
+Config precedence: CLI flags > --config file > defaults; the file's values
+become the subcommand's argparse defaults. The default seed comes from the
+DISAGG_SEED environment variable when set.
 """
 from __future__ import annotations
 
@@ -36,17 +37,10 @@ def _default_seed() -> int:
     return int(os.environ.get("DISAGG_SEED", "7"))
 
 
-def _resolved_config(args, keys) -> dict:
-    """Merge defaults, --config file values and explicit CLI flags."""
-    cfg = {k: getattr(args, k) for k in keys}
-    given = getattr(args, "_argv", ())
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            file_cfg = json.load(f)
-        for k, v in file_cfg.items():
-            if k in cfg and f"--{k.replace('_', '-')}" not in given:
-                cfg[k] = v
-    return cfg
+def _config(args: argparse.Namespace) -> dict:
+    """The resolved config: every parsed setting of the subcommand."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "subcommand", "config", "jobs")}
 
 
 def _config_hash(cfg: dict) -> str:
@@ -73,8 +67,7 @@ def _detector(cfg: dict) -> DetectorConfig:
                           min_event_w=cfg["min_event"])
 
 
-def cmd_synth(args) -> int:
-    cfg = _resolved_config(args, ["homes", "days", "seed", "period", "out"])
+def cmd_synth(cfg: dict) -> int:
     gen_corpus(n=cfg["homes"], seed=cfg["seed"], days=cfg["days"],
                period_s=cfg["period"], out_dir=cfg["out"])
     _write_json(Path(cfg["out"]) / "run_meta.json",
@@ -83,9 +76,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_detect_events(args) -> int:
-    cfg = _resolved_config(args, ["manifest", "out", "seed", "steady_tol",
-                                  "min_event"])
+def cmd_detect_events(cfg: dict) -> int:
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -111,9 +102,7 @@ def cmd_detect_events(args) -> int:
     return 0
 
 
-def cmd_occupancy(args) -> int:
-    cfg = _resolved_config(args, ["manifest", "algo", "protocol", "out",
-                                  "seed", "steady_tol", "min_event"])
+def cmd_occupancy(cfg: dict) -> int:
     manifest = load_manifest(cfg["manifest"])
     algorithms = tuple(cfg["algo"].split(","))
     results = occupancy_experiment(
@@ -125,10 +114,7 @@ def cmd_occupancy(args) -> int:
     return 0
 
 
-def cmd_disaggregate(args) -> int:
-    cfg = _resolved_config(args, ["manifest", "algo", "train_split", "out",
-                                  "seed", "steady_tol", "min_event",
-                                  "on_threshold"])
+def cmd_disaggregate(cfg: dict) -> int:
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
     det = _detector(cfg)
@@ -169,9 +155,7 @@ def cmd_disaggregate(args) -> int:
     return 0
 
 
-def cmd_features(args) -> int:
-    cfg = _resolved_config(args, ["manifest", "source", "out", "seed",
-                                  "steady_tol", "min_event"])
+def cmd_features(cfg: dict) -> int:
     manifest = load_manifest(cfg["manifest"])
     table = build_feature_table(manifest, (cfg["source"],), det=_detector(cfg),
                                 seed=cfg["seed"])
@@ -185,9 +169,7 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    cfg = _resolved_config(args, ["manifest", "source", "classifier", "out",
-                                  "seed", "folds", "steady_tol", "min_event"])
+def cmd_classify(cfg: dict) -> int:
     manifest = load_manifest(cfg["manifest"])
     rows = characteristics_experiment(
         manifest, feature_sources=tuple(cfg["source"].split(",")),
@@ -198,8 +180,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _resolved_config(args, ["results", "out", "seed"])
+def cmd_report(cfg: dict) -> int:
     with open(cfg["results"]) as f:
         payload = json.load(f)
     out = Path(cfg["out"])
@@ -221,7 +202,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="nilminfer",
         description="Energy-disaggregation experiments: occupancy and "
@@ -232,6 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--config", help="JSON config file (flags win)")
+
+    def common_and_detector(p):
+        common(p)
         p.add_argument("--steady-tol", dest="steady_tol", type=float, default=15.0)
         p.add_argument("--min-event", dest="min_event", type=float, default=70.0)
 
@@ -246,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-events", help="export event/pair CSVs")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    common_and_detector(p)
     p.set_defaults(func=cmd_detect_events)
 
     p = sub.add_parser("occupancy", help="occupancy prediction experiment")
@@ -258,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted so existing command lines keep working; homes run serially
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    common(p)
+    common_and_detector(p)
     p.set_defaults(func=cmd_occupancy)
 
     p = sub.add_parser("disaggregate", help="appliance disaggregation")
@@ -267,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-split", dest="train_split", type=float, default=0.5)
     p.add_argument("--on-threshold", dest="on_threshold", type=float, default=50.0)
     p.add_argument("--out", required=True)
-    common(p)
+    common_and_detector(p)
     p.set_defaults(func=cmd_disaggregate)
 
     p = sub.add_parser("features", help="export a feature matrix CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--source", choices=FEATURE_SOURCES, default="both")
     p.add_argument("--out", required=True)
-    common(p)
+    common_and_detector(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="household-characteristic experiment")
@@ -284,27 +269,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", choices=("knn", "rf"), default="knn")
     p.add_argument("--folds", type=int, default=2)
     p.add_argument("--out", required=True)
-    common(p)
+    common_and_detector(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="render SVG charts from results JSON")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--config", help="JSON config file (flags win)")
+    common(p)
     p.set_defaults(func=cmd_report)
-    return parser
+    return parser, sub.choices
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.config:
+            # a flag given on the command line wins however it is spelled
+            with open(args.config) as f:
+                file_cfg = json.load(f)
+            keys = _config(args)
+            subparsers[args.subcommand].set_defaults(
+                **{k: v for k, v in file_cfg.items() if k in keys})
+            args = parser.parse_args(argv)
+        return args.func(_config(args))
+    except SystemExit as exc:  # usage errors, --help and --version
         return int(exc.code) if exc.code is not None else 0
-    args._argv = tuple(argv)
-    try:
-        return args.func(args)
     except Exception as exc:  # structured failure record on stderr
         record = {"error": type(exc).__name__, "message": str(exc),
                   "subcommand": getattr(args, "subcommand", None)}

@@ -235,7 +235,17 @@ def hart_disaggregate(aggregate: PowerSeries,
                       det: DetectorConfig | None = None,
                       hvac_min_w: float = 1000.0,
                       cluster_tol_frac: float = 0.1) -> DisaggResult:
-    """Unsupervised trace reconstruction from paired events.
+    """Unsupervised disaggregation: hart_reconstruct on the aggregate's pairs."""
+    det = det or DetectorConfig()
+    events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
+    pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
+    return hart_reconstruct(aggregate, pairs, hvac_min_w, cluster_tol_frac)
+
+
+def hart_reconstruct(aggregate: PowerSeries, pairs: list,
+                     hvac_min_w: float = 1000.0,
+                     cluster_tol_frac: float = 0.1) -> DisaggResult:
+    """Trace reconstruction from the aggregate's event pairs.
 
     Pair magnitudes are clustered; each cluster becomes a pseudo-appliance
     whose trace is the sum of rectangular pulses over its pairs' ON
@@ -243,9 +253,6 @@ def hart_disaggregate(aggregate: PowerSeries,
     "hvac" (all-zero with a flag when none qualifies) and the largest-center
     cluster overall is labelled "highest_power_appliance".
     """
-    det = det or DetectorConfig()
-    events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
-    pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
     mags = np.array([p.magnitude_w for p in pairs])
     clusters = cluster_magnitudes(mags, cluster_tol_frac)
 

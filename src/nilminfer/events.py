@@ -9,6 +9,7 @@ and struck from the pair list.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,21 +123,23 @@ def pair_events(events: list[Event], match_tol_frac: float = 0.2,
     Scanning in time order, each falling edge matches the earliest unmatched
     rising edge of similar magnitude (|d_on + d_off| <= tol * d_on) within
     max_duration_s. Unmatched events are dropped. Pairs come back sorted by
-    on_time.
+    on_time. Open rises older than max_duration_s can match no later fall
+    and are dropped as the scan passes them, so the state stays bounded.
     """
     times = [e.time for e in events]
     if times != sorted(times):
         raise ValueError("events must be time-ordered")
 
-    open_rises: list[Event] = []
+    open_rises: deque[Event] = deque()
     pairs: list[EventPair] = []
     for e in events:
+        while open_rises and e.time - open_rises[0].time > max_duration_s:
+            open_rises.popleft()
         if e.delta_w > 0:
             open_rises.append(e)
             continue
         for i, rise in enumerate(open_rises):
-            gap = e.time - rise.time
-            if gap <= 0 or gap > max_duration_s:
+            if e.time == rise.time:
                 continue
             if abs(rise.delta_w + e.delta_w) <= match_tol_frac * rise.delta_w:
                 pairs.append(EventPair(rise.time, e.time, rise.delta_w))

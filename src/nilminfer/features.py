@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disagg import fhmm_disaggregate, hart_disaggregate, train_appliance_models
+from .disagg import fhmm_disaggregate, hart_reconstruct, train_appliance_models
 from .errors import CoverageError, UndefinedStatisticError
 from .events import DetectorConfig, cluster_magnitudes, detect_events, pair_events
 from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, load_home,
@@ -292,8 +292,8 @@ def build_home_features(home: HomeData, sources,
             bundle = hvac_bundle(home.appliance("hvac"), "hvac_submeter")
             out[source] = bundle if source == "hvac-only" else agg_fv.merge(bundle)
         elif source == "disagg-hart":
-            hvac = hart_disaggregate(aggregate, det,
-                                     hvac_min_w=hvac_min_w).appliances["hvac"]
+            hvac = hart_reconstruct(aggregate, pairs,
+                                    hvac_min_w=hvac_min_w).appliances["hvac"]
             out[source] = agg_fv.merge(hvac_bundle(hvac, "hvac_disagg"))
         elif source == "disagg-fhmm":
             halves = {name: home.appliance(name).slice(

@@ -161,13 +161,13 @@ def predict_occupancy_events(s: PowerSeries, cfg: OccupancyConfig | None = None,
                              det: DetectorConfig | None = None) -> OccupancySeries:
     """Signal occupancy from foreground event pairs.
 
-    Pipeline: detect events -> learn night background -> pair edges -> drop
-    background magnitudes -> drop over-long pairs -> occupied intervals are
-    the union of the surviving ON intervals, with gaps shorter than
-    pair_gap_fill_s bridged. Each day with any foreground activity is also
-    marked occupied from midnight to the first event and from the last event
-    to midnight (each half independently configurable). A day with no
-    foreground pairs stays unoccupied throughout.
+    Pipeline: detect events -> learn night background -> pair edges (no
+    pair is longer than max_duration_s) -> drop background magnitudes ->
+    occupied intervals are the union of the surviving ON intervals, with
+    gaps shorter than pair_gap_fill_s bridged. Each day with any foreground
+    activity is also marked occupied from midnight to the first event and
+    from the last event to midnight (each half independently configurable).
+    A day with no foreground pairs stays unoccupied throughout.
     """
     cfg = cfg or OccupancyConfig()
     det = det or DetectorConfig()
@@ -179,8 +179,7 @@ def predict_occupancy_events(s: PowerSeries, cfg: OccupancyConfig | None = None,
         s, cfg.night_start_hour, cfg.night_end_hour, det.steady_tol_w,
         det.min_event_w, det.background_cluster_tol, det.background_min_support)
     pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
-    foreground = [p for p in remove_background(pairs, profile)
-                  if p.duration_s <= det.max_duration_s]
+    foreground = remove_background(pairs, profile)
 
     intervals = _merge_intervals(
         [(p.on_time, p.off_time) for p in foreground], gap=cfg.pair_gap_fill_s)

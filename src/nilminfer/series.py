@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone as _utc_tz
@@ -183,48 +184,17 @@ def clock_window_mean(s: PowerSeries, start_hour: float, end_hour: float) -> flo
 
 
 def load_power_csv(path, *, period_s: int | None = None, timezone: str = "UTC",
-                   max_gap_periods: int = 10,
-                   timestamp_col: str = "timestamp",
-                   power_col: str = "power_w") -> PowerSeries:
-    """Ingest a power CSV onto a uniform grid.
+                   max_gap_periods: int = 10) -> PowerSeries:
+    """Ingest a `timestamp,power_w` CSV onto a uniform grid.
 
-    Rows are sorted by timestamp; duplicate timestamps collapse to their mean;
-    gaps of at most max_gap_periods missing samples are forward-filled and
+    Duplicate timestamps collapse to their mean. Negative readings are
+    clamped to 0 and counted in the returned series' meta; gaps of at most
+    max_gap_periods missing samples are then forward-filled and counted, and
     longer gaps raise GapError (interpolating across a long outage would
-    fabricate downstream evidence). Negative readings are clamped to 0 and
-    counted in the returned series' meta.
+    fabricate downstream evidence).
     """
     path = Path(path)
-    rows: list[tuple[int, float]] = []
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file", line=1, path=str(path))
-        header = [h.strip() for h in header]
-        try:
-            t_idx = header.index(timestamp_col)
-            p_idx = header.index(power_col)
-        except ValueError:
-            raise ParseError(
-                f"{path}: header must contain '{timestamp_col}' and "
-                f"'{power_col}', got {header}", line=1, path=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                t = _parse_timestamp(row[t_idx])
-                p = float(row[p_idx])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row {row!r} "
-                                 f"({exc})", line=lineno, path=str(path)) from exc
-            rows.append((t, p))
-    if not rows:
-        raise ParseError(f"{path}: no data rows", line=2, path=str(path))
-
-    rows.sort(key=lambda r: r[0])
-    ts = np.array([r[0] for r in rows], dtype=np.int64)
-    vals = np.array([r[1] for r in rows], dtype=float)
+    ts, vals = _read_csv(path, "power_w", _parse_reading)
 
     uniq, inverse, counts = np.unique(ts, return_inverse=True, return_counts=True)
     if uniq.size != ts.size:
@@ -242,6 +212,12 @@ def load_power_csv(path, *, period_s: int | None = None, timezone: str = "UTC",
         bad = int(ts[np.nonzero(rel % period_s)[0][0]])
         raise ParseError(f"{path}: timestamp {bad} is off the {period_s}s grid",
                          path=str(path))
+
+    n_clamped = int((vals < 0).sum())
+    if n_clamped:
+        warnings.warn(f"{path}: clamped {n_clamped} negative power readings to 0",
+                      stacklevel=2)
+        vals = np.maximum(vals, 0.0)
 
     pos = rel // period_s
     n = int(pos[-1]) + 1
@@ -265,12 +241,6 @@ def load_power_csv(path, *, period_s: int | None = None, timezone: str = "UTC",
                     f"{t_a} and {t_b} (max {max_gap_periods})")
             grid[a:b + 1] = grid[a - 1]
             n_filled += run_len
-
-    n_clamped = int((grid < 0).sum())
-    if n_clamped:
-        warnings.warn(f"{path}: clamped {n_clamped} negative power readings to 0",
-                      stacklevel=2)
-        grid = np.maximum(grid, 0.0)
 
     return PowerSeries(int(ts[0]), period_s, grid, timezone,
                        meta={"source": str(path), "n_gap_filled": n_filled,
@@ -298,6 +268,60 @@ def _parse_timestamp(text: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=_utc_tz.utc)
     return int(dt.timestamp())
+
+
+def _parse_reading(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite reading {text.strip()!r}")
+    return value
+
+
+def _parse_flag(text: str) -> bool:
+    flag = int(text)
+    if flag not in (0, 1):
+        raise ValueError("occupied must be 0 or 1")
+    return bool(flag)
+
+
+def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:
+    """The one row reader behind every CSV loader.
+
+    Finds `timestamp` and value_col by header name, skips blank rows, parses
+    each timestamp (epoch or ISO-8601) and each value, and returns both as
+    arrays stably sorted by time. Any bad input is a ParseError naming the
+    file and, for a bad row, its 1-based line.
+    """
+    ts, vals = [], []
+    with open(path, "r", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file", line=1, path=str(path))
+        header = [h.strip() for h in header]
+        try:
+            t_idx = header.index("timestamp")
+            v_idx = header.index(value_col)
+        except ValueError:
+            raise ParseError(
+                f"{path}: header must contain 'timestamp' and '{value_col}', "
+                f"got {header}", line=1, path=str(path)) from None
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                t = _parse_timestamp(row[t_idx])
+                v = parse_value(row[v_idx])
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{path}:{lineno}: malformed row {row!r} "
+                                 f"({exc})", line=lineno, path=str(path)) from exc
+            ts.append(t)
+            vals.append(v)
+    if not ts:
+        raise ParseError(f"{path}: no data rows", line=2, path=str(path))
+    ts = np.array(ts, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    return ts[order], np.array(vals)[order]
 
 
 def _infer_period(ts: np.ndarray) -> int:
@@ -350,34 +374,9 @@ class OccupancySeries:
 
 
 def load_occupancy_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read `timestamp,occupied` rows. Returns (timestamps, bool flags),
-    sorted by time. Sampling rate is arbitrary; window downstream."""
-    path = Path(path)
-    ts, occ = [], []
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestamp", "occupied"]:
-            raise ParseError(f"{path}: expected header 'timestamp,occupied'",
-                             line=1, path=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t = _parse_timestamp(row[0])
-                o = int(row[1])
-                if o not in (0, 1):
-                    raise ValueError("occupied must be 0 or 1")
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row {row!r} "
-                                 f"({exc})", line=lineno, path=str(path)) from exc
-            ts.append(t)
-            occ.append(bool(o))
-    if not ts:
-        raise ParseError(f"{path}: no data rows", line=2, path=str(path))
-    order = np.argsort(np.array(ts, dtype=np.int64), kind="stable")
-    return (np.array(ts, dtype=np.int64)[order],
-            np.array(occ, dtype=bool)[order])
+    """Read the `timestamp` and `occupied` columns. Returns (timestamps, bool
+    flags), sorted by time. Sampling rate is arbitrary; window downstream."""
+    return _read_csv(Path(path), "occupied", _parse_flag)
 
 
 def window_occupancy(ts: np.ndarray, occupied: np.ndarray, *, window_start: int,

@@ -51,6 +51,8 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_unknown_flag_exits_2(capsys):
     assert run(["synth", "--bogus", "1", "--out", "x"]) == 2
+    # synth has no detector, so it takes no detector flags
+    assert run(["synth", "--steady-tol", "20", "--out", "x"]) == 2
 
 
 def test_runtime_failure_exits_1_with_json_error(tmp_path, capsys):
@@ -139,6 +141,30 @@ def test_config_file_provides_defaults(tmp_path):
     assert meta["config"]["days"] == 7
     assert meta["config"]["homes"] == 3
     assert len(json.loads((out / "manifest.json").read_text())["homes"]) == 3
+
+
+def test_equals_spelled_flag_beats_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"homes": 2, "days": 1}))
+    out = tmp_path / "corpus"
+    assert run(["synth", "--config", str(cfg), "--homes=3",
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["config"]["homes"] == 3 and meta["config"]["days"] == 1
+    assert len(json.loads((out / "manifest.json").read_text())["homes"]) == 3
+
+
+def test_config_file_and_flags_record_the_same_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"homes": 2, "days": 1, "period": 60,
+                               "seed": 3}))
+    out = tmp_path / "corpus"
+    metas = []
+    for argv in (["--config", str(cfg)],
+                 ["--homes=2", "--days", "1", "--period=60", "--seed", "3"]):
+        assert run(["synth", *argv, "--out", str(out)]) == 0
+        metas.append((out / "run_meta.json").read_bytes())
+    assert metas[0] == metas[1]
 
 
 def test_subcommands_do_not_mutate_inputs(tmp_path, small_corpus):

@@ -186,6 +186,41 @@ def test_pair_output_predicates(event_specs):
         assert p.magnitude_w > 0
 
 
+def pair_events_unbounded(events, match_tol_frac, max_duration_s):
+    """Reference: the scan that keeps every unmatched rise open for the
+    whole trace and skips the stale ones at each fall."""
+    open_rises, pairs = [], []
+    for e in events:
+        if e.delta_w > 0:
+            open_rises.append(e)
+            continue
+        for i, rise in enumerate(open_rises):
+            gap = e.time - rise.time
+            if gap <= 0 or gap > max_duration_s:
+                continue
+            if abs(rise.delta_w + e.delta_w) <= match_tol_frac * rise.delta_w:
+                pairs.append(EventPair(rise.time, e.time, rise.delta_w))
+                del open_rises[i]
+                break
+    pairs.sort(key=lambda pr: (pr.on_time, pr.off_time))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 4, 9, 10, 11, 30]),
+                          st.sampled_from([1, -1]),
+                          st.sampled_from([100.0, 115.0, 130.0, 400.0])),
+                max_size=40))
+def test_pair_events_matches_unbounded_scan(specs):
+    # gaps of 0 give equal timestamps; 9/10/11 sit on both sides of the cap
+    events, t = [], 0
+    for gap, sign, mag in specs:
+        t += gap
+        events.append(Event(t, sign * mag, 0.0))
+    assert pair_events(events, 0.2, 10.0) == \
+        pair_events_unbounded(events, 0.2, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # learn_background / remove_background
 # ---------------------------------------------------------------------------

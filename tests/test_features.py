@@ -315,3 +315,23 @@ def test_disagg_fhmm_source_depends_on_seed(small_corpus):
     assert X0.shape == (1, 52) and (X0 >= 0).all()
     assert np.array_equal(X0, X0_again)
     assert not np.array_equal(X0, X7)
+
+
+def test_disagg_hart_source_detects_the_aggregate_once(small_corpus,
+                                                       monkeypatch):
+    import nilminfer.disagg
+    import nilminfer.features
+
+    calls = []
+
+    def counting_detect_events(s, *args):
+        calls.append(len(s))
+        return detect_events(s, *args)
+
+    for module in (nilminfer.disagg, nilminfer.features):
+        monkeypatch.setattr(module, "detect_events", counting_detect_events)
+    manifest = small_corpus.manifest
+    one = type(manifest)(homes=manifest.homes[:1], base_dir=manifest.base_dir)
+    _, X = build_feature_table(one, ("disagg-hart",)).matrix("disagg-hart")
+    assert X.shape == (1, 52)
+    assert calls == [len(small_corpus.homes[one.homes[0].home_id].aggregate)]

@@ -1,10 +1,11 @@
 """Core series model: ingestion, resampling, clock windows, manifests."""
-from datetime import datetime
+import warnings
+from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilminfer.errors import EmptyWindowError, GapError, ParseError
 from nilminfer.series import (DatasetManifest, HomeEntry,
@@ -92,6 +93,26 @@ def test_negative_readings_clamped_with_warning(tmp_path):
     assert s.meta["n_negative_clamped"] == 1
 
 
+def test_negative_count_excludes_gap_fill_copies(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("timestamp,power_w\n0,-5\n3,100\n")
+    with pytest.warns(UserWarning, match="clamped 1 negative"):
+        s = load_power_csv(p, period_s=1)
+    assert np.array_equal(s.values, [0.0, 0.0, 0.0, 100.0])
+    assert s.meta["n_negative_clamped"] == 1
+    assert s.meta["n_gap_filled"] == 2
+
+
+@pytest.mark.parametrize("reading", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_reading_is_a_parse_error(tmp_path, reading):
+    p = tmp_path / "a.csv"
+    p.write_text(f"timestamp,power_w\n0,100\n\n2,{reading}\n3,100\n")
+    with pytest.raises(ParseError) as exc:
+        load_power_csv(p, period_s=1)
+    assert exc.value.line == 4 and exc.value.path == str(p)
+    assert f"{p}:4:" in str(exc.value)
+
+
 def test_iso_timestamps_accepted(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n2024-01-01T00:00:00Z,50\n"
@@ -125,6 +146,85 @@ def test_load_after_write_identity(tmp_path):
     t = load_power_csv(path)
     assert t.start_time == s.start_time and t.period_s == s.period_s
     assert np.array_equal(t.values, s.values)
+
+
+ISO_OFFSETS = [timezone(timedelta(minutes=m)) for m in (-300, 0, 60, 330)]
+
+
+def expected_ingest(rows, period, max_gap):
+    """Plain-Python model of load_power_csv on integer readings: (start,
+    values, n_gap_filled, n_negative_clamped), or None for a gap too long."""
+    by_slot = {}
+    for slot, value in rows:
+        by_slot.setdefault(slot, []).append(value)
+    means = {k: sum(v) / len(v) for k, v in by_slot.items()}
+    first, last = min(means), max(means)
+    values, filled, run = [], 0, 0
+    for slot in range(first, last + 1):
+        if slot in means:
+            values.append(max(means[slot], 0.0))
+            run = 0
+        else:
+            run += 1
+            if run > max_gap:
+                return None
+            values.append(values[-1])
+            filled += 1
+    clamped = sum(m < 0 for m in means.values())
+    return DEFAULT_START + first * period, values, filled, clamped
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), period=st.sampled_from([1, 30]))
+def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 12),
+                                        st.integers(-40, 400)),
+                              min_size=1, max_size=20))
+    rows = data.draw(st.permutations(rows))
+    texts = [str(v) for _, v in rows]
+    n_bad = data.draw(st.sampled_from([0, 0, 0, 1, 2]))
+    for _ in range(n_bad):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        texts[i] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+    lines, data_lines = ["timestamp,power_w"], []
+    for (slot, _), text in zip(rows, texts):
+        if data.draw(st.integers(0, 3)) == 0:
+            lines.append("")
+        t = DEFAULT_START + slot * period
+        if data.draw(st.booleans()):
+            tz = data.draw(st.sampled_from(ISO_OFFSETS))
+            stamp = datetime.fromtimestamp(t, tz).isoformat()
+        else:
+            stamp = str(t)
+        lines.append(f"{stamp},{text}")
+        data_lines.append(len(lines))
+    path = tmp_path / "power.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    bad = [n for n, text in zip(data_lines, texts)
+           if text in ("nan", "inf", "-inf")]
+    expected = expected_ingest(rows, period, max_gap=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if bad:
+            with pytest.raises(ParseError) as exc:
+                load_power_csv(path, period_s=period, max_gap_periods=3)
+            assert exc.value.path == str(path) and exc.value.line == bad[0]
+            return
+        if expected is None:
+            with pytest.raises(GapError, match=str(path)):
+                load_power_csv(path, period_s=period, max_gap_periods=3)
+            return
+        s = load_power_csv(path, period_s=period, max_gap_periods=3)
+    start, values, filled, clamped = expected
+    assert s.start_time == start and s.period_s == period
+    assert s.values.tolist() == values
+    assert s.meta["n_gap_filled"] == filled
+    assert s.meta["n_negative_clamped"] == clamped
+    notes = [str(w.message) for w in caught]
+    assert notes == ([f"{path}: clamped {clamped} negative power readings to 0"]
+                     if clamped else [])
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +358,27 @@ def test_occupancy_csv_rejects_bad_flag(tmp_path):
     p.write_text("timestamp,occupied\n0,2\n")
     with pytest.raises(ParseError):
         load_occupancy_csv(p)
+
+
+def test_occupancy_csv_columns_found_by_name(tmp_path):
+    p = tmp_path / "occ.csv"
+    p.write_text("occupied,note,timestamp\n1,x,60\n\n0,y,0\n")
+    ts, occ = load_occupancy_csv(p)
+    assert ts.tolist() == [0, 60] and occ.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("timestamp,flag\n0,1\n", 1),
+    ("timestamp,occupied\n", 2),
+    ("timestamp,occupied\n0,1\n60,yes\n", 3),
+])
+def test_occupancy_csv_errors_name_file_and_line(tmp_path, text, line):
+    p = tmp_path / "occ.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_occupancy_csv(p)
+    assert exc.value.line == line and exc.value.path == str(p)
 
 
 # ---------------------------------------------------------------------------
