@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .features import build_feature_table, chi2_select
 
 CHARACTERISTICS = ("age", "area", "income", "floors", "rooms", "occupants")
 
@@ -88,22 +89,33 @@ def label_characteristics(characteristics: dict,
 # Classifiers
 # ---------------------------------------------------------------------------
 
-def _majority_vote(votes, train_y):
-    """Most common vote; ties go to the class more frequent in training, then
-    lexicographically."""
-    votes = list(votes)
-    counts: dict = {}
-    for v in votes:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    cands = [v for v, c in counts.items() if c == best]
-    if len(cands) == 1:
-        return cands[0]
-    train_freq: dict = {}
-    for v in train_y:
-        train_freq[v] = train_freq.get(v, 0) + 1
-    cands.sort(key=lambda v: (-train_freq.get(v, 0), str(v)))
-    return cands[0]
+KNN_K = 5
+# chi-squared feature counts the inner scan tries; None keeps every feature
+CHI2_K_CANDIDATES = (2, 4, 6, 8, None)
+
+
+def _encode_labels(train_y):
+    """(classes, codes, rank): the training classes sorted by str, each
+    training label's index into classes, and each class's tie rank (more
+    frequent in training first, then by str)."""
+    classes = sorted(set(train_y), key=str)
+    index = {c: i for i, c in enumerate(classes)}
+    codes = np.array([index[v] for v in train_y], dtype=np.intp)
+    freq = np.bincount(codes, minlength=len(classes))
+    rank = np.empty(len(classes), dtype=np.intp)
+    rank[np.lexsort((np.arange(len(classes)), -freq))] = np.arange(len(classes))
+    return classes, codes, rank
+
+
+def _vote(votes, classes, rank):
+    """Per row of class-index votes, the class with the most votes; ties go
+    to the lower rank."""
+    n_rows, n_classes = votes.shape[0], len(classes)
+    offsets = np.arange(n_rows, dtype=np.intp)[:, None] * n_classes
+    counts = np.bincount((offsets + votes).ravel(),
+                         minlength=n_rows * n_classes).reshape(n_rows, n_classes)
+    winners = np.argmax(counts * n_classes - rank, axis=1)
+    return np.array([classes[i] for i in winners], dtype=object)
 
 
 def knn_classify(train_X, train_y, test_X, k: int = 5):
@@ -135,12 +147,12 @@ def knn_classify(train_X, train_y, test_X, k: int = 5):
         Xtr = np.zeros((train_X.shape[0], 1))
         Xte = np.zeros((test_X.shape[0], 1))
 
-    out = []
-    for x in Xte:
+    classes, codes, rank = _encode_labels(train_y)
+    votes = np.empty((Xte.shape[0], k), dtype=np.intp)
+    for i, x in enumerate(Xte):
         d2 = ((Xtr - x) ** 2).sum(axis=1)
-        order = np.argsort(d2, kind="stable")[:k]
-        out.append(_majority_vote([train_y[i] for i in order], train_y))
-    return np.array(out, dtype=object)
+        votes[i] = codes[np.argsort(d2, kind="stable")[:k]]
+    return _vote(votes, classes, rank)
 
 
 @dataclass
@@ -148,18 +160,6 @@ class RandomForestConfig:
     n_trees: int = 25
     max_depth: int = 6
     seed: int = 0
-
-
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "label")
-
-    def __init__(self, label=None, feature=None, threshold=None,
-                 left=None, right=None):
-        self.label = label
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
 
 
 def _gini_best_split(X, y_idx, n_classes, features):
@@ -193,28 +193,35 @@ def _gini_best_split(X, y_idx, n_classes, features):
     return best
 
 
-def _build_tree(X, y_idx, classes, depth, max_depth, rng, m_features):
-    counts = np.bincount(y_idx, minlength=len(classes))
+def _build_tree(X, y_idx, n_classes, depth, max_depth, rng, m_features):
+    """A leaf is a class index; an inner node is (feature, threshold, left,
+    right), rows with X[:, feature] <= threshold going left."""
+    counts = np.bincount(y_idx, minlength=n_classes)
     if depth >= max_depth or counts.max() == y_idx.size or y_idx.size < 2:
-        return _TreeNode(label=classes[int(np.argmax(counts))])
+        return int(np.argmax(counts))
     feats = rng.choice(X.shape[1], size=m_features, replace=False)
     feats.sort()
-    best = _gini_best_split(X, y_idx, len(classes), feats)
+    best = _gini_best_split(X, y_idx, n_classes, feats)
     if best is None:
-        return _TreeNode(label=classes[int(np.argmax(counts))])
+        return int(np.argmax(counts))
     _, f, thr = best
     mask = X[:, f] <= thr
-    left = _build_tree(X[mask], y_idx[mask], classes, depth + 1, max_depth,
+    left = _build_tree(X[mask], y_idx[mask], n_classes, depth + 1, max_depth,
                        rng, m_features)
-    right = _build_tree(X[~mask], y_idx[~mask], classes, depth + 1, max_depth,
-                        rng, m_features)
-    return _TreeNode(feature=f, threshold=thr, left=left, right=right)
+    right = _build_tree(X[~mask], y_idx[~mask], n_classes, depth + 1,
+                        max_depth, rng, m_features)
+    return (f, thr, left, right)
 
 
-def _tree_predict(node, x):
-    while node.label is None:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+def _route(tree, X, rows, out):
+    """Write the leaf class index of each row of X[rows] into out[rows]."""
+    if isinstance(tree, int):
+        out[rows] = tree
+        return
+    f, thr, left, right = tree
+    go_left = X[rows, f] <= thr
+    _route(left, X, rows[go_left], out)
+    _route(right, X, rows[~go_left], out)
 
 
 def rf_classify(train_X, train_y, test_X,
@@ -232,23 +239,18 @@ def rf_classify(train_X, train_y, test_X,
     if train_X.shape[0] == 0:
         raise ValueError("training set is empty")
 
-    classes = sorted(set(train_y), key=str)
-    if len(classes) == 1:
-        return np.array([classes[0]] * test_X.shape[0], dtype=object)
-    cls_index = {c: i for i, c in enumerate(classes)}
-    y_idx = np.array([cls_index[v] for v in train_y])
+    classes, y_idx, rank = _encode_labels(train_y)
     n, d = train_X.shape
     m_features = max(1, int(round(np.sqrt(d))))
-
-    votes = [[] for _ in range(test_X.shape[0])]
+    rows = np.arange(test_X.shape[0])
+    votes = np.empty((test_X.shape[0], cfg.n_trees), dtype=np.intp)
     for t in range(cfg.n_trees):
         rng = np.random.default_rng([cfg.seed, t])
         boot = rng.integers(0, n, size=n)
-        tree = _build_tree(train_X[boot], y_idx[boot], classes, 0,
+        tree = _build_tree(train_X[boot], y_idx[boot], len(classes), 0,
                            cfg.max_depth, rng, m_features)
-        for i, x in enumerate(test_X):
-            votes[i].append(_tree_predict(tree, x))
-    return np.array([_majority_vote(v, train_y) for v in votes], dtype=object)
+        _route(tree, test_X, rows, votes[:, t])
+    return _vote(votes, classes, rank)
 
 
 def majority_baseline(train_y, test_size: int):
@@ -256,11 +258,8 @@ def majority_baseline(train_y, test_size: int):
     train_y = list(train_y)
     if not train_y:
         raise ValueError("training labels are empty")
-    counts: dict = {}
-    for v in train_y:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    label = sorted([v for v, c in counts.items() if c == best], key=str)[0]
+    classes, codes, rank = _encode_labels(train_y)
+    label = _vote(codes[None, :], classes, rank)[0]
     return np.array([label] * test_size, dtype=object)
 
 
@@ -281,40 +280,43 @@ def stratified_folds(labels, n_folds: int, seed: int) -> list[np.ndarray]:
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def _classifier_predict(classifier, X_tr, y_tr, X_te, knn_k, rf_cfg):
+def classifier_predict(classifier: str, train_X, train_y, test_X,
+                       rf_cfg: RandomForestConfig | None = None):
+    """Labels of test_X from "knn" (k = KNN_K, capped at the training size)
+    or "rf" trained on (train_X, train_y)."""
     if classifier == "knn":
-        return knn_classify(X_tr, y_tr, X_te, k=min(knn_k, len(y_tr)))
+        return knn_classify(train_X, train_y, test_X,
+                            k=min(KNN_K, len(train_y)))
     if classifier == "rf":
-        return rf_classify(X_tr, y_tr, X_te, rf_cfg)
+        return rf_classify(train_X, train_y, test_X, rf_cfg)
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
-def _scan_k(X, y, k_candidates, classifier, seed, knn_k, rf_cfg):
+def _scan_k(X, y, classifier, seed, rf_cfg):
     """Pick the chi-squared k by an inner stratified 2-fold scan on the
-    training fold; ties go to the smallest k."""
-    from .features import chi2_select
-
+    training fold; ties go to the smallest k. Each candidate's features are
+    a prefix of one chi-squared ordering per inner fold."""
+    y = np.asarray(y, dtype=object)
     d = X.shape[1]
     cands = []
-    for k in k_candidates:
+    for k in CHI2_K_CANDIDATES:
         kk = d if k is None else min(int(k), d)
         if kk >= 1 and kk not in cands:
             cands.append(kk)
-    inner = stratified_folds(y, 2, seed + 1)
+    accs = {kk: [] for kk in cands}
+    for te in stratified_folds(y, 2, seed + 1):
+        tr = np.setdiff1d(np.arange(len(y)), te)
+        if len(set(y[tr].tolist())) < 2 or te.size == 0:
+            continue
+        order, _ = chi2_select(X[tr], y[tr], d)
+        for kk in cands:
+            sel = order[:kk]
+            pred = classifier_predict(classifier, X[tr][:, sel], y[tr],
+                                      X[te][:, sel], rf_cfg)
+            accs[kk].append(float(np.mean(pred == y[te])))
     best_k, best_acc = cands[0], -1.0
     for kk in cands:
-        accs = []
-        for f in range(2):
-            te = inner[f]
-            tr = np.setdiff1d(np.arange(len(y)), te)
-            if len(set(np.asarray(y, dtype=object)[tr].tolist())) < 2 or te.size == 0:
-                continue
-            sel, _ = chi2_select(X[tr], np.asarray(y, dtype=object)[tr], kk)
-            pred = _classifier_predict(classifier, X[tr][:, sel],
-                                       np.asarray(y, dtype=object)[tr],
-                                       X[te][:, sel], knn_k, rf_cfg)
-            accs.append(float(np.mean(pred == np.asarray(y, dtype=object)[te])))
-        acc = float(np.mean(accs)) if accs else 0.0
+        acc = float(np.mean(accs[kk])) if accs[kk] else 0.0
         if acc > best_acc:
             best_k, best_acc = kk, acc
     return best_k
@@ -322,10 +324,7 @@ def _scan_k(X, y, k_candidates, classifier, seed, knn_k, rf_cfg):
 
 def characteristics_experiment(manifest, feature_sources=("both",),
                                classifier: str = "knn", folds: int = 2,
-                               seed: int = 7, knn_k: int = 5,
-                               rf_cfg: RandomForestConfig | None = None,
-                               k_candidates=(2, 4, 6, 8, None),
-                               det=None) -> list[dict]:
+                               seed: int = 7, det=None) -> list[dict]:
     """Stratified k-fold prediction of household characteristics.
 
     For each characteristic and feature source: pick the chi-squared feature
@@ -333,9 +332,7 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     classifier, and report mean test accuracy along with the majority-class
     baseline. Characteristics with any class under 2 homes are skipped.
     """
-    from .features import build_feature_table, chi2_select
-
-    rf_cfg = rf_cfg or RandomForestConfig(seed=seed)
+    rf_cfg = RandomForestConfig(seed=seed)
     table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
     records = {e.home_id: label_characteristics(e.characteristics, e.home_id)
                for e in manifest.homes}
@@ -362,12 +359,10 @@ def characteristics_experiment(manifest, feature_sources=("both",),
             for f in range(folds):
                 te = fold_idx[f]
                 tr = np.setdiff1d(np.arange(len(labelled)), te)
-                k_best = _scan_k(X[tr], y_all[tr], k_candidates, classifier,
-                                 seed, knn_k, rf_cfg)
+                k_best = _scan_k(X[tr], y_all[tr], classifier, seed, rf_cfg)
                 sel, _ = chi2_select(X[tr], y_all[tr], k_best)
-                pred = _classifier_predict(classifier, X[tr][:, sel],
-                                           y_all[tr], X[te][:, sel],
-                                           knn_k, rf_cfg)
+                pred = classifier_predict(classifier, X[tr][:, sel],
+                                          y_all[tr], X[te][:, sel], rf_cfg)
                 fold_accs.append(float(np.mean(pred == y_all[te])))
                 base = majority_baseline(y_all[tr], te.size)
                 base_accs.append(float(np.mean(base == y_all[te])))

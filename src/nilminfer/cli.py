@@ -7,8 +7,8 @@ the seed and a hash of the resolved configuration, and contains no
 timestamps, so identical configs reproduce identical bytes.
 
 Config precedence: CLI flags > --config file > defaults; the file's values
-become the subcommand's argparse defaults. The default seed comes from the
-DISAGG_SEED environment variable when set.
+are parsed as flags placed before the command line's own. The default seed
+comes from the DISAGG_SEED environment variable when set.
 """
 from __future__ import annotations
 
@@ -174,7 +174,7 @@ def cmd_classify(cfg: dict) -> int:
     rows = characteristics_experiment(
         manifest, feature_sources=tuple(cfg["source"].split(",")),
         classifier=cfg["classifier"], folds=cfg["folds"], seed=cfg["seed"],
-        rf_cfg=RandomForestConfig(seed=cfg["seed"]), det=_detector(cfg))
+        det=_detector(cfg))
     _write_json(cfg["out"], _envelope(cfg, {"rows": rows}))
     print(f"wrote {len(rows)} classification rows to {cfg['out']}")
     return 0
@@ -202,8 +202,7 @@ def cmd_report(cfg: dict) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilminfer",
         description="Energy-disaggregation experiments: occupancy and "
@@ -277,22 +276,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_report)
-    return parser, sub.choices
+    return parser
 
 
 def run(argv) -> int:
-    parser, subparsers = build_parser()
+    parser = build_parser()
     args = None
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # a flag given on the command line wins however it is spelled
+            # The file's values go in as flags ahead of the command line's
+            # own, so argparse converts and checks them like any flag and a
+            # flag given on the command line wins however it is spelled.
             with open(args.config) as f:
                 file_cfg = json.load(f)
             keys = _config(args)
-            subparsers[args.subcommand].set_defaults(
-                **{k: v for k, v in file_cfg.items() if k in keys})
-            args = parser.parse_args(argv)
+            i = argv.index(args.subcommand) + 1
+            args = parser.parse_args(
+                [*argv[:i], *(f"--{k.replace('_', '-')}={v}"
+                              for k, v in file_cfg.items() if k in keys),
+                 *argv[i:]])
         return args.func(_config(args))
     except SystemExit as exc:  # usage errors, --help and --version
         return int(exc.code) if exc.code is not None else 0

@@ -162,15 +162,7 @@ def _product_space(models: list[ApplianceHMM]):
             f"product state space {total} exceeds {PRODUCT_STATE_CAP}; reduce "
             f"state counts or the number of appliances")
     # appliance 0 owns the most significant digit of the product index
-    strides = np.empty(len(ks), dtype=int)
-    acc = 1
-    for i in range(len(ks) - 1, -1, -1):
-        strides[i] = acc
-        acc *= ks[i]
-    digits = np.empty((total, len(ks)), dtype=int)
-    for i, (k, stride) in enumerate(zip(ks, strides)):
-        digits[:, i] = (np.arange(total) // stride) % k
-    return total, digits
+    return total, np.indices(ks).reshape(len(ks), -1).T
 
 
 def fhmm_disaggregate(aggregate: PowerSeries,

@@ -1,8 +1,9 @@
 """Exception types shared across the package."""
 
 
-class ParseError(ValueError):
-    """A CSV row could not be parsed; carries the 1-based line number."""
+class InputError(ValueError):
+    """An input file is unusable; carries its path and, where one line is
+    at fault, the 1-based line number."""
 
     def __init__(self, message, line=None, path=None):
         self.line = line
@@ -10,7 +11,11 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class GapError(ValueError):
+class ParseError(InputError):
+    """A CSV row could not be parsed."""
+
+
+class GapError(InputError):
     """A run of missing samples exceeded the configured maximum."""
 
 

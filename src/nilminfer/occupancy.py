@@ -19,11 +19,12 @@ miss_time (FN) approximates occupant discomfort.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import knn_classify, rf_classify, RandomForestConfig
+from .classify import RandomForestConfig, classifier_predict
 from .errors import (AlignmentError, ConfigurationError, CoverageError,
                      EmptyWindowError)
 from .events import (DetectorConfig, detect_events, learn_background,
@@ -100,13 +101,10 @@ def window_grid(s: PowerSeries, window_s: int) -> tuple[int, int]:
     return anchor, int(n_windows)
 
 
-def window_stats(s: PowerSeries, window_s: int, anchor: int | None = None):
+def window_stats(s: PowerSeries, window_s: int):
     """Per-window sample count, mean, population std and range on the
     midnight-aligned grid. Empty windows report NaN statistics."""
-    if anchor is None:
-        anchor, n_windows = window_grid(s, window_s)
-    else:
-        n_windows = int(-(-(s.end_time - anchor) // window_s))
+    anchor, n_windows = window_grid(s, window_s)
     ts = s.timestamps()
     widx = (ts - anchor) // window_s
     bounds = np.searchsorted(widx, np.arange(n_windows + 1))
@@ -187,13 +185,14 @@ def predict_occupancy_events(s: PowerSeries, cfg: OccupancyConfig | None = None,
     times = sorted(t for p in foreground for t in (p.on_time, p.off_time))
     extra = []
     for ds, de in local_day_bounds(s):
-        in_day = [t for t in times if ds <= t < de]
-        if not in_day:
+        # the day's edges are times[first:end], those in [ds, de)
+        first, end = bisect_left(times, ds), bisect_left(times, de)
+        if first == end:
             continue
         if cfg.mark_start_of_day:
-            extra.append((ds, in_day[0]))
+            extra.append((ds, times[first]))
         if cfg.mark_end_of_day:
-            extra.append((in_day[-1], de))
+            extra.append((times[end - 1], de))
     occupied = _merge_intervals(intervals + extra, gap=1)
 
     anchor, n_windows = window_grid(s, cfg.window_s)
@@ -245,6 +244,14 @@ def predict_occupancy_night_threshold(s: PowerSeries,
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _in_eval_hours(starts: np.ndarray, timezone: str,
+                   cfg: OccupancyConfig) -> np.ndarray:
+    """Mask of the windows whose local start hour lies in
+    [eval_start_hour, eval_end_hour)."""
+    hours = local_clock_hours(starts, timezone)
+    return (hours >= cfg.eval_start_hour) & (hours < cfg.eval_end_hour)
+
+
 def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries,
                        cfg: OccupancyConfig | None = None) -> OccupancyMetrics:
     """Confusion counts over windows both series cover, restricted to windows
@@ -265,9 +272,8 @@ def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries,
     n = (t1 - t0) // w
     p = pred.flags[(t0 - pred.window_start) // w:][:n]
     t = truth.flags[(t0 - truth.window_start) // w:][:n]
-    starts = t0 + np.arange(n, dtype=np.int64) * w
-    hours = local_clock_hours(starts, pred.timezone)
-    m = (hours >= cfg.eval_start_hour) & (hours < cfg.eval_end_hour)
+    m = _in_eval_hours(t0 + np.arange(n, dtype=np.int64) * w, pred.timezone,
+                       cfg)
     if not m.any():
         raise EmptyWindowError("no windows inside the evaluation hours")
     tp = int((p & t & m).sum())
@@ -281,27 +287,28 @@ def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries,
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _supervised_xy(series: PowerSeries, truth, cfg: OccupancyConfig):
-    """Eval-hour window starts, features and occupancy labels for one series;
-    truth is the (timestamps, flags) ground truth."""
+def _window_truth(series: PowerSeries, truth, window_s: int) -> OccupancySeries:
+    """The (timestamps, flags) ground truth on the series' window grid."""
+    anchor, n_windows = window_grid(series, window_s)
+    return window_occupancy(*truth, window_start=anchor, window_s=window_s,
+                            n_windows=n_windows, timezone=series.timezone)
+
+
+def _supervised_xy(series: PowerSeries, truth_w: OccupancySeries,
+                   cfg: OccupancyConfig):
+    """Start times, [mean, std, range] features and occupancy labels of the
+    series' non-empty eval-hour windows; truth_w is on the series' grid."""
     starts, X = window_power_features(series, cfg.window_s)
-    anchor, n_windows = window_grid(series, cfg.window_s)
-    labels = window_occupancy(*truth, window_start=anchor,
-                              window_s=cfg.window_s, n_windows=n_windows,
-                              timezone=series.timezone)
-    hours = local_clock_hours(starts, series.timezone)
-    keep = (hours >= cfg.eval_start_hour) & (hours < cfg.eval_end_hour)
+    keep = _in_eval_hours(starts, series.timezone, cfg)
     starts, X = starts[keep], X[keep]
-    y = labels.flags[(starts - anchor) // cfg.window_s].astype(int)
+    y = truth_w.flags[(starts - truth_w.window_start) // cfg.window_s].astype(int)
     return starts, X, y
 
 
 def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
-                           cfg: OccupancyConfig, det: DetectorConfig,
-                           train=None, test=None, knn_k: int = 5,
-                           rf_cfg: RandomForestConfig | None = None) -> OccupancySeries:
-    """Occupancy of test_series by one algorithm. knn and rf take the (X, y)
-    training arrays and the _supervised_xy arrays of test_series."""
+                           cfg: OccupancyConfig,
+                           det: DetectorConfig) -> OccupancySeries:
+    """Occupancy of test_series by one unsupervised algorithm."""
     if algorithm == "ours":
         return predict_occupancy_events(test_series, cfg, det)
     if algorithm == "ours-optimised":
@@ -311,21 +318,7 @@ def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
         return predict_occupancy_night_threshold(test_series, cfg, "max")
     if algorithm == "chen-median":
         return predict_occupancy_night_threshold(test_series, cfg, "median")
-    if algorithm not in SUPERVISED_ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if train is None:
-        raise ConfigurationError(
-            f"algorithm {algorithm} requires occupancy-labelled training data")
-    X_tr, y_tr = train
-    starts, X_te, _ = test
-    if algorithm == "knn":
-        pred = knn_classify(X_tr, y_tr, X_te, k=min(knn_k, len(y_tr)))
-    else:
-        pred = rf_classify(X_tr, y_tr, X_te, rf_cfg or RandomForestConfig())
-    anchor, n_windows = window_grid(test_series, cfg.window_s)
-    flags = np.zeros(n_windows, dtype=bool)
-    flags[(starts - anchor) // cfg.window_s] = np.asarray(pred, dtype=int) == 1
-    return OccupancySeries(anchor, cfg.window_s, flags, test_series.timezone)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _split_half(series: PowerSeries):
@@ -342,7 +335,6 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                          algorithms=("ours", "chen"),
                          cfg: OccupancyConfig | None = None,
                          det: DetectorConfig | None = None,
-                         knn_k: int = 5,
                          rf_cfg: RandomForestConfig | None = None) -> dict:
     """Run the per-home occupancy comparison.
 
@@ -360,36 +352,46 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
             raise ValueError(f"unknown algorithm {a!r}")
     needs_training = any(a in SUPERVISED_ALGORITHMS for a in algorithms)
 
-    # Each home is read, split and featurised once; its supervised arrays
-    # serve every held-out home and every algorithm.
+    # Each home is read, split, windowed and featurised once; its truth
+    # windows score every algorithm and its supervised arrays serve every
+    # held-out home.
     homes = []
     for entry in sorted(manifest.homes, key=lambda e: e.home_id):
         home = load_home(manifest, entry)
-        series, truth = home.aggregate, home.occupancy
+        series = home.aggregate
         train_series, test_series = (_split_half(series) if protocol == "split-half"
                                      else (series, series))
+        truth_w = _window_truth(test_series, home.occupancy, cfg.window_s)
         train_xy = test_xy = None
         if needs_training:
-            train_xy = _supervised_xy(train_series, truth, cfg)
-            test_xy = _supervised_xy(test_series, truth, cfg) \
-                if protocol == "split-half" else train_xy
-        homes.append((entry.home_id, test_series, truth, train_xy, test_xy))
+            test_xy = _supervised_xy(test_series, truth_w, cfg)
+            train_xy = test_xy if protocol == "loho" else _supervised_xy(
+                train_series,
+                _window_truth(train_series, home.occupancy, cfg.window_s), cfg)
+        homes.append((entry.home_id, test_series, truth_w, train_xy, test_xy))
 
     all_rows = []
-    for home_id, test_series, truth, train_xy, test_xy in homes:
-        parts = [train_xy] if protocol == "split-half" else \
-            [h[3] for h in homes if h[0] != home_id]
-        train = None
-        if needs_training and parts:
-            train = (np.vstack([X for _, X, _ in parts]),
-                     np.concatenate([y for _, _, y in parts]))
+    for home_id, test_series, truth_w, train_xy, test_xy in homes:
+        if needs_training:
+            parts = [train_xy] if protocol == "split-half" else \
+                [h[3] for h in homes if h[0] != home_id]
+            if not parts:
+                raise ConfigurationError(
+                    "supervised algorithms require occupancy-labelled "
+                    "training data from another home")
+            train_X = np.vstack([X for _, X, _ in parts])
+            train_y = np.concatenate([y for _, _, y in parts])
         for algorithm in algorithms:
-            pred = predict_with_algorithm(algorithm, test_series, cfg, det,
-                                          train, test_xy, knn_k, rf_cfg)
-            truth_w = window_occupancy(
-                *truth, window_start=pred.window_start,
-                window_s=pred.window_s, n_windows=len(pred),
-                timezone=pred.timezone)
+            if algorithm in SUPERVISED_ALGORITHMS:
+                starts, X_te, _ = test_xy
+                labels = classifier_predict(algorithm, train_X, train_y, X_te,
+                                            rf_cfg)
+                flags = np.zeros(len(truth_w), dtype=bool)
+                flags[(starts - truth_w.window_start) // cfg.window_s] = \
+                    np.asarray(labels, dtype=int) == 1
+                pred = replace(truth_w, flags=flags)
+            else:
+                pred = predict_with_algorithm(algorithm, test_series, cfg, det)
             metrics = evaluate_occupancy(pred, truth_w, cfg)
             all_rows.append({"home_id": home_id, "algorithm": algorithm,
                              **metrics.as_dict()})

@@ -238,7 +238,7 @@ def load_power_csv(path, *, period_s: int | None = None, timezone: str = "UTC",
                 t_b = int(ts[0] + b * period_s)
                 raise GapError(
                     f"{path}: {run_len} consecutive samples missing between "
-                    f"{t_a} and {t_b} (max {max_gap_periods})")
+                    f"{t_a} and {t_b} (max {max_gap_periods})", path=str(path))
             grid[a:b + 1] = grid[a - 1]
             n_filled += run_len
 

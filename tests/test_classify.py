@@ -162,6 +162,34 @@ def test_rf_separable_fixture_perfect():
     assert list(pred) == want
 
 
+def test_rf_even_forest_tie_goes_to_frequent_then_lexicographic_class():
+    # Constant features leave each tree a single leaf: the majority class of
+    # its bootstrap, drawn by default_rng([seed, tree]), ties to the lower str.
+    def leaf(y, seed, tree):
+        boot = np.random.default_rng([seed, tree]).integers(0, len(y), len(y))
+        return max(sorted(set(y)), key=lambda c: sum(y[i] == c for i in boot))
+
+    for y, winner in ((["B"] * 4 + ["A"] * 3, "B"),   # more frequent wins
+                      (["b"] * 3 + ["a"] * 3, "a")):  # then lexicographic
+        X = np.zeros((len(y), 2))
+        split = [s for s in range(40) if leaf(y, s, 0) != leaf(y, s, 1)]
+        assert split
+        for seed in split:
+            pred = rf_classify(X, y, np.zeros((1, 2)),
+                               RandomForestConfig(n_trees=2, seed=seed))
+            assert pred[0] == winner
+
+
+def test_rf_classifies_each_row_as_alone():
+    X, y = separable_fixture()
+    test_X = np.random.default_rng(22).normal(5, 4, (15, 3))
+    cfg = RandomForestConfig(n_trees=6, max_depth=4, seed=5)
+    together = rf_classify(X, y, test_X, cfg)
+    assert set(together) == {"lo", "hi"}
+    assert list(together) == [rf_classify(X, y, row[None, :], cfg)[0]
+                              for row in test_X]
+
+
 def test_rf_rejects_bad_config():
     with pytest.raises(ValueError):
         rf_classify(np.ones((3, 2)), ["a", "b", "a"], np.ones((1, 2)),

@@ -167,6 +167,30 @@ def test_config_file_and_flags_record_the_same_config(tmp_path):
     assert metas[0] == metas[1]
 
 
+def test_config_file_values_are_checked_and_converted_like_flags(
+        tmp_path, small_corpus):
+    cfg = tmp_path / "cfg.json"
+    # a float where the flag takes an int is a usage error, not a crash
+    cfg.write_text(json.dumps({"homes": 2, "days": 1, "period": 60.0}))
+    assert run(["synth", "--config", str(cfg),
+                "--out", str(tmp_path / "corpus")]) == 2
+    # a value outside the flag's choices is a usage error
+    cfg.write_text(json.dumps({"protocol": "bogus"}))
+    assert run(["occupancy", "--config", str(cfg),
+                "--manifest", manifest_path(small_corpus),
+                "--out", str(tmp_path / "occ.json")]) == 2
+    # an int where the flag takes a float records the float, as the flag does
+    cfg.write_text(json.dumps({"steady_tol": 40}))
+    out = tmp_path / "events"
+    metas = []
+    for extra in (["--config", str(cfg)], ["--steady-tol", "40"]):
+        assert run(["detect-events", "--manifest", manifest_path(small_corpus),
+                    "--out", str(out), *extra]) == 0
+        metas.append((out / "run_meta.json").read_bytes())
+    assert metas[0] == metas[1]
+    assert json.loads(metas[0])["config"]["steady_tol"] == 40.0
+
+
 def test_subcommands_do_not_mutate_inputs(tmp_path, small_corpus):
     base = small_corpus.manifest.base_dir
     before = {p: p.read_bytes() for p in sorted(base.rglob("*.csv"))}

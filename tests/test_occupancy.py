@@ -76,6 +76,18 @@ def test_event_pipeline_gap_fill_bridges_short_gaps():
     assert np.array_equal(pred2.flags, expected2)
 
 
+@pytest.mark.parametrize("load, occupied_hours", [
+    # the OFF edge at midnight is day 2's only edge: day 2 is marked to its end
+    ((23.0, 24.0, 500.0), (0.0, 48.0)),
+    # the ON edge at midnight belongs to day 2: day 1 has no edge at all
+    ((24.0, 25.0, 500.0), (24.0, 48.0)),
+])
+def test_event_pipeline_edge_at_local_midnight_opens_the_next_day(
+        load, occupied_hours):
+    pred = predict_occupancy_events(day_series([load], days=2))
+    assert np.array_equal(pred.flags, flags_between(pred, *occupied_hours))
+
+
 def test_event_pipeline_monotone_in_pairs():
     # dropping an interior pair (same first/last events) never adds windows
     cfg = OccupancyConfig()

@@ -67,6 +67,7 @@ def test_gap_too_long_raises(tmp_path):
     with pytest.raises(GapError) as exc:
         load_power_csv(p, period_s=1, max_gap_periods=10)
     assert "11" in str(exc.value)  # names the run length
+    assert exc.value.path == str(p)
 
 
 def test_malformed_row_has_line_number(tmp_path):
@@ -213,8 +214,9 @@ def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
             assert exc.value.path == str(path) and exc.value.line == bad[0]
             return
         if expected is None:
-            with pytest.raises(GapError, match=str(path)):
+            with pytest.raises(GapError) as exc:
                 load_power_csv(path, period_s=period, max_gap_periods=3)
+            assert exc.value.path == str(path)
             return
         s = load_power_csv(path, period_s=period, max_gap_periods=3)
     start, values, filled, clamped = expected
