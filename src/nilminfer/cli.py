@@ -7,8 +7,9 @@ the seed and a hash of the resolved configuration, and contains no
 timestamps, so identical configs reproduce identical bytes.
 
 Config precedence: CLI flags > --config file > defaults; the file's values
-are parsed as flags placed before the command line's own. The default seed
-comes from the DISAGG_SEED environment variable when set.
+are parsed as flags placed before the command line's own, so the file may
+also supply a required flag. The default seed comes from the DISAGG_SEED
+environment variable when set.
 """
 from __future__ import annotations
 
@@ -202,7 +203,8 @@ def cmd_report(cfg: dict) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(required: bool = True) -> argparse.ArgumentParser:
+    """The CLI parser; with required=False no flag is required."""
     parser = argparse.ArgumentParser(
         prog="nilminfer",
         description="Energy-disaggregation experiments: occupancy and "
@@ -223,79 +225,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homes", type=int, default=20)
     p.add_argument("--days", type=int, default=14)
     p.add_argument("--period", type=int, default=30)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=required)
     common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("detect-events", help="export event/pair CSVs")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--manifest", required=required)
+    p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_detect_events)
 
     p = sub.add_parser("occupancy", help="occupancy prediction experiment")
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest", required=required)
     p.add_argument("--algo", default="ours,chen",
                    help="comma list: ours,ours-optimised,chen,chen-median,knn,rf")
     p.add_argument("--protocol", choices=("split-half", "loho"),
                    default="split-half")
     # accepted so existing command lines keep working; homes run serially
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_occupancy)
 
     p = sub.add_parser("disaggregate", help="appliance disaggregation")
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest", required=required)
     p.add_argument("--algo", choices=("fhmm", "hart"), default="fhmm")
     p.add_argument("--train-split", dest="train_split", type=float, default=0.5)
     p.add_argument("--on-threshold", dest="on_threshold", type=float, default=50.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_disaggregate)
 
     p = sub.add_parser("features", help="export a feature matrix CSV")
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest", required=required)
     p.add_argument("--source", choices=FEATURE_SOURCES, default="both")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="household-characteristic experiment")
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest", required=required)
     p.add_argument("--source", default="both",
                    help=f"comma list from {FEATURE_SOURCES}")
     p.add_argument("--classifier", choices=("knn", "rf"), default="knn")
     p.add_argument("--folds", type=int, default=2)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="render SVG charts from results JSON")
-    p.add_argument("--results", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--results", required=required)
+    p.add_argument("--out", required=required)
     common(p)
     p.set_defaults(func=cmd_report)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
     args = None
     try:
-        args = parser.parse_args(argv)
+        # A parse that requires no flag finds the subcommand, its settings
+        # and --config. The file's values then go in as flags ahead of the
+        # command line's own, so argparse converts and checks them like any
+        # flag, a flag given on the command line wins however it is spelled,
+        # and a required flag may come from the file.
+        args = build_parser(required=False).parse_args(argv)
         if args.config:
-            # The file's values go in as flags ahead of the command line's
-            # own, so argparse converts and checks them like any flag and a
-            # flag given on the command line wins however it is spelled.
             with open(args.config) as f:
                 file_cfg = json.load(f)
             keys = _config(args)
             i = argv.index(args.subcommand) + 1
-            args = parser.parse_args(
-                [*argv[:i], *(f"--{k.replace('_', '-')}={v}"
-                              for k, v in file_cfg.items() if k in keys),
-                 *argv[i:]])
+            argv = [*argv[:i], *(f"--{k.replace('_', '-')}={v}"
+                                 for k, v in file_cfg.items() if k in keys),
+                    *argv[i:]]
+        args = build_parser().parse_args(argv)
         return args.func(_config(args))
     except SystemExit as exc:  # usage errors, --help and --version
         return int(exc.code) if exc.code is not None else 0

@@ -113,11 +113,20 @@ def window_stats(s: PowerSeries, window_s: int):
     std = np.full(n_windows, np.nan)
     rng = np.full(n_windows, np.nan)
     v = s.values
-    for w in range(n_windows):
-        a, b = bounds[w], bounds[w + 1]
-        if a == b:
+    # On the uniform grid the full windows are one run: reduce it as a block
+    # and loop only over the partial windows at its edges.
+    per_window, rest = divmod(window_s, s.period_s)
+    full = np.flatnonzero((counts == per_window) & (rest == 0))
+    w0, w1 = (int(full[0]), int(full[-1]) + 1) if full.size else (0, 0)
+    if full.size:
+        block = v[bounds[w0]:bounds[w1]].reshape(w1 - w0, per_window)
+        mean[w0:w1] = block.mean(axis=1)
+        std[w0:w1] = block.std(axis=1)
+        rng[w0:w1] = block.max(axis=1) - block.min(axis=1)
+    for w in np.flatnonzero(counts):
+        if w0 <= w < w1:
             continue
-        seg = v[a:b]
+        seg = v[bounds[w]:bounds[w + 1]]
         mean[w] = seg.mean()
         std[w] = seg.std()
         rng[w] = seg.max() - seg.min()

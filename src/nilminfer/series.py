@@ -285,13 +285,22 @@ def _parse_flag(text: str) -> bool:
 
 
 def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:
-    """The one row reader behind every CSV loader.
+    """The one reader behind every CSV loader.
 
     Finds `timestamp` and value_col by header name, skips blank rows, parses
     each timestamp (epoch or ISO-8601) and each value, and returns both as
-    arrays stably sorted by time. Any bad input is a ParseError naming the
-    file and, for a bad row, its 1-based line.
+    arrays stably sorted by time. A file `_read_csv_arrays` can vouch for is
+    parsed a whole column at a time; every other file goes through the row
+    loop `_read_csv_rows`, the grammar of record and the only source of a
+    ParseError, so both give the same arrays.
     """
+    arrays = _read_csv_arrays(path, value_col, parse_value)
+    return arrays if arrays is not None else _read_csv_rows(path, value_col, parse_value)
+
+
+def _read_csv_rows(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row `_read_csv`. Any bad input is a ParseError naming the file
+    and, for a bad row, its 1-based line."""
     ts, vals = [], []
     with open(path, "r", newline="") as f:
         reader = csv.reader(f)
@@ -319,9 +328,113 @@ def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.n
             vals.append(v)
     if not ts:
         raise ParseError(f"{path}: no data rows", line=2, path=str(path))
-    ts = np.array(ts, dtype=np.int64)
+    return _by_time(np.array(ts, dtype=np.int64), np.array(vals))
+
+
+def _by_time(ts: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(ts, kind="stable")
-    return ts[order], np.array(vals)[order]
+    return ts[order], vals[order]
+
+
+def _finite_readings(vals: np.ndarray) -> np.ndarray:
+    """`_parse_reading` for a whole column."""
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite reading")
+    return vals
+
+
+def _flags(vals: np.ndarray) -> np.ndarray:
+    """`_parse_flag` for a whole column."""
+    if not ((vals == 0) | (vals == 1)).all():
+        raise ValueError("occupied must be 0 or 1")
+    return vals.astype(bool)
+
+
+# loadtxt dtype and whole-column check of each value parser
+_COLUMN_PARSERS = {_parse_reading: (np.float64, _finite_readings),
+                   _parse_flag: (np.int64, _flags)}
+
+# The ISO form of `datetime.isoformat()`: d is a digit, + either sign.
+_ISO_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+dd:dd", dtype=np.uint8)
+_ISO_DTYPE = f"S{_ISO_FORM.size + 1}"  # one byte more, so a longer stamp shows
+
+
+def _iso_epochs(stamps: np.ndarray) -> np.ndarray:
+    """Epoch seconds of `_ISO_FORM` stamps, decoded one field at a time.
+    ValueError unless every stamp has that form and fields that
+    `datetime.fromisoformat` accepts."""
+    width = _ISO_FORM.size
+    b = stamps[:, None].view(np.uint8)  # (stamps, bytes), not a copy
+    fixed = (_ISO_FORM != ord("d")) & (_ISO_FORM != ord("+"))
+    sign = b[:, 19]
+    if (b[:, width].any() or (b[:, :width][:, fixed] != _ISO_FORM[fixed]).any()
+            or not ((sign == ord("+")) | (sign == ord("-"))).all()):
+        raise ValueError("timestamp not in the fixed ISO form")
+
+    def field(col: int, n_digits: int, low: int, high: int) -> np.ndarray:
+        n = np.zeros(len(b), dtype=np.int64)
+        for digit in b[:, col:col + n_digits].T - np.uint8(ord("0")):
+            if (digit > 9).any():  # uint8 wraps below "0"
+                raise ValueError("non-digit in ISO timestamp")
+            n = n * 10 + digit
+        if not ((low <= n) & (n <= high)).all():
+            raise ValueError("ISO timestamp field out of range")
+        return n
+
+    months = (field(0, 4, 1, 9999) - 1970) * 12 + field(5, 2, 1, 12) - 1
+    month_start, next_start = (
+        m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        for m in (months, months + 1))
+    day = field(8, 2, 1, 31)
+    if (day > next_start - month_start).any():
+        raise ValueError("ISO timestamp day past the end of its month")
+    local = ((month_start + day - 1) * SECONDS_PER_DAY + field(11, 2, 0, 23) * 3600
+             + field(14, 2, 0, 59) * 60 + field(17, 2, 0, 59))
+    offset = field(20, 2, 0, 23) * 3600 + field(23, 2, 0, 59) * 60
+    return local - np.where(sign == ord("+"), offset, -offset)
+
+
+def _plain_columns(path: Path, value_col: str) -> tuple[int, int] | None:
+    """Indices of `timestamp` and value_col when a split of each line on ","
+    gives the rows `csv.reader` gives, else None."""
+    raw = path.read_bytes()
+    # Quotes, a CR outside CRLF, and NUL before Python 3.11 are where csv's
+    # rows differ from lines split on ","; non-ASCII bytes are where decoding
+    # could. loadtxt itself refuses a change in column count.
+    if (not raw.isascii() or b'"' in raw or b"\0" in raw
+            or b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    # csv also refuses a field longer than its limit; no line is that long
+    newlines = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    if np.diff(newlines, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in raw.partition(b"\n")[0].decode().split(",")]
+    if "timestamp" not in header or value_col not in header:
+        return None
+    return header.index("timestamp"), header.index(value_col)
+
+
+def _read_csv_arrays(path: Path, value_col: str, parse_value):
+    """`_read_csv` by `np.loadtxt`, for files whose stamps are all epoch
+    integers or all in the fixed ISO form of `_iso_epochs`. None for any file
+    it cannot vouch reads as `_read_csv_rows` would read it."""
+    # loadtxt reads the file again: holding its bytes meanwhile costs peak RSS
+    usecols = _plain_columns(path, value_col)
+    if usecols is None:
+        return None
+    value_dtype, check = _COLUMN_PARSERS[parse_value]
+    for stamp_dtype, epochs in ((np.int64, np.asarray), (_ISO_DTYPE, _iso_epochs)):
+        try:
+            with open(path, "rb") as f, warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. a header-only file
+                cols = np.loadtxt(
+                    f, dtype=[("t", stamp_dtype), ("v", value_dtype)],
+                    delimiter=",", comments=None, quotechar=None, skiprows=1,
+                    usecols=usecols, ndmin=1, encoding="ascii")
+            return _by_time(epochs(cols["t"]), check(cols["v"]))
+        except (ValueError, Warning):
+            continue
+    return None
 
 
 def _infer_period(ts: np.ndarray) -> int:

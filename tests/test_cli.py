@@ -154,6 +154,22 @@ def test_equals_spelled_flag_beats_config_file(tmp_path):
     assert len(json.loads((out / "manifest.json").read_text())["homes"]) == 3
 
 
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    file_out, flag_out = tmp_path / "from_file", tmp_path / "from_flag"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"homes": 2, "days": 1, "out": str(file_out)}))
+    assert run(["synth", "--config", str(cfg)]) == 0
+    assert json.loads((file_out / "run_meta.json").read_text())["config"][
+        "out"] == str(file_out)
+    # a flag still beats the file's value
+    assert run(["synth", "--config", str(cfg), "--out", str(flag_out)]) == 0
+    assert (flag_out / "manifest.json").exists()
+    # a required flag that neither gives is still a usage error
+    cfg.write_text(json.dumps({"homes": 2, "days": 1}))
+    assert run(["synth", "--config", str(cfg)]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_config_file_and_flags_record_the_same_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"homes": 2, "days": 1, "period": 60,

@@ -11,7 +11,8 @@ from nilminfer.occupancy import (OccupancyConfig,
                                  evaluate_occupancy, occupancy_experiment,
                                  predict_occupancy_events,
                                  predict_occupancy_night_threshold,
-                                 window_power_features)
+                                 window_grid, window_power_features,
+                                 window_stats)
 from nilminfer.series import (OccupancySeries, PowerSeries,
                               local_clock_hours)
 from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
@@ -213,6 +214,36 @@ def test_window_features_match_bruteforce(default_corpus):
         seg = s.values[(ts >= starts[i]) & (ts < starts[i] + 900)]
         np.testing.assert_allclose(
             X[i], [seg.mean(), seg.std(), seg.max() - seg.min()], atol=1e-9)
+
+
+def window_stats_by_loop(s, window_s):
+    """Reference window_stats: one masked segment per window."""
+    anchor, n_windows = window_grid(s, window_s)
+    ts = s.timestamps()
+    starts = anchor + np.arange(n_windows, dtype=np.int64) * window_s
+    counts = np.zeros(n_windows, dtype=np.int64)
+    stats = np.full((3, n_windows), np.nan)
+    for w, start in enumerate(starts):
+        seg = s.values[(ts >= start) & (ts < start + window_s)]
+        counts[w] = seg.size
+        if seg.size:
+            stats[:, w] = seg.mean(), seg.std(), seg.max() - seg.min()
+    return starts, counts, *stats
+
+
+@pytest.mark.parametrize("start, period, n, tz", [
+    # across the spring-forward night, so the grid is not 96 windows a day
+    (1710043200 + 17 * 60 + 30, 30, 3 * 2880 + 41, "America/New_York"),
+    (DEFAULT_START + 7 * 60, 60, 1000, "UTC"),   # starts and ends mid-window
+    (DEFAULT_START + 5 * 900, 900, 300, "UTC"),  # one sample per window
+    (DEFAULT_START + 13, 7, 1000, "UTC"),        # period does not divide it
+])
+def test_window_stats_match_per_window_loop(start, period, n, tz):
+    vals = np.random.default_rng(period).gamma(2.0, 300.0, n)
+    s = PowerSeries(start, period, vals, tz)
+    got, want = window_stats(s, 900), window_stats_by_loop(s, 900)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_window_features_require_day_divisor():

@@ -1,4 +1,5 @@
 """Core series model: ingestion, resampling, clock windows, manifests."""
+import csv
 import warnings
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nilminfer import series
 from nilminfer.errors import EmptyWindowError, GapError, ParseError
 from nilminfer.series import (DatasetManifest, HomeEntry,
                               PowerSeries, clock_window_mean, load_manifest,
@@ -227,6 +229,199 @@ def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
     notes = [str(w.message) for w in caught]
     assert notes == ([f"{path}: clamped {clamped} negative power readings to 0"]
                      if clamped else [])
+
+
+# ---------------------------------------------------------------------------
+# _read_csv: the array path against the row loop
+# ---------------------------------------------------------------------------
+
+FIXED_OFFSETS = [timezone(timedelta(minutes=m))
+                 for m in (-1439, -300, 0, 60, 330, 1439)]
+VALUE_COLUMNS = {"power_w": series._parse_reading,
+                 "occupied": series._parse_flag}
+
+
+def odd_stamps(t, iso):
+    """Stamp forms the array path must leave to the row loop, for an epoch
+    row (iso None) and for an ISO row; most of them still parse there."""
+    if iso is None:
+        return [f"+{t}", f"{str(t)[:1]}_{str(t)[1:]}", f" {t}", f"{t}.0"]
+    utc = datetime.fromtimestamp(t, timezone.utc)
+    return [
+        utc.isoformat().replace("+00:00", "Z"),
+        utc.replace(tzinfo=None).isoformat(),
+        datetime.fromtimestamp(t + 0.25, timezone.utc).isoformat(),
+        f"{iso} ", f"{iso}0", iso.replace("T", " "), "0000" + iso[4:],
+        f"{iso[:4]}/{iso[5:7]}/{iso[8:]}", iso[:3] + "x" + iso[4:],
+        iso[:5] + "13" + iso[7:], iso[:5] + "00" + iso[7:],     # month
+        iso[:8] + "32" + iso[10:], iso[:8] + "00" + iso[10:],   # day
+        iso[:5] + "02-30" + iso[10:],
+        iso[:11] + "24" + iso[13:], iso[:14] + "60" + iso[16:],  # hour, minute
+        iso[:17] + "60" + iso[19:],                              # second
+        iso[:20] + "24" + iso[22:], iso[:23] + "60",              # offset
+    ]
+
+
+ODD_VALUES = {"power_w": ["nan", "inf", "-inf", "1e500", "+30", "3_0", " 5 ",
+                          "-0", "", "x"],
+              "occupied": ["2", "-1", " 1", "1.0", "+1"]}
+ODD_LINES = ["", "   ", "#", "\t", ","]
+# Quoted commas shift the columns of a plain split on ","; "\udcff" is
+# written as the byte 0xff, which is not UTF-8.
+ODD_NOTES = ['"a,7,8,b"', '"1,2"', '"3"', "a\rb", "\0", "é", "\udcff"]
+
+
+def csv_row(t, tz, form, col, value):
+    """A clean row: its stamp in `form`, the ones it may be swapped for, and
+    its value and note."""
+    iso = datetime.fromtimestamp(t, tz).isoformat()
+    return {"form": form, "stamp": str(t) if form == "epoch" else iso,
+            "odd_stamps": odd_stamps(t, None if form == "epoch" else iso),
+            "value": value, "note": "a"}
+
+
+def csv_text(rows, col, note_at=None, swap=False, newline="\n"):
+    """The file of `rows`, with a `note` column at index note_at (if any)
+    and the value column first when swap."""
+    header = [col, "timestamp"] if swap else ["timestamp", col]
+    if note_at is not None:
+        header.insert(note_at, "note")
+    lines = [",".join(header)]
+    for row in rows:
+        fields = [row["value"], row["stamp"]] if swap else [row["stamp"], row["value"]]
+        if note_at is not None:
+            fields.insert(note_at, row["note"])
+        lines.append(",".join(fields))
+        if "line_after" in row:
+            lines.append(row["line_after"])
+    return newline.join(lines) + newline
+
+
+@st.composite
+def csv_files(draw):
+    """(text, value column, clean) of a CSV the loaders might be given:
+    epoch or fixed-offset ISO rows with up to two faults (an odd stamp,
+    value, line, note or quoting). The array path must take a clean file."""
+    col = draw(st.sampled_from(sorted(VALUE_COLUMNS)))
+    tz = draw(st.sampled_from(FIXED_OFFSETS))
+    forms = draw(st.sampled_from([["epoch"], ["iso"]] * 2 + [["epoch", "iso"]]))
+    rows = [csv_row(DEFAULT_START + 30 * slot, tz, draw(st.sampled_from(forms)),
+                    col, repr(draw(st.floats(-1e4, 1e7, allow_nan=False)))
+                    if col == "power_w" else draw(st.sampled_from("01")))
+            for slot in draw(st.lists(st.integers(0, 20), max_size=12))]
+    n_faults = draw(st.sampled_from([0, 1, 1, 1, 2])) if rows else 0
+    for _ in range(n_faults):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(
+            ["stamp"] * 3 + ["value"] * 3 + ["note", "quote", "line"]))
+        if kind == "stamp":
+            row["stamp"] = draw(st.sampled_from(row["odd_stamps"]))
+        elif kind == "value":
+            row["value"] = draw(st.sampled_from(ODD_VALUES[col]))
+        elif kind == "note":
+            row["note"] = draw(st.sampled_from(ODD_NOTES))
+        elif kind == "quote":
+            key = draw(st.sampled_from(["stamp", "value"]))
+            row[key] = f'"{row[key]}"'
+        else:
+            row["line_after"] = draw(st.sampled_from(ODD_LINES))
+    newline = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+    text = csv_text(rows, col, draw(st.sampled_from([None, 0, 1, 2])),
+                    draw(st.booleans()), newline)
+    clean = (bool(rows) and n_faults == 0 and newline != "\r"
+             and len({row["form"] for row in rows}) == 1)
+    return text, col, clean
+
+
+def read_outcome(read, path, col):
+    """What a reader gives for one file: its arrays as bytes and dtypes, or
+    its error; with any warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ts, vals = read(path, col, VALUE_COLUMNS[col])
+            result = (ts.dtype, ts.tobytes(), vals.dtype, vals.tobytes())
+        except ParseError as exc:
+            result = (exc.line, exc.path, str(exc))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def assert_read_csv_equals_row_loop(path, col):
+    assert (read_outcome(series._read_csv, path, col)
+            == read_outcome(series._read_csv_rows, path, col))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+def test_read_csv_equals_row_loop(tmp_path, file):
+    text, col, clean = file
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert_read_csv_equals_row_loop(path, col)
+    if clean:
+        assert series._read_csv_arrays(path, col, VALUE_COLUMNS[col]) is not None
+
+
+@pytest.mark.parametrize("form", ["epoch", "iso"])
+@pytest.mark.parametrize("col", sorted(VALUE_COLUMNS))
+def test_read_csv_equals_row_loop_on_each_odd_field(tmp_path, form, col):
+    """Every fault of the strategy above, alone in the middle of a clean
+    file, header-only files, and the file each form gives clean."""
+    tz = FIXED_OFFSETS[-2]
+    def clean():
+        return [csv_row(DEFAULT_START + 30 * i, tz, form, col, "1")
+                for i in range(3)]
+    path = tmp_path / "in.csv"
+    path.write_text(csv_text(clean(), col))
+    assert series._read_csv_arrays(path, col, VALUE_COLUMNS[col]) is not None
+    quoted = clean()
+    for row in quoted:
+        row["note"] = ODD_NOTES[0]
+    files = [(clean(), None), ([], None), ([], 0), (quoted, 0)]
+    for key, odd in [("stamp", s) for s in clean()[1]["odd_stamps"]] + [
+            ("value", v) for v in ODD_VALUES[col]] + [
+            ("note", n) for n in ODD_NOTES] + [
+            ("line_after", line) for line in ODD_LINES]:
+        rows = clean()
+        rows[1][key] = odd
+        files.append((rows, 0))
+    for rows, note_at in files:
+        path.write_bytes(csv_text(rows, col, note_at).encode(
+            "utf-8", "surrogateescape"))
+        assert_read_csv_equals_row_loop(path, col)
+
+
+def test_read_csv_leaves_an_overlong_field_to_the_row_loop(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("timestamp,power_w,note\n0,1.0,"
+                    + "x" * (csv.field_size_limit() + 1) + "\n")
+    assert read_outcome(series._read_csv, path, "power_w")[0] == (
+        "Error", f"field larger than field limit ({csv.field_size_limit()})")
+    assert_read_csv_equals_row_loop(path, "power_w")
+
+
+@pytest.mark.parametrize("offset", FIXED_OFFSETS)
+def test_array_path_reads_epoch_and_fixed_iso_files(tmp_path, offset):
+    """The forms `write_power_csv`, `write_occupancy_csv` and
+    `datetime.isoformat()` write take the array path."""
+    rng = np.random.default_rng(0)
+    ts = DEFAULT_START + 30 * rng.permutation(500)
+    vals = rng.gamma(2.0, 300.0, ts.size)
+    epoch, iso, occ = (tmp_path / n for n in ("e.csv", "i.csv", "o.csv"))
+    write_power_csv(PowerSeries(DEFAULT_START, 30, vals), epoch)
+    iso.write_text("power_w,timestamp\n" + "".join(
+        f"{v!r},{datetime.fromtimestamp(t, offset).isoformat()}\n"
+        for t, v in zip(ts.tolist(), vals.tolist())))
+    series.write_occupancy_csv(ts, rng.integers(0, 2, ts.size), occ)
+    for path, col in ((epoch, "power_w"), (iso, "power_w"), (occ, "occupied")):
+        parse = VALUE_COLUMNS[col]
+        fast = series._read_csv_arrays(path, col, parse)
+        assert fast is not None, path
+        for a, b in zip(fast, series._read_csv_rows(path, col, parse)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
