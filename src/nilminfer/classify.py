@@ -118,40 +118,51 @@ def _vote(votes, classes, rank):
     return np.array([classes[i] for i in winners], dtype=object)
 
 
-def knn_classify(train_X, train_y, test_X, k: int = 5):
-    """k-nearest-neighbours with z-scored features and Euclidean distance.
-
-    Zero-variance features are dropped from the distance; equidistant
-    neighbours resolve to the lower training index; vote ties resolve to the
-    most frequent training class, then lexicographically.
-    """
+def _check_xy(train_X, train_y, test_X):
+    """(train_X, train_y, test_X) as float matrices and a label list.
+    ValueError unless both matrices are 2-D, finite and of one width, with
+    one label per training row and at least one training row."""
     train_X = np.asarray(train_X, dtype=float)
     test_X = np.asarray(test_X, dtype=float)
     train_y = list(train_y)
-    if train_X.ndim != 2 or len(train_y) != train_X.shape[0]:
-        raise ValueError("train_X must be 2-D with one label per row")
+    if train_X.ndim != 2 or test_X.ndim != 2:
+        raise ValueError("train_X and test_X must be 2-D")
+    if len(train_y) != train_X.shape[0]:
+        raise ValueError("train_y must have one label per training row")
     if train_X.shape[0] == 0:
         raise ValueError("training set is empty")
-    if not 1 <= k <= train_X.shape[0]:
-        raise ValueError(f"k={k} out of range for {train_X.shape[0]} rows")
     if test_X.shape[1] != train_X.shape[1]:
         raise ValueError("feature dimensionality mismatch")
+    if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
+        raise ValueError("features must be finite")
+    return train_X, train_y, test_X
+
+
+def knn_classify(train_X, train_y, test_X, k: int = 5):
+    """k-nearest-neighbours with z-scored features and Euclidean distance.
+
+    Zero-variance features are dropped from the distance. Neighbours are
+    found by selection: only the candidates at or below the k-th smallest
+    distance (`np.partition`) are stably sorted, so equidistant neighbours
+    resolve to the lower training index. Vote ties resolve to the most
+    frequent training class, then lexicographically.
+    """
+    train_X, train_y, test_X = _check_xy(train_X, train_y, test_X)
+    if not 1 <= k <= train_X.shape[0]:
+        raise ValueError(f"k={k} out of range for {train_X.shape[0]} rows")
 
     mu = train_X.mean(axis=0)
     sd = train_X.std(axis=0)
-    keep = sd > 0
-    if keep.any():
-        Xtr = (train_X[:, keep] - mu[keep]) / sd[keep]
-        Xte = (test_X[:, keep] - mu[keep]) / sd[keep]
-    else:
-        Xtr = np.zeros((train_X.shape[0], 1))
-        Xte = np.zeros((test_X.shape[0], 1))
+    keep = sd > 0  # with no feature kept, every distance is 0
+    Xtr = (train_X[:, keep] - mu[keep]) / sd[keep]
+    Xte = (test_X[:, keep] - mu[keep]) / sd[keep]
 
     classes, codes, rank = _encode_labels(train_y)
     votes = np.empty((Xte.shape[0], k), dtype=np.intp)
     for i, x in enumerate(Xte):
         d2 = ((Xtr - x) ** 2).sum(axis=1)
-        votes[i] = codes[np.argsort(d2, kind="stable")[:k]]
+        near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+        votes[i] = codes[near[np.argsort(d2[near], kind="stable")[:k]]]
     return _vote(votes, classes, rank)
 
 
@@ -171,10 +182,8 @@ def _gini_best_split(X, y_idx, n_classes, features):
         col = X[:, f]
         order = np.argsort(col, kind="stable")
         cs, ys = col[order], y_idx[order]
-        # cumulative class counts left of each split position
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
-        left = np.cumsum(onehot, axis=0)
+        # cumulative class counts left of each split position, exact integers
+        left = np.cumsum(ys[:, None] == np.arange(n_classes), axis=0)
         total = left[-1]
         boundaries = np.flatnonzero(cs[1:] > cs[:-1])  # split between i and i+1
         if boundaries.size == 0:
@@ -233,12 +242,7 @@ def rf_classify(train_X, train_y, test_X,
     cfg = cfg or RandomForestConfig()
     if cfg.n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    train_X = np.asarray(train_X, dtype=float)
-    test_X = np.asarray(test_X, dtype=float)
-    train_y = list(train_y)
-    if train_X.shape[0] == 0:
-        raise ValueError("training set is empty")
-
+    train_X, train_y, test_X = _check_xy(train_X, train_y, test_X)
     classes, y_idx, rank = _encode_labels(train_y)
     n, d = train_X.shape
     m_features = max(1, int(round(np.sqrt(d))))

@@ -336,23 +336,9 @@ def _by_time(ts: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ts[order], vals[order]
 
 
-def _finite_readings(vals: np.ndarray) -> np.ndarray:
-    """`_parse_reading` for a whole column."""
-    if not np.isfinite(vals).all():
-        raise ValueError("non-finite reading")
-    return vals
-
-
-def _flags(vals: np.ndarray) -> np.ndarray:
-    """`_parse_flag` for a whole column."""
-    if not ((vals == 0) | (vals == 1)).all():
-        raise ValueError("occupied must be 0 or 1")
-    return vals.astype(bool)
-
-
-# loadtxt dtype and whole-column check of each value parser
-_COLUMN_PARSERS = {_parse_reading: (np.float64, _finite_readings),
-                   _parse_flag: (np.int64, _flags)}
+# loadtxt dtype, the per-value test and the result dtype of each value parser
+_COLUMN_PARSERS = {_parse_reading: (np.float64, np.isfinite, np.float64),
+                   _parse_flag: (np.int64, lambda v: (v == 0) | (v == 1), bool)}
 
 # The ISO form of `datetime.isoformat()`: d is a digit, + either sign.
 _ISO_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+dd:dd", dtype=np.uint8)
@@ -422,7 +408,7 @@ def _read_csv_arrays(path: Path, value_col: str, parse_value):
     usecols = _plain_columns(path, value_col)
     if usecols is None:
         return None
-    value_dtype, check = _COLUMN_PARSERS[parse_value]
+    value_dtype, valid, result_dtype = _COLUMN_PARSERS[parse_value]
     for stamp_dtype, epochs in ((np.int64, np.asarray), (_ISO_DTYPE, _iso_epochs)):
         try:
             with open(path, "rb") as f, warnings.catch_warnings():
@@ -431,9 +417,18 @@ def _read_csv_arrays(path: Path, value_col: str, parse_value):
                     f, dtype=[("t", stamp_dtype), ("v", value_dtype)],
                     delimiter=",", comments=None, quotechar=None, skiprows=1,
                     usecols=usecols, ndmin=1, encoding="ascii")
-            return _by_time(epochs(cols["t"]), check(cols["v"]))
         except (ValueError, Warning):
             continue
+        # Every stamp read in this form, so no other form can read the file:
+        # a bad stamp field or value leaves it to the row loop.
+        try:
+            ts = epochs(cols["t"])
+        except ValueError:
+            return None
+        vals = cols["v"]
+        if not valid(vals).all():
+            return None
+        return _by_time(ts, vals.astype(result_dtype, copy=False))
     return None
 
 

@@ -1,9 +1,12 @@
 """Label taxonomy, from-scratch classifiers, CV harness."""
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nilminfer import classify
 from nilminfer.classify import (RandomForestConfig, characteristics_experiment,
                                 knn_classify, label_characteristics,
                                 majority_baseline, rf_classify,
@@ -123,6 +126,83 @@ def test_knn_argument_errors():
         knn_classify(np.ones((3, 2)), ["a"] * 3, np.ones((1, 2)), k=4)
 
 
+CLASSIFIERS = {
+    "knn": lambda X, y, T: knn_classify(X, y, T, k=1),
+    "rf": lambda X, y, T: rf_classify(X, y, T, RandomForestConfig(n_trees=2)),
+}
+_X, _Y, _T = np.arange(8.0).reshape(4, 2), ["a", "b"] * 2, np.ones((1, 2))
+BAD_ARGUMENTS = {
+    "1-D training matrix": ((_X[:, 0], _Y, _T[:, :1]), "2-D"),
+    "3-D test matrix": ((_X, _Y, _T[None]), "2-D"),
+    "6 labels for 4 rows": ((_X, _Y + _Y[:2], _T), "one label per training row"),
+    "empty training set": ((_X[:0], [], _T), "empty"),
+    "4 test columns against 2": ((_X, _Y, np.ones((1, 4))), "dimensionality"),
+    "nan in training": ((np.where(_X == 3, np.nan, _X), _Y, _T), "finite"),
+    "inf in training": ((np.where(_X == 3, np.inf, _X), _Y, _T), "finite"),
+    "nan test row": ((_X, _Y, np.array([[np.nan, 1.0]])), "finite"),
+    "-inf test row": ((_X, _Y, np.array([[1.0, -np.inf]])), "finite"),
+}
+
+
+@pytest.mark.parametrize("classifier", sorted(CLASSIFIERS))
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_classifiers_reject_bad_arguments(classifier, case):
+    (train_X, train_y, test_X), message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=message):
+        CLASSIFIERS[classifier](train_X, train_y, test_X)
+    assert len(CLASSIFIERS[classifier](_X, _Y, _T)) == 1
+
+
+def knn_neighbours_by_full_sort(train_X, test_X, k):
+    """Training indices of each test row's k neighbours by a stable argsort
+    of every distance: the reference that kNN's selection must reproduce."""
+    mu, sd = train_X.mean(axis=0), train_X.std(axis=0)
+    keep = sd > 0
+    if keep.any():
+        Xtr = (train_X[:, keep] - mu[keep]) / sd[keep]
+        Xte = (test_X[:, keep] - mu[keep]) / sd[keep]
+    else:
+        Xtr = np.zeros((train_X.shape[0], 1))
+        Xte = np.zeros((test_X.shape[0], 1))
+    return np.array([np.argsort(((Xtr - x) ** 2).sum(axis=1), kind="stable")[:k]
+                     for x in Xte])
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """(train_X, train_y, test_X, k) on a 3-value integer grid: duplicate
+    rows, equal distances, often a constant column, test rows that repeat
+    training rows, and k anywhere in 1..n."""
+    n, d = draw(st.integers(1, 14)), draw(st.integers(1, 3))
+    grid = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    train_X = np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):
+        train_X[:, draw(st.integers(0, d - 1))] = draw(st.integers(0, 2))
+    test_X = np.array(draw(st.lists(
+        st.one_of(grid, st.sampled_from(train_X.tolist())),
+        min_size=1, max_size=6)), dtype=float)
+    train_y = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    return train_X, train_y, test_X, draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_tables())
+def test_knn_selection_matches_full_stable_sort(table):
+    train_X, train_y, test_X, k = table
+    want = knn_neighbours_by_full_sort(train_X, test_X, k)
+    # Distinct labels sorted as the row order make each vote a row index.
+    row_labels = [f"{i:02d}" for i in range(len(train_y))]
+    seen = []
+    vote = classify._vote
+    with mock.patch.object(classify, "_vote",
+                           lambda votes, *rest: seen.append(votes) or vote(votes, *rest)):
+        knn_classify(train_X, row_labels, test_X, k)
+    assert seen[0].tolist() == want.tolist()
+    classes, codes, rank = classify._encode_labels(train_y)
+    assert list(knn_classify(train_X, train_y, test_X, k)) == list(
+        classify._vote(codes[want], classes, rank))
+
+
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
@@ -188,6 +268,67 @@ def test_rf_classifies_each_row_as_alone():
     assert set(together) == {"lo", "hi"}
     assert list(together) == [rf_classify(X, y, row[None, :], cfg)[0]
                               for row in test_X]
+
+
+def gini_best_split_one_hot(X, y_idx, n_classes, features):
+    """The forest's best split with class counts taken as the cumsum of a
+    float one-hot matrix: the reference for the integer counts."""
+    n = y_idx.size
+    best = None
+    for f in features:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        cs, ys = col[order], y_idx[order]
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ys] = 1.0
+        left = np.cumsum(onehot, axis=0)
+        total = left[-1]
+        boundaries = np.flatnonzero(cs[1:] > cs[:-1])
+        if boundaries.size == 0:
+            continue
+        nl = (boundaries + 1).astype(float)
+        nr = n - nl
+        lc = left[boundaries]
+        rc = total - lc
+        gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        imp = (nl * gini_l + nr * gini_r) / n
+        j = int(np.argmin(imp))
+        cand = (float(imp[j]), f, float((cs[boundaries[j]] + cs[boundaries[j] + 1]) / 2))
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+@st.composite
+def forest_tables(draw):
+    """(X, class codes, n_classes): up to 40 rows on a 4-value integer grid,
+    so columns tie often, with 1 to 3 classes."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    y_idx = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                                   min_size=n, max_size=n)), dtype=np.intp)
+    return X, y_idx, n_classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_tables(), st.integers(0, 2 ** 16), st.integers(1, 6))
+def test_forest_trees_match_one_hot_split_oracle(table, seed, max_depth):
+    X, y_idx, n_classes = table
+    d = X.shape[1]
+    assert (classify._gini_best_split(X, y_idx, n_classes, range(d))
+            == gini_best_split_one_hot(X, y_idx, n_classes, range(d)))
+    m_features = max(1, int(round(np.sqrt(d))))
+
+    def tree():
+        return classify._build_tree(X, y_idx, n_classes, 0, max_depth,
+                                    np.random.default_rng(seed), m_features)
+
+    new = tree()
+    with mock.patch.object(classify, "_gini_best_split", gini_best_split_one_hot):
+        assert tree() == new
 
 
 def test_rf_rejects_bad_config():

@@ -403,6 +403,30 @@ def test_read_csv_leaves_an_overlong_field_to_the_row_loop(tmp_path):
     assert_read_csv_equals_row_loop(path, "power_w")
 
 
+@pytest.mark.parametrize("col, value", [("power_w", "nan"), ("power_w", "inf"),
+                                        ("occupied", "2"), ("occupied", "-1")])
+def test_array_path_declines_a_bad_value_after_one_parse(tmp_path, monkeypatch,
+                                                        col, value):
+    """Once every epoch stamp has parsed, a bad value leaves the file to the
+    row loop without a parse in the ISO form, and the error is the row
+    loop's."""
+    path = tmp_path / "in.csv"
+    path.write_text(f"timestamp,{col}\n0,1\n30,{value}\n60,1\n")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    with pytest.raises(ParseError) as exc:
+        series._read_csv(path, col, VALUE_COLUMNS[col])
+    assert (exc.value.line, exc.value.path) == (3, str(path))
+    assert len(calls) == 1
+    assert_read_csv_equals_row_loop(path, col)
+
+
 @pytest.mark.parametrize("offset", FIXED_OFFSETS)
 def test_array_path_reads_epoch_and_fixed_iso_files(tmp_path, offset):
     """The forms `write_power_csv`, `write_occupancy_csv` and
