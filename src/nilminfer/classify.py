@@ -173,28 +173,29 @@ class RandomForestConfig:
     seed: int = 0
 
 
-def _gini_best_split(X, y_idx, n_classes, features):
+def _gini_best_split(X, y_idx, orders, counts, features):
     """Best (feature, threshold, impurity) over candidate midpoints of the
-    given feature columns; None when nothing splits."""
-    n = y_idx.size
+    given feature columns, each read in its row of `orders`; None when nothing splits."""
+    n = orders.shape[1]
     best = None
     for f in features:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        cs, ys = col[order], y_idx[order]
-        # cumulative class counts left of each split position, exact integers
-        left = np.cumsum(ys[:, None] == np.arange(n_classes), axis=0)
-        total = left[-1]
+        order = orders[f]
+        cs = X[order, f]
         boundaries = np.flatnonzero(cs[1:] > cs[:-1])  # split between i and i+1
         if boundaries.size == 0:
             continue
+        # per class, the exact count left of each split position
+        lc = np.cumsum(y_idx[order] == np.arange(counts.size)[:, None],
+                       axis=1)[:, boundaries]
+        rc = counts[:, None] - lc
         nl = (boundaries + 1).astype(float)
         nr = n - nl
-        lc = left[boundaries]
-        rc = total - lc
-        gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-        imp = (nl * gini_l + nr * gini_r) / n
+        # summed in class order, as numpy sums a row of up to 7 classes
+        sq_l, sq_r = (lc[0] / nl) ** 2, (rc[0] / nr) ** 2
+        for c in range(1, counts.size):
+            sq_l += (lc[c] / nl) ** 2
+            sq_r += (rc[c] / nr) ** 2
+        imp = (nl * (1.0 - sq_l) + nr * (1.0 - sq_r)) / n
         j = int(np.argmin(imp))
         cand = (float(imp[j]), f, float((cs[boundaries[j]] + cs[boundaries[j] + 1]) / 2))
         if best is None or cand[0] < best[0]:
@@ -202,23 +203,24 @@ def _gini_best_split(X, y_idx, n_classes, features):
     return best
 
 
-def _build_tree(X, y_idx, n_classes, depth, max_depth, rng, m_features):
+def _build_tree(X, y_idx, orders, n_classes, depth, max_depth, rng, m_features):
     """A leaf is a class index; an inner node is (feature, threshold, left,
-    right), rows with X[:, feature] <= threshold going left."""
-    counts = np.bincount(y_idx, minlength=n_classes)
-    if depth >= max_depth or counts.max() == y_idx.size or y_idx.size < 2:
+    right), rows with X[:, feature] <= threshold going left. Row f of
+    `orders` holds the node's rows sorted by X[:, f], ties in any order (class
+    counts are only taken between distinct values); children keep the order."""
+    counts = np.bincount(y_idx[orders[0]], minlength=n_classes)
+    if depth >= max_depth or counts.max() == orders.shape[1]:
         return int(np.argmax(counts))
     feats = rng.choice(X.shape[1], size=m_features, replace=False)
     feats.sort()
-    best = _gini_best_split(X, y_idx, n_classes, feats)
+    best = _gini_best_split(X, y_idx, orders, counts, feats)
     if best is None:
         return int(np.argmax(counts))
     _, f, thr = best
-    mask = X[:, f] <= thr
-    left = _build_tree(X[mask], y_idx[mask], n_classes, depth + 1, max_depth,
-                       rng, m_features)
-    right = _build_tree(X[~mask], y_idx[~mask], n_classes, depth + 1,
-                        max_depth, rng, m_features)
+    go_left = X[orders, f] <= thr
+    left, right = (_build_tree(X, y_idx, orders[side].reshape(len(orders), -1),
+                               n_classes, depth + 1, max_depth, rng, m_features)
+                   for side in (go_left, ~go_left))  # left subtree drawn first
     return (f, thr, left, right)
 
 
@@ -251,8 +253,9 @@ def rf_classify(train_X, train_y, test_X,
     for t in range(cfg.n_trees):
         rng = np.random.default_rng([cfg.seed, t])
         boot = rng.integers(0, n, size=n)
-        tree = _build_tree(train_X[boot], y_idx[boot], len(classes), 0,
-                           cfg.max_depth, rng, m_features)
+        X = train_X[boot]
+        tree = _build_tree(X, y_idx[boot], np.argsort(X.T, axis=1), len(classes),
+                           0, cfg.max_depth, rng, m_features)
         _route(tree, test_X, rows, votes[:, t])
     return _vote(votes, classes, rank)
 

@@ -165,6 +165,24 @@ def _product_space(models: list[ApplianceHMM]):
     return total, np.indices(ks).reshape(len(ks), -1).T
 
 
+def _viterbi(log_init, log_trans, log_emit):
+    """(MAP path, final log scores) of a dense HMM; ties to the lowest state."""
+    n, total = log_emit.shape
+    delta = log_init + log_emit[0]
+    psi = np.empty((n, total), dtype=np.int32)
+    scores = np.empty((total, total))
+    for t in range(1, n):
+        np.add(delta[:, None], log_trans, out=scores)
+        psi[t] = scores.argmax(axis=0)
+        scores.max(axis=0, out=delta)
+        delta += log_emit[t]
+    path = np.empty(n, dtype=np.int32)
+    path[-1] = int(np.argmax(delta))
+    for t in range(n - 1, 0, -1):
+        path[t - 1] = psi[t, path[t]]
+    return path, delta
+
+
 def fhmm_disaggregate(aggregate: PowerSeries,
                       models: list[ApplianceHMM]) -> DisaggResult:
     """Exact MAP decoding of the additive factorial model.
@@ -195,23 +213,13 @@ def fhmm_disaggregate(aggregate: PowerSeries,
         log_trans += np.log(m.transition[np.ix_(digits[:, i], digits[:, i])])
 
     x = aggregate.values
-    n = x.size
     log_emit = (-0.5 * np.log(2 * np.pi * variances)[None, :]
                 - (x[:, None] - means[None, :]) ** 2 / (2 * variances)[None, :])
 
-    delta = log_init + log_emit[0]
-    psi = np.empty((n, total), dtype=np.int32)
-    for t in range(1, n):
-        scores = delta[:, None] + log_trans
-        psi[t] = np.argmax(scores, axis=0)
-        delta = scores[psi[t], np.arange(total)] + log_emit[t]
-    path = np.empty(n, dtype=np.int32)
-    path[-1] = int(np.argmax(delta))
-    for t in range(n - 1, 0, -1):
-        path[t - 1] = psi[t, path[t]]
+    path, _ = _viterbi(log_init, log_trans, log_emit)
 
     appliances = {}
-    pred_sum = np.zeros(n)
+    pred_sum = np.zeros(x.size)
     for i, m in enumerate(models):
         trace = m.state_means_w[digits[path, i]]
         pred_sum += trace

@@ -380,9 +380,10 @@ def _iso_epochs(stamps: np.ndarray) -> np.ndarray:
     return local - np.where(sign == ord("+"), offset, -offset)
 
 
-def _plain_columns(path: Path, value_col: str) -> tuple[int, int] | None:
-    """Indices of `timestamp` and value_col when a split of each line on ","
-    gives the rows `csv.reader` gives, else None."""
+def _plain_columns(path: Path, value_col: str) -> tuple[int, int, bool] | None:
+    """Indices of `timestamp` and value_col, and whether the first data
+    line's stamp has a ":" (the ISO form; an epoch stamp has none), when a
+    split of each line on "," gives the rows `csv.reader` gives, else None."""
     raw = path.read_bytes()
     # Quotes, a CR outside CRLF, and NUL before Python 3.11 are where csv's
     # rows differ from lines split on ","; non-ASCII bytes are where decoding
@@ -394,10 +395,13 @@ def _plain_columns(path: Path, value_col: str) -> tuple[int, int] | None:
     newlines = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
     if np.diff(newlines, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
         return None
-    header = [h.strip() for h in raw.partition(b"\n")[0].decode().split(",")]
+    header, first = (raw[:newlines[1]] if newlines.size > 1 else raw + b"\n").split(b"\n")[:2]
+    header = [h.strip() for h in header.decode().split(",")]
     if "timestamp" not in header or value_col not in header:
         return None
-    return header.index("timestamp"), header.index(value_col)
+    t_idx = header.index("timestamp")
+    stamp = b"".join(first.split(b",")[t_idx:t_idx + 1])
+    return t_idx, header.index(value_col), b":" in stamp
 
 
 def _read_csv_arrays(path: Path, value_col: str, parse_value):
@@ -405,31 +409,26 @@ def _read_csv_arrays(path: Path, value_col: str, parse_value):
     integers or all in the fixed ISO form of `_iso_epochs`. None for any file
     it cannot vouch reads as `_read_csv_rows` would read it."""
     # loadtxt reads the file again: holding its bytes meanwhile costs peak RSS
-    usecols = _plain_columns(path, value_col)
-    if usecols is None:
+    columns = _plain_columns(path, value_col)
+    if columns is None:
         return None
+    # the first stamp picks the one form tried; any other file is the row loop's
+    stamp_dtype, epochs = (_ISO_DTYPE, _iso_epochs) if columns[2] else (np.int64, np.asarray)
     value_dtype, valid, result_dtype = _COLUMN_PARSERS[parse_value]
-    for stamp_dtype, epochs in ((np.int64, np.asarray), (_ISO_DTYPE, _iso_epochs)):
-        try:
-            with open(path, "rb") as f, warnings.catch_warnings():
-                warnings.simplefilter("error")  # e.g. a header-only file
-                cols = np.loadtxt(
-                    f, dtype=[("t", stamp_dtype), ("v", value_dtype)],
-                    delimiter=",", comments=None, quotechar=None, skiprows=1,
-                    usecols=usecols, ndmin=1, encoding="ascii")
-        except (ValueError, Warning):
-            continue
-        # Every stamp read in this form, so no other form can read the file:
-        # a bad stamp field or value leaves it to the row loop.
-        try:
-            ts = epochs(cols["t"])
-        except ValueError:
-            return None
-        vals = cols["v"]
-        if not valid(vals).all():
-            return None
-        return _by_time(ts, vals.astype(result_dtype, copy=False))
-    return None
+    try:
+        with open(path, "rb") as f, warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a header-only file
+            cols = np.loadtxt(
+                f, dtype=[("t", stamp_dtype), ("v", value_dtype)],
+                delimiter=",", comments=None, quotechar=None, skiprows=1,
+                usecols=columns[:2], ndmin=1, encoding="ascii")
+        ts = epochs(cols["t"])
+    except (ValueError, Warning):
+        return None
+    vals = cols["v"]
+    if not valid(vals).all():
+        return None
+    return _by_time(ts, vals.astype(result_dtype, copy=False))
 
 
 def _infer_period(ts: np.ndarray) -> int:

@@ -271,8 +271,9 @@ def test_rf_classifies_each_row_as_alone():
 
 
 def gini_best_split_one_hot(X, y_idx, n_classes, features):
-    """The forest's best split with class counts taken as the cumsum of a
-    float one-hot matrix: the reference for the integer counts."""
+    """The forest's best split before presorting: a fresh stable argsort of
+    each candidate column, and class counts as the cumsum of a float one-hot
+    matrix summed with `.sum(axis=1)`. The reference for the presorted split."""
     n = y_idx.size
     best = None
     for f in features:
@@ -300,12 +301,33 @@ def gini_best_split_one_hot(X, y_idx, n_classes, features):
     return best
 
 
+def build_tree_copying_rows(X, y_idx, n_classes, depth, max_depth, rng,
+                            m_features):
+    """The forest's tree builder before presorting: the one-hot split above
+    at every node, and copies X[mask], X[~mask] for the children."""
+    counts = np.bincount(y_idx, minlength=n_classes)
+    if depth >= max_depth or counts.max() == y_idx.size or y_idx.size < 2:
+        return int(np.argmax(counts))
+    feats = rng.choice(X.shape[1], size=m_features, replace=False)
+    feats.sort()
+    best = gini_best_split_one_hot(X, y_idx, n_classes, feats)
+    if best is None:
+        return int(np.argmax(counts))
+    _, f, thr = best
+    mask = X[:, f] <= thr
+    left = build_tree_copying_rows(X[mask], y_idx[mask], n_classes, depth + 1,
+                                   max_depth, rng, m_features)
+    right = build_tree_copying_rows(X[~mask], y_idx[~mask], n_classes,
+                                    depth + 1, max_depth, rng, m_features)
+    return (f, thr, left, right)
+
+
 @st.composite
 def forest_tables(draw):
     """(X, class codes, n_classes): up to 40 rows on a 4-value integer grid,
-    so columns tie often, with 1 to 3 classes."""
-    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
-    n_classes = draw(st.integers(1, 3))
+    so columns tie often, with 1 to 7 classes."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 7))
     X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
                                min_size=n, max_size=n)), dtype=float)
     y_idx = np.array(draw(st.lists(st.integers(0, n_classes - 1),
@@ -313,22 +335,51 @@ def forest_tables(draw):
     return X, y_idx, n_classes
 
 
-@settings(max_examples=200, deadline=None)
+def forest_votes(X, y, test_X, cfg):
+    """The (test rows, trees) vote array rf_classify hands to its vote."""
+    seen, cast = [], classify._vote
+
+    def vote(votes, classes, rank):
+        seen.append(votes.copy())
+        return cast(votes, classes, rank)
+
+    with mock.patch.object(classify, "_vote", vote):
+        labels = rf_classify(X, y, test_X, cfg)
+    return seen[0], labels
+
+
+@settings(max_examples=300, deadline=None)
 @given(forest_tables(), st.integers(0, 2 ** 16), st.integers(1, 6))
 def test_forest_trees_match_one_hot_split_oracle(table, seed, max_depth):
+    """The presorted forest grows, node for node, the trees of a builder that
+    stably sorts each node's rows afresh, whatever order equal values come in,
+    and rf_classify casts the same votes."""
     X, y_idx, n_classes = table
-    d = X.shape[1]
-    assert (classify._gini_best_split(X, y_idx, n_classes, range(d))
-            == gini_best_split_one_hot(X, y_idx, n_classes, range(d)))
+    n, d = X.shape
     m_features = max(1, int(round(np.sqrt(d))))
+    reference = build_tree_copying_rows(X, y_idx, n_classes, 0, max_depth,
+                                        np.random.default_rng(seed), m_features)
+    counts = np.bincount(y_idx, minlength=n_classes)
+    ties = np.random.default_rng(seed).permutation(n)
+    for orders in (np.argsort(X.T, axis=1, kind="stable"),
+                   np.array([np.lexsort((ties, col)) for col in X.T])):
+        assert (classify._gini_best_split(X, y_idx, orders, counts, range(d))
+                == gini_best_split_one_hot(X, y_idx, n_classes, range(d)))
+        assert classify._build_tree(X, y_idx, orders, n_classes, 0, max_depth,
+                                    np.random.default_rng(seed),
+                                    m_features) == reference
 
-    def tree():
-        return classify._build_tree(X, y_idx, n_classes, 0, max_depth,
-                                    np.random.default_rng(seed), m_features)
+    def copying_rows(X, y_idx, orders, n_classes, *rest):
+        return build_tree_copying_rows(X, y_idx, n_classes, *rest)
 
-    new = tree()
-    with mock.patch.object(classify, "_gini_best_split", gini_best_split_one_hot):
-        assert tree() == new
+    y = [f"c{v}" for v in y_idx]
+    test_X = np.vstack([X, np.indices((4,) * d).reshape(d, -1).T[::7] - 0.5])
+    cfg = RandomForestConfig(n_trees=3, max_depth=max_depth, seed=seed)
+    votes, labels = forest_votes(X, y, test_X, cfg)
+    with mock.patch.object(classify, "_build_tree", copying_rows):
+        ref_votes, ref_labels = forest_votes(X, y, test_X, cfg)
+    np.testing.assert_array_equal(votes, ref_votes)
+    assert list(labels) == list(ref_labels)
 
 
 def test_rf_rejects_bad_config():

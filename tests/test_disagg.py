@@ -1,7 +1,9 @@
 """FHMM training/decoding, event-cluster disaggregation, NILM metrics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nilminfer import disagg
 from nilminfer.disagg import (ApplianceHMM, fhmm_disaggregate,
                               hart_disaggregate, nilm_metrics, train_hmm)
 from nilminfer.errors import CapacityError, DegenerateModelError
@@ -141,6 +143,55 @@ def test_viterbi_matches_exhaustive_enumeration():
         got = decoded_product_path(result, models)
         expected = brute_force_map(x, models)
         np.testing.assert_array_equal(got, expected)
+
+
+def viterbi_fresh_scores(log_init, log_trans, log_emit):
+    """The dense Viterbi loop before the in-place step: a new score matrix
+    each step, and the next scores read back at the argmax by fancy index."""
+    n, total = log_emit.shape
+    delta = log_init + log_emit[0]
+    psi = np.empty((n, total), dtype=np.int32)
+    for t in range(1, n):
+        scores = delta[:, None] + log_trans
+        psi[t] = np.argmax(scores, axis=0)
+        delta = scores[psi[t], np.arange(total)] + log_emit[t]
+    path = np.empty(n, dtype=np.int32)
+    path[-1] = int(np.argmax(delta))
+    for t in range(n - 1, 0, -1):
+        path[t - 1] = psi[t, path[t]]
+    return path, delta
+
+
+@st.composite
+def chain_log_models(draw):
+    """(log_init, log_trans, log_emit) on the product space of 1 to 3 chains
+    of 2 or 3 states, combined as fhmm_disaggregate combines them. Log
+    probabilities come mostly from a small grid, so scores tie exactly, and
+    include -inf (probability zero) in the initial, transition and emission
+    terms."""
+    ks = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    logp = st.sampled_from([-np.inf, -2.0, -1.0, 0.0]) | st.floats(-4, 0)
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(logp, min_size=size, max_size=size))).reshape(shape)
+
+    digits = np.indices(ks).reshape(len(ks), -1).T
+    total = len(digits)
+    log_init, log_trans = np.zeros(total), np.zeros((total, total))
+    for i, k in enumerate(ks):
+        log_init += array(k)[digits[:, i]]
+        log_trans += array(k, k)[np.ix_(digits[:, i], digits[:, i])]
+    return log_init, log_trans, array(draw(st.integers(1, 12)), total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_log_models())
+def test_viterbi_step_in_place_matches_fresh_scores(model):
+    path, delta = disagg._viterbi(*model)
+    ref_path, ref_delta = viterbi_fresh_scores(*model)
+    np.testing.assert_array_equal(path, ref_path)
+    assert delta.tobytes() == ref_delta.tobytes()
 
 
 def test_absent_appliance_decodes_to_zero():

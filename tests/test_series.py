@@ -404,12 +404,13 @@ def test_read_csv_leaves_an_overlong_field_to_the_row_loop(tmp_path):
 
 
 @pytest.mark.parametrize("col, value", [("power_w", "nan"), ("power_w", "inf"),
-                                        ("occupied", "2"), ("occupied", "-1")])
+                                        ("occupied", "2"), ("occupied", "-1"),
+                                        ("power_w", "abc"), ("occupied", "x")])
 def test_array_path_declines_a_bad_value_after_one_parse(tmp_path, monkeypatch,
                                                         col, value):
-    """Once every epoch stamp has parsed, a bad value leaves the file to the
-    row loop without a parse in the ISO form, and the error is the row
-    loop's."""
+    """An epoch file is parsed in the epoch form alone: a bad value, even
+    one that is no number at all, leaves it to the row loop without a parse
+    in the ISO form, and the error is the row loop's."""
     path = tmp_path / "in.csv"
     path.write_text(f"timestamp,{col}\n0,1\n30,{value}\n60,1\n")
     calls = []
