@@ -38,6 +38,20 @@ def _default_seed() -> int:
     return int(os.environ.get("DISAGG_SEED", "7"))
 
 
+def _checked(kind, ok, need: str):
+    """An argparse type: the text as kind (int or float) when ok accepts
+    it, else a usage error that says what the flag needs."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
+        return value
+    return convert
+
+
 def _config(args: argparse.Namespace) -> dict:
     """The resolved config: every parsed setting of the subcommand."""
     return {k: v for k, v in vars(args).items()
@@ -250,7 +264,8 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("disaggregate", help="appliance disaggregation")
     p.add_argument("--manifest", required=required)
     p.add_argument("--algo", choices=("fhmm", "hart"), default="fhmm")
-    p.add_argument("--train-split", dest="train_split", type=float, default=0.5)
+    p.add_argument("--train-split", dest="train_split", default=0.5,
+                   type=_checked(float, lambda x: 0 < x < 1, "need a number in (0, 1)"))
     p.add_argument("--on-threshold", dest="on_threshold", type=float, default=50.0)
     p.add_argument("--out", required=required)
     common_and_detector(p)
@@ -268,7 +283,8 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--source", default="both",
                    help=f"comma list from {FEATURE_SOURCES}")
     p.add_argument("--classifier", choices=("knn", "rf"), default="knn")
-    p.add_argument("--folds", type=int, default=2)
+    p.add_argument("--folds", default=2,
+                   type=_checked(int, lambda n: n >= 2, "need an integer of at least 2"))
     p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_classify)

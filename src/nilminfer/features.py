@@ -33,30 +33,26 @@ CLOCK_WINDOWS = {
 
 @dataclass
 class FeatureVector:
-    """Named non-negative feature values with per-feature provenance tags and
-    quality flags (zero denominators, clamped statistics)."""
+    """Named non-negative feature values with quality flags (zero
+    denominators, clamped statistics)."""
     values: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
 
-    def add(self, name: str, value: float, provenance: str, flag: str | None = None):
+    def add(self, name: str, value: float, flag: str | None = None):
         value = float(value)
         if not np.isfinite(value) or value < 0:
             raise ValueError(f"feature {name!r} must be finite and >= 0, "
                              f"got {value}")
         self.values[name] = value
-        self.provenance[name] = provenance
         if flag:
             self.flags[name] = flag
 
     def merge(self, other: "FeatureVector") -> "FeatureVector":
-        out = FeatureVector(dict(self.values), dict(self.provenance),
-                            dict(self.flags))
+        out = FeatureVector(dict(self.values), dict(self.flags))
         for name in other.values:
             if name in out.values:
                 raise ValueError(f"duplicate feature {name!r}")
             out.values[name] = other.values[name]
-            out.provenance[name] = other.provenance[name]
         out.flags.update(other.flags)
         return out
 
@@ -73,14 +69,13 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
         raise CoverageError(
             f"need at least one full week, got {s.span_s / SECONDS_PER_DAY:.2f} days")
     fv = FeatureVector()
-    tag = prefix
     v = s.values
     ts = s.timestamps()
     hours = local_clock_hours(ts, s.timezone)
     wd = local_weekdays(ts, s.timezone)
 
     def put(name, value, flag=None):
-        fv.add(f"{prefix}_{name}", value, tag, flag)
+        fv.add(f"{prefix}_{name}", value, flag)
 
     mean_total = float(v.mean())
     put("mean_total", mean_total)
@@ -129,7 +124,6 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
 
 def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
                                events, pairs, *, hvac_circuits: int | None = None,
-                               stream_tag: str = "hvac_submeter",
                                on_threshold_w: float = 50.0,
                                hvac_min_w: float = 1000.0,
                                cluster_tol_frac: float = 0.1) -> FeatureVector:
@@ -150,31 +144,29 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
             "aggregate has zero energy; fractions are undefined")
 
     fv = FeatureVector()
-    fv.add("hvac_max_power", float(hvac.values.max()), stream_tag)
-    fv.add("appliance_switches", float(len(events)), "event_stream")
-    fv.add("hvac_on_fraction",
-           float((hvac.values > on_threshold_w).mean()), stream_tag)
+    fv.add("hvac_max_power", float(hvac.values.max()))
+    fv.add("appliance_switches", float(len(events)))
+    fv.add("hvac_on_fraction", float((hvac.values > on_threshold_w).mean()))
     frac = float(hvac.values.sum()) / agg_energy
-    fv.add("hvac_energy_fraction", min(frac, 1.0), stream_tag,
+    fv.add("hvac_energy_fraction", min(frac, 1.0),
            flag="clamped_above_1" if frac > 1.0 else None)
 
     clusters = cluster_magnitudes(
         np.array([p.magnitude_w for p in pairs]), cluster_tol_frac)
     if hvac_circuits is not None:
-        fv.add("hvac_circuits", float(hvac_circuits), "metadata")
+        fv.add("hvac_circuits", float(hvac_circuits))
     else:
         n_big = sum(1 for c in clusters if c["center"] >= hvac_min_w)
-        fv.add("hvac_circuits", float(n_big), "event_stream",
-               flag="cluster_count_proxy")
+        fv.add("hvac_circuits", float(n_big), flag="cluster_count_proxy")
     if clusters:
         top = max(clusters, key=lambda c: c["center"])["values"]
-        fv.add("top_appliance_mean", float(np.mean(top)), "event_stream")
-        fv.add("top_appliance_max", float(np.max(top)), "event_stream")
-        fv.add("top_appliance_median", float(np.median(top)), "event_stream")
+        fv.add("top_appliance_mean", float(np.mean(top)))
+        fv.add("top_appliance_max", float(np.max(top)))
+        fv.add("top_appliance_median", float(np.median(top)))
     else:
         for name in ("top_appliance_mean", "top_appliance_max",
                      "top_appliance_median"):
-            fv.add(name, 0.0, "event_stream", flag="no_event_pairs")
+            fv.add(name, 0.0, flag="no_event_pairs")
     return fv
 
 
@@ -274,11 +266,11 @@ def build_home_features(home: HomeData, sources,
     events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
     pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
 
-    def hvac_bundle(hvac_stream, stream_tag):
+    def hvac_bundle(hvac_stream):
         fv = extract_consumption_features(hvac_stream, "hvac")
         fv = fv.merge(extract_appliance_features(
             hvac_stream, aggregate, events, pairs,
-            hvac_circuits=entry.hvac_circuits, stream_tag=stream_tag,
+            hvac_circuits=entry.hvac_circuits,
             on_threshold_w=on_threshold_w, hvac_min_w=hvac_min_w))
         return fv
 
@@ -289,12 +281,12 @@ def build_home_features(home: HomeData, sources,
         elif source in ("hvac-only", "both"):
             if "hvac" not in entry.appliance_paths:
                 raise ValueError(f"home {entry.home_id} has no submetered hvac")
-            bundle = hvac_bundle(home.appliance("hvac"), "hvac_submeter")
+            bundle = hvac_bundle(home.appliance("hvac"))
             out[source] = bundle if source == "hvac-only" else agg_fv.merge(bundle)
         elif source == "disagg-hart":
             hvac = hart_reconstruct(aggregate, pairs,
                                     hvac_min_w=hvac_min_w).appliances["hvac"]
-            out[source] = agg_fv.merge(hvac_bundle(hvac, "hvac_disagg"))
+            out[source] = agg_fv.merge(hvac_bundle(hvac))
         elif source == "disagg-fhmm":
             halves = {name: home.appliance(name).slice(
                           0, max(len(home.appliance(name)) // 2, 1))
@@ -304,7 +296,7 @@ def build_home_features(home: HomeData, sources,
             if not any(m.name == "hvac" for m in models):
                 raise ValueError(f"home {entry.home_id}: no usable hvac model")
             hvac = fhmm_disaggregate(aggregate, models).appliances["hvac"]
-            out[source] = agg_fv.merge(hvac_bundle(hvac, "hvac_disagg"))
+            out[source] = agg_fv.merge(hvac_bundle(hvac))
         else:
             raise ValueError(f"unknown feature source {source!r}")
     return out

@@ -289,9 +289,10 @@ def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.n
 
     Finds `timestamp` and value_col by header name, skips blank rows, parses
     each timestamp (epoch or ISO-8601) and each value, and returns both as
-    arrays stably sorted by time. A file `_read_csv_arrays` can vouch for is
-    parsed a whole column at a time; every other file goes through the row
-    loop `_read_csv_rows`, the grammar of record and the only source of a
+    arrays stably sorted by time. A file `_read_csv_arrays` can vouch for
+    (stamps all epoch, or all `YYYY-MM-DDTHH:MM:SS±HH:MM`) is parsed a whole
+    column at a time; every other file goes through the row loop
+    `_read_csv_rows`, the grammar of record and the only source of a
     ParseError, so both give the same arrays.
     """
     arrays = _read_csv_arrays(path, value_col, parse_value)
@@ -340,44 +341,33 @@ def _by_time(ts: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _COLUMN_PARSERS = {_parse_reading: (np.float64, np.isfinite, np.float64),
                    _parse_flag: (np.int64, lambda v: (v == 0) | (v == 1), bool)}
 
-# The ISO form of `datetime.isoformat()`: d is a digit, + either sign.
-_ISO_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+dd:dd", dtype=np.uint8)
-_ISO_DTYPE = f"S{_ISO_FORM.size + 1}"  # one byte more, so a longer stamp shows
+_ISO_DTYPE = "S26"  # one byte past the offset form, so a longer stamp shows
 
 
 def _iso_epochs(stamps: np.ndarray) -> np.ndarray:
-    """Epoch seconds of `_ISO_FORM` stamps, decoded one field at a time.
-    ValueError unless every stamp has that form and fields that
-    `datetime.fromisoformat` accepts."""
-    width = _ISO_FORM.size
-    b = stamps[:, None].view(np.uint8)  # (stamps, bytes), not a copy
-    fixed = (_ISO_FORM != ord("d")) & (_ISO_FORM != ord("+"))
-    sign = b[:, 19]
-    if (b[:, width].any() or (b[:, :width][:, fixed] != _ISO_FORM[fixed]).any()
-            or not ((sign == ord("+")) | (sign == ord("-"))).all()):
-        raise ValueError("timestamp not in the fixed ISO form")
-
-    def field(col: int, n_digits: int, low: int, high: int) -> np.ndarray:
-        n = np.zeros(len(b), dtype=np.int64)
-        for digit in b[:, col:col + n_digits].T - np.uint8(ord("0")):
-            if (digit > 9).any():  # uint8 wraps below "0"
-                raise ValueError("non-digit in ISO timestamp")
-            n = n * 10 + digit
-        if not ((low <= n) & (n <= high)).all():
-            raise ValueError("ISO timestamp field out of range")
-        return n
-
-    months = (field(0, 4, 1, 9999) - 1970) * 12 + field(5, 2, 1, 12) - 1
-    month_start, next_start = (
-        m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-        for m in (months, months + 1))
-    day = field(8, 2, 1, 31)
-    if (day > next_start - month_start).any():
-        raise ValueError("ISO timestamp day past the end of its month")
-    local = ((month_start + day - 1) * SECONDS_PER_DAY + field(11, 2, 0, 23) * 3600
-             + field(14, 2, 0, 59) * 60 + field(17, 2, 0, 59))
-    offset = field(20, 2, 0, 23) * 3600 + field(23, 2, 0, 59) * 60
-    return local - np.where(sign == ord("+"), offset, -offset)
+    """Epoch seconds of `_ISO_DTYPE` stamps `YYYY-MM-DDTHH:MM:SS±HH:MM`, the
+    form of `datetime.isoformat()`. ValueError unless every stamp has that
+    form, with fields that `datetime.fromisoformat` accepts."""
+    parts = stamps.view([("head", "S19"), ("tail", "S7")])  # a view, not a copy
+    head, tail = parts["head"], parts["tail"].copy()
+    t = tail[:, None].view(np.uint8)
+    negative = t[:, 0] == ord("-")
+    t[negative, 0] = ord("+")  # so one template fits both signs
+    # "0" is any digit (uint8 wraps below "0"); the NUL shows a longer stamp
+    for got, want in zip([*head[:, None].view(np.uint8).T, *t.T],
+                         b"0000-00-00T00:00:00+00:00\0"):
+        if not (got - np.uint8(ord("0")) <= 9 if want == ord("0") else got == want).all():
+            raise ValueError("timestamp not in the fixed ISO form")
+    # numpy checks month, day of month, hour, minute and second, not year 0
+    epochs = head.astype("datetime64[s]").view(np.int64)
+    hours, minutes = (10 * t[:, i].astype(np.int64) + t[:, i + 1] - 11 * ord("0")
+                      for i in (1, 4))
+    if (head < b"0001").any() or (hours > 23).any() or (minutes > 59).any():
+        raise ValueError("ISO timestamp field out of range")
+    offset = hours * 3600 + minutes * 60
+    offset[negative] *= -1
+    epochs -= offset
+    return epochs
 
 
 def _plain_columns(path: Path, value_col: str) -> tuple[int, int, bool] | None:

@@ -5,6 +5,7 @@ import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from nilminfer.cli import run
 from nilminfer.series import (DatasetManifest, PowerSeries, save_manifest,
@@ -205,6 +206,32 @@ def test_config_file_values_are_checked_and_converted_like_flags(
         metas.append((out / "run_meta.json").read_bytes())
     assert metas[0] == metas[1]
     assert json.loads(metas[0])["config"]["steady_tol"] == 40.0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("classify", "folds", "0"), ("classify", "folds", "1"),
+    ("classify", "folds", "abc"), ("disaggregate", "train-split", "0"),
+    ("disaggregate", "train-split", "1.0"), ("disaggregate", "train-split", "1.5"),
+    ("disaggregate", "train-split", "x")])
+@pytest.mark.parametrize("spelling", ["separate", "equals", "config"])
+def test_out_of_range_numbers_are_usage_errors(tmp_path, small_corpus, capsys,
+                                               command, flag, value, spelling):
+    """--folds below 2 and --train-split outside (0, 1) or not a number exit
+    2 naming the flag, given on the command line either way or in a config
+    file, with a message of their own, not argparse's "invalid <type>"."""
+    if spelling == "separate":
+        given = [f"--{flag}", value]
+    elif spelling == "equals":
+        given = [f"--{flag}={value}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        number = value if value.isalpha() else json.loads(value)
+        cfg.write_text(json.dumps({flag.replace("-", "_"): number}))
+        given = ["--config", str(cfg)]
+    assert run([command, "--manifest", manifest_path(small_corpus),
+                "--out", str(tmp_path / "out"), *given]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --{flag}:" in err and "invalid" not in err
 
 
 def test_subcommands_do_not_mutate_inputs(tmp_path, small_corpus):

@@ -179,9 +179,9 @@ def test_appliance_features_zero_aggregate_energy():
 def test_feature_vector_rejects_negative():
     fv = FeatureVector()
     with pytest.raises(ValueError):
-        fv.add("bad", -1.0, "test")
+        fv.add("bad", -1.0)
     with pytest.raises(ValueError):
-        fv.add("bad", float("nan"), "test")
+        fv.add("bad", float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -246,11 +246,11 @@ def odd_stamps(t, iso):
     row (iso None) and for an ISO row; most of them still parse there."""
     if iso is None:
         return [f"+{t}", f"{str(t)[:1]}_{str(t)[1:]}", f" {t}", f"{t}.0"]
-    utc = datetime.fromtimestamp(t, timezone.utc)
+    naive = datetime.fromtimestamp(t, timezone.utc).replace(tzinfo=None).isoformat()
+    fraction = datetime.fromtimestamp(t + 0.25, timezone.utc).isoformat()
     return [
-        utc.isoformat().replace("+00:00", "Z"),
-        utc.replace(tzinfo=None).isoformat(),
-        datetime.fromtimestamp(t + 0.25, timezone.utc).isoformat(),
+        naive + "Z", naive, naive + "z", naive + "Zx", naive + "+00:00Z",
+        naive + " ", fraction, fraction.replace("+00:00", "Z"),
         f"{iso} ", f"{iso}0", iso.replace("T", " "), "0000" + iso[4:],
         f"{iso[:4]}/{iso[5:7]}/{iso[8:]}", iso[:3] + "x" + iso[4:],
         iso[:5] + "13" + iso[7:], iso[:5] + "00" + iso[7:],     # month
@@ -258,7 +258,7 @@ def odd_stamps(t, iso):
         iso[:5] + "02-30" + iso[10:],
         iso[:11] + "24" + iso[13:], iso[:14] + "60" + iso[16:],  # hour, minute
         iso[:17] + "60" + iso[19:],                              # second
-        iso[:20] + "24" + iso[22:], iso[:23] + "60",              # offset
+        iso[:20] + "24" + iso[22:], iso[:23] + "60", iso[:20] + "23:60",  # offset
     ]
 
 
@@ -447,6 +447,38 @@ def test_array_path_reads_epoch_and_fixed_iso_files(tmp_path, offset):
         assert fast is not None, path
         for a, b in zip(fast, series._read_csv_rows(path, col, parse)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+YEARS = st.one_of(st.sampled_from([1, 1900, 2000, 2100, 9999]), st.integers(1, 9999))
+# day 1-31 of any month, or a day past the end of a short month
+MONTH_DAYS = st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 31)),
+                       st.sampled_from([(2, 29), (2, 30), (4, 31), (6, 31),
+                                        (9, 31), (11, 31)]))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(year=YEARS, month_day=MONTH_DAYS,
+       clock=st.tuples(st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+       offset=st.integers(-1439, 1439), form=st.sampled_from(["iso", "Z", "naive"]))
+def test_iso_epochs_equals_parse_timestamp(year, month_day, clock, offset, form):
+    """Across the calendar and every offset, the array decoder gives
+    `_parse_timestamp`'s epoch, or raises where it raises; it leaves the `Z`
+    and naive forms, which `_parse_timestamp` also reads, to the row loop."""
+    stamp = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(year, *month_day, *clock)
+    if form == "iso":
+        stamp += f"{'-' if offset < 0 else '+'}{abs(offset) // 60:02d}:{abs(offset) % 60:02d}"
+    elif form == "Z":
+        stamp += "Z"
+    stamps = np.array([stamp.encode()], dtype=series._ISO_DTYPE)
+    try:
+        expected = series._parse_timestamp(stamp)
+    except ValueError:
+        expected = None
+    if form != "iso" or expected is None:
+        with pytest.raises(ValueError):
+            series._iso_epochs(stamps)
+    else:
+        assert series._iso_epochs(stamps).tolist() == [expected]
 
 
 # ---------------------------------------------------------------------------
