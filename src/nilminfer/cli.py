@@ -22,8 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .classify import RandomForestConfig, characteristics_experiment
-from .disagg import (fhmm_disaggregate, hart_disaggregate, nilm_metrics,
-                     train_appliance_models)
+from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_disaggregate,
+                     nilm_metrics, train_appliance_models)
 from .errors import DegenerateModelError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
@@ -232,8 +232,10 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
 
     def common_and_detector(p):
         common(p)
-        p.add_argument("--steady-tol", dest="steady_tol", type=float, default=15.0)
-        p.add_argument("--min-event", dest="min_event", type=float, default=70.0)
+        p.add_argument("--steady-tol", dest="steady_tol", type=float,
+                       default=DetectorConfig.steady_tol_w)
+        p.add_argument("--min-event", dest="min_event", type=float,
+                       default=DetectorConfig.min_event_w)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--homes", type=int, default=20)
@@ -266,7 +268,8 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("fhmm", "hart"), default="fhmm")
     p.add_argument("--train-split", dest="train_split", default=0.5,
                    type=_checked(float, lambda x: 0 < x < 1, "need a number in (0, 1)"))
-    p.add_argument("--on-threshold", dest="on_threshold", type=float, default=50.0)
+    p.add_argument("--on-threshold", dest="on_threshold", type=float,
+                   default=ON_THRESHOLD_W)
     p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_disaggregate)

@@ -10,12 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DegenerateModelError
-from .events import DetectorConfig, cluster_magnitudes, detect_events, pair_events
+from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
+                     detect_events, pair_events)
 from .series import PowerSeries
 
 PRODUCT_STATE_CAP = 4096
 OFF_SNAP_W = 15.0
 VAR_FLOOR_W2 = 1.0
+ON_THRESHOLD_W = 50.0  # a trace is ON where its power is strictly above this
 
 
 @dataclass(frozen=True)
@@ -232,81 +234,49 @@ def fhmm_disaggregate(aggregate: PowerSeries,
 
 
 def hart_disaggregate(aggregate: PowerSeries,
-                      det: DetectorConfig | None = None,
-                      hvac_min_w: float = 1000.0,
-                      cluster_tol_frac: float = 0.1) -> DisaggResult:
+                      det: DetectorConfig | None = None) -> DisaggResult:
     """Unsupervised disaggregation: hart_reconstruct on the aggregate's pairs."""
     det = det or DetectorConfig()
     events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
     pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
-    return hart_reconstruct(aggregate, pairs, hvac_min_w, cluster_tol_frac)
+    return hart_reconstruct(aggregate, pairs)
 
 
-def hart_reconstruct(aggregate: PowerSeries, pairs: list,
-                     hvac_min_w: float = 1000.0,
-                     cluster_tol_frac: float = 0.1) -> DisaggResult:
-    """Trace reconstruction from the aggregate's event pairs.
+def hart_reconstruct(aggregate: PowerSeries, pairs: list) -> DisaggResult:
+    """Hart's event-pair clustering (Proc. IEEE, 1992) of the aggregate's pairs.
 
-    Pair magnitudes are clustered; each cluster becomes a pseudo-appliance
-    whose trace is the sum of rectangular pulses over its pairs' ON
-    intervals. The largest-center cluster at or above hvac_min_w is labelled
-    "hvac" (all-zero with a flag when none qualifies) and the largest-center
-    cluster overall is labelled "highest_power_appliance".
+    The top magnitude cluster, the last of cluster_magnitudes, becomes
+    "highest_power_appliance": rectangular pulses over its pairs' ON
+    intervals. That same series is "hvac" when its center is at least
+    HVAC_MIN_W; otherwise "hvac" is all zeros, flagged hvac_absent. The
+    residual is the aggregate less the top trace, clamped at 0.
     """
-    mags = np.array([p.magnitude_w for p in pairs])
-    clusters = cluster_magnitudes(mags, cluster_tol_frac)
-
-    n = len(aggregate)
-    t0, per = aggregate.start_time, aggregate.period_s
-
-    def cluster_trace(cluster):
-        trace = np.zeros(n)
-        for idx in cluster["indices"]:
+    clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
+    t0, per, tz = aggregate.start_time, aggregate.period_s, aggregate.timezone
+    trace = np.zeros(len(aggregate))
+    flags: dict = {}
+    if clusters:
+        top = clusters[-1]
+        for idx in top["indices"]:
             p = pairs[int(idx)]
             a = (p.on_time - t0) // per
             b = (p.off_time - t0) // per
             trace[a:b] += p.magnitude_w
-        return trace
-
-    flags: dict = {}
-    appliances: dict = {}
-    used = []
-    zeros = np.zeros(n)
-
-    hvac_cands = [c for c in clusters if c["center"] >= hvac_min_w]
-    if hvac_cands:
-        hvac_cluster = max(hvac_cands, key=lambda c: c["center"])
-        appliances["hvac"] = PowerSeries(t0, per, cluster_trace(hvac_cluster),
-                                         aggregate.timezone)
-        used.append(id(hvac_cluster))
-        flags["hvac_center_w"] = hvac_cluster["center"]
-    else:
-        appliances["hvac"] = PowerSeries(t0, per, zeros, aggregate.timezone)
-        flags["hvac_absent"] = True
-
-    if clusters:
-        top = max(clusters, key=lambda c: c["center"])
-        if id(top) in used:
-            appliances["highest_power_appliance"] = appliances["hvac"]
-            flags["highest_power_is_hvac"] = True
-        else:
-            appliances["highest_power_appliance"] = PowerSeries(
-                t0, per, cluster_trace(top), aggregate.timezone)
-            used.append(id(top))
         flags["highest_center_w"] = top["center"]
         flags["top_cluster_magnitudes"] = [float(v) for v in top["values"]]
     else:
-        appliances["highest_power_appliance"] = PowerSeries(t0, per, zeros,
-                                                            aggregate.timezone)
         flags["no_clusters"] = True
-
-    # residual counts each distinct underlying cluster once, even when one
-    # cluster carries both labels
-    distinct = {id(v): v for v in appliances.values()}
-    pred_sum = np.sum([v.values for v in distinct.values()], axis=0)
-    residual = PowerSeries(t0, per, np.maximum(aggregate.values - pred_sum, 0.0),
-                           aggregate.timezone)
-    return DisaggResult(appliances=appliances, residual=residual, flags=flags)
+    highest = PowerSeries(t0, per, trace, tz)
+    if clusters and top["center"] >= HVAC_MIN_W:
+        hvac = highest
+        flags["hvac_center_w"] = top["center"]
+        flags["highest_power_is_hvac"] = True
+    else:
+        hvac = PowerSeries(t0, per, np.zeros_like(trace), tz)
+        flags["hvac_absent"] = True
+    residual = PowerSeries(t0, per, np.maximum(aggregate.values - trace, 0.0), tz)
+    return DisaggResult(appliances={"hvac": hvac, "highest_power_appliance": highest},
+                        residual=residual, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -323,7 +293,7 @@ class NilmMetrics:
 
 
 def nilm_metrics(pred: PowerSeries, truth: PowerSeries,
-                 on_threshold_w: float = 50.0) -> NilmMetrics:
+                 on_threshold_w: float = ON_THRESHOLD_W) -> NilmMetrics:
     """Percent energy error, RMSE power, and F-score on the ON indicator
     (power strictly above on_threshold_w)."""
     if len(pred) != len(truth) or pred.period_s != truth.period_s:

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import EmptyWindowError
 from .series import PowerSeries, local_clock_hours
 
+HVAC_MIN_W = 1000.0  # a pair cluster centered at or above this is HVAC
+CLUSTER_GAP_FRAC = 0.1  # magnitude cluster gap, and background match tolerance
+BACKGROUND_MIN_SUPPORT = 3  # night events a background cluster needs
+
 
 @dataclass(frozen=True)
 class Event:
@@ -48,7 +52,7 @@ class EventPair:
 class BackgroundProfile:
     """Recurring night-time event magnitudes treated as background loads."""
     cluster_centers_w: tuple
-    match_tol_frac: float = 0.1
+    match_tol_frac: float = CLUSTER_GAP_FRAC
 
     def __post_init__(self):
         centers = tuple(float(c) for c in self.cluster_centers_w)
@@ -61,19 +65,18 @@ class BackgroundProfile:
 
 @dataclass
 class DetectorConfig:
-    """Thresholds for the event pipeline. Defaults follow common practice for
-    1 Hz-to-1/60 Hz residential data: 15 W steady tolerance, 70 W minimum
-    event."""
+    """Thresholds for detecting and pairing events; clustering uses the module
+    constants. Defaults follow common practice for 1 Hz-to-1/60 Hz residential
+    data: 15 W steady tolerance, 70 W minimum event."""
     steady_tol_w: float = 15.0
     min_event_w: float = 70.0
     match_tol_frac: float = 0.2
     max_duration_s: float = 7200.0
-    background_cluster_tol: float = 0.1
-    background_min_support: int = 3
 
 
-def detect_events(s: PowerSeries, steady_tol_w: float = 15.0,
-                  min_event_w: float = 70.0) -> list[Event]:
+def detect_events(s: PowerSeries,
+                  steady_tol_w: float = DetectorConfig.steady_tol_w,
+                  min_event_w: float = DetectorConfig.min_event_w) -> list[Event]:
     """Detect signed step events in a power trace.
 
     A steady state is a maximal run of samples each within steady_tol_w of the
@@ -149,91 +152,73 @@ def pair_events(events: list[Event], match_tol_frac: float = 0.2,
     return pairs
 
 
-def cluster_magnitudes(mags: np.ndarray, rel_gap: float = 0.1,
+def cluster_magnitudes(mags: np.ndarray, rel_gap: float = CLUSTER_GAP_FRAC,
                        min_support: int = 1) -> list[dict]:
     """Single-linkage 1-D clustering with a relative gap criterion.
 
     Sorted magnitudes split wherever the gap to the previous value exceeds
     rel_gap of it. Returns clusters with >= min_support members, each as
     {"center": median, "indices": member indices, "values": member values},
-    sorted by center.
+    in ascending order: each is a run of the sorted magnitudes, split only at
+    a gap > 0 (for non-negative magnitudes), so every value of a cluster is
+    below every value of the next and the centers strictly rise.
     """
     mags = np.asarray(mags, dtype=float)
     if mags.size == 0:
         return []
     order = np.argsort(mags, kind="stable")
     sorted_vals = mags[order]
-    breaks = [0]
-    for i in range(1, sorted_vals.size):
-        if sorted_vals[i] - sorted_vals[i - 1] > rel_gap * sorted_vals[i - 1]:
-            breaks.append(i)
-    breaks.append(sorted_vals.size)
+    splits = np.flatnonzero(np.diff(sorted_vals) > rel_gap * sorted_vals[:-1]) + 1
+    bounds = [0, *splits.tolist(), sorted_vals.size]
 
     clusters = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a < min_support:
-            continue
-        clusters.append({
-            "center": float(np.median(sorted_vals[a:b])),
-            "indices": order[a:b],
-            "values": sorted_vals[a:b].copy(),
-        })
-    clusters.sort(key=lambda c: c["center"])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b - a >= min_support:
+            clusters.append({
+                "center": float(np.median(sorted_vals[a:b])),
+                "indices": order[a:b],
+                "values": sorted_vals[a:b].copy(),
+            })
     return clusters
-
-
-def night_runs(s: PowerSeries, night_start_hour: float,
-               night_end_hour: float) -> list[tuple[int, int]]:
-    """Index ranges [i, j) of contiguous sample runs inside the local night
-    window."""
-    hours = local_clock_hours(s.timestamps(), s.timezone)
-    mask = (hours >= night_start_hour) & (hours < night_end_hour)
-    if not mask.any():
-        return []
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return [(int(edges[k]), int(edges[k + 1])) for k in range(0, edges.size, 2)]
 
 
 def learn_background(s: PowerSeries, night_start_hour: float = 1.0,
                      night_end_hour: float = 5.0,
-                     steady_tol_w: float = 15.0, min_event_w: float = 70.0,
-                     cluster_tol_frac: float = 0.1,
-                     min_support: int = 3) -> BackgroundProfile:
+                     steady_tol_w: float = DetectorConfig.steady_tol_w,
+                     min_event_w: float = DetectorConfig.min_event_w) -> BackgroundProfile:
     """Learn background-load magnitudes from the night-time trace.
 
     Events are detected on each contiguous night run; absolute magnitudes are
-    clustered and the medians of clusters with at least min_support members
-    become the profile centers. One-off night usage thus never qualifies.
+    clustered (CLUSTER_GAP_FRAC) and the medians of clusters with at least
+    BACKGROUND_MIN_SUPPORT members become the profile centers, matched within
+    CLUSTER_GAP_FRAC. One-off night usage thus never qualifies.
     """
-    runs = night_runs(s, night_start_hour, night_end_hour)
-    if not runs:
+    hours = local_clock_hours(s.timestamps(), s.timezone)
+    night = (hours >= night_start_hour) & (hours < night_end_hour)
+    if not night.any():
         raise EmptyWindowError(
             f"series has no samples in the [{night_start_hour}, "
             f"{night_end_hour}) night window")
+    # a night run [i, j) starts and ends where the padded mask changes
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], night, [False]))))
     mags = []
-    for i, j in runs:
+    for i, j in zip(edges[0::2].tolist(), edges[1::2].tolist()):
         if j - i < 2:
             continue
         for e in detect_events(s.slice(i, j), steady_tol_w, min_event_w):
             mags.append(abs(e.delta_w))
-    clusters = cluster_magnitudes(np.array(mags), cluster_tol_frac, min_support)
-    centers = tuple(c["center"] for c in clusters)
-    return BackgroundProfile(cluster_centers_w=centers,
-                             match_tol_frac=cluster_tol_frac)
+    clusters = cluster_magnitudes(np.array(mags), CLUSTER_GAP_FRAC,
+                                  BACKGROUND_MIN_SUPPORT)
+    return BackgroundProfile(cluster_centers_w=tuple(c["center"] for c in clusters),
+                             match_tol_frac=CLUSTER_GAP_FRAC)
 
 
 def remove_background(pairs: list[EventPair],
                       profile: BackgroundProfile) -> list[EventPair]:
     """Drop pairs whose magnitude matches any background cluster center within
     the profile tolerance; everything else passes through in order."""
-    if not profile.cluster_centers_w:
-        return list(pairs)
     centers = np.array(profile.cluster_centers_w)
-    tol = profile.match_tol_frac
-    kept = []
-    for p in pairs:
-        if not np.any(np.abs(p.magnitude_w - centers) <= tol * centers):
-            kept.append(p)
-    return kept
-
+    mags = np.array([p.magnitude_w for p in pairs])
+    struck = (np.abs(mags[:, None] - centers)
+              <= profile.match_tol_frac * centers).any(axis=1)
+    return [p for p, gone in zip(pairs, struck.tolist()) if not gone]

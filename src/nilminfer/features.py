@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disagg import fhmm_disaggregate, hart_reconstruct, train_appliance_models
+from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_reconstruct,
+                     train_appliance_models)
 from .errors import CoverageError, UndefinedStatisticError
-from .events import DetectorConfig, cluster_magnitudes, detect_events, pair_events
+from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
+                     detect_events, pair_events)
 from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, load_home,
                      local_clock_hours, local_weekdays)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
@@ -123,16 +125,14 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
 
 
 def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
-                               events, pairs, *, hvac_circuits: int | None = None,
-                               on_threshold_w: float = 50.0,
-                               hvac_min_w: float = 1000.0,
-                               cluster_tol_frac: float = 0.1) -> FeatureVector:
+                               events, pairs, *,
+                               hvac_circuits: int | None = None) -> FeatureVector:
     """HVAC and event-stream features over a home.
 
     hvac_circuits falls back to the count of event-pair magnitude clusters at
-    or above hvac_min_w when the metadata does not provide it (flagged). The
-    highest-power-appliance statistics come from the magnitudes of the
-    largest-center pair cluster.
+    or above HVAC_MIN_W when the metadata does not provide it (flagged). The
+    highest-power-appliance statistics come from the magnitudes of the top
+    pair cluster, the last one. HVAC is ON above ON_THRESHOLD_W.
     """
     if (hvac.start_time != aggregate.start_time
             or hvac.period_s != aggregate.period_s
@@ -146,20 +146,19 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     fv = FeatureVector()
     fv.add("hvac_max_power", float(hvac.values.max()))
     fv.add("appliance_switches", float(len(events)))
-    fv.add("hvac_on_fraction", float((hvac.values > on_threshold_w).mean()))
+    fv.add("hvac_on_fraction", float((hvac.values > ON_THRESHOLD_W).mean()))
     frac = float(hvac.values.sum()) / agg_energy
     fv.add("hvac_energy_fraction", min(frac, 1.0),
            flag="clamped_above_1" if frac > 1.0 else None)
 
-    clusters = cluster_magnitudes(
-        np.array([p.magnitude_w for p in pairs]), cluster_tol_frac)
+    clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
     if hvac_circuits is not None:
         fv.add("hvac_circuits", float(hvac_circuits))
     else:
-        n_big = sum(1 for c in clusters if c["center"] >= hvac_min_w)
+        n_big = sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)
         fv.add("hvac_circuits", float(n_big), flag="cluster_count_proxy")
     if clusters:
-        top = max(clusters, key=lambda c: c["center"])["values"]
+        top = clusters[-1]["values"]
         fv.add("top_appliance_mean", float(np.mean(top)))
         fv.add("top_appliance_max", float(np.max(top)))
         fv.add("top_appliance_median", float(np.median(top)))
@@ -252,9 +251,7 @@ class FeatureTable:
 
 
 def build_home_features(home: HomeData, sources,
-                        det: DetectorConfig | None = None, *, seed: int = 0,
-                        on_threshold_w: float = 50.0,
-                        hvac_min_w: float = 1000.0) -> dict:
+                        det: DetectorConfig | None = None, *, seed: int = 0) -> dict:
     """FeatureVector per requested source for one home. Shared inputs
     (aggregate stream, detected events, pair list) are computed once. The
     disagg-fhmm source trains its appliance models, with this seed, on the
@@ -270,8 +267,7 @@ def build_home_features(home: HomeData, sources,
         fv = extract_consumption_features(hvac_stream, "hvac")
         fv = fv.merge(extract_appliance_features(
             hvac_stream, aggregate, events, pairs,
-            hvac_circuits=entry.hvac_circuits,
-            on_threshold_w=on_threshold_w, hvac_min_w=hvac_min_w))
+            hvac_circuits=entry.hvac_circuits))
         return fv
 
     out = {}
@@ -284,8 +280,7 @@ def build_home_features(home: HomeData, sources,
             bundle = hvac_bundle(home.appliance("hvac"))
             out[source] = bundle if source == "hvac-only" else agg_fv.merge(bundle)
         elif source == "disagg-hart":
-            hvac = hart_reconstruct(aggregate, pairs,
-                                    hvac_min_w=hvac_min_w).appliances["hvac"]
+            hvac = hart_reconstruct(aggregate, pairs).appliances["hvac"]
             out[source] = agg_fv.merge(hvac_bundle(hvac))
         elif source == "disagg-fhmm":
             halves = {name: home.appliance(name).slice(

@@ -182,9 +182,8 @@ def predict_occupancy_events(s: PowerSeries, cfg: OccupancyConfig | None = None,
         raise CoverageError("need at least one full day of data")
 
     events = detect_events(s, det.steady_tol_w, det.min_event_w)
-    profile = learn_background(
-        s, cfg.night_start_hour, cfg.night_end_hour, det.steady_tol_w,
-        det.min_event_w, det.background_cluster_tol, det.background_min_support)
+    profile = learn_background(s, cfg.night_start_hour, cfg.night_end_hour,
+                               det.steady_tol_w, det.min_event_w)
     pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
     foreground = remove_background(pairs, profile)
 

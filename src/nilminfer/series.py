@@ -264,9 +264,14 @@ def _parse_timestamp(text: str) -> int:
         return int(text)
     except ValueError:
         pass
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    iso = text.replace("Z", "+00:00")
+    dt = datetime.fromisoformat(iso)
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=_utc_tz.utc)
+        return int(dt.replace(tzinfo=_utc_tz.utc).timestamp())
+    # fromisoformat reads +05:99 as +06:39; the offset follows the last sign
+    offset = iso[max(iso.rfind("+"), iso.rfind("-")) + 1:].replace(":", "")
+    if offset[2:4] > "59" or offset[4:6] > "59":
+        raise ValueError(f"offset field over 59 in {text!r}")
     return int(dt.timestamp())
 
 
@@ -300,33 +305,46 @@ def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.n
 
 
 def _read_csv_rows(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:
-    """Row-by-row `_read_csv`. Any bad input is a ParseError naming the file
-    and, for a bad row, its 1-based line."""
+    """Row-by-row `_read_csv` of UTF-8 text. Any bad input is a ParseError
+    naming the file and, for a bad row or byte, its 1-based line."""
     ts, vals = [], []
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file", line=1, path=str(path))
-        header = [h.strip() for h in header]
-        try:
-            t_idx = header.index("timestamp")
-            v_idx = header.index(value_col)
-        except ValueError:
-            raise ParseError(
-                f"{path}: header must contain 'timestamp' and '{value_col}', "
-                f"got {header}", line=1, path=str(path)) from None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file", line=1, path=str(path))
+            header = [h.strip() for h in header]
             try:
-                t = _parse_timestamp(row[t_idx])
-                v = parse_value(row[v_idx])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row {row!r} "
-                                 f"({exc})", line=lineno, path=str(path)) from exc
-            ts.append(t)
-            vals.append(v)
+                t_idx = header.index("timestamp")
+                v_idx = header.index(value_col)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: header must contain 'timestamp' and '{value_col}', "
+                    f"got {header}", line=1, path=str(path)) from None
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                try:
+                    t = _parse_timestamp(row[t_idx])
+                    v = parse_value(row[v_idx])
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(f"{path}:{lineno}: malformed row {row!r} "
+                                     f"({exc})", line=lineno, path=str(path)) from exc
+                ts.append(t)
+                vals.append(v)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}",
+                         line=reader.line_num, path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:  # exc counts bytes from its chunk
+            exc = whole
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason})",
+                         line=line, path=str(path)) from exc
     if not ts:
         raise ParseError(f"{path}: no data rows", line=2, path=str(path))
     return _by_time(np.array(ts, dtype=np.int64), np.array(vals))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY,
                      DatasetManifest, HomeEntry, local_clock_hours,
-                     local_weekdays, save_manifest, write_occupancy_csv,
-                     write_power_csv)
+                     local_weekdays, save_manifest, window_occupancy,
+                     write_occupancy_csv, write_power_csv)
 
 # 2024-01-01 00:00 UTC, a Monday; keeps weekday arithmetic easy to reason about
 DEFAULT_START = 1704067200
@@ -237,11 +237,9 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
         "occupant": PowerSeries(spec.start_time, period, occupant_clean, spec.timezone),
     }
 
-    n_windows = spec.days * SECONDS_PER_DAY // 900
-    widx = ((ts - spec.start_time) // 900).astype(np.int64)
-    flags = np.zeros(n_windows, dtype=bool)
-    flags[widx[occupied]] = True
-    occupancy = OccupancySeries(spec.start_time, 900, flags, spec.timezone)
+    occupancy = window_occupancy(
+        ts, occupied, window_start=spec.start_time, window_s=900,
+        n_windows=spec.days * SECONDS_PER_DAY // 900, timezone=spec.timezone)
 
     return GeneratedHome(spec=spec, aggregate=aggregate, appliances=appliances,
                          occupancy_ts=ts, occupancy_flags=occupied,

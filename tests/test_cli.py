@@ -121,9 +121,10 @@ def test_features_csv(tmp_path, small_corpus):
 
 def test_classify_subcommand(tmp_path, small_corpus):
     out = tmp_path / "table.json"
-    assert run(["classify", "--manifest", manifest_path(small_corpus),
-                "--source", "aggregate-only", "--classifier", "knn",
-                "--out", str(out)]) == 0
+    with pytest.warns(UserWarning, match="skipping rooms"):
+        assert run(["classify", "--manifest", manifest_path(small_corpus),
+                    "--source", "aggregate-only", "--classifier", "knn",
+                    "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert all({"characteristic", "source", "classifier", "accuracy_pct",
                 "selected_features"} <= set(r) for r in payload["rows"])

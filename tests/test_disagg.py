@@ -7,6 +7,7 @@ from nilminfer import disagg
 from nilminfer.disagg import (ApplianceHMM, fhmm_disaggregate,
                               hart_disaggregate, nilm_metrics, train_hmm)
 from nilminfer.errors import CapacityError, DegenerateModelError
+from nilminfer.events import EventPair, cluster_magnitudes
 from nilminfer.series import PowerSeries
 from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
 
@@ -273,7 +274,7 @@ def test_hart_zero_events_flagged():
 def test_hart_no_cluster_above_hvac_threshold():
     # one 300 W load: highest cluster exists but no hvac-sized one
     s = square_wave(300.0, 40, 40, 5)
-    result = hart_disaggregate(s, hvac_min_w=1000.0)
+    result = hart_disaggregate(s)
     assert result.flags.get("hvac_absent") is True
     assert result.appliances["highest_power_appliance"].values.max() > 0
 
@@ -283,6 +284,88 @@ def test_hart_traces_nonnegative(default_corpus):
     result = hart_disaggregate(home.aggregate)
     for trace in result.appliances.values():
         assert (trace.values >= 0).all()
+
+
+def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0,
+                                 cluster_tol_frac=0.1):
+    """Reference: the largest-center cluster at or above hvac_min_w is hvac
+    and the largest-center cluster overall is the highest power appliance,
+    each found by max; the residual counts each distinct cluster once."""
+    mags = np.array([p.magnitude_w for p in pairs])
+    clusters = sorted(cluster_magnitudes(mags, cluster_tol_frac),
+                      key=lambda c: c["center"])
+    n = len(aggregate)
+    t0, per = aggregate.start_time, aggregate.period_s
+
+    def cluster_trace(cluster):
+        trace = np.zeros(n)
+        for idx in cluster["indices"]:
+            p = pairs[int(idx)]
+            trace[(p.on_time - t0) // per:(p.off_time - t0) // per] += p.magnitude_w
+        return trace
+
+    flags, appliances, used, zeros = {}, {}, [], np.zeros(n)
+    hvac_cands = [c for c in clusters if c["center"] >= hvac_min_w]
+    if hvac_cands:
+        hvac_cluster = max(hvac_cands, key=lambda c: c["center"])
+        appliances["hvac"] = PowerSeries(t0, per, cluster_trace(hvac_cluster))
+        used.append(id(hvac_cluster))
+        flags["hvac_center_w"] = hvac_cluster["center"]
+    else:
+        appliances["hvac"] = PowerSeries(t0, per, zeros)
+        flags["hvac_absent"] = True
+    if clusters:
+        top = max(clusters, key=lambda c: c["center"])
+        if id(top) in used:
+            appliances["highest_power_appliance"] = appliances["hvac"]
+            flags["highest_power_is_hvac"] = True
+        else:
+            appliances["highest_power_appliance"] = PowerSeries(
+                t0, per, cluster_trace(top))
+        flags["highest_center_w"] = top["center"]
+        flags["top_cluster_magnitudes"] = [float(v) for v in top["values"]]
+    else:
+        appliances["highest_power_appliance"] = PowerSeries(t0, per, zeros)
+        flags["no_clusters"] = True
+    distinct = {id(v): v for v in appliances.values()}
+    pred_sum = np.sum([v.values for v in distinct.values()], axis=0)
+    residual = PowerSeries(t0, per, np.maximum(aggregate.values - pred_sum, 0.0))
+    return disagg.DisaggResult(appliances, residual, flags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 58), st.integers(1, 20),
+                          st.one_of(st.sampled_from([150.0, 300.0, 990.0, 999.9,
+                                                     1000.0, 1010.0, 2500.0]),
+                                    st.floats(1, 4000))),
+                max_size=25),
+       st.lists(st.floats(0, 5000), min_size=60, max_size=60))
+def test_hart_reconstruct_matches_search_by_identity(specs, values):
+    """No pairs, only sub-hvac centers, a top center of exactly 1000 W, many
+    clusters and repeated magnitudes: the same traces, residual and flags,
+    and hvac is the highest power appliance exactly when the reference
+    found them to be one cluster."""
+    aggregate = series(values)
+    pairs = [EventPair(DEFAULT_START + 30 * on, DEFAULT_START + 30 * (on + d), mag)
+             for on, d, mag in specs]
+    got = disagg.hart_reconstruct(aggregate, pairs)
+    want = hart_reconstruct_by_identity(aggregate, pairs)
+    assert got.flags == want.flags
+    assert got.residual.values.tobytes() == want.residual.values.tobytes()
+    assert got.appliances.keys() == want.appliances.keys()
+    for name, trace in want.appliances.items():
+        assert got.appliances[name].values.tobytes() == trace.values.tobytes()
+    assert (got.appliances["hvac"] is got.appliances["highest_power_appliance"]) == \
+        (want.appliances["hvac"] is want.appliances["highest_power_appliance"])
+
+
+def test_hart_top_center_of_exactly_hvac_min_is_hvac():
+    aggregate = series(np.full(40, 1200.0))
+    pairs = [EventPair(DEFAULT_START + 30 * k, DEFAULT_START + 30 * (k + 2), mag)
+             for k, mag in ((0, 990.0), (5, 1000.0), (10, 1010.0))]
+    result = disagg.hart_reconstruct(aggregate, pairs)
+    assert result.flags["hvac_center_w"] == disagg.HVAC_MIN_W == 1000.0
+    assert result.appliances["hvac"] is result.appliances["highest_power_appliance"]
 
 
 # ---------------------------------------------------------------------------

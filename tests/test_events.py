@@ -310,3 +310,73 @@ def test_cluster_min_support_filters():
                                   min_support=3)
     assert len(clusters) == 1
     assert clusters[0]["center"] == pytest.approx(100.0)
+
+
+def cluster_magnitudes_scanned(mags, rel_gap, min_support):
+    """Reference: the gap scan one sorted value at a time, with the clusters
+    sorted by center afterwards."""
+    mags = np.asarray(mags, dtype=float)
+    if mags.size == 0:
+        return []
+    order = np.argsort(mags, kind="stable")
+    sorted_vals = mags[order]
+    breaks = [0]
+    for i in range(1, sorted_vals.size):
+        if sorted_vals[i] - sorted_vals[i - 1] > rel_gap * sorted_vals[i - 1]:
+            breaks.append(i)
+    breaks.append(sorted_vals.size)
+    clusters = [{"center": float(np.median(sorted_vals[a:b])),
+                 "indices": order[a:b], "values": sorted_vals[a:b].copy()}
+                for a, b in zip(breaks[:-1], breaks[1:]) if b - a >= min_support]
+    clusters.sort(key=lambda c: c["center"])
+    return clusters
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 100.0, 109.0, 110.0, 121.0, 1000.0]),
+                          st.floats(0, 5000)), max_size=40),
+       st.integers(1, 4))
+def test_cluster_magnitudes_come_in_ascending_order(mags, min_support):
+    """Zeros, duplicates and values one gap apart: every value of a cluster
+    lies below every value of the next, the centers strictly rise, and the
+    clusters are the scan's, unsorted."""
+    clusters = cluster_magnitudes(np.array(mags), min_support=min_support)
+    for lo, hi in zip(clusters, clusters[1:]):
+        assert lo["values"].max() < hi["values"].min()
+        assert lo["center"] < hi["center"]
+    reference = cluster_magnitudes_scanned(mags, 0.1, min_support)
+    assert len(clusters) == len(reference)
+    for got, want in zip(clusters, reference):
+        assert got["center"] == want["center"]
+        assert got["indices"].tolist() == want["indices"].tolist()
+        assert got["values"].tobytes() == want["values"].tobytes()
+
+
+def remove_background_per_pair(pairs, profile):
+    """Reference: each pair compared with every center on its own."""
+    if not profile.cluster_centers_w:
+        return list(pairs)
+    centers = np.array(profile.cluster_centers_w)
+    tol = profile.match_tol_frac
+    return [p for p in pairs
+            if not np.any(np.abs(p.magnitude_w - centers) <= tol * centers)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1, 5000), max_size=4, unique=True),
+       st.sampled_from([0.0, 0.1, 0.25]),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-1, 0, 1, None]),
+                          st.floats(1, 5000)), max_size=30))
+def test_remove_background_matches_per_pair_loop(centers, tol, specs):
+    """Empty pair lists, empty profiles, and magnitudes exactly at c, at
+    c - tol*c and at c + tol*c."""
+    centers = sorted(centers)
+    pairs = []
+    for k, (which, edge, free) in enumerate(specs):
+        if centers and edge is not None:
+            c = centers[which % len(centers)]
+            free = c + edge * (tol * c)
+        pairs.append(EventPair(10 * k, 10 * k + 5, free))
+    profile = BackgroundProfile(tuple(centers), tol)
+    assert remove_background(pairs, profile) == \
+        remove_background_per_pair(pairs, profile)
