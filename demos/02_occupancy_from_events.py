@@ -4,7 +4,7 @@
 # too, but theirs recur at night when nobody is acting. So, learn the night
 # magnitudes, strike them from the paired edges, and call the home occupied
 # around whatever activity remains.
-from nilminfer import (DetectorConfig, HomeSpec, OccupancyConfig,
+from nilminfer import (DetectorConfig, HomeSpec,
                        detect_events, evaluate_occupancy, gen_home,
                        learn_background, pair_events,
                        predict_occupancy_events,
@@ -13,33 +13,31 @@ from nilminfer import (DetectorConfig, HomeSpec, OccupancyConfig,
 home = gen_home(HomeSpec(seed=21, days=7))
 agg = home.aggregate
 det = DetectorConfig()
-cfg = OccupancyConfig()
 
 events = detect_events(agg, det.steady_tol_w, det.min_event_w)
 print(f"step 1  detect events:      {len(events)} steps >= {det.min_event_w} W")
 
-profile = learn_background(agg, cfg.night_start_hour, cfg.night_end_hour)
+profile = learn_background(agg)
 centers = ", ".join(f"{c:.0f} W" for c in profile.cluster_centers_w)
 print(f"step 2  night background:   clusters at [{centers}]")
 
-pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
+pairs = pair_events(events)
 foreground = remove_background(pairs, profile)
 print(f"step 3  pair edges:         {len(pairs)} ON/OFF pairs")
 print(f"step 4  drop background:    {len(foreground)} foreground pairs left")
 
-pred = predict_occupancy_events(agg, cfg, det)
-m = evaluate_occupancy(pred, home.occupancy, cfg)
+pred = predict_occupancy_events(agg, det)
+m = evaluate_occupancy(pred, home.occupancy)
 print(f"step 5  windowed occupancy: accuracy {m.accuracy_pct:.1f}%  "
       f"(TP {m.tp}  TN {m.tn}  FP {m.fp}  FN {m.fn})")
 
 # compare against the two aggregate-only baselines
 for label, stat in (("night-threshold (max)", "max"),
                     ("night-threshold (median)", "median")):
-    alt = predict_occupancy_night_threshold(agg, cfg, stat)
-    am = evaluate_occupancy(alt, home.occupancy, cfg)
+    alt = predict_occupancy_night_threshold(agg, stat)
+    am = evaluate_occupancy(alt, home.occupancy)
     print(f"baseline {label:25s} accuracy {am.accuracy_pct:.1f}%  "
           f"energy proxy {am.energy_proxy}  miss time {am.miss_time}")
 
-m_ours = evaluate_occupancy(pred, home.occupancy, cfg)
-print(f"\nevent pipeline HVAC-control view: energy proxy {m_ours.energy_proxy} "
-      f"windows, miss time {m_ours.miss_time} windows")
+print(f"\nevent pipeline HVAC-control view: energy proxy {m.energy_proxy} "
+      f"windows, miss time {m.miss_time} windows")

@@ -25,7 +25,7 @@ from .series import (PowerSeries, OccupancySeries, DatasetManifest, HomeEntry,
 from .events import (Event, EventPair, BackgroundProfile, DetectorConfig,
                      detect_events, pair_events, learn_background,
                      remove_background, cluster_magnitudes)
-from .occupancy import (OccupancyConfig, OccupancyMetrics,
+from .occupancy import (OccupancyMetrics,
                         predict_occupancy_events,
                         predict_occupancy_night_threshold,
                         window_power_features, evaluate_occupancy,
@@ -36,9 +36,8 @@ from .disagg import (ApplianceHMM, DisaggResult, NilmMetrics, train_hmm,
 from .features import (FeatureVector, extract_consumption_features,
                        extract_appliance_features, chi2_select, pearson,
                        build_feature_table, write_feature_csv)
-from .classify import (HouseholdRecord, RandomForestConfig,
-                       label_characteristics, knn_classify, rf_classify,
-                       majority_baseline, characteristics_experiment,
-                       stratified_folds)
+from .classify import (HouseholdRecord, label_characteristics, knn_classify,
+                       rf_classify, majority_baseline,
+                       characteristics_experiment, stratified_folds)
 from .synth import (HomeSpec, CyclicLoadSpec, HvacSpec, OccupantLoadSpec,
                     GeneratedHome, Corpus, gen_home, gen_corpus)

@@ -90,6 +90,8 @@ def label_characteristics(characteristics: dict,
 # ---------------------------------------------------------------------------
 
 KNN_K = 5
+N_TREES = 25
+MAX_DEPTH = 6
 # chi-squared feature counts the inner scan tries; None keeps every feature
 CHI2_K_CANDIDATES = (2, 4, 6, 8, None)
 
@@ -166,13 +168,6 @@ def knn_classify(train_X, train_y, test_X, k: int = 5):
     return _vote(votes, classes, rank)
 
 
-@dataclass
-class RandomForestConfig:
-    n_trees: int = 25
-    max_depth: int = 6
-    seed: int = 0
-
-
 def _gini_best_split(X, y_idx, orders, counts, features):
     """Best (feature, threshold, impurity) over candidate midpoints of the
     given feature columns, each read in its row of `orders`; None when nothing splits."""
@@ -235,27 +230,24 @@ def _route(tree, X, rows, out):
     _route(right, X, rows[~go_left], out)
 
 
-def rf_classify(train_X, train_y, test_X,
-                cfg: RandomForestConfig | None = None):
-    """Bagged Gini decision trees over sqrt(d) feature subsets per node.
+def rf_classify(train_X, train_y, test_X, seed: int = 0):
+    """N_TREES bagged Gini decision trees of depth at most MAX_DEPTH over
+    sqrt(d) feature subsets per node.
 
     Deterministic for a given seed; vote ties use the same rules as kNN.
     """
-    cfg = cfg or RandomForestConfig()
-    if cfg.n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
     train_X, train_y, test_X = _check_xy(train_X, train_y, test_X)
     classes, y_idx, rank = _encode_labels(train_y)
     n, d = train_X.shape
     m_features = max(1, int(round(np.sqrt(d))))
     rows = np.arange(test_X.shape[0])
-    votes = np.empty((test_X.shape[0], cfg.n_trees), dtype=np.intp)
-    for t in range(cfg.n_trees):
-        rng = np.random.default_rng([cfg.seed, t])
+    votes = np.empty((test_X.shape[0], N_TREES), dtype=np.intp)
+    for t in range(N_TREES):
+        rng = np.random.default_rng([seed, t])
         boot = rng.integers(0, n, size=n)
         X = train_X[boot]
         tree = _build_tree(X, y_idx[boot], np.argsort(X.T, axis=1), len(classes),
-                           0, cfg.max_depth, rng, m_features)
+                           0, MAX_DEPTH, rng, m_features)
         _route(tree, test_X, rows, votes[:, t])
     return _vote(votes, classes, rank)
 
@@ -288,18 +280,18 @@ def stratified_folds(labels, n_folds: int, seed: int) -> list[np.ndarray]:
 
 
 def classifier_predict(classifier: str, train_X, train_y, test_X,
-                       rf_cfg: RandomForestConfig | None = None):
+                       seed: int = 0):
     """Labels of test_X from "knn" (k = KNN_K, capped at the training size)
-    or "rf" trained on (train_X, train_y)."""
+    or "rf" (with this seed) trained on (train_X, train_y)."""
     if classifier == "knn":
         return knn_classify(train_X, train_y, test_X,
                             k=min(KNN_K, len(train_y)))
     if classifier == "rf":
-        return rf_classify(train_X, train_y, test_X, rf_cfg)
+        return rf_classify(train_X, train_y, test_X, seed)
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
-def _scan_k(X, y, classifier, seed, rf_cfg):
+def _scan_k(X, y, classifier, seed):
     """Pick the chi-squared k by an inner stratified 2-fold scan on the
     training fold; ties go to the smallest k. Each candidate's features are
     a prefix of one chi-squared ordering per inner fold."""
@@ -319,7 +311,7 @@ def _scan_k(X, y, classifier, seed, rf_cfg):
         for kk in cands:
             sel = order[:kk]
             pred = classifier_predict(classifier, X[tr][:, sel], y[tr],
-                                      X[te][:, sel], rf_cfg)
+                                      X[te][:, sel], seed)
             accs[kk].append(float(np.mean(pred == y[te])))
     best_k, best_acc = cands[0], -1.0
     for kk in cands:
@@ -339,7 +331,6 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     classifier, and report mean test accuracy along with the majority-class
     baseline. Characteristics with any class under 2 homes are skipped.
     """
-    rf_cfg = RandomForestConfig(seed=seed)
     table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
     records = {e.home_id: label_characteristics(e.characteristics, e.home_id)
                for e in manifest.homes}
@@ -366,10 +357,10 @@ def characteristics_experiment(manifest, feature_sources=("both",),
             for f in range(folds):
                 te = fold_idx[f]
                 tr = np.setdiff1d(np.arange(len(labelled)), te)
-                k_best = _scan_k(X[tr], y_all[tr], classifier, seed, rf_cfg)
+                k_best = _scan_k(X[tr], y_all[tr], classifier, seed)
                 sel, _ = chi2_select(X[tr], y_all[tr], k_best)
                 pred = classifier_predict(classifier, X[tr][:, sel],
-                                          y_all[tr], X[te][:, sel], rf_cfg)
+                                          y_all[tr], X[te][:, sel], seed)
                 fold_accs.append(float(np.mean(pred == y_all[te])))
                 base = majority_baseline(y_all[tr], te.size)
                 base_accs.append(float(np.mean(base == y_all[te])))

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classify import RandomForestConfig, characteristics_experiment
+from .classify import characteristics_experiment
 from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_disaggregate,
                      nilm_metrics, train_appliance_models)
 from .errors import DegenerateModelError
@@ -100,7 +100,7 @@ def cmd_detect_events(cfg: dict) -> int:
     for entry in sorted(manifest.homes, key=lambda e: e.home_id):
         series = load_home(manifest, entry).aggregate
         events = detect_events(series, det.steady_tol_w, det.min_event_w)
-        pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
+        pairs = pair_events(events)
         with open(out / f"events_{entry.home_id}.csv", "w") as f:
             f.write("time,delta_w\n")
             for e in events:
@@ -122,7 +122,7 @@ def cmd_occupancy(cfg: dict) -> int:
     algorithms = tuple(cfg["algo"].split(","))
     results = occupancy_experiment(
         manifest, protocol=cfg["protocol"], algorithms=algorithms,
-        det=_detector(cfg), rf_cfg=RandomForestConfig(seed=cfg["seed"]))
+        det=_detector(cfg), seed=cfg["seed"])
     _write_json(cfg["out"], _envelope(cfg, results))
     print(f"wrote occupancy results for {len(results['per_home'])} rows "
           f"to {cfg['out']}")

@@ -238,7 +238,7 @@ def hart_disaggregate(aggregate: PowerSeries,
     """Unsupervised disaggregation: hart_reconstruct on the aggregate's pairs."""
     det = det or DetectorConfig()
     events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
-    pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
+    pairs = pair_events(events)
     return hart_reconstruct(aggregate, pairs)
 
 

@@ -20,6 +20,9 @@ from .series import PowerSeries, local_clock_hours
 HVAC_MIN_W = 1000.0  # a pair cluster centered at or above this is HVAC
 CLUSTER_GAP_FRAC = 0.1  # magnitude cluster gap, and background match tolerance
 BACKGROUND_MIN_SUPPORT = 3  # night events a background cluster needs
+NIGHT_HOURS = (1, 5)  # local [start, end) hours background loads are learned in
+PAIR_TOL_FRAC = 0.2  # a fall pairs a rise within this fraction of its magnitude
+MAX_PAIR_S = 7200  # no ON interval is longer
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,11 @@ class BackgroundProfile:
 
 @dataclass
 class DetectorConfig:
-    """Thresholds for detecting and pairing events; clustering uses the module
+    """Thresholds for detecting events; pairing and clustering use the module
     constants. Defaults follow common practice for 1 Hz-to-1/60 Hz residential
     data: 15 W steady tolerance, 70 W minimum event."""
     steady_tol_w: float = 15.0
     min_event_w: float = 70.0
-    match_tol_frac: float = 0.2
-    max_duration_s: float = 7200.0
 
 
 def detect_events(s: PowerSeries,
@@ -119,8 +120,8 @@ def detect_events(s: PowerSeries,
     return events
 
 
-def pair_events(events: list[Event], match_tol_frac: float = 0.2,
-                max_duration_s: float = 7200.0) -> list[EventPair]:
+def pair_events(events: list[Event], match_tol_frac: float = PAIR_TOL_FRAC,
+                max_duration_s: float = MAX_PAIR_S) -> list[EventPair]:
     """Greedily pair falling edges to earlier rising edges.
 
     Scanning in time order, each falling edge matches the earliest unmatched
@@ -152,23 +153,23 @@ def pair_events(events: list[Event], match_tol_frac: float = 0.2,
     return pairs
 
 
-def cluster_magnitudes(mags: np.ndarray, rel_gap: float = CLUSTER_GAP_FRAC,
-                       min_support: int = 1) -> list[dict]:
+def cluster_magnitudes(mags: np.ndarray, min_support: int = 1) -> list[dict]:
     """Single-linkage 1-D clustering with a relative gap criterion.
 
     Sorted magnitudes split wherever the gap to the previous value exceeds
-    rel_gap of it. Returns clusters with >= min_support members, each as
-    {"center": median, "indices": member indices, "values": member values},
-    in ascending order: each is a run of the sorted magnitudes, split only at
-    a gap > 0 (for non-negative magnitudes), so every value of a cluster is
-    below every value of the next and the centers strictly rise.
+    CLUSTER_GAP_FRAC of it. Returns clusters with >= min_support members,
+    each as {"center": median, "indices": member indices, "values": member
+    values}, in ascending order: each is a run of the sorted magnitudes, split
+    only at a gap > 0 (for non-negative magnitudes), so every value of a
+    cluster is below every value of the next and the centers strictly rise.
     """
     mags = np.asarray(mags, dtype=float)
     if mags.size == 0:
         return []
     order = np.argsort(mags, kind="stable")
     sorted_vals = mags[order]
-    splits = np.flatnonzero(np.diff(sorted_vals) > rel_gap * sorted_vals[:-1]) + 1
+    gaps = np.diff(sorted_vals)
+    splits = np.flatnonzero(gaps > CLUSTER_GAP_FRAC * sorted_vals[:-1]) + 1
     bounds = [0, *splits.tolist(), sorted_vals.size]
 
     clusters = []
@@ -182,23 +183,22 @@ def cluster_magnitudes(mags: np.ndarray, rel_gap: float = CLUSTER_GAP_FRAC,
     return clusters
 
 
-def learn_background(s: PowerSeries, night_start_hour: float = 1.0,
-                     night_end_hour: float = 5.0,
+def learn_background(s: PowerSeries,
                      steady_tol_w: float = DetectorConfig.steady_tol_w,
                      min_event_w: float = DetectorConfig.min_event_w) -> BackgroundProfile:
     """Learn background-load magnitudes from the night-time trace.
 
-    Events are detected on each contiguous night run; absolute magnitudes are
-    clustered (CLUSTER_GAP_FRAC) and the medians of clusters with at least
-    BACKGROUND_MIN_SUPPORT members become the profile centers, matched within
-    CLUSTER_GAP_FRAC. One-off night usage thus never qualifies.
+    Events are detected on each contiguous run of NIGHT_HOURS; absolute
+    magnitudes are clustered (CLUSTER_GAP_FRAC) and the medians of clusters
+    with at least BACKGROUND_MIN_SUPPORT members become the profile centers,
+    matched within CLUSTER_GAP_FRAC. One-off night usage thus never qualifies.
     """
     hours = local_clock_hours(s.timestamps(), s.timezone)
-    night = (hours >= night_start_hour) & (hours < night_end_hour)
+    night = (hours >= NIGHT_HOURS[0]) & (hours < NIGHT_HOURS[1])
     if not night.any():
         raise EmptyWindowError(
-            f"series has no samples in the [{night_start_hour}, "
-            f"{night_end_hour}) night window")
+            f"series has no samples in the [{NIGHT_HOURS[0]}, "
+            f"{NIGHT_HOURS[1]}) night window")
     # a night run [i, j) starts and ends where the padded mask changes
     edges = np.flatnonzero(np.diff(np.concatenate(([False], night, [False]))))
     mags = []
@@ -207,10 +207,8 @@ def learn_background(s: PowerSeries, night_start_hour: float = 1.0,
             continue
         for e in detect_events(s.slice(i, j), steady_tol_w, min_event_w):
             mags.append(abs(e.delta_w))
-    clusters = cluster_magnitudes(np.array(mags), CLUSTER_GAP_FRAC,
-                                  BACKGROUND_MIN_SUPPORT)
-    return BackgroundProfile(cluster_centers_w=tuple(c["center"] for c in clusters),
-                             match_tol_frac=CLUSTER_GAP_FRAC)
+    clusters = cluster_magnitudes(np.array(mags), BACKGROUND_MIN_SUPPORT)
+    return BackgroundProfile(tuple(c["center"] for c in clusters))
 
 
 def remove_background(pairs: list[EventPair],

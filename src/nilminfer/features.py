@@ -261,7 +261,7 @@ def build_home_features(home: HomeData, sources,
     aggregate = home.aggregate
     agg_fv = extract_consumption_features(aggregate, "aggregate")
     events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
-    pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
+    pairs = pair_events(events)
 
     def hvac_bundle(hvac_stream):
         fv = extract_consumption_features(hvac_stream, "hvac")

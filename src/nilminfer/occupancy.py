@@ -11,8 +11,8 @@ Three algorithm families:
 * supervised ("knn" / "rf"): per-window [mean, std, range] features fed to the
   classifiers in nilminfer.classify.
 
-Evaluation scores 15-minute windows whose local start time falls inside the
-configured daytime band, occupied being the positive class. energy_proxy
+Evaluation scores WINDOW_S (15-minute) windows whose local start time falls
+inside EVAL_HOURS, occupied being the positive class. energy_proxy
 (TP+FP) approximates HVAC runtime cost of acting on the prediction and
 miss_time (FN) approximates occupant discomfort.
 """
@@ -24,36 +24,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import RandomForestConfig, classifier_predict
+from .classify import classifier_predict
 from .errors import (AlignmentError, ConfigurationError, CoverageError,
                      EmptyWindowError)
-from .events import (DetectorConfig, detect_events, learn_background,
-                     pair_events, remove_background)
-from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY,
+from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
+                     learn_background, pair_events, remove_background)
+from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY, WINDOW_S,
                      load_home, local_clock_hours, local_day_bounds,
                      local_midnight_before, window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 UNSUPERVISED_ALGORITHMS = ("ours", "ours-optimised", "chen", "chen-median")
 SUPERVISED_ALGORITHMS = ("knn", "rf")
-
-
-@dataclass
-class OccupancyConfig:
-    eval_start_hour: int = 6
-    eval_end_hour: int = 22
-    window_s: int = 900
-    pair_gap_fill_s: float = 3600.0
-    mark_start_of_day: bool = True
-    mark_end_of_day: bool = True
-    night_start_hour: float = 1.0
-    night_end_hour: float = 5.0
-
-    def __post_init__(self):
-        if not self.eval_start_hour < self.eval_end_hour:
-            raise ValueError("eval_start_hour must be < eval_end_hour")
-        if SECONDS_PER_DAY % self.window_s != 0:
-            raise ValueError("window_s must divide 86400")
+EVAL_HOURS = (6, 22)  # local [start, end) hours of the scored windows
+PAIR_GAP_FILL_S = 3600  # occupied intervals closer than this are bridged
 
 
 @dataclass(frozen=True)
@@ -93,20 +77,20 @@ class OccupancyMetrics:
 # Window statistics
 # ---------------------------------------------------------------------------
 
-def window_grid(s: PowerSeries, window_s: int) -> tuple[int, int]:
-    """(anchor, n_windows) for the local-midnight-aligned window grid that
-    covers the series."""
+def window_grid(s: PowerSeries) -> tuple[int, int]:
+    """(anchor, n_windows) for the local-midnight-aligned WINDOW_S grid
+    that covers the series."""
     anchor = local_midnight_before(s.start_time, s.timezone)
-    n_windows = -(-(s.end_time - anchor) // window_s)
+    n_windows = -(-(s.end_time - anchor) // WINDOW_S)
     return anchor, int(n_windows)
 
 
-def window_stats(s: PowerSeries, window_s: int):
+def window_stats(s: PowerSeries):
     """Per-window sample count, mean, population std and range on the
     midnight-aligned grid. Empty windows report NaN statistics."""
-    anchor, n_windows = window_grid(s, window_s)
+    anchor, n_windows = window_grid(s)
     ts = s.timestamps()
-    widx = (ts - anchor) // window_s
+    widx = (ts - anchor) // WINDOW_S
     bounds = np.searchsorted(widx, np.arange(n_windows + 1))
     counts = np.diff(bounds)
     mean = np.full(n_windows, np.nan)
@@ -115,7 +99,7 @@ def window_stats(s: PowerSeries, window_s: int):
     v = s.values
     # On the uniform grid the full windows are one run: reduce it as a block
     # and loop only over the partial windows at its edges.
-    per_window, rest = divmod(window_s, s.period_s)
+    per_window, rest = divmod(WINDOW_S, s.period_s)
     full = np.flatnonzero((counts == per_window) & (rest == 0))
     w0, w1 = (int(full[0]), int(full[-1]) + 1) if full.size else (0, 0)
     if full.size:
@@ -130,18 +114,16 @@ def window_stats(s: PowerSeries, window_s: int):
         mean[w] = seg.mean()
         std[w] = seg.std()
         rng[w] = seg.max() - seg.min()
-    starts = anchor + np.arange(n_windows, dtype=np.int64) * window_s
+    starts = anchor + np.arange(n_windows, dtype=np.int64) * WINDOW_S
     return starts, counts, mean, std, rng
 
 
-def window_power_features(s: PowerSeries, window_s: int = 900):
+def window_power_features(s: PowerSeries):
     """Per-window [mean, population std, range] feature rows, time-ordered.
 
     Returns (window_starts, X); windows without samples are omitted.
     """
-    if SECONDS_PER_DAY % window_s != 0:
-        raise ValueError("window_s must divide the day")
-    starts, counts, mean, std, rng = window_stats(s, window_s)
+    starts, counts, mean, std, rng = window_stats(s)
     valid = counts > 0
     X = np.column_stack([mean[valid], std[valid], rng[valid]])
     return starts[valid], X
@@ -164,31 +146,28 @@ def _merge_intervals(intervals, gap: float):
     return [(a, b) for a, b in out]
 
 
-def predict_occupancy_events(s: PowerSeries, cfg: OccupancyConfig | None = None,
-                             det: DetectorConfig | None = None) -> OccupancySeries:
+def predict_occupancy_events(s: PowerSeries, det: DetectorConfig | None = None,
+                             *, mark_start_of_day: bool = True) -> OccupancySeries:
     """Signal occupancy from foreground event pairs.
 
     Pipeline: detect events -> learn night background -> pair edges (no
-    pair is longer than max_duration_s) -> drop background magnitudes ->
+    pair is longer than MAX_PAIR_S) -> drop background magnitudes ->
     occupied intervals are the union of the surviving ON intervals, with
-    gaps shorter than pair_gap_fill_s bridged. Each day with any foreground
-    activity is also marked occupied from midnight to the first event and
-    from the last event to midnight (each half independently configurable).
+    gaps shorter than PAIR_GAP_FILL_S bridged. Each day with any foreground
+    activity is also marked occupied from its last event to midnight and,
+    unless mark_start_of_day is off, from midnight to its first event.
     A day with no foreground pairs stays unoccupied throughout.
     """
-    cfg = cfg or OccupancyConfig()
     det = det or DetectorConfig()
     if s.span_s < SECONDS_PER_DAY:
         raise CoverageError("need at least one full day of data")
 
     events = detect_events(s, det.steady_tol_w, det.min_event_w)
-    profile = learn_background(s, cfg.night_start_hour, cfg.night_end_hour,
-                               det.steady_tol_w, det.min_event_w)
-    pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
-    foreground = remove_background(pairs, profile)
+    profile = learn_background(s, det.steady_tol_w, det.min_event_w)
+    foreground = remove_background(pair_events(events), profile)
 
     intervals = _merge_intervals(
-        [(p.on_time, p.off_time) for p in foreground], gap=cfg.pair_gap_fill_s)
+        [(p.on_time, p.off_time) for p in foreground], gap=PAIR_GAP_FILL_S)
 
     times = sorted(t for p in foreground for t in (p.on_time, p.off_time))
     extra = []
@@ -197,45 +176,42 @@ def predict_occupancy_events(s: PowerSeries, cfg: OccupancyConfig | None = None,
         first, end = bisect_left(times, ds), bisect_left(times, de)
         if first == end:
             continue
-        if cfg.mark_start_of_day:
+        if mark_start_of_day:
             extra.append((ds, times[first]))
-        if cfg.mark_end_of_day:
-            extra.append((times[end - 1], de))
+        extra.append((times[end - 1], de))
     occupied = _merge_intervals(intervals + extra, gap=1)
 
-    anchor, n_windows = window_grid(s, cfg.window_s)
+    anchor, n_windows = window_grid(s)
     flags = np.zeros(n_windows, dtype=bool)
-    w = cfg.window_s
     for a, b in occupied:
         a = max(a, anchor)
         if b <= a:
             continue
-        w0 = (a - anchor) // w
-        w1 = -(-(b - anchor) // w)  # ceil; window starting exactly at b excluded
+        w0 = (a - anchor) // WINDOW_S
+        # ceil; the window starting exactly at b is excluded
+        w1 = -(-(b - anchor) // WINDOW_S)
         flags[int(w0):min(int(w1), n_windows)] = True
-    return OccupancySeries(anchor, cfg.window_s, flags, s.timezone)
+    return OccupancySeries(anchor, WINDOW_S, flags, s.timezone)
 
 
 def predict_occupancy_night_threshold(s: PowerSeries,
-                                      cfg: OccupancyConfig | None = None,
                                       stat: str = "max") -> OccupancySeries:
     """Night-threshold occupancy: a window is occupied when its power range,
     std or mean strictly exceeds the chosen statistic (max or median) of that
-    feature over the same day's night sub-windows. Days without a usable
+    feature over the same day's NIGHT_HOURS windows. Days without a usable
     night window are skipped with a warning."""
-    cfg = cfg or OccupancyConfig()
     if stat not in ("max", "median"):
         raise ValueError("stat must be 'max' or 'median'")
     agg = np.max if stat == "max" else np.median
 
-    starts, counts, mean, std, rng = window_stats(s, cfg.window_s)
+    starts, counts, mean, std, rng = window_stats(s)
     whours = local_clock_hours(starts, s.timezone)
     valid = counts > 0
     flags = np.zeros(starts.size, dtype=bool)
     skipped = []
     for ds, de in local_day_bounds(s):
         day = (starts >= ds) & (starts < de) & valid
-        night = day & (whours >= cfg.night_start_hour) & (whours < cfg.night_end_hour)
+        night = day & (whours >= NIGHT_HOURS[0]) & (whours < NIGHT_HOURS[1])
         if counts[night].sum() < 2:
             skipped.append(ds)
             continue
@@ -245,26 +221,23 @@ def predict_occupancy_night_threshold(s: PowerSeries,
     if skipped:
         warnings.warn(f"night-threshold predictor skipped {len(skipped)} "
                       f"day(s) without a preceding night window", stacklevel=2)
-    return OccupancySeries(int(starts[0]), cfg.window_s, flags, s.timezone)
+    return OccupancySeries(int(starts[0]), WINDOW_S, flags, s.timezone)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _in_eval_hours(starts: np.ndarray, timezone: str,
-                   cfg: OccupancyConfig) -> np.ndarray:
-    """Mask of the windows whose local start hour lies in
-    [eval_start_hour, eval_end_hour)."""
+def _in_eval_hours(starts: np.ndarray, timezone: str) -> np.ndarray:
+    """Mask of the windows whose local start hour lies in EVAL_HOURS."""
     hours = local_clock_hours(starts, timezone)
-    return (hours >= cfg.eval_start_hour) & (hours < cfg.eval_end_hour)
+    return (hours >= EVAL_HOURS[0]) & (hours < EVAL_HOURS[1])
 
 
-def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries,
-                       cfg: OccupancyConfig | None = None) -> OccupancyMetrics:
+def evaluate_occupancy(pred: OccupancySeries,
+                       truth: OccupancySeries) -> OccupancyMetrics:
     """Confusion counts over windows both series cover, restricted to windows
-    whose local start hour lies in [eval_start_hour, eval_end_hour)."""
-    cfg = cfg or OccupancyConfig()
+    whose local start hour lies in EVAL_HOURS."""
     if pred.window_s != truth.window_s:
         raise AlignmentError(
             f"window widths differ: {pred.window_s} vs {truth.window_s}")
@@ -280,8 +253,7 @@ def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries,
     n = (t1 - t0) // w
     p = pred.flags[(t0 - pred.window_start) // w:][:n]
     t = truth.flags[(t0 - truth.window_start) // w:][:n]
-    m = _in_eval_hours(t0 + np.arange(n, dtype=np.int64) * w, pred.timezone,
-                       cfg)
+    m = _in_eval_hours(t0 + np.arange(n, dtype=np.int64) * w, pred.timezone)
     if not m.any():
         raise EmptyWindowError("no windows inside the evaluation hours")
     tp = int((p & t & m).sum())
@@ -295,37 +267,34 @@ def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries,
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _window_truth(series: PowerSeries, truth, window_s: int) -> OccupancySeries:
+def _window_truth(series: PowerSeries, truth) -> OccupancySeries:
     """The (timestamps, flags) ground truth on the series' window grid."""
-    anchor, n_windows = window_grid(series, window_s)
-    return window_occupancy(*truth, window_start=anchor, window_s=window_s,
+    anchor, n_windows = window_grid(series)
+    return window_occupancy(*truth, window_start=anchor, window_s=WINDOW_S,
                             n_windows=n_windows, timezone=series.timezone)
 
 
-def _supervised_xy(series: PowerSeries, truth_w: OccupancySeries,
-                   cfg: OccupancyConfig):
+def _supervised_xy(series: PowerSeries, truth_w: OccupancySeries):
     """Start times, [mean, std, range] features and occupancy labels of the
     series' non-empty eval-hour windows; truth_w is on the series' grid."""
-    starts, X = window_power_features(series, cfg.window_s)
-    keep = _in_eval_hours(starts, series.timezone, cfg)
+    starts, X = window_power_features(series)
+    keep = _in_eval_hours(starts, series.timezone)
     starts, X = starts[keep], X[keep]
-    y = truth_w.flags[(starts - truth_w.window_start) // cfg.window_s].astype(int)
+    y = truth_w.flags[(starts - truth_w.window_start) // WINDOW_S].astype(int)
     return starts, X, y
 
 
 def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
-                           cfg: OccupancyConfig,
                            det: DetectorConfig) -> OccupancySeries:
     """Occupancy of test_series by one unsupervised algorithm."""
     if algorithm == "ours":
-        return predict_occupancy_events(test_series, cfg, det)
+        return predict_occupancy_events(test_series, det)
     if algorithm == "ours-optimised":
-        return predict_occupancy_events(
-            test_series, replace(cfg, mark_start_of_day=False), det)
+        return predict_occupancy_events(test_series, det, mark_start_of_day=False)
     if algorithm == "chen":
-        return predict_occupancy_night_threshold(test_series, cfg, "max")
+        return predict_occupancy_night_threshold(test_series, "max")
     if algorithm == "chen-median":
-        return predict_occupancy_night_threshold(test_series, cfg, "median")
+        return predict_occupancy_night_threshold(test_series, "median")
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -341,9 +310,8 @@ def _split_half(series: PowerSeries):
 
 def occupancy_experiment(manifest, protocol: str = "split-half",
                          algorithms=("ours", "chen"),
-                         cfg: OccupancyConfig | None = None,
                          det: DetectorConfig | None = None,
-                         rf_cfg: RandomForestConfig | None = None) -> dict:
+                         seed: int = 0) -> dict:
     """Run the per-home occupancy comparison.
 
     split-half trains on the first half of each home and scores everything on
@@ -351,7 +319,6 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     homes as training material. Unsupervised algorithms ignore the training
     side. Returns per-home metric rows plus per-algorithm means.
     """
-    cfg = cfg or OccupancyConfig()
     det = det or DetectorConfig()
     if protocol not in ("split-half", "loho"):
         raise ValueError("protocol must be 'split-half' or 'loho'")
@@ -369,13 +336,12 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
         series = home.aggregate
         train_series, test_series = (_split_half(series) if protocol == "split-half"
                                      else (series, series))
-        truth_w = _window_truth(test_series, home.occupancy, cfg.window_s)
+        truth_w = _window_truth(test_series, home.occupancy)
         train_xy = test_xy = None
         if needs_training:
-            test_xy = _supervised_xy(test_series, truth_w, cfg)
+            test_xy = _supervised_xy(test_series, truth_w)
             train_xy = test_xy if protocol == "loho" else _supervised_xy(
-                train_series,
-                _window_truth(train_series, home.occupancy, cfg.window_s), cfg)
+                train_series, _window_truth(train_series, home.occupancy))
         homes.append((entry.home_id, test_series, truth_w, train_xy, test_xy))
 
     all_rows = []
@@ -393,14 +359,14 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
             if algorithm in SUPERVISED_ALGORITHMS:
                 starts, X_te, _ = test_xy
                 labels = classifier_predict(algorithm, train_X, train_y, X_te,
-                                            rf_cfg)
+                                            seed)
                 flags = np.zeros(len(truth_w), dtype=bool)
-                flags[(starts - truth_w.window_start) // cfg.window_s] = \
+                flags[(starts - truth_w.window_start) // WINDOW_S] = \
                     np.asarray(labels, dtype=int) == 1
                 pred = replace(truth_w, flags=flags)
             else:
-                pred = predict_with_algorithm(algorithm, test_series, cfg, det)
-            metrics = evaluate_occupancy(pred, truth_w, cfg)
+                pred = predict_with_algorithm(algorithm, test_series, det)
+            metrics = evaluate_occupancy(pred, truth_w)
             all_rows.append({"home_id": home_id, "algorithm": algorithm,
                              **metrics.as_dict()})
     all_rows.sort(key=lambda r: (r["home_id"], r["algorithm"]))

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, EmptyWindowError, GapError, ParseError
 
 SECONDS_PER_DAY = 86400
+WINDOW_S = 900  # occupancy window width; divides the day
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,15 +323,16 @@ def _read_csv_rows(path: Path, value_col: str, parse_value) -> tuple[np.ndarray,
                 raise ParseError(
                     f"{path}: header must contain 'timestamp' and '{value_col}', "
                     f"got {header}", line=1, path=str(path)) from None
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 try:
                     t = _parse_timestamp(row[t_idx])
                     v = parse_value(row[v_idx])
                 except (ValueError, IndexError) as exc:
-                    raise ParseError(f"{path}:{lineno}: malformed row {row!r} "
-                                     f"({exc})", line=lineno, path=str(path)) from exc
+                    line = reader.line_num  # a quoted field may span lines
+                    raise ParseError(f"{path}:{line}: malformed row {row!r} "
+                                     f"({exc})", line=line, path=str(path)) from exc
                 ts.append(t)
                 vals.append(v)
     except csv.Error as exc:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY,
+from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY, WINDOW_S,
                      DatasetManifest, HomeEntry, local_clock_hours,
                      local_weekdays, save_manifest, window_occupancy,
                      write_occupancy_csv, write_power_csv)
@@ -106,7 +106,7 @@ class GeneratedHome:
     appliances: dict          # name -> PowerSeries, includes baseline/occupant
     occupancy_ts: np.ndarray  # per-sample timestamps
     occupancy_flags: np.ndarray
-    occupancy: OccupancySeries  # truth at 900 s windows
+    occupancy: OccupancySeries  # truth at WINDOW_S windows
     provenance: list
 
     def foreground_edges(self) -> list:
@@ -238,8 +238,8 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
     }
 
     occupancy = window_occupancy(
-        ts, occupied, window_start=spec.start_time, window_s=900,
-        n_windows=spec.days * SECONDS_PER_DAY // 900, timezone=spec.timezone)
+        ts, occupied, window_start=spec.start_time, window_s=WINDOW_S,
+        n_windows=spec.days * SECONDS_PER_DAY // WINDOW_S, timezone=spec.timezone)
 
     return GeneratedHome(spec=spec, aggregate=aggregate, appliances=appliances,
                          occupancy_ts=ts, occupancy_flags=occupied,

@@ -15,12 +15,12 @@ import warnings
 
 import numpy as np
 
-from nilminfer.classify import characteristics_experiment, knn_classify, rf_classify, RandomForestConfig
+from nilminfer.classify import characteristics_experiment, knn_classify, rf_classify
 from nilminfer.cli import run as cli_run
 from nilminfer.disagg import fhmm_disaggregate, hart_disaggregate, nilm_metrics
 from nilminfer.events import detect_events
 from nilminfer.features import chi2_select, pearson
-from nilminfer.occupancy import (OccupancyConfig, evaluate_occupancy,
+from nilminfer.occupancy import (evaluate_occupancy,
                                  predict_occupancy_events,
                                  predict_occupancy_night_threshold)
 from nilminfer.series import PowerSeries, clock_window_mean
@@ -97,19 +97,17 @@ def test_criterion_2_fhmm_exactness():
 
 
 def test_criterion_3_occupancy_ordering(default_corpus):
-    cfg = OccupancyConfig()
     with Timer() as t:
         acc_ours, acc_chen = [], []
         tp_ok = []
         for home_id in sorted(default_corpus.homes):
             home = default_corpus.homes[home_id]
-            p_ours = predict_occupancy_events(home.aggregate, cfg)
-            p_max = predict_occupancy_night_threshold(home.aggregate, cfg, "max")
-            p_med = predict_occupancy_night_threshold(home.aggregate, cfg,
-                                                      "median")
-            m_ours = evaluate_occupancy(p_ours, home.occupancy, cfg)
-            m_max = evaluate_occupancy(p_max, home.occupancy, cfg)
-            m_med = evaluate_occupancy(p_med, home.occupancy, cfg)
+            p_ours = predict_occupancy_events(home.aggregate)
+            p_max = predict_occupancy_night_threshold(home.aggregate, "max")
+            p_med = predict_occupancy_night_threshold(home.aggregate, "median")
+            m_ours = evaluate_occupancy(p_ours, home.occupancy)
+            m_max = evaluate_occupancy(p_max, home.occupancy)
+            m_med = evaluate_occupancy(p_med, home.occupancy)
             acc_ours.append(m_ours.accuracy_pct)
             acc_chen.append(m_max.accuracy_pct)
             tp_ok.append(m_med.tp >= m_max.tp)
@@ -127,7 +125,6 @@ def test_criterion_3_occupancy_ordering(default_corpus):
 
 def test_criterion_4_metric_identities():
     rng = np.random.default_rng(4)
-    cfg = OccupancyConfig()
     from nilminfer.series import OccupancySeries, local_clock_hours
     with Timer() as t:
         for _ in range(1000):
@@ -140,11 +137,11 @@ def test_criterion_4_metric_identities():
             n_eval = int(((hours >= 6) & (hours < 22)).sum())
             if n_eval == 0:
                 continue
-            m = evaluate_occupancy(pred, truth, cfg)
+            m = evaluate_occupancy(pred, truth)
             assert m.tp + m.tn + m.fp + m.fn == n_eval
         flags = rng.integers(0, 2, 64) > 0
         same = OccupancySeries(DEFAULT_START, 900, flags)
-        m = evaluate_occupancy(same, same, cfg)
+        m = evaluate_occupancy(same, same)
         assert m.accuracy_pct == 100.0 and m.fp == 0 and m.fn == 0
         s = PowerSeries(DEFAULT_START, 30, rng.uniform(0, 500, 200))
         nm = nilm_metrics(s, s)
@@ -258,8 +255,7 @@ def test_criterion_9_classifier_oracles():
         X, y = separable_fixture()
         test_X = np.vstack([np.random.default_rng(1).normal(0, 0.5, (10, 3)),
                             np.random.default_rng(2).normal(10, 0.5, (10, 3))])
-        pred = rf_classify(X, y, test_X,
-                           RandomForestConfig(n_trees=25, max_depth=4, seed=0))
+        pred = rf_classify(X, y, test_X, seed=0)
         assert list(pred) == ["lo"] * 10 + ["hi"] * 10
     report(9, t.elapsed, "20 kNN fixtures match the brute-force oracle; "
                          "random forest 100% on the separable fixture")

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilminfer import classify
-from nilminfer.classify import (RandomForestConfig, characteristics_experiment,
-                                knn_classify, label_characteristics,
-                                majority_baseline, rf_classify,
-                                stratified_folds)
+from nilminfer.classify import (characteristics_experiment, knn_classify,
+                                label_characteristics, majority_baseline,
+                                rf_classify, stratified_folds)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def test_knn_argument_errors():
 
 CLASSIFIERS = {
     "knn": lambda X, y, T: knn_classify(X, y, T, k=1),
-    "rf": lambda X, y, T: rf_classify(X, y, T, RandomForestConfig(n_trees=2)),
+    "rf": rf_classify,
 }
 _X, _Y, _T = np.arange(8.0).reshape(4, 2), ["a", "b"] * 2, np.ones((1, 2))
 BAD_ARGUMENTS = {
@@ -225,9 +224,8 @@ def test_rf_single_class_training():
 def test_rf_deterministic_given_seed():
     X, y = separable_fixture()
     test = np.random.default_rng(19).normal(5, 3, (10, 3))
-    cfg = RandomForestConfig(n_trees=10, max_depth=4, seed=123)
-    a = rf_classify(X, y, test, cfg)
-    b = rf_classify(X, y, test, cfg)
+    a = rf_classify(X, y, test, seed=123)
+    b = rf_classify(X, y, test, seed=123)
     assert list(a) == list(b)
 
 
@@ -237,8 +235,7 @@ def test_rf_separable_fixture_perfect():
     test_X = np.vstack([rng.normal(0, 0.5, (10, 3)),
                         rng.normal(10, 0.5, (10, 3))])
     want = ["lo"] * 10 + ["hi"] * 10
-    pred = rf_classify(X, y, test_X, RandomForestConfig(n_trees=25, max_depth=4,
-                                                        seed=0))
+    pred = rf_classify(X, y, test_X, seed=0)
     assert list(pred) == want
 
 
@@ -255,18 +252,17 @@ def test_rf_even_forest_tie_goes_to_frequent_then_lexicographic_class():
         split = [s for s in range(40) if leaf(y, s, 0) != leaf(y, s, 1)]
         assert split
         for seed in split:
-            pred = rf_classify(X, y, np.zeros((1, 2)),
-                               RandomForestConfig(n_trees=2, seed=seed))
+            with mock.patch.object(classify, "N_TREES", 2):
+                pred = rf_classify(X, y, np.zeros((1, 2)), seed)
             assert pred[0] == winner
 
 
 def test_rf_classifies_each_row_as_alone():
     X, y = separable_fixture()
     test_X = np.random.default_rng(22).normal(5, 4, (15, 3))
-    cfg = RandomForestConfig(n_trees=6, max_depth=4, seed=5)
-    together = rf_classify(X, y, test_X, cfg)
+    together = rf_classify(X, y, test_X, seed=5)
     assert set(together) == {"lo", "hi"}
-    assert list(together) == [rf_classify(X, y, row[None, :], cfg)[0]
+    assert list(together) == [rf_classify(X, y, row[None, :], seed=5)[0]
                               for row in test_X]
 
 
@@ -335,16 +331,19 @@ def forest_tables(draw):
     return X, y_idx, n_classes
 
 
-def forest_votes(X, y, test_X, cfg):
-    """The (test rows, trees) vote array rf_classify hands to its vote."""
+def forest_votes(X, y, test_X, seed, max_depth):
+    """The (test rows, trees) vote array rf_classify hands to its vote, for
+    a forest of 3 trees of depth at most max_depth."""
     seen, cast = [], classify._vote
 
     def vote(votes, classes, rank):
         seen.append(votes.copy())
         return cast(votes, classes, rank)
 
-    with mock.patch.object(classify, "_vote", vote):
-        labels = rf_classify(X, y, test_X, cfg)
+    with mock.patch.object(classify, "_vote", vote), \
+            mock.patch.object(classify, "N_TREES", 3), \
+            mock.patch.object(classify, "MAX_DEPTH", max_depth):
+        labels = rf_classify(X, y, test_X, seed)
     return seen[0], labels
 
 
@@ -374,18 +373,11 @@ def test_forest_trees_match_one_hot_split_oracle(table, seed, max_depth):
 
     y = [f"c{v}" for v in y_idx]
     test_X = np.vstack([X, np.indices((4,) * d).reshape(d, -1).T[::7] - 0.5])
-    cfg = RandomForestConfig(n_trees=3, max_depth=max_depth, seed=seed)
-    votes, labels = forest_votes(X, y, test_X, cfg)
+    votes, labels = forest_votes(X, y, test_X, seed, max_depth)
     with mock.patch.object(classify, "_build_tree", copying_rows):
-        ref_votes, ref_labels = forest_votes(X, y, test_X, cfg)
+        ref_votes, ref_labels = forest_votes(X, y, test_X, seed, max_depth)
     np.testing.assert_array_equal(votes, ref_votes)
     assert list(labels) == list(ref_labels)
-
-
-def test_rf_rejects_bad_config():
-    with pytest.raises(ValueError):
-        rf_classify(np.ones((3, 2)), ["a", "b", "a"], np.ones((1, 2)),
-                    RandomForestConfig(n_trees=0))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +422,7 @@ def test_perfect_information_fixture():
     y = ["x"] * 10 + ["y"] * 10
     X = np.array([[0.0]] * 10 + [[1.0]] * 10)
     for clf in (lambda: knn_classify(X, y, X, 5),
-                lambda: rf_classify(X, y, X, RandomForestConfig(seed=2))):
+                lambda: rf_classify(X, y, X, seed=2)):
         assert list(clf()) == y
 
 

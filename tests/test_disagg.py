@@ -286,13 +286,12 @@ def test_hart_traces_nonnegative(default_corpus):
         assert (trace.values >= 0).all()
 
 
-def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0,
-                                 cluster_tol_frac=0.1):
+def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
     """Reference: the largest-center cluster at or above hvac_min_w is hvac
     and the largest-center cluster overall is the highest power appliance,
     each found by max; the residual counts each distinct cluster once."""
     mags = np.array([p.magnitude_w for p in pairs])
-    clusters = sorted(cluster_magnitudes(mags, cluster_tol_frac),
+    clusters = sorted(cluster_magnitudes(mags),
                       key=lambda c: c["center"])
     n = len(aggregate)
     t0, per = aggregate.start_time, aggregate.period_s

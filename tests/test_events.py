@@ -285,7 +285,7 @@ def test_foreground_pairs_are_occupant_driven():
     home = gen_home(spec)
     det = DetectorConfig()
     events = detect_events(home.aggregate, det.steady_tol_w, det.min_event_w)
-    pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
+    pairs = pair_events(events)
     profile = learn_background(home.aggregate)
     kept = remove_background(pairs, profile)
     assert kept, "expected foreground pairs"
@@ -298,15 +298,15 @@ def test_foreground_pairs_are_occupant_driven():
 
 
 def test_cluster_magnitudes_relative_gap():
-    clusters = cluster_magnitudes(np.array([100, 102, 98, 500, 510]), 0.1)
+    clusters = cluster_magnitudes(np.array([100, 102, 98, 500, 510]))
     assert len(clusters) == 2
     assert clusters[0]["center"] == pytest.approx(100.0)
     assert clusters[1]["center"] == pytest.approx(505.0)
-    assert cluster_magnitudes(np.array([]), 0.1) == []
+    assert cluster_magnitudes(np.array([])) == []
 
 
 def test_cluster_min_support_filters():
-    clusters = cluster_magnitudes(np.array([100, 101, 99, 700.0]), 0.1,
+    clusters = cluster_magnitudes(np.array([100, 101, 99, 700.0]),
                                   min_support=3)
     assert len(clusters) == 1
     assert clusters[0]["center"] == pytest.approx(100.0)

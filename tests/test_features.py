@@ -143,7 +143,7 @@ def test_appliance_features_closed_form():
     hvac = hvac_square()
     det = DetectorConfig()
     events = detect_events(hvac, det.steady_tol_w, det.min_event_w)
-    pairs = pair_events(events, det.match_tol_frac, det.max_duration_s)
+    pairs = pair_events(events)
     fv = extract_appliance_features(hvac, hvac, events, pairs)
     assert fv.values["hvac_max_power"] == 3000.0
     assert fv.values["hvac_on_fraction"] == pytest.approx(0.5)

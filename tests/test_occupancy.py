@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import AlignmentError, ConfigurationError
-from nilminfer.occupancy import (OccupancyConfig,
+from nilminfer.occupancy import (_split_half, _window_truth,
                                  evaluate_occupancy, occupancy_experiment,
                                  predict_occupancy_events,
                                  predict_occupancy_night_threshold,
                                  window_grid, window_power_features,
                                  window_stats)
-from nilminfer.series import (OccupancySeries, PowerSeries,
+from nilminfer.series import (OccupancySeries, PowerSeries, load_home,
                               local_clock_hours)
 from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
 
@@ -58,22 +58,21 @@ def test_event_pipeline_hand_simulation():
 
 def test_event_pipeline_optimised_variant():
     s = day_series([(9.0, 9.5, 500.0), (18.0, 19.0, 300.0)])
-    cfg = OccupancyConfig(mark_start_of_day=False)
-    pred = predict_occupancy_events(s, cfg)
+    pred = predict_occupancy_events(s, mark_start_of_day=False)
     expected = flags_between(pred, 9.0, 9.5) | flags_between(pred, 18.0, 24.0)
     assert np.array_equal(pred.flags, expected)
 
 
 def test_event_pipeline_gap_fill_bridges_short_gaps():
-    # 45 min between pair end and next pair start: bridged (< 3600 s)
+    # 45 min between pair end and next pair start: bridged (< 3600 s), and
+    # the day is marked from its last event to midnight
     s = day_series([(9.0, 9.5, 500.0), (10.25, 10.75, 400.0)])
-    cfg = OccupancyConfig(mark_end_of_day=False, mark_start_of_day=False)
-    pred = predict_occupancy_events(s, cfg)
-    assert np.array_equal(pred.flags, flags_between(pred, 9.0, 10.75))
+    pred = predict_occupancy_events(s, mark_start_of_day=False)
+    assert np.array_equal(pred.flags, flags_between(pred, 9.0, 24.0))
     # 90 min gap: not bridged
     s2 = day_series([(9.0, 9.5, 500.0), (11.0, 11.5, 400.0)])
-    pred2 = predict_occupancy_events(s2, cfg)
-    expected2 = flags_between(pred2, 9.0, 9.5) | flags_between(pred2, 11.0, 11.5)
+    pred2 = predict_occupancy_events(s2, mark_start_of_day=False)
+    expected2 = flags_between(pred2, 9.0, 9.5) | flags_between(pred2, 11.0, 24.0)
     assert np.array_equal(pred2.flags, expected2)
 
 
@@ -91,12 +90,11 @@ def test_event_pipeline_edge_at_local_midnight_opens_the_next_day(
 
 def test_event_pipeline_monotone_in_pairs():
     # dropping an interior pair (same first/last events) never adds windows
-    cfg = OccupancyConfig()
     more = day_series([(9.0, 9.5, 500.0), (12.0, 12.5, 400.0),
                        (18.0, 19.0, 300.0)])
     fewer = day_series([(9.0, 9.5, 500.0), (18.0, 19.0, 300.0)])
-    p_more = predict_occupancy_events(more, cfg)
-    p_fewer = predict_occupancy_events(fewer, cfg)
+    p_more = predict_occupancy_events(more)
+    p_fewer = predict_occupancy_events(fewer)
     assert not (p_fewer.flags & ~p_more.flags).any()
 
 
@@ -107,8 +105,7 @@ def test_event_pipeline_background_removed(default_corpus):
     spec.occupant_load.rate_per_occupied_hour = 0.0
     home = gen_home(spec)
     pred = predict_occupancy_events(home.aggregate)
-    cfg = OccupancyConfig()
-    m = evaluate_occupancy(pred, home.occupancy, cfg)
+    m = evaluate_occupancy(pred, home.occupancy)
     assert m.tp + m.fp == 0
 
 
@@ -135,9 +132,8 @@ def test_night_threshold_single_pulse_window():
 def test_night_threshold_matches_bruteforce(default_corpus):
     home = default_corpus.homes["home_03"]
     s = home.aggregate
-    cfg = OccupancyConfig()
     for stat, agg in (("max", np.max), ("median", np.median)):
-        pred = predict_occupancy_night_threshold(s, cfg, stat)
+        pred = predict_occupancy_night_threshold(s, stat)
         # independent per-window reimplementation
         ts = s.timestamps()
         starts = pred.window_starts()
@@ -150,7 +146,7 @@ def test_night_threshold_matches_bruteforce(default_corpus):
             for w, w0 in enumerate(starts):
                 if not day_lo <= w0 < day_hi:
                     continue
-                seg = s.values[(ts >= w0) & (ts < w0 + cfg.window_s)]
+                seg = s.values[(ts >= w0) & (ts < w0 + 900)]
                 if seg.size == 0:
                     continue
                 feats[w] = (seg.max() - seg.min(), seg.std(), seg.mean())
@@ -194,7 +190,7 @@ def test_night_threshold_rejects_unknown_stat():
 
 def test_window_features_constant():
     s = day_series([], base=1000.0)
-    starts, X = window_power_features(s, 900)
+    starts, X = window_power_features(s)
     assert X.shape == (96, 3)
     np.testing.assert_allclose(X[0], [1000.0, 0.0, 0.0])
 
@@ -202,13 +198,13 @@ def test_window_features_constant():
 def test_window_features_two_point():
     vals = np.tile([0.0, 1000.0], 43200)
     s = PowerSeries(DEFAULT_START, 1, vals)
-    _, X = window_power_features(s, 900)
+    _, X = window_power_features(s)
     np.testing.assert_allclose(X[0], [500.0, 500.0, 1000.0])
 
 
 def test_window_features_match_bruteforce(default_corpus):
     s = default_corpus.homes["home_02"].aggregate
-    starts, X = window_power_features(s, 900)
+    starts, X = window_power_features(s)
     ts = s.timestamps()
     for i in np.random.default_rng(0).choice(len(starts), 25, replace=False):
         seg = s.values[(ts >= starts[i]) & (ts < starts[i] + 900)]
@@ -216,15 +212,15 @@ def test_window_features_match_bruteforce(default_corpus):
             X[i], [seg.mean(), seg.std(), seg.max() - seg.min()], atol=1e-9)
 
 
-def window_stats_by_loop(s, window_s):
-    """Reference window_stats: one masked segment per window."""
-    anchor, n_windows = window_grid(s, window_s)
+def window_stats_by_loop(s):
+    """Reference window_stats: one masked segment per 900 s window."""
+    anchor, n_windows = window_grid(s)
     ts = s.timestamps()
-    starts = anchor + np.arange(n_windows, dtype=np.int64) * window_s
+    starts = anchor + np.arange(n_windows, dtype=np.int64) * 900
     counts = np.zeros(n_windows, dtype=np.int64)
     stats = np.full((3, n_windows), np.nan)
     for w, start in enumerate(starts):
-        seg = s.values[(ts >= start) & (ts < start + window_s)]
+        seg = s.values[(ts >= start) & (ts < start + 900)]
         counts[w] = seg.size
         if seg.size:
             stats[:, w] = seg.mean(), seg.std(), seg.max() - seg.min()
@@ -241,14 +237,9 @@ def window_stats_by_loop(s, window_s):
 def test_window_stats_match_per_window_loop(start, period, n, tz):
     vals = np.random.default_rng(period).gamma(2.0, 300.0, n)
     s = PowerSeries(start, period, vals, tz)
-    got, want = window_stats(s, 900), window_stats_by_loop(s, 900)
+    got, want = window_stats(s), window_stats_by_loop(s)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_window_features_require_day_divisor():
-    with pytest.raises(ValueError):
-        window_power_features(day_series([]), 7 * 60)
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +269,18 @@ def test_evaluate_hand_count():
 
 def test_evaluate_matches_bruteforce_loop():
     rng = np.random.default_rng(6)
-    cfg = OccupancyConfig()
     for _ in range(20):
         n = 64
         start = DEFAULT_START + int(rng.integers(0, 96)) * 900
         pred = occ(rng.integers(0, 2, n), start=start)
         truth = occ(rng.integers(0, 2, n), start=start)
-        m = evaluate_occupancy(pred, truth, cfg)
+        m = evaluate_occupancy(pred, truth)
         zone = ZoneInfo("UTC")
         tp = tn = fp = fn = 0
         for i in range(n):
             h = datetime.fromtimestamp(start + i * 900, zone)
             hour = h.hour + h.minute / 60
-            if not (cfg.eval_start_hour <= hour < cfg.eval_end_hour):
+            if not (6 <= hour < 22):
                 continue
             p, t = bool(pred.flags[i]), bool(truth.flags[i])
             tp += p and t
@@ -364,13 +354,16 @@ def test_rf_and_optimised_variant_run(small_corpus):
     two = DatasetManifest(homes=m.homes[:2], base_dir=m.base_dir)
     res = occupancy_experiment(two, "split-half", ("ours-optimised", "rf"))
     assert len(res["per_home"]) == 4
-    # the optimised variant only removes morning marking, so it can never
-    # flag more windows than the standard pipeline
-    std = occupancy_experiment(two, "split-half", ("ours",))
-    for opt_row, std_row in zip(
-            [r for r in res["per_home"] if r["algorithm"] == "ours-optimised"],
-            std["per_home"]):
-        assert opt_row["energy_proxy"] <= std_row["energy_proxy"]
+    # the optimised variant is the event pipeline without start-of-day marking
+    for entry in two.homes:
+        home = load_home(two, entry)
+        _, test_half = _split_half(home.aggregate)
+        pred = predict_occupancy_events(test_half, mark_start_of_day=False)
+        truth = _window_truth(test_half, home.occupancy)
+        row, = [r for r in res["per_home"] if r["home_id"] == entry.home_id
+                and r["algorithm"] == "ours-optimised"]
+        assert row == {"home_id": entry.home_id, "algorithm": "ours-optimised",
+                       **evaluate_occupancy(pred, truth).as_dict()}
 
 
 def test_loho_each_home_tested_once(small_corpus):

@@ -636,6 +636,9 @@ def test_occupancy_csv_columns_found_by_name(tmp_path):
                  3002, id="not-utf8"),
     pytest.param("timestamp,occupied,note\n0,1," + "x" * 140_000 + "\n", 2,
                  id="overlong-field"),
+    # a quoted newline in an earlier row: the bad row is on line 4, not row 3
+    pytest.param('timestamp,occupied,note\n0,1,"a\nb"\n60,x,c\n', 4,
+                 id="quoted-newline"),
 ])
 def test_occupancy_csv_errors_name_file_and_line(tmp_path, text, line):
     p = tmp_path / "occ.csv"
