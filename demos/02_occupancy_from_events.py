@@ -14,7 +14,7 @@ home = gen_home(HomeSpec(seed=21, days=7))
 agg = home.aggregate
 det = DetectorConfig()
 
-events = detect_events(agg, det.steady_tol_w, det.min_event_w)
+events = detect_events(agg, det)
 print(f"step 1  detect events:      {len(events)} steps >= {det.min_event_w} W")
 
 profile = learn_background(agg)

@@ -3,8 +3,8 @@ household characteristics from smart-meter data.
 
 The library is organized around plain numpy data types:
 
-* series    -- PowerSeries / OccupancySeries, CSV ingestion, resampling,
-               clock-window arithmetic, dataset manifests
+* series    -- PowerSeries / OccupancySeries, CSV ingestion, clock-window
+               arithmetic, dataset manifests and their homes (HomeData)
 * events    -- steady-state event detection, edge pairing, background removal
 * occupancy -- three occupancy predictors plus the windowed evaluation
 * disagg    -- supervised factorial-HMM and unsupervised event-cluster
@@ -19,9 +19,9 @@ The library is organized around plain numpy data types:
 __version__ = "0.1.0"
 
 from .series import (PowerSeries, OccupancySeries, DatasetManifest, HomeEntry,
-                     load_power_csv, write_power_csv, load_occupancy_csv,
-                     window_occupancy, resample, clock_window_mean,
-                     load_manifest, save_manifest, load_home)
+                     HomeData, load_power_csv, write_power_csv,
+                     load_occupancy_csv, window_occupancy, clock_window_mean,
+                     load_manifest, save_manifest)
 from .events import (Event, EventPair, BackgroundProfile, DetectorConfig,
                      detect_events, pair_events, learn_background,
                      remove_background, cluster_magnitudes)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .events import DetectorConfig
 from .features import build_feature_table, chi2_select
 
 CHARACTERISTICS = ("age", "area", "income", "floors", "rooms", "occupants")
@@ -323,7 +324,7 @@ def _scan_k(X, y, classifier, seed):
 
 def characteristics_experiment(manifest, feature_sources=("both",),
                                classifier: str = "knn", folds: int = 2,
-                               seed: int = 7, det=None) -> list[dict]:
+                               seed: int = 7, det=DetectorConfig()) -> list[dict]:
     """Stratified k-fold prediction of household characteristics.
 
     For each characteristic and feature source: pick the chi-squared feature

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .errors import DegenerateModelError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
 from .occupancy import occupancy_experiment
-from .series import load_home, load_manifest, write_power_csv
+from .series import HomeData, load_manifest, write_power_csv
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 from .synth import gen_corpus
 from .report import render_classification_report, render_occupancy_report
@@ -97,9 +98,8 @@ def cmd_detect_events(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     det = _detector(cfg)
     counts = {}
-    for entry in sorted(manifest.homes, key=lambda e: e.home_id):
-        series = load_home(manifest, entry).aggregate
-        events = detect_events(series, det.steady_tol_w, det.min_event_w)
+    for entry in manifest.homes:
+        events = detect_events(HomeData(manifest, entry).aggregate, det)
         pairs = pair_events(events)
         with open(out / f"events_{entry.home_id}.csv", "w") as f:
             f.write("time,delta_w\n")
@@ -134,8 +134,8 @@ def cmd_disaggregate(cfg: dict) -> int:
     out = Path(cfg["out"])
     det = _detector(cfg)
     all_metrics = {}
-    for entry in sorted(manifest.homes, key=lambda e: e.home_id):
-        home = load_home(manifest, entry)
+    for entry in manifest.homes:
+        home = HomeData(manifest, entry)
         aggregate = home.aggregate
         cut = max(1, int(len(aggregate) * cfg["train_split"]))
         test = aggregate.slice(cut, len(aggregate))
@@ -225,6 +225,8 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
                     "household-characteristic inference from smart-meter data")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    positive = _checked(float, lambda x: 0 < x < math.inf,
+                        "need a finite number > 0")
 
     def common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
@@ -232,9 +234,9 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
 
     def common_and_detector(p):
         common(p)
-        p.add_argument("--steady-tol", dest="steady_tol", type=float,
+        p.add_argument("--steady-tol", dest="steady_tol", type=positive,
                        default=DetectorConfig.steady_tol_w)
-        p.add_argument("--min-event", dest="min_event", type=float,
+        p.add_argument("--min-event", dest="min_event", type=positive,
                        default=DetectorConfig.min_event_w)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -268,8 +270,9 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("fhmm", "hart"), default="fhmm")
     p.add_argument("--train-split", dest="train_split", default=0.5,
                    type=_checked(float, lambda x: 0 < x < 1, "need a number in (0, 1)"))
-    p.add_argument("--on-threshold", dest="on_threshold", type=float,
-                   default=ON_THRESHOLD_W)
+    p.add_argument("--on-threshold", dest="on_threshold", default=ON_THRESHOLD_W,
+                   type=_checked(float, lambda x: 0 <= x < math.inf,
+                                 "need a finite number >= 0"))
     p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_disaggregate)

@@ -234,12 +234,9 @@ def fhmm_disaggregate(aggregate: PowerSeries,
 
 
 def hart_disaggregate(aggregate: PowerSeries,
-                      det: DetectorConfig | None = None) -> DisaggResult:
+                      det: DetectorConfig = DetectorConfig()) -> DisaggResult:
     """Unsupervised disaggregation: hart_reconstruct on the aggregate's pairs."""
-    det = det or DetectorConfig()
-    events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
-    pairs = pair_events(events)
-    return hart_reconstruct(aggregate, pairs)
+    return hart_reconstruct(aggregate, pair_events(detect_events(aggregate, det)))
 
 
 def hart_reconstruct(aggregate: PowerSeries, pairs: list) -> DisaggResult:

@@ -19,16 +19,20 @@ class GapError(InputError):
     """A run of missing samples exceeded the configured maximum."""
 
 
+class ManifestError(InputError):
+    """A dataset manifest is malformed; names the home at fault."""
+
+
+class AlignmentError(InputError):
+    """Two series that must share a time axis do not."""
+
+
 class EmptyWindowError(ValueError):
     """A clock window selected no samples."""
 
 
 class CoverageError(ValueError):
     """The series does not span enough time for the requested computation."""
-
-
-class AlignmentError(ValueError):
-    """Two windowed series do not share a common window grid."""
 
 
 class DegenerateModelError(ValueError):

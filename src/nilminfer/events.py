@@ -9,6 +9,7 @@ and struck from the pair list.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -66,34 +67,35 @@ class BackgroundProfile:
         object.__setattr__(self, "cluster_centers_w", centers)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
-    """Thresholds for detecting events; pairing and clustering use the module
-    constants. Defaults follow common practice for 1 Hz-to-1/60 Hz residential
-    data: 15 W steady tolerance, 70 W minimum event."""
+    """Thresholds for detecting events, checked once here:
+    0 < steady_tol_w <= min_event_w < inf. Pairing and clustering use the
+    module constants. Defaults follow common practice for 1 Hz-to-1/60 Hz
+    residential data: 15 W steady tolerance, 70 W minimum event."""
     steady_tol_w: float = 15.0
     min_event_w: float = 70.0
 
+    def __post_init__(self):
+        if not 0 < self.steady_tol_w <= self.min_event_w < math.inf:
+            raise ValueError(
+                f"need 0 < steady_tol_w <= min_event_w < inf, got "
+                f"{self.steady_tol_w} and {self.min_event_w}")
 
-def detect_events(s: PowerSeries,
-                  steady_tol_w: float = DetectorConfig.steady_tol_w,
-                  min_event_w: float = DetectorConfig.min_event_w) -> list[Event]:
+
+def detect_events(s: PowerSeries, det: DetectorConfig = DetectorConfig()) -> list[Event]:
     """Detect signed step events in a power trace.
 
-    A steady state is a maximal run of samples each within steady_tol_w of the
-    running mean of the state so far. Transitions between adjacent states with
-    |mean difference| >= min_event_w become events timed at the first sample
-    of the new state.
+    A steady state is a maximal run of samples each within det.steady_tol_w
+    of the running mean of the state so far. Transitions between adjacent
+    states with |mean difference| >= det.min_event_w become events timed at
+    the first sample of the new state.
     """
     if len(s) < 2:
         raise ValueError("need at least 2 samples to detect events")
-    if steady_tol_w <= 0:
-        raise ValueError("steady_tol_w must be positive")
-    if min_event_w < steady_tol_w:
-        raise ValueError("min_event_w must be >= steady_tol_w")
 
     x = s.values.tolist()
-    tol = float(steady_tol_w)
+    tol = float(det.steady_tol_w)
     starts = [0]
     means = []
     cur = x[0]
@@ -114,7 +116,7 @@ def detect_events(s: PowerSeries,
     t0, p = s.start_time, s.period_s
     for k in range(1, len(means)):
         delta = means[k] - means[k - 1]
-        if abs(delta) >= min_event_w:
+        if abs(delta) >= det.min_event_w:
             events.append(Event(time=t0 + starts[k] * p, delta_w=delta,
                                 pre_level_w=means[k - 1]))
     return events
@@ -184,8 +186,7 @@ def cluster_magnitudes(mags: np.ndarray, min_support: int = 1) -> list[dict]:
 
 
 def learn_background(s: PowerSeries,
-                     steady_tol_w: float = DetectorConfig.steady_tol_w,
-                     min_event_w: float = DetectorConfig.min_event_w) -> BackgroundProfile:
+                     det: DetectorConfig = DetectorConfig()) -> BackgroundProfile:
     """Learn background-load magnitudes from the night-time trace.
 
     Events are detected on each contiguous run of NIGHT_HOURS; absolute
@@ -205,7 +206,7 @@ def learn_background(s: PowerSeries,
     for i, j in zip(edges[0::2].tolist(), edges[1::2].tolist()):
         if j - i < 2:
             continue
-        for e in detect_events(s.slice(i, j), steady_tol_w, min_event_w):
+        for e in detect_events(s.slice(i, j), det):
             mags.append(abs(e.delta_w))
     clusters = cluster_magnitudes(np.array(mags), BACKGROUND_MIN_SUPPORT)
     return BackgroundProfile(tuple(c["center"] for c in clusters))

@@ -20,7 +20,7 @@ from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_reconstruct,
 from .errors import CoverageError, UndefinedStatisticError
 from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
                      detect_events, pair_events)
-from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, load_home,
+from .series import (HomeData, PowerSeries, SECONDS_PER_DAY,
                      local_clock_hours, local_weekdays)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
@@ -251,16 +251,16 @@ class FeatureTable:
 
 
 def build_home_features(home: HomeData, sources,
-                        det: DetectorConfig | None = None, *, seed: int = 0) -> dict:
+                        det: DetectorConfig = DetectorConfig(), *,
+                        seed: int = 0) -> dict:
     """FeatureVector per requested source for one home. Shared inputs
     (aggregate stream, detected events, pair list) are computed once. The
     disagg-fhmm source trains its appliance models, with this seed, on the
     first half of each submetered trace and decodes the whole aggregate."""
-    det = det or DetectorConfig()
     entry = home.entry
     aggregate = home.aggregate
     agg_fv = extract_consumption_features(aggregate, "aggregate")
-    events = detect_events(aggregate, det.steady_tol_w, det.min_event_w)
+    events = detect_events(aggregate, det)
     pairs = pair_events(events)
 
     def hvac_bundle(hvac_stream):
@@ -283,8 +283,8 @@ def build_home_features(home: HomeData, sources,
             hvac = hart_reconstruct(aggregate, pairs).appliances["hvac"]
             out[source] = agg_fv.merge(hvac_bundle(hvac))
         elif source == "disagg-fhmm":
-            halves = {name: home.appliance(name).slice(
-                          0, max(len(home.appliance(name)) // 2, 1))
+            cut = max(len(aggregate) // 2, 1)
+            halves = {name: home.appliance(name).slice(0, cut)
                       for name in entry.appliance_paths}
             models = train_appliance_models(halves, seed=seed,
                                             home_id=entry.home_id)
@@ -297,16 +297,16 @@ def build_home_features(home: HomeData, sources,
     return out
 
 
-def build_feature_table(manifest, sources, det: DetectorConfig | None = None,
+def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(),
                         **kwargs) -> FeatureTable:
-    entries = sorted(manifest.homes, key=lambda e: e.home_id)
     vectors: dict = {source: {} for source in sources}
-    for entry in entries:
-        per_source = build_home_features(load_home(manifest, entry), sources,
+    for entry in manifest.homes:
+        per_source = build_home_features(HomeData(manifest, entry), sources,
                                          det, **kwargs)
         for source, fv in per_source.items():
             vectors[source][entry.home_id] = fv
-    return FeatureTable(home_ids=[e.home_id for e in entries], vectors=vectors)
+    return FeatureTable(home_ids=[e.home_id for e in manifest.homes],
+                        vectors=vectors)
 
 
 def write_feature_csv(table: FeatureTable, source: str, path) -> None:

@@ -29,8 +29,8 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
                      EmptyWindowError)
 from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
                      learn_background, pair_events, remove_background)
-from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY, WINDOW_S,
-                     load_home, local_clock_hours, local_day_bounds,
+from .series import (HomeData, OccupancySeries, PowerSeries, SECONDS_PER_DAY,
+                     WINDOW_S, local_clock_hours, local_day_bounds,
                      local_midnight_before, window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
@@ -146,7 +146,7 @@ def _merge_intervals(intervals, gap: float):
     return [(a, b) for a, b in out]
 
 
-def predict_occupancy_events(s: PowerSeries, det: DetectorConfig | None = None,
+def predict_occupancy_events(s: PowerSeries, det: DetectorConfig = DetectorConfig(),
                              *, mark_start_of_day: bool = True) -> OccupancySeries:
     """Signal occupancy from foreground event pairs.
 
@@ -158,12 +158,11 @@ def predict_occupancy_events(s: PowerSeries, det: DetectorConfig | None = None,
     unless mark_start_of_day is off, from midnight to its first event.
     A day with no foreground pairs stays unoccupied throughout.
     """
-    det = det or DetectorConfig()
     if s.span_s < SECONDS_PER_DAY:
         raise CoverageError("need at least one full day of data")
 
-    events = detect_events(s, det.steady_tol_w, det.min_event_w)
-    profile = learn_background(s, det.steady_tol_w, det.min_event_w)
+    events = detect_events(s, det)
+    profile = learn_background(s, det)
     foreground = remove_background(pair_events(events), profile)
 
     intervals = _merge_intervals(
@@ -310,7 +309,7 @@ def _split_half(series: PowerSeries):
 
 def occupancy_experiment(manifest, protocol: str = "split-half",
                          algorithms=("ours", "chen"),
-                         det: DetectorConfig | None = None,
+                         det: DetectorConfig = DetectorConfig(),
                          seed: int = 0) -> dict:
     """Run the per-home occupancy comparison.
 
@@ -319,7 +318,6 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     homes as training material. Unsupervised algorithms ignore the training
     side. Returns per-home metric rows plus per-algorithm means.
     """
-    det = det or DetectorConfig()
     if protocol not in ("split-half", "loho"):
         raise ValueError("protocol must be 'split-half' or 'loho'")
     for a in algorithms:
@@ -331,8 +329,8 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     # windows score every algorithm and its supervised arrays serve every
     # held-out home.
     homes = []
-    for entry in sorted(manifest.homes, key=lambda e: e.home_id):
-        home = load_home(manifest, entry)
+    for entry in manifest.homes:
+        home = HomeData(manifest, entry)
         series = home.aggregate
         train_series, test_series = (_split_half(series) if protocol == "split-half"
                                      else (series, series))

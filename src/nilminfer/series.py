@@ -1,5 +1,5 @@
-"""Time-series data model: uniform power traces, ingestion, resampling and
-local clock-window arithmetic.
+"""Time-series data model: uniform power traces, ingestion, local
+clock-window arithmetic and dataset manifests.
 
 All power values are active power in watts on a uniform grid. Timestamps are
 UTC epoch seconds; anything calendar-related (night windows, weekdays, day
@@ -19,7 +19,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyWindowError, GapError, ParseError
+from .errors import (AlignmentError, ConfigurationError, EmptyWindowError,
+                     GapError, ManifestError, ParseError)
 
 SECONDS_PER_DAY = 86400
 WINDOW_S = 900  # occupancy window width; divides the day
@@ -76,10 +77,6 @@ class PowerSeries:
             raise ValueError(f"bad slice [{i}, {j}) for length {len(self)}")
         return PowerSeries(self.start_time + i * self.period_s, self.period_s,
                            self.values[i:j], self.timezone)
-
-    def energy_ws(self) -> float:
-        """Total energy in watt-seconds (sum of value x period)."""
-        return float(self.values.sum()) * self.period_s
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +150,6 @@ def local_day_bounds(s: PowerSeries) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def resample(s: PowerSeries, new_period_s: int) -> PowerSeries:
-    """Downsample by averaging. new_period_s must be an integer multiple of
-    the current period; a trailing partial bucket is dropped."""
-    new_period_s = int(new_period_s)
-    if new_period_s <= 0 or new_period_s % s.period_s != 0:
-        raise ValueError(
-            f"new period {new_period_s} is not a multiple of {s.period_s}")
-    f = new_period_s // s.period_s
-    if f == 1:
-        return PowerSeries(s.start_time, s.period_s, s.values, s.timezone)
-    n_out = len(s) // f
-    if n_out == 0:
-        raise ValueError("series shorter than one output bucket")
-    means = s.values[:n_out * f].reshape(n_out, f).mean(axis=1)
-    return PowerSeries(s.start_time, new_period_s, means, s.timezone)
-
 
 def clock_window_mean(s: PowerSeries, start_hour: float, end_hour: float) -> float:
     """Mean power over samples whose local clock time falls in
@@ -537,15 +517,10 @@ class DatasetManifest:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ids = [h.home_id for h in self.homes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("home_ids must be unique")
-
-    def home(self, home_id: str) -> HomeEntry:
-        for h in self.homes:
-            if h.home_id == home_id:
-                return h
-        raise KeyError(home_id)
+        self.homes = sorted(self.homes, key=lambda h: h.home_id)
+        for a, b in zip(self.homes, self.homes[1:]):
+            if a.home_id == b.home_id:
+                raise ValueError(f"home {a.home_id}: home_id is not unique")
 
     def resolve(self, rel_path: str) -> Path:
         p = Path(rel_path)
@@ -555,28 +530,53 @@ class DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read a manifest and check each home once: a unique `home_id`, an
+    `aggregate_path`, paths naming existing files, a known timezone, finite
+    characteristics >= 0 and an integer `hvac_circuits` >= 0 when given. Any
+    fault is a ManifestError naming the manifest and the home."""
     path = Path(path)
     with open(path) as f:
-        doc = json.load(f)
-    homes = []
-    for h in doc["homes"]:
-        homes.append(HomeEntry(
-            home_id=str(h["home_id"]),
-            aggregate_path=h["aggregate_path"],
-            appliance_paths=dict(h.get("appliance_paths", {})),
-            occupancy_path=h.get("occupancy_path"),
-            timezone=h.get("timezone", "UTC"),
-            characteristics=dict(h.get("characteristics", {})),
-            hvac_circuits=h.get("hvac_circuits"),
-        ))
-    m = DatasetManifest(homes=homes, base_dir=path.parent,
-                        meta=dict(doc.get("meta", {})))
-    for h in m.homes:
-        for p in [h.aggregate_path, h.occupancy_path, *h.appliance_paths.values()]:
-            if p is not None and not m.resolve(p).exists():
-                raise FileNotFoundError(
-                    f"manifest {path}: home {h.home_id} references missing file {p}")
-    return m
+        try:
+            doc = json.load(f)
+            homes = doc.get("homes") if isinstance(doc, dict) else None
+            if not isinstance(homes, list) or not homes:
+                raise ValueError("'homes' must be a non-empty list")
+            return DatasetManifest([_home_entry(h, i, path.parent)
+                                    for i, h in enumerate(homes)],
+                                   path.parent, dict(doc.get("meta", {})))
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise ManifestError(f"{path}: {exc}", path=str(path)) from exc
+
+
+def _home_entry(h, i: int, base_dir: Path) -> HomeEntry:
+    """The i-th home of a manifest; a ValueError names it and its fault."""
+    if not (isinstance(h, dict) and "home_id" in h):
+        raise ValueError(f"home #{i + 1} is not an object with a 'home_id'")
+    home = f"home {h['home_id']}"
+    if "aggregate_path" not in h:
+        raise ValueError(f"{home}: no 'aggregate_path'")
+    e = HomeEntry(str(h["home_id"]), h["aggregate_path"],
+                  h.get("appliance_paths", {}), h.get("occupancy_path"),
+                  h.get("timezone", "UTC"), h.get("characteristics", {}),
+                  h.get("hvac_circuits"))
+    if not (isinstance(e.appliance_paths, dict) and isinstance(e.characteristics, dict)):
+        raise ValueError(f"{home}: 'appliance_paths' and 'characteristics' must be objects")
+    for p in [e.aggregate_path, e.occupancy_path, *e.appliance_paths.values()]:
+        if p is not None and not (isinstance(p, str) and (base_dir / p).is_file()):
+            raise ValueError(f"{home}: no file {p!r}")
+    try:
+        ZoneInfo(e.timezone)
+    except (KeyError, TypeError, ValueError):  # ZoneInfoNotFoundError is a KeyError
+        raise ValueError(f"{home}: unknown timezone {e.timezone!r}") from None
+    for key, v in e.characteristics.items():
+        if not (type(v) in (int, float) and math.isfinite(v) and v >= 0):
+            raise ValueError(f"{home}: characteristic {key!r} must be a finite "
+                             f"number >= 0, got {v!r}")
+    if e.hvac_circuits is not None and not (type(e.hvac_circuits) is int
+                                            and e.hvac_circuits >= 0):
+        raise ValueError(f"{home}: hvac_circuits must be an integer >= 0, "
+                         f"got {e.hvac_circuits!r}")
+    return e
 
 
 @dataclass
@@ -592,7 +592,16 @@ class HomeData:
         return self._load_power(self.entry.aggregate_path)
 
     def appliance(self, name: str) -> PowerSeries:
-        return self._load_power(self.entry.appliance_paths[name])
+        """The named submeter. It must share the aggregate's time axis (start,
+        period and length), else an AlignmentError names its file."""
+        rel_path = self.entry.appliance_paths[name]
+        s, agg = self._load_power(rel_path), self.aggregate
+        axis = [(x.start_time, x.period_s, len(x)) for x in (s, agg)]
+        if axis[0] != axis[1]:
+            path = self.manifest.resolve(rel_path)
+            raise AlignmentError(f"{path}: (start, period, samples) {axis[0]} "
+                                 f"is not the aggregate's {axis[1]}", path=str(path))
+        return s
 
     @cached_property
     def occupancy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -609,26 +618,10 @@ class HomeData:
         return self._power[rel_path]
 
 
-def load_home(manifest: DatasetManifest, entry: HomeEntry) -> HomeData:
-    """One home's data, read lazily from the files its manifest entry names."""
-    return HomeData(manifest, entry)
-
-
 def save_manifest(m: DatasetManifest, path) -> None:
-    doc = {"meta": m.meta, "homes": []}
-    for h in m.homes:
-        entry = {
-            "home_id": h.home_id,
-            "aggregate_path": h.aggregate_path,
-            "appliance_paths": h.appliance_paths,
-            "timezone": h.timezone,
-            "characteristics": h.characteristics,
-        }
-        if h.occupancy_path is not None:
-            entry["occupancy_path"] = h.occupancy_path
-        if h.hvac_circuits is not None:
-            entry["hvac_circuits"] = h.hvac_circuits
-        doc["homes"].append(entry)
+    # an absent occupancy_path or hvac_circuits is left out, not written null
+    doc = {"meta": m.meta, "homes": [{k: v for k, v in vars(h).items() if v is not None}
+                                     for h in m.homes]}
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

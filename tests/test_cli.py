@@ -1,19 +1,39 @@
 """CLI harness: subcommands, artifacts, determinism, exit codes."""
 import copy
 import json
+import math
 import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from nilminfer.cli import run
-from nilminfer.series import (DatasetManifest, PowerSeries, save_manifest,
-                              write_power_csv)
+from nilminfer.cli import _config, build_parser, run
+from nilminfer.errors import AlignmentError, ManifestError
+from nilminfer.series import (DatasetManifest, PowerSeries, load_manifest,
+                              save_manifest, write_power_csv)
 
 
 def manifest_path(corpus):
     return str(corpus.manifest.base_dir / "manifest.json")
+
+
+def corpus_doc(corpus, n_homes):
+    """The corpus manifest's JSON with its first n_homes homes, each path
+    made absolute so the document may be written anywhere."""
+    base = corpus.manifest.base_dir
+    doc = json.loads((base / "manifest.json").read_text())
+    doc["homes"] = doc["homes"][:n_homes]
+    for h in doc["homes"]:
+        h["aggregate_path"] = str(base / h["aggregate_path"])
+        h["occupancy_path"] = str(base / h["occupancy_path"])
+        h["appliance_paths"] = {name: str(base / p)
+                                for name, p in h["appliance_paths"].items()}
+    return doc
+
+
+def error_record(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 def test_synth_then_occupancy_end_to_end(tmp_path):
@@ -213,13 +233,20 @@ def test_config_file_values_are_checked_and_converted_like_flags(
     ("classify", "folds", "0"), ("classify", "folds", "1"),
     ("classify", "folds", "abc"), ("disaggregate", "train-split", "0"),
     ("disaggregate", "train-split", "1.0"), ("disaggregate", "train-split", "1.5"),
-    ("disaggregate", "train-split", "x")])
+    ("disaggregate", "train-split", "x"),
+    ("detect-events", "steady-tol", "nan"), ("occupancy", "steady-tol", "inf"),
+    ("disaggregate", "steady-tol", "-5"), ("features", "steady-tol", "0"),
+    ("detect-events", "min-event", "inf"), ("classify", "min-event", "nan"),
+    ("occupancy", "min-event", "0"), ("disaggregate", "on-threshold", "nan"),
+    ("disaggregate", "on-threshold", "-1"), ("disaggregate", "on-threshold", "inf")])
 @pytest.mark.parametrize("spelling", ["separate", "equals", "config"])
 def test_out_of_range_numbers_are_usage_errors(tmp_path, small_corpus, capsys,
                                                command, flag, value, spelling):
-    """--folds below 2 and --train-split outside (0, 1) or not a number exit
-    2 naming the flag, given on the command line either way or in a config
-    file, with a message of their own, not argparse's "invalid <type>"."""
+    """--folds below 2, --train-split outside (0, 1), --steady-tol and
+    --min-event not finite and > 0, --on-threshold not finite and >= 0, or
+    any of them not a number, exit 2 naming the flag, given on the command
+    line either way or in a config file, with a message of their own, not
+    argparse's "invalid <type>"."""
     if spelling == "separate":
         given = [f"--{flag}", value]
     elif spelling == "equals":
@@ -319,3 +346,61 @@ def test_degenerate_appliance_warns_alike_in_disaggregate_and_features(
                           if "degenerate" in str(w.message)]
     want = [f"skipping degenerate appliance fridge for home {entry.home_id}"]
     assert messages == {"disaggregate": want, "features": want}
+
+
+@pytest.mark.parametrize("mutate, names_home", [
+    pytest.param(lambda d: d["homes"][0].pop("aggregate_path"), True,
+                 id="no-aggregate-path"),
+    pytest.param(lambda d: d["homes"][0].update(timezone="Mars/Base"), True,
+                 id="unknown-timezone"),
+    pytest.param(lambda d: d.update(homes=[]), False, id="homes-empty-list"),
+    pytest.param(lambda d: d.update(homes={}), False, id="homes-object"),
+    pytest.param(lambda d: d["homes"][0]["characteristics"].update(occupants="3"),
+                 True, id="string-characteristic"),
+    pytest.param(lambda d: d["homes"][0]["characteristics"].update(
+        area_sqft=math.nan), True, id="nan-characteristic"),
+    pytest.param(lambda d: d["homes"].append(copy.deepcopy(d["homes"][0])), True,
+                 id="duplicate-home-id"),
+])
+def test_manifest_faults_are_manifest_errors_naming_manifest_and_home(
+        tmp_path, small_corpus, capsys, mutate, names_home):
+    doc = corpus_doc(small_corpus, 2)
+    home_id = doc["homes"][0]["home_id"]
+    mutate(doc)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(manifest)
+    assert exc.value.path == str(manifest)
+    assert run(["occupancy", "--manifest", str(manifest), "--algo", "chen",
+                "--out", str(tmp_path / "occ.json")]) == 1
+    record = error_record(capsys)
+    assert record["error"] == "ManifestError"
+    assert str(manifest) in record["message"]
+    assert (f"home {home_id}:" in record["message"]) == names_home
+    assert not (tmp_path / "occ.json").exists()
+
+
+@pytest.mark.parametrize("algo", ["hart", "fhmm"])
+@pytest.mark.parametrize("fault", ["one-sample-short", "shifted-one-period"])
+def test_misaligned_submeter_is_an_alignment_error_naming_its_file(
+        tmp_path, small_corpus, capsys, algo, fault):
+    doc = corpus_doc(small_corpus, 1)
+    hvac = small_corpus.homes[doc["homes"][0]["home_id"]].appliances["hvac"]
+    bad = tmp_path / "hvac.csv"
+    write_power_csv(hvac.slice(0, len(hvac) - 1) if fault == "one-sample-short"
+                    else PowerSeries(hvac.start_time + hvac.period_s,
+                                     hvac.period_s, hvac.values), bad)
+    doc["homes"][0]["appliance_paths"]["hvac"] = str(bad)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    argv = ["disaggregate", "--algo", algo, "--manifest", str(manifest),
+            "--out", str(tmp_path / "traces")]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(AlignmentError) as exc:
+        args.func(_config(args))
+    assert exc.value.path == str(bad)
+    assert run(argv) == 1
+    record = error_record(capsys)
+    assert record["error"] == "AlignmentError" and str(bad) in record["message"]
+    assert not (tmp_path / "traces" / "metrics.json").exists()

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import EmptyWindowError
-from nilminfer.events import (BackgroundProfile, Event, EventPair,
-                              cluster_magnitudes, detect_events,
+from nilminfer.events import (BackgroundProfile, DetectorConfig, Event,
+                              EventPair, cluster_magnitudes, detect_events,
                               learn_background, pair_events, remove_background)
 from nilminfer.series import PowerSeries
 from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
@@ -49,7 +49,7 @@ def test_constant_series_has_no_events():
 
 def test_two_clean_edges():
     vals = np.concatenate([np.zeros(60), np.full(60, 500.0), np.zeros(60)])
-    events = detect_events(make_series(vals), steady_tol_w=15, min_event_w=70)
+    events = detect_events(make_series(vals), DetectorConfig(15, 70))
     assert len(events) == 2
     assert events[0].time == DEFAULT_START + 60 and events[0].delta_w == 500.0
     assert events[1].time == DEFAULT_START + 120 and events[1].delta_w == -500.0
@@ -59,7 +59,7 @@ def test_two_clean_edges():
 
 def test_small_steps_below_threshold_ignored():
     vals = np.concatenate([np.zeros(60), np.full(60, 50.0), np.zeros(60)])
-    assert detect_events(make_series(vals), 15, 70) == []
+    assert detect_events(make_series(vals), DetectorConfig(15, 70)) == []
 
 
 def test_planted_edges_all_recovered():
@@ -103,7 +103,7 @@ def test_reconstruction_matches_state_means():
     # clean staircase: every transition emits; cumulative deltas rebuild levels
     levels = [0.0, 300.0, 800.0, 200.0, 1000.0, 0.0]
     vals = np.concatenate([np.full(30, lv) for lv in levels])
-    events = detect_events(make_series(vals), 15, 70)
+    events = detect_events(make_series(vals), DetectorConfig(15, 70))
     assert len(events) == len(levels) - 1
     rebuilt = [events[0].pre_level_w]
     for e in events:
@@ -115,10 +115,11 @@ def test_reconstruction_matches_state_means():
 def test_detect_events_argument_errors():
     with pytest.raises(ValueError):
         detect_events(make_series([1.0]))
-    with pytest.raises(ValueError):
-        detect_events(make_series([1.0, 2.0]), steady_tol_w=15, min_event_w=10)
-    with pytest.raises(ValueError):
-        detect_events(make_series([1.0, 2.0]), steady_tol_w=0)
+    for bad in ({"steady_tol_w": 15, "min_event_w": 10}, {"steady_tol_w": 0},
+                {"steady_tol_w": -5}, {"steady_tol_w": float("nan")},
+                {"min_event_w": float("inf")}, {"min_event_w": float("nan")}):
+        with pytest.raises(ValueError):
+            DetectorConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +281,10 @@ def test_remove_background_idempotent():
 
 
 def test_foreground_pairs_are_occupant_driven():
-    from nilminfer.events import DetectorConfig
     spec = HomeSpec(seed=31, days=2, appliance_noise_sigma_w=0.0)
     home = gen_home(spec)
     det = DetectorConfig()
-    events = detect_events(home.aggregate, det.steady_tol_w, det.min_event_w)
+    events = detect_events(home.aggregate, det)
     pairs = pair_events(events)
     profile = learn_background(home.aggregate)
     kept = remove_background(pairs, profile)

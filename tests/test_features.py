@@ -142,7 +142,7 @@ def hvac_square(level=3000.0, period=900):
 def test_appliance_features_closed_form():
     hvac = hvac_square()
     det = DetectorConfig()
-    events = detect_events(hvac, det.steady_tol_w, det.min_event_w)
+    events = detect_events(hvac, det)
     pairs = pair_events(events)
     fv = extract_appliance_features(hvac, hvac, events, pairs)
     assert fv.values["hvac_max_power"] == 3000.0

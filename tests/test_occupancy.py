@@ -13,7 +13,7 @@ from nilminfer.occupancy import (_split_half, _window_truth,
                                  predict_occupancy_night_threshold,
                                  window_grid, window_power_features,
                                  window_stats)
-from nilminfer.series import (OccupancySeries, PowerSeries, load_home,
+from nilminfer.series import (HomeData, OccupancySeries, PowerSeries,
                               local_clock_hours)
 from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
 
@@ -356,7 +356,7 @@ def test_rf_and_optimised_variant_run(small_corpus):
     assert len(res["per_home"]) == 4
     # the optimised variant is the event pipeline without start-of-day marking
     for entry in two.homes:
-        home = load_home(two, entry)
+        home = HomeData(two, entry)
         _, test_half = _split_half(home.aggregate)
         pred = predict_occupancy_events(test_half, mark_start_of_day=False)
         truth = _window_truth(test_half, home.occupancy)

@@ -1,5 +1,6 @@
-"""Core series model: ingestion, resampling, clock windows, manifests."""
+"""Core series model: ingestion, clock windows, manifests."""
 import csv
+import json
 import warnings
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilminfer import series
-from nilminfer.errors import EmptyWindowError, GapError, ParseError
+from nilminfer.errors import EmptyWindowError, GapError, ManifestError, ParseError
 from nilminfer.series import (DatasetManifest, HomeEntry,
                               PowerSeries, clock_window_mean, load_manifest,
                               load_occupancy_csv, load_power_csv,
-                              local_clock_hours, resample, save_manifest,
+                              local_clock_hours, save_manifest,
                               window_occupancy, write_power_csv)
 from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
 
@@ -487,62 +488,6 @@ def test_iso_epochs_equals_parse_timestamp(year, month_day, clock, offset, form)
 
 
 # ---------------------------------------------------------------------------
-# resample
-# ---------------------------------------------------------------------------
-
-def test_resample_exact_means():
-    s = make_series([100, 100, 200, 200])
-    r = resample(s, 2)
-    assert r.period_s == 2
-    assert np.array_equal(r.values, [100.0, 200.0])
-
-
-def test_resample_identity():
-    s = make_series([1, 2, 3], period=5)
-    r = resample(s, 5)
-    assert np.array_equal(r.values, s.values) and r.period_s == 5
-
-
-def test_resample_preserves_energy():
-    rng = np.random.default_rng(0)
-    s = make_series(rng.uniform(0, 2000, 86400), period=1)
-    r = resample(s, 900)
-    assert len(r) == 96
-    assert abs(r.energy_ws() - s.energy_ws()) <= 1e-6 * s.energy_ws()
-
-
-def test_resample_composition_matches_direct():
-    rng = np.random.default_rng(1)
-    s = make_series(rng.uniform(0, 100, 60), period=1)
-    double = resample(resample(s, 2), 6)
-    direct = resample(s, 6)
-    np.testing.assert_allclose(double.values, direct.values, rtol=1e-12)
-
-
-def test_resample_drops_partial_tail():
-    s = make_series([10, 20, 30, 40, 50])
-    r = resample(s, 2)
-    assert np.array_equal(r.values, [15.0, 35.0])
-    # dropped-tail energy accounted for
-    assert r.energy_ws() == pytest.approx(s.slice(0, 4).energy_ws())
-
-
-def test_resample_non_multiple_rejected():
-    s = make_series([1, 2, 3], period=2)
-    with pytest.raises(ValueError):
-        resample(s, 3)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.lists(st.integers(0, 1000), min_size=12, max_size=48))
-def test_resample_energy_invariant_up_to_tail(factor, values):
-    s = make_series(values)
-    r = resample(s, factor)
-    covered = s.slice(0, len(r) * factor)
-    assert r.energy_ws() == pytest.approx(covered.energy_ws(), rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # clock_window_mean
 # ---------------------------------------------------------------------------
 
@@ -666,10 +611,70 @@ def test_manifest_round_trip(tmp_path, small_corpus):
 def test_manifest_missing_file_rejected(tmp_path):
     m = DatasetManifest(homes=[HomeEntry("h1", "nope.csv")], base_dir=tmp_path)
     save_manifest(m, tmp_path / "m.json")
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ManifestError) as exc:
         load_manifest(tmp_path / "m.json")
+    assert exc.value.path == str(tmp_path / "m.json")
+    assert "home h1" in str(exc.value) and "nope.csv" in str(exc.value)
 
 
 def test_manifest_duplicate_ids_rejected():
     with pytest.raises(ValueError):
         DatasetManifest(homes=[HomeEntry("h1", "a.csv"), HomeEntry("h1", "b.csv")])
+
+
+def test_manifest_homes_come_sorted_by_id():
+    m = DatasetManifest(homes=[HomeEntry("h2", "b.csv"), HomeEntry("h10", "c.csv"),
+                               HomeEntry("h1", "a.csv")])
+    assert [h.home_id for h in m.homes] == ["h1", "h10", "h2"]
+
+
+_HOME_KEYS = ("home_id", "aggregate_path", "appliance_paths", "occupancy_path",
+              "timezone", "characteristics", "hvac_circuits")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.sampled_from(["", "a.csv", "UTC", "Mars/Base", "3", "../a.csv", "\0"])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(home=st.integers(0, 1),
+       where=st.sampled_from(_HOME_KEYS + ("home", "characteristics.occupants",
+                                           "appliance_paths.hvac")),
+       drop=st.booleans(), value=_json_values)
+def test_mutated_manifest_loads_or_raises_manifest_error(tmp_path, home, where,
+                                                         drop, value):
+    """A valid manifest with one home's key dropped or given another value
+    either loads, with every home checked, or fails as a ManifestError."""
+    for name in ("a.csv", "b.csv", "occ.csv"):
+        (tmp_path / name).write_text("timestamp,power_w\n0,1\n")
+    doc = {"meta": {}, "homes": [
+        {"home_id": f"h{i}", "aggregate_path": "a.csv",
+         "appliance_paths": {"hvac": "b.csv"}, "occupancy_path": "occ.csv",
+         "timezone": "America/New_York", "hvac_circuits": 1,
+         "characteristics": {"occupants": 2, "area_sqft": 1500.5}}
+        for i in range(2)]}
+    if where == "home":
+        doc["homes"][home] = value
+    else:
+        parent, _, key = where.rpartition(".")
+        target = doc["homes"][home][parent] if parent else doc["homes"][home]
+        if drop:
+            target.pop(key)
+        else:
+            target[key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    try:
+        m = load_manifest(path)
+    except ManifestError as exc:
+        assert exc.path == str(path)
+        return
+    assert [h.home_id for h in m.homes] == sorted({h.home_id for h in m.homes})
+    for h in m.homes:
+        assert all(type(v) in (int, float) and v >= 0
+                   for v in h.characteristics.values())
+        assert h.hvac_circuits is None or type(h.hvac_circuits) is int

@@ -113,7 +113,8 @@ def test_corpus_occupant_rate_coupling(default_corpus):
 
 def test_corpus_round_trips_without_warnings(default_corpus):
     manifest = default_corpus.manifest
-    entry = manifest.home("home_00")
+    entry = manifest.homes[0]  # homes are sorted by id
+    assert entry.home_id == "home_00"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = load_power_csv(manifest.resolve(entry.aggregate_path),
