@@ -153,16 +153,17 @@ def cmd_disaggregate(cfg: dict) -> int:
         else:
             raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
 
+        # score every trace before writing any, so a home that fails
+        # leaves no partial output
+        all_metrics[entry.home_id] = {
+            name: nilm_metrics(trace, home.appliance(name).slice(cut, len(aggregate)),
+                               cfg["on_threshold"]).as_dict()
+            for name, trace in sorted(result.appliances.items())
+            if name in entry.appliance_paths}
         home_dir = out / entry.home_id
         home_dir.mkdir(parents=True, exist_ok=True)
-        home_metrics = {}
         for name, trace in sorted(result.appliances.items()):
             write_power_csv(trace, home_dir / f"{name}.csv")
-            if name in entry.appliance_paths:
-                truth = home.appliance(name).slice(cut, len(aggregate))
-                home_metrics[name] = nilm_metrics(
-                    trace, truth, cfg["on_threshold"]).as_dict()
-        all_metrics[entry.home_id] = home_metrics
     _write_json(out / "metrics.json",
                 _envelope(cfg, {"subcommand": "disaggregate",
                                 "algo": cfg["algo"], "metrics": all_metrics}))

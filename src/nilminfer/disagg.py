@@ -12,7 +12,7 @@ import numpy as np
 from .errors import CapacityError, DegenerateModelError
 from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
                      detect_events, pair_events)
-from .series import PowerSeries
+from .series import PowerSeries, check_same_axis
 
 PRODUCT_STATE_CAP = 4096
 OFF_SNAP_W = 15.0
@@ -293,8 +293,7 @@ def nilm_metrics(pred: PowerSeries, truth: PowerSeries,
                  on_threshold_w: float = ON_THRESHOLD_W) -> NilmMetrics:
     """Percent energy error, RMSE power, and F-score on the ON indicator
     (power strictly above on_threshold_w)."""
-    if len(pred) != len(truth) or pred.period_s != truth.period_s:
-        raise ValueError("pred and truth must share length and period")
+    check_same_axis(pred, truth, "pred", "truth")
     p, t = pred.values, truth.values
     rmse = float(np.sqrt(np.mean((p - t) ** 2)))
 

@@ -20,7 +20,7 @@ from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_reconstruct,
 from .errors import CoverageError, UndefinedStatisticError
 from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
                      detect_events, pair_events)
-from .series import (HomeData, PowerSeries, SECONDS_PER_DAY,
+from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, check_same_axis,
                      local_clock_hours, local_weekdays)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
@@ -134,10 +134,7 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     highest-power-appliance statistics come from the magnitudes of the top
     pair cluster, the last one. HVAC is ON above ON_THRESHOLD_W.
     """
-    if (hvac.start_time != aggregate.start_time
-            or hvac.period_s != aggregate.period_s
-            or len(hvac) != len(aggregate)):
-        raise ValueError("hvac and aggregate must cover the same span")
+    check_same_axis(hvac, aggregate, "hvac", "aggregate")
     agg_energy = float(aggregate.values.sum())
     if agg_energy <= 0:
         raise UndefinedStatisticError(

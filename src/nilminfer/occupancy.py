@@ -30,8 +30,8 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
 from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
                      learn_background, pair_events, remove_background)
 from .series import (HomeData, OccupancySeries, PowerSeries, SECONDS_PER_DAY,
-                     WINDOW_S, local_clock_hours, local_day_bounds,
-                     local_midnight_before, window_occupancy)
+                     WINDOW_S, local_clock_hours, local_day_bounds, window_grid,
+                     window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 UNSUPERVISED_ALGORITHMS = ("ours", "ours-optimised", "chen", "chen-median")
@@ -76,14 +76,6 @@ class OccupancyMetrics:
 # ---------------------------------------------------------------------------
 # Window statistics
 # ---------------------------------------------------------------------------
-
-def window_grid(s: PowerSeries) -> tuple[int, int]:
-    """(anchor, n_windows) for the local-midnight-aligned WINDOW_S grid
-    that covers the series."""
-    anchor = local_midnight_before(s.start_time, s.timezone)
-    n_windows = -(-(s.end_time - anchor) // WINDOW_S)
-    return anchor, int(n_windows)
-
 
 def window_stats(s: PowerSeries):
     """Per-window sample count, mean, population std and range on the
@@ -178,11 +170,12 @@ def predict_occupancy_events(s: PowerSeries, det: DetectorConfig = DetectorConfi
         if mark_start_of_day:
             extra.append((ds, times[first]))
         extra.append((times[end - 1], de))
-    occupied = _merge_intervals(intervals + extra, gap=1)
 
+    # A window is occupied when it overlaps any interval, so the windows of
+    # each interval, [floor, ceil), together are those of their union.
     anchor, n_windows = window_grid(s)
     flags = np.zeros(n_windows, dtype=bool)
-    for a, b in occupied:
+    for a, b in intervals + extra:
         a = max(a, anchor)
         if b <= a:
             continue
@@ -190,7 +183,7 @@ def predict_occupancy_events(s: PowerSeries, det: DetectorConfig = DetectorConfi
         # ceil; the window starting exactly at b is excluded
         w1 = -(-(b - anchor) // WINDOW_S)
         flags[int(w0):min(int(w1), n_windows)] = True
-    return OccupancySeries(anchor, WINDOW_S, flags, s.timezone)
+    return OccupancySeries(anchor, flags, s.timezone)
 
 
 def predict_occupancy_night_threshold(s: PowerSeries,
@@ -220,7 +213,7 @@ def predict_occupancy_night_threshold(s: PowerSeries,
     if skipped:
         warnings.warn(f"night-threshold predictor skipped {len(skipped)} "
                       f"day(s) without a preceding night window", stacklevel=2)
-    return OccupancySeries(int(starts[0]), WINDOW_S, flags, s.timezone)
+    return OccupancySeries(int(starts[0]), flags, s.timezone)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +230,18 @@ def evaluate_occupancy(pred: OccupancySeries,
                        truth: OccupancySeries) -> OccupancyMetrics:
     """Confusion counts over windows both series cover, restricted to windows
     whose local start hour lies in EVAL_HOURS."""
-    if pred.window_s != truth.window_s:
-        raise AlignmentError(
-            f"window widths differ: {pred.window_s} vs {truth.window_s}")
     if pred.timezone != truth.timezone:
         raise AlignmentError("timezones differ")
-    if (truth.window_start - pred.window_start) % pred.window_s != 0:
+    if (truth.window_start - pred.window_start) % WINDOW_S != 0:
         raise AlignmentError("window grids are offset")
-    w = pred.window_s
     t0 = max(pred.window_start, truth.window_start)
     t1 = min(pred.end_time, truth.end_time)
     if t1 <= t0:
         raise AlignmentError("series do not overlap")
-    n = (t1 - t0) // w
-    p = pred.flags[(t0 - pred.window_start) // w:][:n]
-    t = truth.flags[(t0 - truth.window_start) // w:][:n]
-    m = _in_eval_hours(t0 + np.arange(n, dtype=np.int64) * w, pred.timezone)
+    n = (t1 - t0) // WINDOW_S
+    p = pred.flags[(t0 - pred.window_start) // WINDOW_S:][:n]
+    t = truth.flags[(t0 - truth.window_start) // WINDOW_S:][:n]
+    m = _in_eval_hours(t0 + np.arange(n, dtype=np.int64) * WINDOW_S, pred.timezone)
     if not m.any():
         raise EmptyWindowError("no windows inside the evaluation hours")
     tp = int((p & t & m).sum())
@@ -266,21 +255,16 @@ def evaluate_occupancy(pred: OccupancySeries,
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _window_truth(series: PowerSeries, truth) -> OccupancySeries:
-    """The (timestamps, flags) ground truth on the series' window grid."""
-    anchor, n_windows = window_grid(series)
-    return window_occupancy(*truth, window_start=anchor, window_s=WINDOW_S,
-                            n_windows=n_windows, timezone=series.timezone)
-
-
 def _supervised_xy(series: PowerSeries, truth_w: OccupancySeries):
-    """Start times, [mean, std, range] features and occupancy labels of the
-    series' non-empty eval-hour windows; truth_w is on the series' grid."""
+    """Indices into truth_w, [mean, std, range] features and occupancy
+    labels of the series' non-empty eval-hour windows inside the truth's
+    span; truth_w is on the series' grid."""
     starts, X = window_power_features(series)
-    keep = _in_eval_hours(starts, series.timezone)
-    starts, X = starts[keep], X[keep]
-    y = truth_w.flags[(starts - truth_w.window_start) // WINDOW_S].astype(int)
-    return starts, X, y
+    idx = (starts - truth_w.window_start) // WINDOW_S
+    keep = (_in_eval_hours(starts, series.timezone) & (idx >= 0)
+            & (idx < len(truth_w)))
+    idx, X = idx[keep], X[keep]
+    return idx, X, truth_w.flags[idx].astype(int)
 
 
 def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
@@ -334,12 +318,12 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
         series = home.aggregate
         train_series, test_series = (_split_half(series) if protocol == "split-half"
                                      else (series, series))
-        truth_w = _window_truth(test_series, home.occupancy)
+        truth_w = window_occupancy(test_series, *home.occupancy)
         train_xy = test_xy = None
         if needs_training:
             test_xy = _supervised_xy(test_series, truth_w)
             train_xy = test_xy if protocol == "loho" else _supervised_xy(
-                train_series, _window_truth(train_series, home.occupancy))
+                train_series, window_occupancy(train_series, *home.occupancy))
         homes.append((entry.home_id, test_series, truth_w, train_xy, test_xy))
 
     all_rows = []
@@ -355,12 +339,11 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
             train_y = np.concatenate([y for _, _, y in parts])
         for algorithm in algorithms:
             if algorithm in SUPERVISED_ALGORITHMS:
-                starts, X_te, _ = test_xy
+                idx, X_te, _ = test_xy
                 labels = classifier_predict(algorithm, train_X, train_y, X_te,
                                             seed)
                 flags = np.zeros(len(truth_w), dtype=bool)
-                flags[(starts - truth_w.window_start) // WINDOW_S] = \
-                    np.asarray(labels, dtype=int) == 1
+                flags[idx] = np.asarray(labels, dtype=int) == 1
                 pred = replace(truth_w, flags=flags)
             else:
                 pred = predict_with_algorithm(algorithm, test_series, det)

@@ -19,8 +19,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import (AlignmentError, ConfigurationError, EmptyWindowError,
-                     GapError, ManifestError, ParseError)
+from .errors import (AlignmentError, ConfigurationError, CoverageError,
+                     EmptyWindowError, GapError, ManifestError, ParseError)
 
 SECONDS_PER_DAY = 86400
 WINDOW_S = 900  # occupancy window width; divides the day
@@ -77,6 +77,16 @@ class PowerSeries:
             raise ValueError(f"bad slice [{i}, {j}) for length {len(self)}")
         return PowerSeries(self.start_time + i * self.period_s, self.period_s,
                            self.values[i:j], self.timezone)
+
+
+def check_same_axis(s: PowerSeries, ref: PowerSeries, name: str, ref_name: str,
+                    path: str | None = None) -> None:
+    """The one time-axis rule for a pair of series: AlignmentError unless s
+    has ref's (start, period, samples)."""
+    axes = [(x.start_time, x.period_s, len(x)) for x in (s, ref)]
+    if axes[0] != axes[1]:
+        raise AlignmentError(f"{name}: (start, period, samples) {axes[0]} is "
+                             f"not the {ref_name}'s {axes[1]}", path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -436,27 +446,23 @@ def _infer_period(ts: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OccupancySeries:
-    """Boolean occupancy per fixed-width window.
+    """Boolean occupancy per WINDOW_S window.
 
     Carries the timezone so evaluation can restrict itself to local clock
     hours without outside context.
     """
 
     window_start: int
-    window_s: int
     flags: np.ndarray
     timezone: str = "UTC"
 
     def __post_init__(self):
-        if int(self.window_s) <= 0:
-            raise ValueError("window_s must be positive")
         arr = np.array(self.flags, dtype=bool)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("flags must be a non-empty 1-D sequence")
         arr.setflags(write=False)
         object.__setattr__(self, "flags", arr)
         object.__setattr__(self, "window_start", int(self.window_start))
-        object.__setattr__(self, "window_s", int(self.window_s))
         ZoneInfo(self.timezone)
 
     def __len__(self):
@@ -464,10 +470,10 @@ class OccupancySeries:
 
     @property
     def end_time(self) -> int:
-        return self.window_start + len(self) * self.window_s
+        return self.window_start + len(self) * WINDOW_S
 
     def window_starts(self) -> np.ndarray:
-        return self.window_start + np.arange(len(self), dtype=np.int64) * self.window_s
+        return self.window_start + np.arange(len(self), dtype=np.int64) * WINDOW_S
 
 
 def load_occupancy_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -476,16 +482,29 @@ def load_occupancy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return _read_csv(Path(path), "occupied", _parse_flag)
 
 
-def window_occupancy(ts: np.ndarray, occupied: np.ndarray, *, window_start: int,
-                     window_s: int, n_windows: int,
-                     timezone: str = "UTC") -> OccupancySeries:
-    """Aggregate point samples to windows: a window is occupied if any sample
-    inside it is occupied."""
-    flags = np.zeros(n_windows, dtype=bool)
-    idx = (np.asarray(ts, dtype=np.int64) - window_start) // window_s
-    ok = (idx >= 0) & (idx < n_windows) & np.asarray(occupied, dtype=bool)
-    flags[idx[ok]] = True
-    return OccupancySeries(window_start, window_s, flags, timezone)
+def window_grid(s: PowerSeries) -> tuple[int, int]:
+    """(anchor, n_windows) of the one occupancy window grid: WINDOW_S windows
+    from the local midnight at or before the series' start, covering it."""
+    anchor = local_midnight_before(s.start_time, s.timezone)
+    n_windows = -(-(s.end_time - anchor) // WINDOW_S)
+    return anchor, int(n_windows)
+
+
+def window_occupancy(s: PowerSeries, ts: np.ndarray,
+                     occupied: np.ndarray) -> OccupancySeries:
+    """Occupancy samples (ts, occupied) on s's window grid: a window is
+    occupied if any sample in it is. The result spans the windows from the
+    one holding the first on-grid sample to the one holding the last; if no
+    sample falls on the grid, CoverageError."""
+    anchor, n_windows = window_grid(s)
+    idx = (np.asarray(ts, dtype=np.int64) - anchor) // WINDOW_S
+    on_grid = (idx >= 0) & (idx < n_windows)
+    if not on_grid.any():
+        raise CoverageError("no occupancy sample falls on the series' windows")
+    first, last = int(idx[on_grid].min()), int(idx[on_grid].max())
+    flags = np.zeros(last - first + 1, dtype=bool)
+    flags[idx[on_grid & np.asarray(occupied, dtype=bool)] - first] = True
+    return OccupancySeries(anchor + first * WINDOW_S, flags, s.timezone)
 
 
 def write_occupancy_csv(ts: np.ndarray, occupied: np.ndarray, path) -> None:
@@ -595,12 +614,9 @@ class HomeData:
         """The named submeter. It must share the aggregate's time axis (start,
         period and length), else an AlignmentError names its file."""
         rel_path = self.entry.appliance_paths[name]
-        s, agg = self._load_power(rel_path), self.aggregate
-        axis = [(x.start_time, x.period_s, len(x)) for x in (s, agg)]
-        if axis[0] != axis[1]:
-            path = self.manifest.resolve(rel_path)
-            raise AlignmentError(f"{path}: (start, period, samples) {axis[0]} "
-                                 f"is not the aggregate's {axis[1]}", path=str(path))
+        s = self._load_power(rel_path)
+        path = str(self.manifest.resolve(rel_path))
+        check_same_axis(s, self.aggregate, path, "aggregate", path)
         return s
 
     @cached_property

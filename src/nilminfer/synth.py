@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY, WINDOW_S,
+from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY,
                      DatasetManifest, HomeEntry, local_clock_hours,
                      local_weekdays, save_manifest, window_occupancy,
                      write_occupancy_csv, write_power_csv)
@@ -237,9 +237,7 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
         "occupant": PowerSeries(spec.start_time, period, occupant_clean, spec.timezone),
     }
 
-    occupancy = window_occupancy(
-        ts, occupied, window_start=spec.start_time, window_s=WINDOW_S,
-        n_windows=spec.days * SECONDS_PER_DAY // WINDOW_S, timezone=spec.timezone)
+    occupancy = window_occupancy(aggregate, ts, occupied)
 
     return GeneratedHome(spec=spec, aggregate=aggregate, appliances=appliances,
                          occupancy_ts=ts, occupancy_flags=occupied,

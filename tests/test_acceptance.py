@@ -130,8 +130,8 @@ def test_criterion_4_metric_identities():
         for _ in range(1000):
             n = int(rng.integers(8, 96))
             start = DEFAULT_START + int(rng.integers(0, 96)) * 900
-            pred = OccupancySeries(start, 900, rng.integers(0, 2, n) > 0)
-            truth = OccupancySeries(start, 900, rng.integers(0, 2, n) > 0)
+            pred = OccupancySeries(start, rng.integers(0, 2, n) > 0)
+            truth = OccupancySeries(start, rng.integers(0, 2, n) > 0)
             starts = start + np.arange(n, dtype=np.int64) * 900
             hours = local_clock_hours(starts, "UTC")
             n_eval = int(((hours >= 6) & (hours < 22)).sum())
@@ -140,7 +140,7 @@ def test_criterion_4_metric_identities():
             m = evaluate_occupancy(pred, truth)
             assert m.tp + m.tn + m.fp + m.fn == n_eval
         flags = rng.integers(0, 2, 64) > 0
-        same = OccupancySeries(DEFAULT_START, 900, flags)
+        same = OccupancySeries(DEFAULT_START, flags)
         m = evaluate_occupancy(same, same)
         assert m.accuracy_pct == 100.0 and m.fp == 0 and m.fn == 0
         s = PowerSeries(DEFAULT_START, 30, rng.uniform(0, 500, 200))

@@ -404,3 +404,5 @@ def test_misaligned_submeter_is_an_alignment_error_naming_its_file(
     record = error_record(capsys)
     assert record["error"] == "AlignmentError" and str(bad) in record["message"]
     assert not (tmp_path / "traces" / "metrics.json").exists()
+    # the home is scored before any of its traces is written
+    assert not (tmp_path / "traces" / doc["homes"][0]["home_id"]).exists()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from nilminfer import disagg
 from nilminfer.disagg import (ApplianceHMM, fhmm_disaggregate,
                               hart_disaggregate, nilm_metrics, train_hmm)
-from nilminfer.errors import CapacityError, DegenerateModelError
+from nilminfer.errors import AlignmentError, CapacityError, DegenerateModelError
 from nilminfer.events import EventPair, cluster_magnitudes
 from nilminfer.series import PowerSeries
 from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
@@ -412,3 +412,10 @@ def test_nilm_symmetry_and_scale_covariance():
 def test_nilm_length_mismatch():
     with pytest.raises(ValueError):
         nilm_metrics(series([1.0]), series([1.0, 2.0]))
+
+
+def test_nilm_metrics_refuses_a_trace_on_another_clock():
+    pulse = np.r_[np.zeros(10), np.full(10, 500.0), np.zeros(10)]
+    axes = r"\(0, 30, 30\) is not the truth's \(30, 30, 30\)"
+    with pytest.raises(AlignmentError, match=axes):
+        nilm_metrics(series(pulse, start=0), series(pulse, start=30))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilminfer.errors import CoverageError, UndefinedStatisticError
+from nilminfer.errors import AlignmentError, CoverageError, UndefinedStatisticError
 from nilminfer.events import DetectorConfig, detect_events, pair_events
 from nilminfer.features import (FeatureVector, build_feature_table,
                                 chi2_select, extract_appliance_features,
@@ -168,6 +168,15 @@ def test_appliance_features_circuit_metadata():
     assert fv.values["hvac_circuits"] == 2.0
     fv2 = extract_appliance_features(hvac, hvac, [], [])
     assert fv2.flags["hvac_circuits"] == "cluster_count_proxy"
+
+
+@pytest.mark.parametrize("shift", [0, 900])
+def test_appliance_features_need_the_aggregate_time_axis(shift):
+    hvac = hvac_square()
+    aggregate = week_series(hvac.values[:-1] if shift == 0 else hvac.values,
+                            start=DEFAULT_START + shift)
+    with pytest.raises(AlignmentError, match="hvac: .* is not the aggregate's"):
+        extract_appliance_features(hvac, aggregate, [], [])
 
 
 def test_appliance_features_zero_aggregate_energy():

@@ -1,4 +1,5 @@
 """Occupancy predictors, evaluation protocol and experiment harness."""
+import warnings
 from datetime import datetime
 from zoneinfo import ZoneInfo
 
@@ -7,15 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import AlignmentError, ConfigurationError
-from nilminfer.occupancy import (_split_half, _window_truth,
+from nilminfer import occupancy
+from nilminfer.events import DetectorConfig
+from nilminfer.occupancy import (_merge_intervals, _split_half,
                                  evaluate_occupancy, occupancy_experiment,
                                  predict_occupancy_events,
                                  predict_occupancy_night_threshold,
-                                 window_grid, window_power_features,
-                                 window_stats)
-from nilminfer.series import (HomeData, OccupancySeries, PowerSeries,
-                              local_clock_hours)
-from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
+                                 predict_with_algorithm, window_grid,
+                                 window_power_features, window_stats)
+from nilminfer.series import (WINDOW_S, HomeData, OccupancySeries,
+                              PowerSeries, local_clock_hours, window_occupancy,
+                              write_occupancy_csv)
+from nilminfer.synth import DEFAULT_START, HomeSpec, gen_corpus, gen_home
 
 HOUR = 3600
 
@@ -35,7 +39,7 @@ def flags_between(series, h0, h1):
     """Expected flag vector: occupied exactly inside [h0, h1) hours since
     series start (window grid == day grid here)."""
     n = len(series)
-    starts = np.arange(n) * series.window_s
+    starts = np.arange(n) * WINDOW_S
     return (starts >= h0 * HOUR) & (starts < h1 * HOUR)
 
 
@@ -88,6 +92,27 @@ def test_event_pipeline_edge_at_local_midnight_opens_the_next_day(
     assert np.array_equal(pred.flags, flags_between(pred, *occupied_hours))
 
 
+def mark_windows(n_windows, intervals):
+    """The window marking of predict_occupancy_events on a grid anchored
+    at 0: each interval marks the windows [floor, ceil) it overlaps."""
+    flags = np.zeros(n_windows, dtype=bool)
+    for a, b in intervals:
+        a = max(a, 0)
+        if b > a:
+            flags[a // WINDOW_S:min(-(-b // WINDOW_S), n_windows)] = True
+    return flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1000, 12000), st.integers(-1000, 12000)),
+                max_size=10),
+       st.integers(1, 16))
+def test_marking_each_interval_marks_their_union(intervals, n_windows):
+    merged = _merge_intervals(intervals, gap=1)
+    assert np.array_equal(mark_windows(n_windows, intervals),
+                          mark_windows(n_windows, merged))
+
+
 def test_event_pipeline_monotone_in_pairs():
     # dropping an interior pair (same first/last events) never adds windows
     more = day_series([(9.0, 9.5, 500.0), (12.0, 12.5, 400.0),
@@ -123,7 +148,7 @@ def test_night_threshold_single_pulse_window():
     # night is flat; one 500 W pulse inside the 10:00 window trips range/std
     s = day_series([(10.0, 10.1, 500.0)])
     pred = predict_occupancy_night_threshold(s, stat="max")
-    idx = int(10.0 * HOUR // pred.window_s)
+    idx = int(10.0 * HOUR // WINDOW_S)
     expected = np.zeros(len(pred), dtype=bool)
     expected[idx] = True
     assert np.array_equal(pred.flags, expected)
@@ -139,7 +164,7 @@ def test_night_threshold_matches_bruteforce(default_corpus):
         starts = pred.window_starts()
         expected = np.zeros(len(pred), dtype=bool)
         zone = ZoneInfo(s.timezone)
-        for d0 in range(0, len(pred) * pred.window_s, 86400):
+        for d0 in range(0, len(pred) * WINDOW_S, 86400):
             day_lo = pred.window_start + d0
             day_hi = day_lo + 86400
             feats = {}
@@ -246,8 +271,8 @@ def test_window_stats_match_per_window_loop(start, period, n, tz):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def occ(flags, start=DEFAULT_START, window_s=900):
-    return OccupancySeries(start, window_s, np.asarray(flags, dtype=bool))
+def occ(flags, start=DEFAULT_START):
+    return OccupancySeries(start, np.asarray(flags, dtype=bool))
 
 
 def test_evaluate_identity_is_perfect():
@@ -312,8 +337,6 @@ def test_metric_identity(pred_flags, truth_flags, offset_windows):
 def test_evaluate_alignment_errors():
     a = occ([1, 0, 1, 0])
     with pytest.raises(AlignmentError):
-        evaluate_occupancy(a, occ([1, 0], window_s=600))
-    with pytest.raises(AlignmentError):
         evaluate_occupancy(a, occ([1, 0], start=DEFAULT_START + 450))
     with pytest.raises(AlignmentError):
         evaluate_occupancy(a, occ([1, 0], start=DEFAULT_START + 86400 * 30))
@@ -359,7 +382,7 @@ def test_rf_and_optimised_variant_run(small_corpus):
         home = HomeData(two, entry)
         _, test_half = _split_half(home.aggregate)
         pred = predict_occupancy_events(test_half, mark_start_of_day=False)
-        truth = _window_truth(test_half, home.occupancy)
+        truth = window_occupancy(test_half, *home.occupancy)
         row, = [r for r in res["per_home"] if r["home_id"] == entry.home_id
                 and r["algorithm"] == "ours-optimised"]
         assert row == {"home_id": entry.home_id, "algorithm": "ours-optimised",
@@ -374,6 +397,69 @@ def test_loho_each_home_tested_once(small_corpus):
         tested = [r["home_id"] for r in res["per_home"]
                   if r["algorithm"] == algorithm]
         assert sorted(tested) == sorted(homes)
+
+
+def test_loho_supervised_rows_lie_inside_the_truth(small_corpus, tmp_path,
+                                                   monkeypatch):
+    import copy
+    manifest = copy.deepcopy(small_corpus.manifest)
+    late = manifest.homes[0]
+    ts, occupied = HomeData(manifest, late).occupancy
+    keep = ts >= ts[0] + 86400  # the truth starts a day after the power
+    write_occupancy_csv(ts[keep], occupied[keep], tmp_path / "late.csv")
+    late.occupancy_path = str(tmp_path / "late.csv")
+    sizes, classify = [], occupancy.classifier_predict
+
+    def spy(algorithm, train_X, train_y, test_X, seed):
+        sizes.append((len(train_X), len(test_X)))
+        return classify(algorithm, train_X, train_y, test_X, seed)
+
+    monkeypatch.setattr(occupancy, "classifier_predict", spy)
+    res = occupancy_experiment(manifest, "loho", ("knn",))
+    # rows of a home: its eval-hour windows (UTC, 30 s, so none empty) from
+    # its first truth sample's window to its last
+    rows = {}
+    for entry in manifest.homes:
+        home = HomeData(manifest, entry)
+        starts, _ = window_power_features(home.aggregate)
+        t = home.occupancy[0]
+        hours = starts % 86400 / HOUR
+        inside = (starts >= t[0] - t[0] % WINDOW_S) & (starts <= t[-1])
+        rows[entry.home_id] = int(((hours >= 6) & (hours < 22) & inside).sum())
+    total = sum(rows.values())
+    assert sizes == [(total - rows[h.home_id], rows[h.home_id])
+                     for h in manifest.homes]
+    assert [r["n_windows"] for r in res["per_home"]] == \
+        [rows[h.home_id] for h in manifest.homes]
+
+
+@pytest.fixture(scope="module")
+def new_york_corpus(tmp_path_factory):
+    """Homes whose first sample, 00:00 UTC, is 19:00 local time."""
+    return gen_corpus(6, seed=7, days=14, timezone="America/New_York",
+                      out_dir=tmp_path_factory.mktemp("new_york"))
+
+
+def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
+    with pytest.warns(UserWarning, match="night-threshold predictor skipped"):
+        res = occupancy_experiment(new_york_corpus.manifest, "loho",
+                                   ("ours", "chen", "knn"))
+    for row in res["per_home"]:
+        home = new_york_corpus.homes[row["home_id"]]
+        if row["algorithm"] == "knn":
+            m = evaluate_occupancy(predict_occupancy_events(home.aggregate),
+                                   home.occupancy)
+            assert row["n_windows"] == m.n_windows
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # chen skips the first, partial day
+            pred = predict_with_algorithm(row["algorithm"], home.aggregate,
+                                          DetectorConfig())
+        assert row == {"home_id": row["home_id"], "algorithm": row["algorithm"],
+                       **evaluate_occupancy(pred, home.occupancy).as_dict()}
+    assert {r["n_windows"] for r in res["per_home"]} == {896}
+    ours, = [s for s in res["summary"] if s["algorithm"] == "ours"]
+    assert round(ours["accuracy_pct"], 2) == 94.22
 
 
 def test_supervised_beats_chance_on_corpus(small_corpus):

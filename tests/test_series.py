@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilminfer import series
-from nilminfer.errors import EmptyWindowError, GapError, ManifestError, ParseError
+from nilminfer.errors import (CoverageError, EmptyWindowError, GapError,
+                             ManifestError, ParseError)
 from nilminfer.series import (DatasetManifest, HomeEntry,
                               PowerSeries, clock_window_mean, load_manifest,
                               load_occupancy_csv, load_power_csv,
@@ -541,10 +542,78 @@ def test_local_clock_hours_handles_fixed_offset():
 # ---------------------------------------------------------------------------
 
 def test_window_occupancy_any_rule():
+    s = make_series(np.ones(27), period=100, start=0)  # three windows
     ts = np.array([0, 200, 900, 1000])
     occ = np.array([False, True, False, False])
-    w = window_occupancy(ts, occ, window_start=0, window_s=900, n_windows=3)
-    assert list(w.flags) == [True, False, False]
+    w = window_occupancy(s, ts, occ)
+    # the truth spans its first and last sample's windows, not the third
+    assert (w.window_start, list(w.flags)) == (0, [True, False])
+
+
+# local midnights of a winter day, the US spring-forward night, and the
+# Lord Howe (30-minute DST) fall-back and spring-forward nights
+GRID_DAYS = (DEFAULT_START, 1710043200, 1712448000, 1728172800)
+
+
+def local_midnight(t, tz):
+    local = datetime.fromtimestamp(t, ZoneInfo(tz))
+    return int(local.replace(hour=0, minute=0, second=0).timestamp())
+
+
+def window_occupancy_by_brute_force(s, ts, occupied):
+    """(window_start, flags) by scanning the series' local-midnight grid
+    window by window, or None when no sample falls on it."""
+    windows = range(local_midnight(s.start_time, s.timezone), s.end_time, 900)
+    held = [w for w in windows if ((ts >= w) & (ts < w + 900)).any()]
+    if not held:
+        return None
+    span = range(held[0], held[-1] + 900, 900)
+    return held[0], [bool(occupied[(ts >= w) & (ts < w + 900)].any()) for w in span]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tz=st.sampled_from(["UTC", "America/New_York", "Asia/Kathmandu",
+                           "Australia/Lord_Howe"]),
+       day=st.sampled_from(GRID_DAYS),
+       period=st.sampled_from([7, 30, 60, 900, 1000]),
+       start_periods=st.integers(-200, 200),
+       n=st.integers(1, 400),
+       truth_period=st.sampled_from([60, 300, 450, 1111]),
+       m=st.integers(1, 400),
+       p_occupied=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_window_occupancy_matches_brute_force(tz, day, period, start_periods, n,
+                                              truth_period, m, p_occupied, seed,
+                                              data):
+    # the series starts anywhere on its period grid; the truth starts or
+    # ends near the grid's first window, the series' start or its end, or
+    # anywhere, so it may start late, end early or overhang either end
+    s = make_series(np.ones(n), period=period, start=day + start_periods * period,
+                    tz=tz)
+    edge = data.draw(st.sampled_from([local_midnight(s.start_time, tz),
+                                      s.start_time, s.end_time]))
+    t0 = data.draw(st.one_of(
+        st.integers(edge - 3000, edge + 3000),
+        st.integers(edge - 3000, edge + 3000).map(lambda t: t - (m - 1) * truth_period),
+        st.integers(s.start_time - 2 * 86400, s.start_time + 2 * 86400)))
+    ts = t0 + np.arange(m, dtype=np.int64) * truth_period
+    occupied = np.random.default_rng(seed).random(m) < p_occupied
+    want = window_occupancy_by_brute_force(s, ts, occupied)
+    if want is None:
+        with pytest.raises(CoverageError):
+            window_occupancy(s, ts, occupied)
+        return
+    got = window_occupancy(s, ts, occupied)
+    assert (got.window_start, got.flags.tolist(), got.timezone) == (*want, tz)
+
+
+@pytest.mark.parametrize("shift", [-86400, 86400])
+def test_truth_off_the_series_windows_is_a_coverage_error(shift):
+    s = make_series(np.ones(2880), period=30)  # one UTC day, midnight to midnight
+    ts = s.start_time + shift + np.arange(0, 86400, 60)
+    with pytest.raises(CoverageError, match="no occupancy sample"):
+        window_occupancy(s, ts, np.ones(ts.size, dtype=bool))
 
 
 def test_occupancy_csv_round_trip(tmp_path):
