@@ -5,7 +5,7 @@
 # the true occupancy schedule, and a log of every switching edge.
 import numpy as np
 
-from nilminfer import HomeSpec, gen_home
+from nilminfer import HomeSpec, gen_home, synth
 
 spec = HomeSpec(seed=7, days=3, occupants=3)
 home = gen_home(spec)
@@ -37,7 +37,7 @@ for source, count in sorted(by_source.items()):
 residual = agg.values - sum(t.values for t in home.appliances.values())
 print(f"\naggregate - sum(traces): mean {residual.mean():+.2f} W, "
       f"std {residual.std():.2f} W (configured noise sigma = "
-      f"{spec.noise_sigma_w} W)")
+      f"{synth.NOISE_SIGMA_W} W)")
 
 # same seed, same bytes: the corpus is fully reproducible
 again = gen_home(HomeSpec(seed=7, days=3, occupants=3))

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -51,6 +52,10 @@ def _checked(kind, ok, need: str):
             raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
         return value
     return convert
+
+
+def _int_at_least(lo: int):
+    return _checked(int, lambda n: n >= lo, f"need an integer of at least {lo}")
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -130,40 +135,45 @@ def cmd_occupancy(cfg: dict) -> int:
 
 
 def cmd_disaggregate(cfg: dict) -> int:
+    """Traces go to a staging directory inside out. They are moved into
+    place, and metrics.json is written, only once every home is scored, so
+    a failed run changes no file under out."""
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     det = _detector(cfg)
     all_metrics = {}
-    for entry in manifest.homes:
-        home = HomeData(manifest, entry)
-        aggregate = home.aggregate
-        cut = max(1, int(len(aggregate) * cfg["train_split"]))
-        test = aggregate.slice(cut, len(aggregate))
-        if cfg["algo"] == "hart":
-            result = hart_disaggregate(test, det)
-        elif cfg["algo"] == "fhmm":
-            models = train_appliance_models(
-                {name: home.appliance(name).slice(0, cut)
-                 for name in entry.appliance_paths},
-                seed=cfg["seed"], home_id=entry.home_id)
-            if not models:
-                raise DegenerateModelError(
-                    f"home {entry.home_id}: no trainable appliances")
-            result = fhmm_disaggregate(test, models)
-        else:
-            raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
-
-        # score every trace before writing any, so a home that fails
-        # leaves no partial output
-        all_metrics[entry.home_id] = {
-            name: nilm_metrics(trace, home.appliance(name).slice(cut, len(aggregate)),
-                               cfg["on_threshold"]).as_dict()
-            for name, trace in sorted(result.appliances.items())
-            if name in entry.appliance_paths}
-        home_dir = out / entry.home_id
-        home_dir.mkdir(parents=True, exist_ok=True)
-        for name, trace in sorted(result.appliances.items()):
-            write_power_csv(trace, home_dir / f"{name}.csv")
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+        for entry in manifest.homes:
+            home = HomeData(manifest, entry)
+            aggregate = home.aggregate
+            cut = max(1, int(len(aggregate) * cfg["train_split"]))
+            test = aggregate.slice(cut, len(aggregate))
+            if cfg["algo"] == "hart":
+                result = hart_disaggregate(test, det)
+            elif cfg["algo"] == "fhmm":
+                models = train_appliance_models(
+                    {name: home.appliance(name).slice(0, cut)
+                     for name in entry.appliance_paths},
+                    seed=cfg["seed"], home_id=entry.home_id)
+                if not models:
+                    raise DegenerateModelError(
+                        f"home {entry.home_id}: no trainable appliances")
+                result = fhmm_disaggregate(test, models)
+            else:
+                raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
+            all_metrics[entry.home_id] = {
+                name: nilm_metrics(trace, home.appliance(name).slice(cut, len(aggregate)),
+                                   cfg["on_threshold"]).as_dict()
+                for name, trace in sorted(result.appliances.items())
+                if name in entry.appliance_paths}
+            home_dir = Path(staging, entry.home_id)
+            home_dir.mkdir()
+            for name, trace in sorted(result.appliances.items()):
+                write_power_csv(trace, home_dir / f"{name}.csv")
+        for f in sorted(Path(staging).glob("*/*")):
+            (out / f.parent.name).mkdir(exist_ok=True)
+            f.replace(out / f.parent.name / f.name)
     _write_json(out / "metrics.json",
                 _envelope(cfg, {"subcommand": "disaggregate",
                                 "algo": cfg["algo"], "metrics": all_metrics}))
@@ -241,9 +251,10 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
                        default=DetectorConfig.min_event_w)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--homes", type=int, default=20)
-    p.add_argument("--days", type=int, default=14)
-    p.add_argument("--period", type=int, default=30)
+    p.add_argument("--homes", type=_int_at_least(2), default=20)
+    p.add_argument("--days", type=_int_at_least(1), default=14)
+    p.add_argument("--period", default=30, type=_checked(
+        int, lambda n: n >= 1 and 86400 % n == 0, "need a positive divisor of 86400"))
     p.add_argument("--out", required=required)
     common(p)
     p.set_defaults(func=cmd_synth)
@@ -290,8 +301,7 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--source", default="both",
                    help=f"comma list from {FEATURE_SOURCES}")
     p.add_argument("--classifier", choices=("knn", "rf"), default="knn")
-    p.add_argument("--folds", default=2,
-                   type=_checked(int, lambda n: n >= 2, "need an integer of at least 2"))
+    p.add_argument("--folds", type=_int_at_least(2), default=2)
     p.add_argument("--out", required=required)
     common_and_detector(p)
     p.set_defaults(func=cmd_classify)

@@ -56,7 +56,6 @@ class EventPair:
 class BackgroundProfile:
     """Recurring night-time event magnitudes treated as background loads."""
     cluster_centers_w: tuple
-    match_tol_frac: float = CLUSTER_GAP_FRAC
 
     def __post_init__(self):
         centers = tuple(float(c) for c in self.cluster_centers_w)
@@ -122,15 +121,14 @@ def detect_events(s: PowerSeries, det: DetectorConfig = DetectorConfig()) -> lis
     return events
 
 
-def pair_events(events: list[Event], match_tol_frac: float = PAIR_TOL_FRAC,
-                max_duration_s: float = MAX_PAIR_S) -> list[EventPair]:
+def pair_events(events: list[Event]) -> list[EventPair]:
     """Greedily pair falling edges to earlier rising edges.
 
     Scanning in time order, each falling edge matches the earliest unmatched
-    rising edge of similar magnitude (|d_on + d_off| <= tol * d_on) within
-    max_duration_s. Unmatched events are dropped. Pairs come back sorted by
-    on_time. Open rises older than max_duration_s can match no later fall
-    and are dropped as the scan passes them, so the state stays bounded.
+    rising edge of similar magnitude (|d_on + d_off| <= PAIR_TOL_FRAC * d_on)
+    within MAX_PAIR_S. Unmatched events are dropped. Pairs come back sorted
+    by on_time. Open rises older than MAX_PAIR_S can match no later fall and
+    are dropped as the scan passes them, so the state stays bounded.
     """
     times = [e.time for e in events]
     if times != sorted(times):
@@ -139,7 +137,7 @@ def pair_events(events: list[Event], match_tol_frac: float = PAIR_TOL_FRAC,
     open_rises: deque[Event] = deque()
     pairs: list[EventPair] = []
     for e in events:
-        while open_rises and e.time - open_rises[0].time > max_duration_s:
+        while open_rises and e.time - open_rises[0].time > MAX_PAIR_S:
             open_rises.popleft()
         if e.delta_w > 0:
             open_rises.append(e)
@@ -147,7 +145,7 @@ def pair_events(events: list[Event], match_tol_frac: float = PAIR_TOL_FRAC,
         for i, rise in enumerate(open_rises):
             if e.time == rise.time:
                 continue
-            if abs(rise.delta_w + e.delta_w) <= match_tol_frac * rise.delta_w:
+            if abs(rise.delta_w + e.delta_w) <= PAIR_TOL_FRAC * rise.delta_w:
                 pairs.append(EventPair(rise.time, e.time, rise.delta_w))
                 del open_rises[i]
                 break
@@ -155,13 +153,13 @@ def pair_events(events: list[Event], match_tol_frac: float = PAIR_TOL_FRAC,
     return pairs
 
 
-def cluster_magnitudes(mags: np.ndarray, min_support: int = 1) -> list[dict]:
+def cluster_magnitudes(mags: np.ndarray) -> list[dict]:
     """Single-linkage 1-D clustering with a relative gap criterion.
 
     Sorted magnitudes split wherever the gap to the previous value exceeds
-    CLUSTER_GAP_FRAC of it. Returns clusters with >= min_support members,
-    each as {"center": median, "indices": member indices, "values": member
-    values}, in ascending order: each is a run of the sorted magnitudes, split
+    CLUSTER_GAP_FRAC of it. Returns every cluster, each as {"center":
+    median, "indices": member indices, "values": member values}, in
+    ascending order: each is a run of the sorted magnitudes, split
     only at a gap > 0 (for non-negative magnitudes), so every value of a
     cluster is below every value of the next and the centers strictly rise.
     """
@@ -174,15 +172,9 @@ def cluster_magnitudes(mags: np.ndarray, min_support: int = 1) -> list[dict]:
     splits = np.flatnonzero(gaps > CLUSTER_GAP_FRAC * sorted_vals[:-1]) + 1
     bounds = [0, *splits.tolist(), sorted_vals.size]
 
-    clusters = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a >= min_support:
-            clusters.append({
-                "center": float(np.median(sorted_vals[a:b])),
-                "indices": order[a:b],
-                "values": sorted_vals[a:b].copy(),
-            })
-    return clusters
+    return [{"center": float(np.median(sorted_vals[a:b])),
+             "indices": order[a:b], "values": sorted_vals[a:b].copy()}
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def learn_background(s: PowerSeries,
@@ -208,16 +200,17 @@ def learn_background(s: PowerSeries,
             continue
         for e in detect_events(s.slice(i, j), det):
             mags.append(abs(e.delta_w))
-    clusters = cluster_magnitudes(np.array(mags), BACKGROUND_MIN_SUPPORT)
-    return BackgroundProfile(tuple(c["center"] for c in clusters))
+    return BackgroundProfile(tuple(
+        c["center"] for c in cluster_magnitudes(np.array(mags))
+        if c["values"].size >= BACKGROUND_MIN_SUPPORT))
 
 
 def remove_background(pairs: list[EventPair],
                       profile: BackgroundProfile) -> list[EventPair]:
     """Drop pairs whose magnitude matches any background cluster center within
-    the profile tolerance; everything else passes through in order."""
+    CLUSTER_GAP_FRAC of it; everything else passes through in order."""
     centers = np.array(profile.cluster_centers_w)
     mags = np.array([p.magnitude_w for p in pairs])
     struck = (np.abs(mags[:, None] - centers)
-              <= profile.match_tol_frac * centers).any(axis=1)
+              <= CLUSTER_GAP_FRAC * centers).any(axis=1)
     return [p for p, gone in zip(pairs, struck.tolist()) if not gone]

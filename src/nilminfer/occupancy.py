@@ -125,13 +125,12 @@ def window_power_features(s: PowerSeries):
 # Unsupervised predictors
 # ---------------------------------------------------------------------------
 
-def _merge_intervals(intervals, gap: float):
-    """Merge (start, end) intervals whose separation is < gap (gap=1 with
-    integer endpoints is a plain union)."""
+def _merge_intervals(intervals):
+    """Merge (start, end) intervals separated by less than PAIR_GAP_FILL_S."""
     ivs = sorted((a, b) for a, b in intervals if b > a)
     out = []
     for a, b in ivs:
-        if out and a - out[-1][1] < gap:
+        if out and a - out[-1][1] < PAIR_GAP_FILL_S:
             out[-1][1] = max(out[-1][1], b)
         else:
             out.append([a, b])
@@ -157,8 +156,7 @@ def predict_occupancy_events(s: PowerSeries, det: DetectorConfig = DetectorConfi
     profile = learn_background(s, det)
     foreground = remove_background(pair_events(events), profile)
 
-    intervals = _merge_intervals(
-        [(p.on_time, p.off_time) for p in foreground], gap=PAIR_GAP_FILL_S)
+    intervals = _merge_intervals([(p.on_time, p.off_time) for p in foreground])
 
     times = sorted(t for p in foreground for t in (p.on_time, p.off_time))
     extra = []

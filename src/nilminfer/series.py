@@ -24,6 +24,7 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
 
 SECONDS_PER_DAY = 86400
 WINDOW_S = 900  # occupancy window width; divides the day
+MAX_GAP_PERIODS = 10  # longest run of missing samples ingest forward-fills
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +175,13 @@ def clock_window_mean(s: PowerSeries, start_hour: float, end_hour: float) -> flo
     return float(s.values[mask].mean())
 
 
-def load_power_csv(path, *, period_s: int | None = None, timezone: str = "UTC",
-                   max_gap_periods: int = 10) -> PowerSeries:
+def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
     """Ingest a `timestamp,power_w` CSV onto a uniform grid.
 
-    Duplicate timestamps collapse to their mean. Negative readings are
+    Duplicate timestamps collapse to their mean. The period is the most
+    common spacing between the remaining timestamps. Negative readings are
     clamped to 0 and counted in the returned series' meta; gaps of at most
-    max_gap_periods missing samples are then forward-filled and counted, and
+    MAX_GAP_PERIODS missing samples are then forward-filled and counted, and
     longer gaps raise GapError (interpolating across a long outage would
     fabricate downstream evidence).
     """
@@ -194,9 +195,7 @@ def load_power_csv(path, *, period_s: int | None = None, timezone: str = "UTC",
         vals = sums / counts
         ts = uniq
 
-    if period_s is None:
-        period_s = _infer_period(ts)
-    period_s = int(period_s)
+    period_s = _infer_period(ts)
 
     rel = ts - ts[0]
     if np.any(rel % period_s != 0):
@@ -224,12 +223,12 @@ def load_power_csv(path, *, period_s: int | None = None, timezone: str = "UTC",
         run_ends = idx[np.flatnonzero(np.concatenate((np.diff(idx) > 1, [True])))]
         for a, b in zip(run_starts, run_ends):
             run_len = int(b - a + 1)
-            if run_len > max_gap_periods:
+            if run_len > MAX_GAP_PERIODS:
                 t_a = int(ts[0] + a * period_s)
                 t_b = int(ts[0] + b * period_s)
                 raise GapError(
                     f"{path}: {run_len} consecutive samples missing between "
-                    f"{t_a} and {t_b} (max {max_gap_periods})", path=str(path))
+                    f"{t_a} and {t_b} (max {MAX_GAP_PERIODS})", path=str(path))
             grid[a:b + 1] = grid[a - 1]
             n_filled += run_len
 

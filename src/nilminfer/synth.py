@@ -18,13 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .series import (OccupancySeries, PowerSeries, SECONDS_PER_DAY,
-                     DatasetManifest, HomeEntry, local_clock_hours,
+from .series import (MAX_GAP_PERIODS, OccupancySeries, PowerSeries,
+                     SECONDS_PER_DAY, DatasetManifest, HomeEntry, local_clock_hours,
                      local_weekdays, save_manifest, window_occupancy,
                      write_occupancy_csv, write_power_csv)
 
 # 2024-01-01 00:00 UTC, a Monday; keeps weekday arithmetic easy to reason about
 DEFAULT_START = 1704067200
+NOISE_SIGMA_W = 5.0  # additive Gaussian meter noise on the aggregate
+OCCUPANT_DURATION_RANGE_S = (300.0, 2700.0)  # occupant load ON time, uniform
 
 AWAKE_START_HOUR = 6.0
 AWAKE_END_HOUR = 23.5
@@ -50,7 +52,6 @@ class HvacSpec:
 class OccupantLoadSpec:
     rate_per_occupied_hour: float = 1.5
     power_range_w: tuple = (100.0, 1200.0)
-    duration_range_s: tuple = (300.0, 2700.0)
 
 
 @dataclass
@@ -68,10 +69,8 @@ class HomeSpec:
     hvac: HvacSpec = field(default_factory=HvacSpec)
     occupant_load: OccupantLoadSpec = field(default_factory=OccupantLoadSpec)
     baseline_w: float = 100.0
-    noise_sigma_w: float = 5.0
     appliance_noise_sigma_w: float = 2.0
     timezone: str = "UTC"
-    start_time: int = DEFAULT_START
 
     def validate(self):
         if self.days < 1 or self.period_s < 1:
@@ -80,14 +79,13 @@ class HomeSpec:
             raise ValueError("period_s must divide 86400")
         if not 0 < self.hvac.duty_fraction < 1:
             raise ValueError("hvac duty_fraction must be in (0, 1)")
-        if self.noise_sigma_w < 0 or self.appliance_noise_sigma_w < 0:
+        if self.appliance_noise_sigma_w < 0:
             raise ValueError("noise sigma must be >= 0")
         if self.occupant_load.rate_per_occupied_hour < 0:
             raise ValueError("occupant load rate must be >= 0")
-        for lo, hi in (self.occupant_load.power_range_w,
-                       self.occupant_load.duration_range_s):
-            if not 0 < lo <= hi:
-                raise ValueError("ranges must be positive and ordered")
+        lo, hi = self.occupant_load.power_range_w
+        if not 0 < lo <= hi:
+            raise ValueError("ranges must be positive and ordered")
         if min(self.fridge.on_s, self.fridge.off_s, self.hvac.cycle_s) <= 0:
             raise ValueError("cycle durations must be positive")
 
@@ -132,8 +130,8 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
     period = spec.period_s
     spd = SECONDS_PER_DAY // period
     n = spec.days * spd
-    ts = spec.start_time + np.arange(n, dtype=np.int64) * period
-    t_rel = (ts - spec.start_time).astype(float)
+    ts = DEFAULT_START + np.arange(n, dtype=np.int64) * period
+    t_rel = (ts - DEFAULT_START).astype(float)
 
     hours = local_clock_hours(ts, spec.timezone)
     weekdays = local_weekdays(ts, spec.timezone)
@@ -175,7 +173,7 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
     # occupant edges must not butt up against background edges
     edge_taken = np.zeros(n, dtype=bool)
     for e in provenance:
-        i = int((e.time - spec.start_time) // period)
+        i = int((e.time - DEFAULT_START) // period)
         edge_taken[max(0, i - EDGE_MARGIN_SAMPLES):i + EDGE_MARGIN_SAMPLES + 1] = True
 
     # --- occupant-driven loads during occupied waking hours ----------------
@@ -194,7 +192,7 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
             for _ in range(k):
                 for _try in range(12):
                     on_i = int(a + rng.integers(0, run_len))
-                    dur = rng.uniform(*load_spec.duration_range_s)
+                    dur = rng.uniform(*OCCUPANT_DURATION_RANGE_S)
                     off_i = on_i + max(2, int(round(dur / period)))
                     if off_i >= b:
                         continue
@@ -225,16 +223,15 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
         if app_sigma > 0 else hvac_clean
 
     total = fridge_trace + hvac_trace + baseline + occupant_clean
-    if spec.noise_sigma_w > 0:
-        total = total + rng.normal(0, spec.noise_sigma_w, n)
-    aggregate = PowerSeries(spec.start_time, period, np.maximum(total, 0.0),
+    total = total + rng.normal(0, NOISE_SIGMA_W, n)
+    aggregate = PowerSeries(DEFAULT_START, period, np.maximum(total, 0.0),
                             spec.timezone)
 
     appliances = {
-        "fridge": PowerSeries(spec.start_time, period, fridge_trace, spec.timezone),
-        "hvac": PowerSeries(spec.start_time, period, hvac_trace, spec.timezone),
-        "baseline": PowerSeries(spec.start_time, period, baseline, spec.timezone),
-        "occupant": PowerSeries(spec.start_time, period, occupant_clean, spec.timezone),
+        "fridge": PowerSeries(DEFAULT_START, period, fridge_trace, spec.timezone),
+        "hvac": PowerSeries(DEFAULT_START, period, hvac_trace, spec.timezone),
+        "baseline": PowerSeries(DEFAULT_START, period, baseline, spec.timezone),
+        "occupant": PowerSeries(DEFAULT_START, period, occupant_clean, spec.timezone),
     }
 
     occupancy = window_occupancy(aggregate, ts, occupied)
@@ -334,8 +331,7 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
             hvac=HvacSpec(power_w=hvac_power, duty_fraction=duty,
                           cycle_s=rng.uniform(1800, 3600), circuits=circuits),
             occupant_load=OccupantLoadSpec(rate_per_occupied_hour=rate,
-                                           power_range_w=(100.0, power_hi),
-                                           duration_range_s=(300.0, 2700.0)),
+                                           power_range_w=(100.0, power_hi)),
             baseline_w=40.0 + 10.0 * rooms,
             timezone=timezone,
         )
@@ -385,7 +381,7 @@ def _build_manifest(entries, homes, seed, out_dir) -> DatasetManifest:
     manifest = DatasetManifest(
         homes=home_entries, base_dir=base,
         meta={"seed": seed, "generator": "nilminfer.synth",
-              "gap_policy": "forward-fill <= 10 periods, error beyond"})
+              "gap_policy": f"forward-fill <= {MAX_GAP_PERIODS} periods, error beyond"})
     if base is not None:
         save_manifest(manifest, base / "manifest.json")
     return manifest

@@ -128,6 +128,45 @@ def test_disaggregate_hart_runs(tmp_path, small_corpus):
     assert (out / "home_00" / "highest_power_appliance.csv").exists()
 
 
+def test_disaggregate_rerun_leaves_only_homes_and_metrics(tmp_path, small_corpus):
+    """No staging directory is left behind, and a rerun into the first
+    run's output writes the same bytes."""
+    out = tmp_path / "hart"
+    argv = ["disaggregate", "--manifest", manifest_path(small_corpus),
+            "--algo", "hart", "--out", str(out)]
+    assert run(argv) == 0
+    first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert sorted(p.name for p in out.iterdir()) == \
+        [*sorted(small_corpus.homes), "metrics.json"]
+    assert run(argv) == 0
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+
+
+@pytest.mark.parametrize("algo", ["hart", "fhmm"])
+def test_failed_disaggregate_changes_no_file_under_out(tmp_path, small_corpus,
+                                                        capsys, algo):
+    """The second home's hvac submeter is shifted one period: the run fails
+    there and leaves out as it was, with no trace of the first home, no
+    metrics.json, no staging directory, and an earlier file untouched."""
+    doc = corpus_doc(small_corpus, 2)
+    hvac = small_corpus.homes[doc["homes"][1]["home_id"]].appliances["hvac"]
+    bad = tmp_path / "hvac.csv"
+    write_power_csv(PowerSeries(hvac.start_time + hvac.period_s, hvac.period_s,
+                                hvac.values), bad)
+    doc["homes"][1]["appliance_paths"]["hvac"] = str(bad)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "traces"
+    earlier = out / doc["homes"][0]["home_id"] / "hvac.csv"
+    earlier.parent.mkdir(parents=True)
+    earlier.write_text("an earlier run's trace\n")
+    assert run(["disaggregate", "--algo", algo, "--manifest", str(manifest),
+                "--out", str(out)]) == 1
+    assert error_record(capsys)["error"] == "AlignmentError"
+    assert sorted(out.rglob("*")) == [earlier.parent, earlier]
+    assert earlier.read_text() == "an earlier run's trace\n"
+
+
 def test_features_csv(tmp_path, small_corpus):
     out = tmp_path / "features.csv"
     assert run(["features", "--manifest", manifest_path(small_corpus),
@@ -260,6 +299,34 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, small_corpus, capsys,
                 "--out", str(tmp_path / "out"), *given]) == 2
     err = capsys.readouterr().err
     assert f"argument --{flag}:" in err and "invalid" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("homes", "1"), ("homes", "0"), ("homes", "two"), ("days", "0"),
+    ("days", "-1"), ("days", "1.5"), ("period", "7"), ("period", "0"),
+    ("period", "-30"), ("period", "30.0"), ("period", "172800")])
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_synth_out_of_range_numbers_are_usage_errors(tmp_path, capsys, flag,
+                                                     value, spelling):
+    """--homes below 2, --days below 1 and a --period that is not a positive
+    divisor of 86400 exit 2 naming the flag, on the command line or from a
+    config file, and write nothing."""
+    out = tmp_path / "corpus"
+    argv = ["synth", "--out", str(out)]
+    for other, small in (("homes", "2"), ("days", "1")):
+        if other != flag:
+            argv += [f"--{other}", small]
+    if spelling == "flag":
+        argv += [f"--{flag}", value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value if value.isalpha()
+                                   else json.loads(value)}))
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument --{flag}:" in err and "invalid" not in err
+    assert not out.exists()
 
 
 def test_subcommands_do_not_mutate_inputs(tmp_path, small_corpus):

@@ -81,7 +81,7 @@ def decoded_product_path(result, models):
 
 def test_train_two_level_trace():
     s = square_wave(200.0, 30, 30, 10)
-    model = train_hmm(s, 2)
+    model = train_hmm(s, 2, name="dev")
     np.testing.assert_allclose(model.state_means_w, [0.0, 200.0], atol=5)
     # transition probabilities track the duty cycle (one flip per 30 samples)
     assert model.transition[0, 1] == pytest.approx(1 / 30, abs=0.05)
@@ -92,28 +92,28 @@ def test_train_two_level_trace():
 
 def test_train_all_zero_trace_degenerate():
     with pytest.raises(DegenerateModelError):
-        train_hmm(series(np.zeros(100)), 2)
+        train_hmm(series(np.zeros(100)), 2, name="dev")
 
 
 def test_train_noisy_two_level():
     rng = np.random.default_rng(7)
     s = square_wave(200.0, 30, 30, 10)
     noisy = series(np.maximum(s.values + rng.normal(0, 5, len(s)), 0))
-    model = train_hmm(noisy, 2)
+    model = train_hmm(noisy, 2, name="dev")
     assert model.state_means_w[0] == pytest.approx(0.0, abs=10)
     assert model.state_means_w[1] == pytest.approx(200.0, abs=10)
 
 
 def test_train_needs_enough_samples():
     with pytest.raises(ValueError):
-        train_hmm(series(np.arange(10.0)), 2)
+        train_hmm(series(np.arange(10.0)), 2, name="dev")
 
 
 def test_off_state_snaps_to_zero():
     rng = np.random.default_rng(8)
     vals = np.where(np.arange(400) % 40 < 20,
                     rng.uniform(3, 8, 400), 200 + rng.normal(0, 3, 400))
-    model = train_hmm(series(np.maximum(vals, 0)), 2)
+    model = train_hmm(series(np.maximum(vals, 0)), 2, name="dev")
     assert model.state_means_w[0] == 0.0
 
 
@@ -227,6 +227,17 @@ def test_capacity_cap_enforced():
     models = [random_model(f"m{i}", 4, rng) for i in range(7)]  # 4^7 = 16384
     with pytest.raises(CapacityError):
         fhmm_disaggregate(series(np.zeros(5), period=1), models)
+
+
+def test_capacity_cap_is_1024_product_states():
+    assert disagg.PRODUCT_STATE_CAP == 1024
+    rng = np.random.default_rng(11)
+    models = [random_model(f"m{i}", 4, rng) for i in range(6)]  # 4^6 = 4096
+    with pytest.raises(CapacityError, match="4096 exceeds 1024"):
+        fhmm_disaggregate(series(np.zeros(5), period=1), models)
+    # 4^5 = 1024 states is at the cap, and decodes
+    result = fhmm_disaggregate(series(np.zeros(3), period=1), models[:5])
+    assert sorted(result.appliances) == [f"m{i}" for i in range(5)]
 
 
 def test_period_mismatch_rejected():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import EmptyWindowError
-from nilminfer.events import (BackgroundProfile, DetectorConfig, Event,
-                              EventPair, cluster_magnitudes, detect_events,
+from nilminfer.events import (BACKGROUND_MIN_SUPPORT, CLUSTER_GAP_FRAC,
+                              MAX_PAIR_S, PAIR_TOL_FRAC, BackgroundProfile,
+                              DetectorConfig, Event, EventPair,
+                              cluster_magnitudes, detect_events,
                               learn_background, pair_events, remove_background)
 from nilminfer.series import PowerSeries
 from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
@@ -128,7 +130,7 @@ def test_detect_events_argument_errors():
 
 def test_pair_single_match():
     events = [Event(60, 500.0, 0.0), Event(120, -500.0, 500.0)]
-    pairs = pair_events(events, 0.2, 3600)
+    pairs = pair_events(events)
     assert pairs == [EventPair(60, 120, 500.0)]
     assert pairs[0].duration_s == 60
 
@@ -140,19 +142,23 @@ def test_unmatched_rising_edge_dropped():
 def test_interleaved_two_appliances():
     events = [Event(10, 500.0, 0.0), Event(20, 200.0, 500.0),
               Event(50, -200.0, 700.0), Event(80, -500.0, 500.0)]
-    pairs = pair_events(events, 0.2, 3600)
+    pairs = pair_events(events)
     assert pairs == [EventPair(10, 80, 500.0), EventPair(20, 50, 200.0)]
 
 
 def test_pair_respects_duration_cap():
-    events = [Event(0, 500.0, 0.0), Event(9000, -500.0, 500.0)]
-    assert pair_events(events, 0.2, max_duration_s=7200) == []
+    assert MAX_PAIR_S == 7200
+    for off, n_pairs in ((7200, 1), (7201, 0), (9000, 0)):
+        events = [Event(0, 500.0, 0.0), Event(off, -500.0, 500.0)]
+        assert len(pair_events(events)) == n_pairs
 
 
 def test_pair_respects_magnitude_tolerance():
-    events = [Event(0, 500.0, 0.0), Event(60, -380.0, 500.0)]
-    assert pair_events(events, 0.2, 3600) == []
-    assert len(pair_events(events, 0.3, 3600)) == 1
+    assert PAIR_TOL_FRAC == 0.2
+    for fall, n_pairs in ((-380.0, 0), (-400.0, 1), (-420.0, 1), (-600.0, 1),
+                          (-620.0, 0)):
+        events = [Event(0, 500.0, 0.0), Event(60, fall, 500.0)]
+        assert len(pair_events(events)) == n_pairs
 
 
 def test_pair_requires_time_order():
@@ -167,7 +173,7 @@ def test_same_magnitude_pairing_is_fifo():
     events = []
     for i, t in enumerate(times):
         events.append(Event(int(t), 400.0 if i < 6 else -400.0, 0.0))
-    pairs = pair_events(events, 0.2, 1e9)
+    pairs = pair_events(events)
     offs = [p.off_time for p in pairs]  # sorted by on_time already
     assert offs == sorted(offs)
     for p in pairs:
@@ -175,15 +181,15 @@ def test_same_magnitude_pairing_is_fifo():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5000), st.sampled_from([1, -1]),
+@given(st.lists(st.tuples(st.integers(0, 20000), st.sampled_from([1, -1]),
                           st.integers(100, 1000)), min_size=0, max_size=16))
 def test_pair_output_predicates(event_specs):
     events = [Event(t, sign * mag, 0.0)
               for t, sign, mag in sorted(event_specs)]
-    pairs = pair_events(events, 0.2, 1800)
+    pairs = pair_events(events)
     for p in pairs:
         assert p.on_time < p.off_time
-        assert p.duration_s <= 1800
+        assert p.duration_s <= MAX_PAIR_S
         assert p.magnitude_w > 0
 
 
@@ -208,18 +214,20 @@ def pair_events_unbounded(events, match_tol_frac, max_duration_s):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 4, 9, 10, 11, 30]),
+@given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 2880, MAX_PAIR_S - 1,
+                                           MAX_PAIR_S, MAX_PAIR_S + 1, 21600]),
                           st.sampled_from([1, -1]),
                           st.sampled_from([100.0, 115.0, 130.0, 400.0])),
                 max_size=40))
 def test_pair_events_matches_unbounded_scan(specs):
-    # gaps of 0 give equal timestamps; 9/10/11 sit on both sides of the cap
+    # gaps of 0 give equal timestamps; MAX_PAIR_S - 1, MAX_PAIR_S and
+    # MAX_PAIR_S + 1 (and 1 + (MAX_PAIR_S - 1)) sit on both sides of the cap
     events, t = [], 0
     for gap, sign, mag in specs:
         t += gap
         events.append(Event(t, sign * mag, 0.0))
-    assert pair_events(events, 0.2, 10.0) == \
-        pair_events_unbounded(events, 0.2, 10.0)
+    assert pair_events(events) == \
+        pair_events_unbounded(events, PAIR_TOL_FRAC, MAX_PAIR_S)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +271,19 @@ def test_learn_background_requires_night_samples():
 
 def test_remove_background_matches_center():
     pairs = [EventPair(0, 60, 150.0), EventPair(100, 160, 700.0)]
-    profile = BackgroundProfile((150.0,), 0.1)
+    profile = BackgroundProfile((150.0,))
     assert remove_background(pairs, profile) == [EventPair(100, 160, 700.0)]
 
 
 def test_remove_background_empty_profile_is_identity():
     pairs = [EventPair(0, 60, 150.0)]
-    assert remove_background(pairs, BackgroundProfile((), 0.1)) == pairs
+    assert remove_background(pairs, BackgroundProfile(())) == pairs
 
 
 def test_remove_background_idempotent():
     pairs = [EventPair(0, 60, 140.0), EventPair(10, 80, 900.0),
              EventPair(20, 120, 152.0)]
-    profile = BackgroundProfile((150.0, 1000.0), 0.1)
+    profile = BackgroundProfile((150.0, 1000.0))
     once = remove_background(pairs, profile)
     assert remove_background(once, profile) == once
 
@@ -305,14 +313,39 @@ def test_cluster_magnitudes_relative_gap():
     assert cluster_magnitudes(np.array([])) == []
 
 
+def night_events_series(nights):
+    """Two UTC days at 60 s on a flat 100 W. Night d gets, from 01:10, the
+    pulses of nights[d][0] (a rise and a fall each) and then the steps of
+    nights[d][1] (a rise each, held until 05:00, when the night ends)."""
+    values = np.full(2 * 1440, 100.0)
+    for day, (pulses, steps) in enumerate(nights):
+        i, night_end = day * 1440 + 70, day * 1440 + 300
+        for m in pulses:
+            values[i:i + 10] += m
+            i += 20
+        for m in steps:
+            values[i:night_end] += m
+            i += 20
+    return make_series(values, period=60)
+
+
 def test_cluster_min_support_filters():
-    clusters = cluster_magnitudes(np.array([100, 101, 99, 700.0]),
-                                  min_support=3)
-    assert len(clusters) == 1
-    assert clusters[0]["center"] == pytest.approx(100.0)
+    """cluster_magnitudes keeps every cluster; learn_background keeps those
+    with at least BACKGROUND_MIN_SUPPORT night events."""
+    assert BACKGROUND_MIN_SUPPORT == 3
+    for nights, centers in [
+            # 200 W: 3 night events, 600 W: 2, 1000 W: 1, 2000 W: 4
+            ([([2000.0, 600.0], [200.0]), ([2000.0, 200.0], [1000.0])],
+             (200.0, 2000.0)),
+            ([([600.0], [1000.0]), ([], [])], ())]:
+        profile = learn_background(night_events_series(nights))
+        assert profile.cluster_centers_w == centers
+    clusters = cluster_magnitudes(np.array([100, 101, 99, 700.0]))
+    assert [c["center"] for c in clusters] == [100.0, 700.0]
+    assert [c["values"].size for c in clusters] == [3, 1]
 
 
-def cluster_magnitudes_scanned(mags, rel_gap, min_support):
+def cluster_magnitudes_scanned(mags, rel_gap):
     """Reference: the gap scan one sorted value at a time, with the clusters
     sorted by center afterwards."""
     mags = np.asarray(mags, dtype=float)
@@ -327,24 +360,23 @@ def cluster_magnitudes_scanned(mags, rel_gap, min_support):
     breaks.append(sorted_vals.size)
     clusters = [{"center": float(np.median(sorted_vals[a:b])),
                  "indices": order[a:b], "values": sorted_vals[a:b].copy()}
-                for a, b in zip(breaks[:-1], breaks[1:]) if b - a >= min_support]
+                for a, b in zip(breaks[:-1], breaks[1:])]
     clusters.sort(key=lambda c: c["center"])
     return clusters
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from([0.0, 100.0, 109.0, 110.0, 121.0, 1000.0]),
-                          st.floats(0, 5000)), max_size=40),
-       st.integers(1, 4))
-def test_cluster_magnitudes_come_in_ascending_order(mags, min_support):
+                          st.floats(0, 5000)), max_size=40))
+def test_cluster_magnitudes_come_in_ascending_order(mags):
     """Zeros, duplicates and values one gap apart: every value of a cluster
     lies below every value of the next, the centers strictly rise, and the
     clusters are the scan's, unsorted."""
-    clusters = cluster_magnitudes(np.array(mags), min_support=min_support)
+    clusters = cluster_magnitudes(np.array(mags))
     for lo, hi in zip(clusters, clusters[1:]):
         assert lo["values"].max() < hi["values"].min()
         assert lo["center"] < hi["center"]
-    reference = cluster_magnitudes_scanned(mags, 0.1, min_support)
+    reference = cluster_magnitudes_scanned(mags, CLUSTER_GAP_FRAC)
     assert len(clusters) == len(reference)
     for got, want in zip(clusters, reference):
         assert got["center"] == want["center"]
@@ -357,26 +389,25 @@ def remove_background_per_pair(pairs, profile):
     if not profile.cluster_centers_w:
         return list(pairs)
     centers = np.array(profile.cluster_centers_w)
-    tol = profile.match_tol_frac
     return [p for p in pairs
-            if not np.any(np.abs(p.magnitude_w - centers) <= tol * centers)]
+            if not np.any(np.abs(p.magnitude_w - centers)
+                          <= CLUSTER_GAP_FRAC * centers)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(1, 5000), max_size=4, unique=True),
-       st.sampled_from([0.0, 0.1, 0.25]),
        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-1, 0, 1, None]),
                           st.floats(1, 5000)), max_size=30))
-def test_remove_background_matches_per_pair_loop(centers, tol, specs):
+def test_remove_background_matches_per_pair_loop(centers, specs):
     """Empty pair lists, empty profiles, and magnitudes exactly at c, at
-    c - tol*c and at c + tol*c."""
+    c - CLUSTER_GAP_FRAC*c and at c + CLUSTER_GAP_FRAC*c."""
     centers = sorted(centers)
     pairs = []
     for k, (which, edge, free) in enumerate(specs):
         if centers and edge is not None:
             c = centers[which % len(centers)]
-            free = c + edge * (tol * c)
+            free = c + edge * (CLUSTER_GAP_FRAC * c)
         pairs.append(EventPair(10 * k, 10 * k + 5, free))
-    profile = BackgroundProfile(tuple(centers), tol)
+    profile = BackgroundProfile(tuple(centers))
     assert remove_background(pairs, profile) == \
         remove_background_per_pair(pairs, profile)

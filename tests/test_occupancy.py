@@ -108,9 +108,22 @@ def mark_windows(n_windows, intervals):
                 max_size=10),
        st.integers(1, 16))
 def test_marking_each_interval_marks_their_union(intervals, n_windows):
-    merged = _merge_intervals(intervals, gap=1)
+    merged = []
+    for a, b in sorted((a, b) for a, b in intervals if b > a):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
     assert np.array_equal(mark_windows(n_windows, intervals),
                           mark_windows(n_windows, merged))
+
+
+def test_merge_bridges_gaps_shorter_than_pair_gap_fill():
+    assert occupancy.PAIR_GAP_FILL_S == 3600
+    assert _merge_intervals([(7200, 9000), (0, 3600), (3600 + 3599, 7300)]) == \
+        [(0, 9000)]
+    assert _merge_intervals([(0, 3600), (7200, 7300), (5, 5)]) == \
+        [(0, 3600), (7200, 7300)]
 
 
 def test_event_pipeline_monotone_in_pairs():

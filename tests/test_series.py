@@ -59,17 +59,18 @@ def test_identity_ingestion(tmp_path):
 
 def test_gap_forward_fill(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("timestamp,power_w\n0,100\n2,100\n")
-    s = load_power_csv(p, period_s=1)
-    assert np.array_equal(s.values, [100.0, 100.0, 100.0])
+    p.write_text("timestamp,power_w\n0,100\n1,100\n3,100\n")
+    s = load_power_csv(p)
+    assert np.array_equal(s.values, [100.0, 100.0, 100.0, 100.0])
     assert s.meta["n_gap_filled"] == 1
 
 
 def test_gap_too_long_raises(tmp_path):
+    assert series.MAX_GAP_PERIODS == 10
     p = tmp_path / "a.csv"
-    p.write_text("timestamp,power_w\n0,100\n12,100\n")
+    p.write_text("timestamp,power_w\n0,100\n1,100\n13,100\n")
     with pytest.raises(GapError) as exc:
-        load_power_csv(p, period_s=1, max_gap_periods=10)
+        load_power_csv(p)
     assert "11" in str(exc.value)  # names the run length
     assert exc.value.path == str(p)
 
@@ -85,7 +86,7 @@ def test_malformed_row_has_line_number(tmp_path):
 def test_duplicate_timestamps_collapse_to_mean(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n0,100\n0,200\n1,100\n")
-    s = load_power_csv(p, period_s=1)
+    s = load_power_csv(p)
     assert np.array_equal(s.values, [150.0, 100.0])
 
 
@@ -93,17 +94,17 @@ def test_negative_readings_clamped_with_warning(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n0,-5\n1,100\n")
     with pytest.warns(UserWarning, match="clamped 1 negative"):
-        s = load_power_csv(p, period_s=1)
+        s = load_power_csv(p)
     assert np.array_equal(s.values, [0.0, 100.0])
     assert s.meta["n_negative_clamped"] == 1
 
 
 def test_negative_count_excludes_gap_fill_copies(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("timestamp,power_w\n0,-5\n3,100\n")
+    p.write_text("timestamp,power_w\n0,100\n1,-5\n4,100\n")
     with pytest.warns(UserWarning, match="clamped 1 negative"):
-        s = load_power_csv(p, period_s=1)
-    assert np.array_equal(s.values, [0.0, 0.0, 0.0, 100.0])
+        s = load_power_csv(p)
+    assert np.array_equal(s.values, [100.0, 0.0, 0.0, 0.0, 100.0])
     assert s.meta["n_negative_clamped"] == 1
     assert s.meta["n_gap_filled"] == 2
 
@@ -113,7 +114,7 @@ def test_non_finite_reading_is_a_parse_error(tmp_path, reading):
     p = tmp_path / "a.csv"
     p.write_text(f"timestamp,power_w\n0,100\n\n2,{reading}\n3,100\n")
     with pytest.raises(ParseError) as exc:
-        load_power_csv(p, period_s=1)
+        load_power_csv(p)
     assert exc.value.line == 4 and exc.value.path == str(p)
     assert f"{p}:4:" in str(exc.value)
 
@@ -130,7 +131,7 @@ def test_iso_timestamps_accepted(tmp_path):
 def test_rows_sorted_before_gridding(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n2,300\n0,100\n1,200\n")
-    s = load_power_csv(p, period_s=1)
+    s = load_power_csv(p)
     assert np.array_equal(s.values, [100.0, 200.0, 300.0])
 
 
@@ -183,9 +184,21 @@ def expected_ingest(rows, period, max_gap):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), period=st.sampled_from([1, 30]))
 def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
-    rows = data.draw(st.lists(st.tuples(st.integers(0, 12),
-                                        st.integers(-40, 400)),
-                              min_size=1, max_size=20))
+    # Runs of consecutive slots, split by gaps of missing slots on both sides
+    # of MAX_GAP_PERIODS. A run of n >= 2 slots gives n - 1 spacings of one
+    # period, so the runs give more of those than of any gap's spacing, and
+    # the most common spacing, from which ingest takes the period, is period.
+    max_gap = series.MAX_GAP_PERIODS
+    runs = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    slots, slot = [], 0
+    for k, n in enumerate(runs):
+        if k:
+            slot += data.draw(st.sampled_from([1, 2, max_gap, max_gap + 1]))
+        slots.extend(range(slot, slot + n))
+        slot += n
+    rows = [(slot, value) for slot in slots
+            for value in data.draw(st.lists(st.integers(-40, 400),
+                                            min_size=1, max_size=2))]
     rows = data.draw(st.permutations(rows))
     texts = [str(v) for _, v in rows]
     n_bad = data.draw(st.sampled_from([0, 0, 0, 1, 2]))
@@ -209,20 +222,20 @@ def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
 
     bad = [n for n, text in zip(data_lines, texts)
            if text in ("nan", "inf", "-inf")]
-    expected = expected_ingest(rows, period, max_gap=3)
+    expected = expected_ingest(rows, period, max_gap)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if bad:
             with pytest.raises(ParseError) as exc:
-                load_power_csv(path, period_s=period, max_gap_periods=3)
+                load_power_csv(path)
             assert exc.value.path == str(path) and exc.value.line == bad[0]
             return
         if expected is None:
             with pytest.raises(GapError) as exc:
-                load_power_csv(path, period_s=period, max_gap_periods=3)
+                load_power_csv(path)
             assert exc.value.path == str(path)
             return
-        s = load_power_csv(path, period_s=period, max_gap_periods=3)
+        s = load_power_csv(path)
     start, values, filled, clamped = expected
     assert s.start_time == start and s.period_s == period
     assert s.values.tolist() == values

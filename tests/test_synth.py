@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nilminfer.classify import label_characteristics, CLASS_SETS
-from nilminfer.series import load_power_csv
-from nilminfer.synth import (HomeSpec, HvacSpec, OccupantLoadSpec, gen_corpus,
-                             gen_home)
+from nilminfer.series import MAX_GAP_PERIODS, load_power_csv
+from nilminfer.synth import (NOISE_SIGMA_W, HomeSpec, HvacSpec,
+                             OccupantLoadSpec, gen_corpus, gen_home)
 
 
 def test_same_seed_bit_identical(tmp_path):
@@ -45,8 +45,8 @@ def test_residual_is_the_noise_term():
     total = sum(a.values for a in home.appliances.values())
     noise = home.aggregate.values - total
     n = noise.size
-    assert abs(noise.mean()) <= 3 * spec.noise_sigma_w / np.sqrt(n)
-    assert noise.std() == pytest.approx(spec.noise_sigma_w, rel=0.1)
+    assert abs(noise.mean()) <= 3 * NOISE_SIGMA_W / np.sqrt(n)
+    assert noise.std() == pytest.approx(NOISE_SIGMA_W, rel=0.1)
 
 
 def test_provenance_edges_visible_in_aggregate():
@@ -56,7 +56,7 @@ def test_provenance_edges_visible_in_aggregate():
     t0 = home.aggregate.start_time
     times = [e.time for e in home.provenance]
     unique_times = {t for t in times if times.count(t) == 1}
-    sigma_step = np.sqrt(2) * np.sqrt(spec.noise_sigma_w ** 2
+    sigma_step = np.sqrt(2) * np.sqrt(NOISE_SIGMA_W ** 2
                                       + spec.appliance_noise_sigma_w ** 2)
     checked = 0
     for e in home.provenance:
@@ -122,6 +122,12 @@ def test_corpus_round_trips_without_warnings(default_corpus):
     home = default_corpus.homes["home_00"]
     assert np.array_equal(s.values, home.aggregate.values)
     assert s.meta["n_gap_filled"] == 0 and s.meta["n_negative_clamped"] == 0
+
+
+def test_manifest_states_the_gap_policy_ingest_applies():
+    assert MAX_GAP_PERIODS == 10
+    meta = gen_corpus(2, seed=1, days=1).manifest.meta
+    assert meta["gap_policy"] == "forward-fill <= 10 periods, error beyond"
 
 
 def test_corpus_deterministic():
