@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import characteristics_experiment
-from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_disaggregate,
+from .disagg import (ON_THRESHOLD_W, fhmm_decode, hart_disaggregate,
                      nilm_metrics, train_appliance_models)
 from .errors import DegenerateModelError
 from .events import (DetectorConfig, detect_events, pair_events)
@@ -134,40 +134,58 @@ def cmd_occupancy(cfg: dict) -> int:
     return 0
 
 
+def _disaggregation_job(manifest, entry, cfg: dict, det: DetectorConfig):
+    """(job, truths) of one home cut at the train split. The job is hart's
+    result on the test aggregate, or the FHMM's (test aggregate, models)
+    trained on the first part; truths are the test slices of the submeters
+    its traces are scored against. Only these outlive the call, so the
+    home's full series are freed before the next home loads."""
+    home = HomeData(manifest, entry)
+    n = len(home.aggregate)
+    cut = max(1, int(n * cfg["train_split"]))
+    test = home.aggregate.slice(cut, n)
+    if cfg["algo"] == "hart":
+        job = hart_disaggregate(test, det)
+        names = job.appliances
+    elif cfg["algo"] == "fhmm":
+        models = train_appliance_models(
+            {name: home.appliance(name).slice(0, cut)
+             for name in entry.appliance_paths},
+            seed=cfg["seed"], home_id=entry.home_id)
+        if not models:
+            raise DegenerateModelError(
+                f"home {entry.home_id}: no trainable appliances")
+        job = (test, models)
+        names = [m.name for m in models]
+    else:
+        raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
+    return job, {name: home.appliance(name).slice(cut, n)
+                 for name in names if name in entry.appliance_paths}
+
+
 def cmd_disaggregate(cfg: dict) -> int:
-    """Traces go to a staging directory inside out. They are moved into
-    place, and metrics.json is written, only once every home is scored, so
-    a failed run changes no file under out."""
+    """Every home is loaded and cut to its test part first, then the FHMM
+    decodes all homes at once. Traces go to a staging directory inside out.
+    They are moved into place, and metrics.json is written, only once every
+    home is scored, so a failed run changes no file under out."""
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     det = _detector(cfg)
+    truths, jobs = {}, []
+    for entry in manifest.homes:
+        job, truths[entry.home_id] = _disaggregation_job(manifest, entry, cfg, det)
+        jobs.append(job)
+    results = fhmm_decode(jobs) if cfg["algo"] == "fhmm" else jobs
     all_metrics = {}
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
-        for entry in manifest.homes:
-            home = HomeData(manifest, entry)
-            aggregate = home.aggregate
-            cut = max(1, int(len(aggregate) * cfg["train_split"]))
-            test = aggregate.slice(cut, len(aggregate))
-            if cfg["algo"] == "hart":
-                result = hart_disaggregate(test, det)
-            elif cfg["algo"] == "fhmm":
-                models = train_appliance_models(
-                    {name: home.appliance(name).slice(0, cut)
-                     for name in entry.appliance_paths},
-                    seed=cfg["seed"], home_id=entry.home_id)
-                if not models:
-                    raise DegenerateModelError(
-                        f"home {entry.home_id}: no trainable appliances")
-                result = fhmm_disaggregate(test, models)
-            else:
-                raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
-            all_metrics[entry.home_id] = {
-                name: nilm_metrics(trace, home.appliance(name).slice(cut, len(aggregate)),
+        for home_id, result in zip(truths, results):
+            all_metrics[home_id] = {
+                name: nilm_metrics(trace, truths[home_id][name],
                                    cfg["on_threshold"]).as_dict()
                 for name, trace in sorted(result.appliances.items())
-                if name in entry.appliance_paths}
-            home_dir = Path(staging, entry.home_id)
+                if name in truths[home_id]}
+            home_dir = Path(staging, home_id)
             home_dir.mkdir()
             for name, trace in sorted(result.appliances.items()):
                 write_power_csv(trace, home_dir / f"{name}.csv")

@@ -15,9 +15,10 @@ from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
 from .series import PowerSeries, check_same_axis
 
 # Dense decoding of one day at 30 s, 4-state appliances, 2-core VM, numpy 2.4:
-# 0.04-0.06 s at 64 states, 0.67 s at 256, 24.6-26.6 s at 1024 (94 MB peak
-# RSS). At 4096 states each (S, S) score matrix would be 128 MiB.
+# 0.05 s at 64 states, 0.32 s at 256, 6.4-7.0 s at 1024 (88-90 MB peak RSS).
+# At 4096 states each (S, S) score matrix would be 128 MiB.
 PRODUCT_STATE_CAP = 1024
+EMIT_BLOCK = 1024  # steps of log emissions computed at a time
 OFF_SNAP_W = 15.0
 VAR_FLOOR_W2 = 1.0
 ON_THRESHOLD_W = 50.0  # a trace is ON where its power is strictly above this
@@ -29,7 +30,8 @@ class ApplianceHMM:
 
     State 0 is OFF (mean forced to 0 when the lowest centroid sits below
     15 W); means are sorted ascending; rows of the transition matrix and the
-    initial distribution are simplexes.
+    initial distribution are simplexes; variances are finite and positive.
+    A model that breaks any of these raises a ValueError naming it.
     """
     name: str
     state_means_w: np.ndarray
@@ -39,20 +41,33 @@ class ApplianceHMM:
     period_s: int
 
     def __post_init__(self):
+        def fail(problem: str):
+            raise ValueError(f"appliance model {self.name}: {problem}")
+
         means = np.asarray(self.state_means_w, dtype=float)
-        if means.size < 2:
-            raise ValueError("need at least 2 states")
+        if means.ndim != 1 or means.size < 2:
+            fail("need at least 2 states")
         if np.any(np.diff(means) < 0):
-            raise ValueError("state means must be sorted ascending")
+            fail("state means must be sorted ascending")
+        k = means.size
+        variances = np.asarray(self.state_vars, dtype=float)
         trans = np.asarray(self.transition, dtype=float)
         init = np.asarray(self.initial, dtype=float)
+        for label, arr, shape in (("state_vars", variances, (k,)),
+                                  ("initial", init, (k,)),
+                                  ("transition", trans, (k, k))):
+            if arr.shape != shape:
+                fail(f"{label} has shape {arr.shape}, need {shape}")
+        if not (np.all(np.isfinite(variances)) and np.all(variances > 0)):
+            fail(f"variances must be finite and > 0, got {variances}")
+        if np.any(trans < 0) or np.any(init < 0):
+            fail("probabilities must be >= 0")
         if not np.allclose(trans.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("transition rows must sum to 1")
+            fail("transition rows must sum to 1")
         if not np.isclose(init.sum(), 1.0, atol=1e-9):
-            raise ValueError("initial distribution must sum to 1")
+            fail("initial distribution must sum to 1")
         object.__setattr__(self, "state_means_w", means)
-        object.__setattr__(self, "state_vars",
-                           np.asarray(self.state_vars, dtype=float))
+        object.__setattr__(self, "state_vars", variances)
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "initial", init)
 
@@ -159,7 +174,15 @@ def train_appliance_models(traces: dict, *, seed: int,
     return models
 
 
-def _product_space(models: list[ApplianceHMM]):
+def _product_space(aggregate: PowerSeries, models: list[ApplianceHMM]):
+    """The product states' digits, one column per appliance."""
+    if not models:
+        raise ValueError("need at least one appliance model")
+    for m in models:
+        if m.period_s != aggregate.period_s:
+            raise ValueError(
+                f"model {m.name} was trained at period {m.period_s}s but the "
+                f"aggregate has period {aggregate.period_s}s")
     ks = [m.n_states for m in models]
     total = int(np.prod(ks))
     if total > PRODUCT_STATE_CAP:
@@ -167,25 +190,97 @@ def _product_space(models: list[ApplianceHMM]):
             f"product state space {total} exceeds {PRODUCT_STATE_CAP}; reduce "
             f"state counts or the number of appliances")
     # appliance 0 owns the most significant digit of the product index
-    return total, np.indices(ks).reshape(len(ks), -1).T
+    return np.indices(ks).reshape(len(ks), -1).T
 
 
-def _viterbi(log_init, log_trans, log_emit):
-    """(MAP path, final log scores) of a dense HMM; ties to the lowest state."""
-    n, total = log_emit.shape
-    delta = log_init + log_emit[0]
-    psi = np.empty((n, total), dtype=np.int32)
-    scores = np.empty((total, total))
-    for t in range(1, n):
-        np.add(delta[:, None], log_trans, out=scores)
-        psi[t] = scores.argmax(axis=0)
-        scores.max(axis=0, out=delta)
-        delta += log_emit[t]
-    path = np.empty(n, dtype=np.int32)
-    path[-1] = int(np.argmax(delta))
+def _viterbi(log_init, log_trans, emit, n: int):
+    """(MAP paths (n, H), final log scores (H, S)) of H dense HMMs of S
+    states over the same n steps, decoded together; ties to the lowest state.
+
+    log_trans[h, to, from] is transposed so that each step reduces over the
+    contiguous axis. emit(t0, t1) returns the (H, t1 - t0, S) log emissions
+    of steps [t0, t1), asked for in blocks of at most EMIT_BLOCK steps.
+    """
+    n_homes, total = log_init.shape
+    delta = log_init + emit(0, 1)[:, 0]
+    psi = np.empty((n, n_homes, total),
+                   dtype=np.uint8 if total <= 256 else np.int16)
+    scores = np.empty((n_homes, total, total))
+    from_scores = delta[:, None, :]  # a view: delta is updated in place
+    for t0 in range(1, n, EMIT_BLOCK):
+        block = emit(t0, min(t0 + EMIT_BLOCK, n))
+        for t in range(t0, t0 + block.shape[1]):
+            np.add(from_scores, log_trans, out=scores)
+            scores.argmax(axis=2, out=psi[t])
+            np.maximum.reduce(scores, axis=2, out=delta)
+            delta += block[:, t - t0]
+    psi = psi.reshape(n, n_homes * total)
+    offsets = np.arange(n_homes) * total
+    path = np.empty((n, n_homes), dtype=psi.dtype)
+    path[-1] = delta.argmax(axis=1)
     for t in range(n - 1, 0, -1):
-        path[t - 1] = psi[t, path[t]]
+        path[t - 1] = psi[t].take(path[t] + offsets)
     return path, delta
+
+
+def _decode_group(jobs, digits) -> list[np.ndarray]:
+    """MAP product-state paths of jobs that share one product-state count
+    and one length, in a single Viterbi loop."""
+    n_homes, total = len(jobs), len(digits[0])
+    means, variances, log_init = np.zeros((3, n_homes, total))
+    log_trans = np.zeros((n_homes, total, total))  # [home, to, from]
+    for h, ((_, models), d) in enumerate(zip(jobs, digits)):
+        for i, m in enumerate(models):
+            means[h] += m.state_means_w[d[:, i]]
+            variances[h] += m.state_vars[d[:, i]]
+            log_init[h] += np.log(m.initial[d[:, i]])
+            log_trans[h] += np.log(m.transition.T[np.ix_(d[:, i], d[:, i])])
+    x = np.stack([aggregate.values for aggregate, _ in jobs])
+    norm = -0.5 * np.log(2 * np.pi * variances)[:, None, :]
+    twice_var = (2 * variances)[:, None, :]
+
+    def emit(t0, t1):
+        return norm - (x[:, t0:t1, None] - means[:, None, :]) ** 2 / twice_var
+
+    path, _ = _viterbi(log_init, log_trans, emit, x.shape[1])
+    return list(path.T)
+
+
+def fhmm_decode(jobs) -> list[DisaggResult]:
+    """fhmm_disaggregate of each (aggregate, models) job, in order.
+
+    Jobs with the same product-state count S and the same length decode
+    together in one Viterbi loop, in groups of at most PRODUCT_STATE_CAP // S
+    homes, so that no score, emission or back-pointer buffer outgrows one
+    home's at the cap. Each home's path and trace are exactly those of
+    decoding it alone.
+    """
+    digits = [_product_space(aggregate, models) for aggregate, models in jobs]
+    groups: dict = {}
+    for i, (aggregate, _) in enumerate(jobs):
+        groups.setdefault((len(digits[i]), len(aggregate)), []).append(i)
+    paths = {}
+    for (total, _), members in groups.items():
+        size = PRODUCT_STATE_CAP // total
+        for k in range(0, len(members), size):
+            chunk = members[k:k + size]
+            paths.update(zip(chunk, _decode_group([jobs[i] for i in chunk],
+                                                  [digits[i] for i in chunk])))
+    results = []
+    for i, (aggregate, models) in enumerate(jobs):
+        x = aggregate.values
+        appliances = {}
+        pred_sum = np.zeros(x.size)
+        for j, m in enumerate(models):
+            trace = m.state_means_w[digits[i][paths[i], j]]
+            pred_sum += trace
+            appliances[m.name] = PowerSeries(aggregate.start_time,
+                                             aggregate.period_s, trace,
+                                             aggregate.timezone)
+        residual = PowerSeries(aggregate.start_time, aggregate.period_s,
+                               np.maximum(x - pred_sum, 0.0), aggregate.timezone)
+        results.append(DisaggResult(appliances=appliances, residual=residual))
+    return results
 
 
 def fhmm_disaggregate(aggregate: PowerSeries,
@@ -198,42 +293,7 @@ def fhmm_disaggregate(aggregate: PowerSeries,
     state mean along the MAP path; the residual is the aggregate minus the
     sum of predictions, clamped at zero.
     """
-    if not models:
-        raise ValueError("need at least one appliance model")
-    for m in models:
-        if m.period_s != aggregate.period_s:
-            raise ValueError(
-                f"model {m.name} was trained at period {m.period_s}s but the "
-                f"aggregate has period {aggregate.period_s}s")
-    total, digits = _product_space(models)
-
-    means = np.zeros(total)
-    variances = np.zeros(total)
-    log_init = np.zeros(total)
-    log_trans = np.zeros((total, total))
-    for i, m in enumerate(models):
-        means += m.state_means_w[digits[:, i]]
-        variances += m.state_vars[digits[:, i]]
-        log_init += np.log(m.initial[digits[:, i]])
-        log_trans += np.log(m.transition[np.ix_(digits[:, i], digits[:, i])])
-
-    x = aggregate.values
-    log_emit = (-0.5 * np.log(2 * np.pi * variances)[None, :]
-                - (x[:, None] - means[None, :]) ** 2 / (2 * variances)[None, :])
-
-    path, _ = _viterbi(log_init, log_trans, log_emit)
-
-    appliances = {}
-    pred_sum = np.zeros(x.size)
-    for i, m in enumerate(models):
-        trace = m.state_means_w[digits[path, i]]
-        pred_sum += trace
-        appliances[m.name] = PowerSeries(aggregate.start_time,
-                                         aggregate.period_s, trace,
-                                         aggregate.timezone)
-    residual = PowerSeries(aggregate.start_time, aggregate.period_s,
-                           np.maximum(x - pred_sum, 0.0), aggregate.timezone)
-    return DisaggResult(appliances=appliances, residual=residual)
+    return fhmm_decode([(aggregate, models)])[0]
 
 
 def hart_disaggregate(aggregate: PowerSeries,

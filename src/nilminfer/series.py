@@ -178,8 +178,11 @@ def clock_window_mean(s: PowerSeries, start_hour: float, end_hour: float) -> flo
 def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
     """Ingest a `timestamp,power_w` CSV onto a uniform grid.
 
-    Duplicate timestamps collapse to their mean. The period is the most
-    common spacing between the remaining timestamps. Negative readings are
+    Duplicate timestamps collapse to their mean. The period is the
+    smallest spacing between the remaining timestamps when every spacing is
+    a multiple of it, so a recording that lost many readings is still read
+    at its own period; otherwise it is the most common spacing, and a
+    timestamp off that grid raises ParseError. Negative readings are
     clamped to 0 and counted in the returned series' meta; gaps of at most
     MAX_GAP_PERIODS missing samples are then forward-filled and counted, and
     longer gaps raise GapError (interpolating across a long outage would
@@ -390,11 +393,17 @@ def _plain_columns(path: Path, value_col: str) -> tuple[int, int, bool] | None:
     if (not raw.isascii() or b'"' in raw or b"\0" in raw
             or b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
         return None
-    # csv also refuses a field longer than its limit; no line is that long
-    newlines = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    if np.diff(newlines, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
-        return None
-    header, first = (raw[:newlines[1]] if newlines.size > 1 else raw + b"\n").split(b"\n")[:2]
+    # csv also refuses a field longer than its limit; no line is that long.
+    # From each line start, the last newline within the limit is the next
+    # line start to check, so no array the size of the file is built.
+    start, limit = 0, csv.field_size_limit()
+    while len(raw) - start >= limit:
+        newline = raw.rfind(b"\n", start, start + limit)
+        if newline < 0:
+            return None
+        start = newline + 1
+    second = raw.find(b"\n", raw.find(b"\n") + 1)
+    header, first = (raw[:second] if second >= 0 else raw + b"\n").split(b"\n")[:2]
     header = [h.strip() for h in header.decode().split(",")]
     if "timestamp" not in header or value_col not in header:
         return None
@@ -431,11 +440,14 @@ def _read_csv_arrays(path: Path, value_col: str, parse_value):
 
 
 def _infer_period(ts: np.ndarray) -> int:
+    """The smallest spacing of the sorted, distinct ts when every spacing is
+    a multiple of it (missing samples), else the most common spacing, ties
+    to the smallest (jitter, which the grid check then refuses)."""
     if ts.size < 2:
         return 1
-    diffs = np.diff(ts)
-    uniq, counts = np.unique(diffs, return_counts=True)
-    # most common spacing; ties go to the smallest, which is the base period
+    uniq, counts = np.unique(np.diff(ts), return_counts=True)
+    if np.all(uniq % uniq[0] == 0):
+        return int(uniq[0])
     return int(uniq[np.argmax(counts)])
 
 

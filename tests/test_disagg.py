@@ -1,4 +1,6 @@
 """FHMM training/decoding, event-cluster disaggregation, NILM metrics."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,38 @@ def test_off_state_snaps_to_zero():
     assert model.state_means_w[0] == 0.0
 
 
+def hmm_fields(**changes):
+    """A valid 2-state model's fields, with changes."""
+    return {"name": "dev", "state_means_w": [0.0, 200.0],
+            "state_vars": [4.0, 9.0], "transition": [[0.9, 0.1], [0.2, 0.8]],
+            "initial": [0.5, 0.5], "period_s": 30, **changes}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("state_vars", [4.0, 9.0, 1.0]),
+    ("initial", [[0.5, 0.5]]),
+    ("transition", [0.5, 0.5]),
+])
+def test_model_with_a_misshapen_array_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"model dev: {field} has shape"):
+        ApplianceHMM(**hmm_fields(**{field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("transition", [[1.2, -0.2], [0.2, 0.8]]),
+    ("initial", [1.5, -0.5]),
+])
+def test_model_with_a_negative_probability_is_rejected(field, value):
+    with pytest.raises(ValueError, match="model dev: probabilities must be >= 0"):
+        ApplianceHMM(**hmm_fields(**{field: value}))
+
+
+@pytest.mark.parametrize("variance", [0.0, -1.0, np.inf, np.nan])
+def test_model_with_a_bad_variance_is_rejected(variance):
+    with pytest.raises(ValueError, match="model dev: variances must be finite and > 0"):
+        ApplianceHMM(**hmm_fields(state_vars=[4.0, variance]))
+
+
 # ---------------------------------------------------------------------------
 # fhmm_disaggregate
 # ---------------------------------------------------------------------------
@@ -163,15 +197,15 @@ def viterbi_fresh_scores(log_init, log_trans, log_emit):
     return path, delta
 
 
-@st.composite
-def chain_log_models(draw):
-    """(log_init, log_trans, log_emit) on the product space of 1 to 3 chains
-    of 2 or 3 states, combined as fhmm_disaggregate combines them. Log
+def chain_log_arrays(draw, ks, n):
+    """(log_init, log_trans, log_emit) on the product space of chains of ks
+    states, combined as fhmm_disaggregate combines them, over n steps. Log
     probabilities come mostly from a small grid, so scores tie exactly, and
     include -inf (probability zero) in the initial, transition and emission
-    terms."""
-    ks = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
-    logp = st.sampled_from([-np.inf, -2.0, -1.0, 0.0]) | st.floats(-4, 0)
+    terms. No term is -0.0, which np.log never returns: a max over a tie of
+    0.0 and -0.0 may return either zero, and the reference reads the first."""
+    logp = (st.sampled_from([-np.inf, -2.0, -1.0, 0.0])
+            | st.floats(-4, 0).map(lambda v: v + 0.0))
 
     def array(*shape):
         size = int(np.prod(shape))
@@ -183,16 +217,70 @@ def chain_log_models(draw):
     for i, k in enumerate(ks):
         log_init += array(k)[digits[:, i]]
         log_trans += array(k, k)[np.ix_(digits[:, i], digits[:, i])]
-    return log_init, log_trans, array(draw(st.integers(1, 12)), total)
+    return log_init, log_trans, array(n, total)
+
+
+chain_shapes = st.tuples(st.lists(st.integers(2, 3), min_size=1, max_size=3),
+                         st.integers(1, 12))
+
+
+@st.composite
+def chain_log_models(draw):
+    """One chain_log_arrays model of 1 to 3 chains of 2 or 3 states."""
+    return chain_log_arrays(draw, *draw(chain_shapes))
+
+
+@st.composite
+def stacked_chain_log_models(draw):
+    """1 to 4 chain_log_arrays models of one shape."""
+    ks, n = draw(chain_shapes)
+    return [chain_log_arrays(draw, ks, n) for _ in range(draw(st.integers(1, 4)))]
+
+
+def batched_viterbi(models):
+    """disagg._viterbi of the stacked (log_init, log_trans, log_emit)
+    models, with the transitions transposed as it takes them."""
+    log_emit = np.stack([e for _, _, e in models])
+    return disagg._viterbi(np.stack([i for i, _, _ in models]),
+                           np.stack([t.T for _, t, _ in models]),
+                           lambda t0, t1: log_emit[:, t0:t1], log_emit.shape[1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(chain_log_models())
 def test_viterbi_step_in_place_matches_fresh_scores(model):
-    path, delta = disagg._viterbi(*model)
+    path, delta = batched_viterbi([model])
     ref_path, ref_delta = viterbi_fresh_scores(*model)
-    np.testing.assert_array_equal(path, ref_path)
-    assert delta.tobytes() == ref_delta.tobytes()
+    np.testing.assert_array_equal(path[:, 0], ref_path)
+    assert delta[0].tobytes() == ref_delta.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_chain_log_models(), st.integers(1, 5))
+def test_batched_viterbi_matches_each_home_alone(models, block):
+    """Homes decoded together, with emission blocks that split the sequence
+    anywhere, get each home's own path and final score bytes."""
+    with mock.patch.object(disagg, "EMIT_BLOCK", block):
+        path, delta = batched_viterbi(models)
+    for h, model in enumerate(models):
+        ref_path, ref_delta = viterbi_fresh_scores(*model)
+        np.testing.assert_array_equal(path[:, h], ref_path)
+        assert delta[h].tobytes() == ref_delta.tobytes()
+
+
+def test_viterbi_over_256_states_keeps_wide_back_pointers():
+    """At 300 states a back-pointer does not fit in a uint8."""
+    rng = np.random.default_rng(13)
+    total, n = 300, 20
+    models = [(np.log(rng.dirichlet(np.ones(total))),
+               np.log(rng.dirichlet(np.ones(total), size=total)),
+               rng.normal(0, 3, (n, total))) for _ in range(2)]
+    path, delta = batched_viterbi(models)
+    for h, model in enumerate(models):
+        ref_path, ref_delta = viterbi_fresh_scores(*model)
+        np.testing.assert_array_equal(path[:, h], ref_path)
+        assert delta[h].tobytes() == ref_delta.tobytes()
+    assert path.max() > 255
 
 
 def test_absent_appliance_decodes_to_zero():

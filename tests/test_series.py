@@ -75,6 +75,25 @@ def test_gap_too_long_raises(tmp_path):
     assert exc.value.path == str(p)
 
 
+def test_period_is_the_smallest_spacing_that_divides_every_spacing(tmp_path):
+    # more spacings of 60 s than of 30 s: the 30 s grid still holds them all
+    p = tmp_path / "a.csv"
+    p.write_text("timestamp,power_w\n"
+                 + "".join(f"{t},{t}\n" for t in (0, 30, 60, 120, 180, 240, 300)))
+    s = load_power_csv(p)
+    assert s.period_s == 30 and len(s) == 11
+    assert s.meta["n_gap_filled"] == 4
+    assert s.values.tolist() == [0, 30, 60, 60, 120, 120, 180, 180, 240, 240, 300]
+
+
+def test_jittered_spacings_are_off_the_grid(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("timestamp,power_w\n0,1\n30,1\n61,1\n91,1\n121,1\n")
+    with pytest.raises(ParseError, match="timestamp 61 is off the 30s grid") as exc:
+        load_power_csv(p)
+    assert exc.value.path == str(p)
+
+
 def test_malformed_row_has_line_number(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n0,100\n1,oops\n")
@@ -185,9 +204,9 @@ def expected_ingest(rows, period, max_gap):
 @given(data=st.data(), period=st.sampled_from([1, 30]))
 def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
     # Runs of consecutive slots, split by gaps of missing slots on both sides
-    # of MAX_GAP_PERIODS. A run of n >= 2 slots gives n - 1 spacings of one
-    # period, so the runs give more of those than of any gap's spacing, and
-    # the most common spacing, from which ingest takes the period, is period.
+    # of MAX_GAP_PERIODS. A run of n >= 2 slots gives spacings of one period,
+    # the smallest, and every gap's spacing is a multiple of it, so ingest
+    # takes period as the period.
     max_gap = series.MAX_GAP_PERIODS
     runs = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
     slots, slot = [], 0
@@ -415,6 +434,16 @@ def test_read_csv_leaves_an_overlong_field_to_the_row_loop(tmp_path):
         2, str(path),
         f"{path}:2: field larger than field limit ({csv.field_size_limit()})")
     assert_read_csv_equals_row_loop(path, "power_w")
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n2,3\n"])
+@pytest.mark.parametrize("length", [15, 16])
+def test_plain_columns_leaves_a_line_as_long_as_the_field_limit_to_the_row_loop(
+        tmp_path, monkeypatch, length, tail):
+    monkeypatch.setattr(series.csv, "field_size_limit", lambda: 16)
+    path = tmp_path / "in.csv"
+    path.write_text("timestamp,v\n0,1\n1," + "9" * (length - 2) + tail)
+    assert (series._plain_columns(path, "v") is None) == (length >= 16)
 
 
 @pytest.mark.parametrize("col, value", [("power_w", "nan"), ("power_w", "inf"),
