@@ -134,61 +134,63 @@ def cmd_occupancy(cfg: dict) -> int:
     return 0
 
 
-def _disaggregation_job(manifest, entry, cfg: dict, det: DetectorConfig):
-    """(job, truths) of one home cut at the train split. The job is hart's
-    result on the test aggregate, or the FHMM's (test aggregate, models)
-    trained on the first part; truths are the test slices of the submeters
-    its traces are scored against. Only these outlive the call, so the
-    home's full series are freed before the next home loads."""
-    home = HomeData(manifest, entry)
+def _test_truths(home: HomeData, names, cut: int) -> dict:
+    """The test slices, from cut on, of the named appliances the home has a
+    submeter for: the series their traces are scored against."""
     n = len(home.aggregate)
-    cut = max(1, int(n * cfg["train_split"]))
-    test = home.aggregate.slice(cut, n)
-    if cfg["algo"] == "hart":
-        job = hart_disaggregate(test, det)
-        names = job.appliances
-    elif cfg["algo"] == "fhmm":
-        models = train_appliance_models(
-            {name: home.appliance(name).slice(0, cut)
-             for name in entry.appliance_paths},
-            seed=cfg["seed"], home_id=entry.home_id)
-        if not models:
-            raise DegenerateModelError(
-                f"home {entry.home_id}: no trainable appliances")
-        job = (test, models)
-        names = [m.name for m in models]
-    else:
-        raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
-    return job, {name: home.appliance(name).slice(cut, n)
-                 for name in names if name in entry.appliance_paths}
+    return {name: home.appliance(name).slice(cut, n)
+            for name in names if name in home.entry.appliance_paths}
 
 
 def cmd_disaggregate(cfg: dict) -> int:
-    """Every home is loaded and cut to its test part first, then the FHMM
-    decodes all homes at once. Traces go to a staging directory inside out.
-    They are moved into place, and metrics.json is written, only once every
-    home is scored, so a failed run changes no file under out."""
+    """Hart results are scored and staged home by home. FHMM homes are all
+    loaded and trained first, keeping only each home's test aggregate,
+    models and scored test slices, then decoded at once by fhmm_decode.
+    Traces go to a staging directory inside out. They are moved into place,
+    and metrics.json is written, only once every home is scored, so a failed
+    run changes no file under out."""
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     det = _detector(cfg)
-    truths, jobs = {}, []
-    for entry in manifest.homes:
-        job, truths[entry.home_id] = _disaggregation_job(manifest, entry, cfg, det)
-        jobs.append(job)
-    results = fhmm_decode(jobs) if cfg["algo"] == "fhmm" else jobs
     all_metrics = {}
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
-        for home_id, result in zip(truths, results):
+        def stage(home_id: str, result, truths: dict):
             all_metrics[home_id] = {
-                name: nilm_metrics(trace, truths[home_id][name],
+                name: nilm_metrics(trace, truths[name],
                                    cfg["on_threshold"]).as_dict()
                 for name, trace in sorted(result.appliances.items())
-                if name in truths[home_id]}
+                if name in truths}
             home_dir = Path(staging, home_id)
             home_dir.mkdir()
             for name, trace in sorted(result.appliances.items()):
                 write_power_csv(trace, home_dir / f"{name}.csv")
+
+        fhmm_homes = []  # (home_id, (test aggregate, models), truths)
+        for entry in manifest.homes:
+            home = HomeData(manifest, entry)
+            aggregate = home.aggregate
+            cut = max(1, int(len(aggregate) * cfg["train_split"]))
+            test = aggregate.slice(cut, len(aggregate))
+            if cfg["algo"] == "hart":
+                result = hart_disaggregate(test, det)
+                stage(entry.home_id, result,
+                      _test_truths(home, result.appliances, cut))
+            elif cfg["algo"] == "fhmm":
+                models = train_appliance_models(
+                    {name: home.appliance(name).slice(0, cut)
+                     for name in entry.appliance_paths},
+                    seed=cfg["seed"], home_id=entry.home_id)
+                if not models:
+                    raise DegenerateModelError(
+                        f"home {entry.home_id}: no trainable appliances")
+                fhmm_homes.append((entry.home_id, (test, models),
+                                   _test_truths(home, [m.name for m in models], cut)))
+            else:
+                raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
+        decoded = fhmm_decode([job for _, job, _ in fhmm_homes])
+        for (home_id, _, truths), result in zip(fhmm_homes, decoded):
+            stage(home_id, result, truths)
         for f in sorted(Path(staging).glob("*/*")):
             (out / f.parent.name).mkdir(exist_ok=True)
             f.replace(out / f.parent.name / f.name)

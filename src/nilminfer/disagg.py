@@ -15,7 +15,7 @@ from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
 from .series import PowerSeries, check_same_axis
 
 # Dense decoding of one day at 30 s, 4-state appliances, 2-core VM, numpy 2.4:
-# 0.05 s at 64 states, 0.32 s at 256, 6.4-7.0 s at 1024 (88-90 MB peak RSS).
+# 0.02 s at 64 states, 0.15 s at 256, 3.1-3.2 s at 1024 (80-81 MB peak RSS).
 # At 4096 states each (S, S) score matrix would be 128 MiB.
 PRODUCT_STATE_CAP = 1024
 EMIT_BLOCK = 1024  # steps of log emissions computed at a time
@@ -200,19 +200,25 @@ def _viterbi(log_init, log_trans, emit, n: int):
     log_trans[h, to, from] is transposed so that each step reduces over the
     contiguous axis. emit(t0, t1) returns the (H, t1 - t0, S) log emissions
     of steps [t0, t1), asked for in blocks of at most EMIT_BLOCK steps.
+    Each score is read at its first argmax rather than taken as a max: a max
+    over a tie of 0.0 and -0.0 may return either zero.
     """
     n_homes, total = log_init.shape
     delta = log_init + emit(0, 1)[:, 0]
     psi = np.empty((n, n_homes, total),
                    dtype=np.uint8 if total <= 256 else np.int16)
     scores = np.empty((n_homes, total, total))
+    flat_scores = scores.reshape(-1)
+    row_starts = np.arange(n_homes * total).reshape(n_homes, total) * total
+    best = np.empty((n_homes, total), dtype=np.intp)
     from_scores = delta[:, None, :]  # a view: delta is updated in place
     for t0 in range(1, n, EMIT_BLOCK):
         block = emit(t0, min(t0 + EMIT_BLOCK, n))
         for t in range(t0, t0 + block.shape[1]):
             np.add(from_scores, log_trans, out=scores)
             scores.argmax(axis=2, out=psi[t])
-            np.maximum.reduce(scores, axis=2, out=delta)
+            np.add(psi[t], row_starts, out=best)
+            flat_scores.take(best, out=delta)
             delta += block[:, t - t0]
     psi = psi.reshape(n, n_homes * total)
     offsets = np.arange(n_homes) * total

@@ -202,10 +202,8 @@ def chain_log_arrays(draw, ks, n):
     states, combined as fhmm_disaggregate combines them, over n steps. Log
     probabilities come mostly from a small grid, so scores tie exactly, and
     include -inf (probability zero) in the initial, transition and emission
-    terms. No term is -0.0, which np.log never returns: a max over a tie of
-    0.0 and -0.0 may return either zero, and the reference reads the first."""
-    logp = (st.sampled_from([-np.inf, -2.0, -1.0, 0.0])
-            | st.floats(-4, 0).map(lambda v: v + 0.0))
+    terms, and -0.0, so that scores can tie between 0.0 and -0.0."""
+    logp = st.sampled_from([-np.inf, -2.0, -1.0, 0.0, -0.0]) | st.floats(-4, 0)
 
     def array(*shape):
         size = int(np.prod(shape))
@@ -266,6 +264,21 @@ def test_batched_viterbi_matches_each_home_alone(models, block):
         ref_path, ref_delta = viterbi_fresh_scores(*model)
         np.testing.assert_array_equal(path[:, h], ref_path)
         assert delta[h].tobytes() == ref_delta.tobytes()
+
+
+def test_viterbi_signed_zero_ties_keep_the_first_argmax_score():
+    """Every term 0.0 or -0.0, so every score ties; the final scores carry
+    the sign of the zero at each first argmax, as the reference reads them."""
+    rng = np.random.default_rng(14)
+    zeros = np.array([0.0, -0.0])
+    for total in (2, 3, 4, 8):
+        models = [(rng.choice(zeros, total), rng.choice(zeros, (total, total)),
+                   rng.choice(zeros, (4, total))) for _ in range(20)]
+        path, delta = batched_viterbi(models)
+        for h, model in enumerate(models):
+            ref_path, ref_delta = viterbi_fresh_scores(*model)
+            np.testing.assert_array_equal(path[:, h], ref_path)
+            assert delta[h].tobytes() == ref_delta.tobytes()
 
 
 def test_viterbi_over_256_states_keeps_wide_back_pointers():

@@ -86,6 +86,28 @@ def test_period_is_the_smallest_spacing_that_divides_every_spacing(tmp_path):
     assert s.values.tolist() == [0, 30, 60, 60, 120, 120, 180, 180, 240, 240, 300]
 
 
+def test_a_stray_row_half_a_period_off_reads_at_the_smaller_period(tmp_path):
+    # a 60 s file with one extra row at 150 s: every spacing is a multiple
+    # of 30 s, so the file is read at 30 s with the 60 s rows forward-filled
+    p = tmp_path / "a.csv"
+    p.write_text("timestamp,power_w\n"
+                 + "".join(f"{t},{t}\n" for t in (0, 60, 120, 150, 180, 240, 300)))
+    s = load_power_csv(p)
+    assert s.period_s == 30 and s.meta["n_gap_filled"] == 4
+    assert s.values.tolist() == [0, 0, 60, 60, 120, 150, 180, 180, 240, 240, 300]
+
+
+def test_a_stray_row_one_second_off_is_a_gap_at_one_second(tmp_path):
+    # a 60 s file with one extra row at 121 s: every spacing is a multiple
+    # of 1 s, and at 1 s the 60 s spacings are gaps of 59 samples
+    p = tmp_path / "a.csv"
+    p.write_text("timestamp,power_w\n"
+                 + "".join(f"{t},{t}\n" for t in (0, 60, 120, 121, 180, 240, 300)))
+    with pytest.raises(GapError, match="59 consecutive samples missing") as exc:
+        load_power_csv(p)
+    assert exc.value.path == str(p)
+
+
 def test_jittered_spacings_are_off_the_grid(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n0,1\n30,1\n61,1\n91,1\n121,1\n")
