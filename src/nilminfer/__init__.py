@@ -36,8 +36,8 @@ from .disagg import (ApplianceHMM, DisaggResult, NilmMetrics, train_hmm,
 from .features import (FeatureVector, extract_consumption_features,
                        extract_appliance_features, chi2_select, pearson,
                        build_feature_table, write_feature_csv)
-from .classify import (HouseholdRecord, label_characteristics, knn_classify,
-                       rf_classify, majority_baseline,
-                       characteristics_experiment, stratified_folds)
+from .classify import (label_characteristics, knn_classify, rf_classify,
+                       majority_baseline, characteristics_experiment,
+                       stratified_folds)
 from .synth import (HomeSpec, CyclicLoadSpec, HvacSpec, OccupantLoadSpec,
                     GeneratedHome, Corpus, gen_home, gen_corpus)

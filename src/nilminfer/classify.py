@@ -7,7 +7,6 @@ numeric household metadata into labels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,23 +25,9 @@ CLASS_SETS = {
 }
 
 
-@dataclass
-class HouseholdRecord:
-    """Per-home characteristic labels; any label may be absent (None)."""
-    home_id: str
-    labels: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, value in self.labels.items():
-            if name not in CLASS_SETS:
-                raise ValueError(f"unknown characteristic {name!r}")
-            if value is not None and value not in CLASS_SETS[name]:
-                raise ValueError(f"bad label {value!r} for {name}")
-
-
-def label_characteristics(characteristics: dict,
-                          home_id: str = "") -> HouseholdRecord:
-    """Map numeric household metadata to class labels.
+def label_characteristics(characteristics: dict) -> dict:
+    """Map numeric household metadata to a label (or None) per
+    characteristic.
 
     Boundary values land on the class defined with ">=" (age 30 -> Old,
     area 1800 -> High) and income 150000 -> Below150k. Area below 900 sq ft
@@ -83,7 +68,7 @@ def label_characteristics(characteristics: dict,
         labels["rooms"] = "GT8"
     occ = c.get("occupants")
     labels["occupants"] = None if occ is None else ("LE2" if occ <= 2 else "GT2")
-    return HouseholdRecord(home_id=home_id, labels=labels)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +318,14 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     baseline. Characteristics with any class under 2 homes are skipped.
     """
     table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
-    records = {e.home_id: label_characteristics(e.characteristics, e.home_id)
-               for e in manifest.homes}
+    labels = {e.home_id: label_characteristics(e.characteristics)
+              for e in manifest.homes}
 
     results = []
     for characteristic in CHARACTERISTICS:
         labelled = [h for h in table.home_ids
-                    if records[h].labels.get(characteristic) is not None]
-        y_all = np.array([records[h].labels[characteristic] for h in labelled],
+                    if labels[h][characteristic] is not None]
+        y_all = np.array([labels[h][characteristic] for h in labelled],
                          dtype=object)
         class_counts = {c: int((y_all == c).sum()) for c in sorted(set(y_all.tolist()))}
         if len(class_counts) < 2 or min(class_counts.values()) < folds:

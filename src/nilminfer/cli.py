@@ -26,7 +26,6 @@ from . import __version__
 from .classify import characteristics_experiment
 from .disagg import (ON_THRESHOLD_W, fhmm_decode, hart_disaggregate,
                      nilm_metrics, train_appliance_models)
-from .errors import DegenerateModelError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
 from .occupancy import occupancy_experiment
@@ -177,13 +176,7 @@ def cmd_disaggregate(cfg: dict) -> int:
                 stage(entry.home_id, result,
                       _test_truths(home, result.appliances, cut))
             elif cfg["algo"] == "fhmm":
-                models = train_appliance_models(
-                    {name: home.appliance(name).slice(0, cut)
-                     for name in entry.appliance_paths},
-                    seed=cfg["seed"], home_id=entry.home_id)
-                if not models:
-                    raise DegenerateModelError(
-                        f"home {entry.home_id}: no trainable appliances")
+                models = train_appliance_models(home, cut, seed=cfg["seed"])
                 fhmm_homes.append((entry.home_id, (test, models),
                                    _test_truths(home, [m.name for m in models], cut)))
             else:

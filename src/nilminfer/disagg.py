@@ -5,14 +5,14 @@ NILM accuracy metrics.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateModelError
 from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
                      detect_events, pair_events)
-from .series import PowerSeries, check_same_axis
+from .series import HomeData, PowerSeries, check_same_axis
 
 # Dense decoding of one day at 30 s, 4-state appliances, 2-core VM, numpy 2.4:
 # 0.02 s at 64 states, 0.15 s at 256, 3.1-3.2 s at 1024 (80-81 MB peak RSS).
@@ -80,7 +80,6 @@ class ApplianceHMM:
 class DisaggResult:
     appliances: dict            # name -> PowerSeries
     residual: PowerSeries
-    flags: dict = field(default_factory=dict)
 
 
 def _kmeans_1d(values: np.ndarray, k: int, seed: int):
@@ -154,14 +153,16 @@ def train_hmm(appliance: PowerSeries, n_states: int = 2, *, name: str,
                         period_s=appliance.period_s)
 
 
-def train_appliance_models(traces: dict, *, seed: int,
-                           home_id: str) -> list[ApplianceHMM]:
-    """One HMM per submetered appliance of a home, in name order: 3 states
-    for hvac and 2 for anything else. An hvac fit that collapses is retried
-    at 2 states; an appliance that cannot be fitted at 2 states is skipped
-    with a warning. traces maps appliance name -> training series."""
+def train_appliance_models(home: HomeData, cut: int, *,
+                           seed: int) -> list[ApplianceHMM]:
+    """One HMM per submetered appliance of a home, trained on its samples
+    [0, cut), in name order: 3 states for hvac and 2 for anything else. An
+    hvac fit that collapses is retried at 2 states; an appliance that cannot
+    be fitted at 2 states is skipped with a warning. A home left with no
+    model is a DegenerateModelError."""
     models = []
-    for name, trace in sorted(traces.items()):
+    for name in sorted(home.entry.appliance_paths):
+        trace = home.appliance(name).slice(0, cut)
         for k in ((3, 2) if name == "hvac" else (2,)):
             try:
                 models.append(train_hmm(trace, k, name=name, seed=seed))
@@ -170,7 +171,10 @@ def train_appliance_models(traces: dict, *, seed: int,
                 continue
         else:
             warnings.warn(f"skipping degenerate appliance {name} for home "
-                          f"{home_id}", stacklevel=2)
+                          f"{home.entry.home_id}", stacklevel=2)
+    if not models:
+        raise DegenerateModelError(
+            f"home {home.entry.home_id}: no trainable appliances")
     return models
 
 
@@ -314,35 +318,23 @@ def hart_reconstruct(aggregate: PowerSeries, pairs: list) -> DisaggResult:
     The top magnitude cluster, the last of cluster_magnitudes, becomes
     "highest_power_appliance": rectangular pulses over its pairs' ON
     intervals. That same series is "hvac" when its center is at least
-    HVAC_MIN_W; otherwise "hvac" is all zeros, flagged hvac_absent. The
-    residual is the aggregate less the top trace, clamped at 0.
+    HVAC_MIN_W; otherwise "hvac" is all zeros. The residual is the aggregate
+    less the top trace, clamped at 0.
     """
     clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
     t0, per, tz = aggregate.start_time, aggregate.period_s, aggregate.timezone
     trace = np.zeros(len(aggregate))
-    flags: dict = {}
-    if clusters:
-        top = clusters[-1]
-        for idx in top["indices"]:
-            p = pairs[int(idx)]
-            a = (p.on_time - t0) // per
-            b = (p.off_time - t0) // per
-            trace[a:b] += p.magnitude_w
-        flags["highest_center_w"] = top["center"]
-        flags["top_cluster_magnitudes"] = [float(v) for v in top["values"]]
-    else:
-        flags["no_clusters"] = True
+    for idx in clusters[-1]["indices"] if clusters else ():
+        p = pairs[int(idx)]
+        trace[(p.on_time - t0) // per:(p.off_time - t0) // per] += p.magnitude_w
     highest = PowerSeries(t0, per, trace, tz)
-    if clusters and top["center"] >= HVAC_MIN_W:
+    if clusters and clusters[-1]["center"] >= HVAC_MIN_W:
         hvac = highest
-        flags["hvac_center_w"] = top["center"]
-        flags["highest_power_is_hvac"] = True
     else:
         hvac = PowerSeries(t0, per, np.zeros_like(trace), tz)
-        flags["hvac_absent"] = True
     residual = PowerSeries(t0, per, np.maximum(aggregate.values - trace, 0.0), tz)
     return DisaggResult(appliances={"hvac": hvac, "highest_power_appliance": highest},
-                        residual=residual, flags=flags)
+                        residual=residual)
 
 
 @dataclass(frozen=True)

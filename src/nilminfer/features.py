@@ -35,27 +35,22 @@ CLOCK_WINDOWS = {
 
 @dataclass
 class FeatureVector:
-    """Named non-negative feature values with quality flags (zero
-    denominators, clamped statistics)."""
+    """Named feature values, each finite and non-negative."""
     values: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
 
-    def add(self, name: str, value: float, flag: str | None = None):
+    def add(self, name: str, value: float):
         value = float(value)
         if not np.isfinite(value) or value < 0:
             raise ValueError(f"feature {name!r} must be finite and >= 0, "
                              f"got {value}")
         self.values[name] = value
-        if flag:
-            self.flags[name] = flag
 
     def merge(self, other: "FeatureVector") -> "FeatureVector":
-        out = FeatureVector(dict(self.values), dict(self.flags))
+        out = FeatureVector(dict(self.values))
         for name in other.values:
             if name in out.values:
                 raise ValueError(f"duplicate feature {name!r}")
             out.values[name] = other.values[name]
-        out.flags.update(other.flags)
         return out
 
 
@@ -63,9 +58,9 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
     """The 22-feature consumption catalog over one stream.
 
     Requires at least one full week so weekday/weekend means are defined.
-    Ratios with zero denominators map to 0 with a flag; autocorrelation is the
-    Pearson correlation of the stream with itself shifted one day, clamped at
-    0 (flagged) to keep the vector non-negative.
+    Ratios with zero denominators map to 0; autocorrelation is the Pearson
+    correlation of the stream with itself shifted one day, 0 when either
+    side is constant and clamped at 0 to keep the vector non-negative.
     """
     if s.span_s < 7 * SECONDS_PER_DAY:
         raise CoverageError(
@@ -76,8 +71,8 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
     hours = local_clock_hours(ts, s.timezone)
     wd = local_weekdays(ts, s.timezone)
 
-    def put(name, value, flag=None):
-        fv.add(f"{prefix}_{name}", value, flag)
+    def put(name, value):
+        fv.add(f"{prefix}_{name}", value)
 
     mean_total = float(v.mean())
     put("mean_total", mean_total)
@@ -95,10 +90,7 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
     put("min", vmin)
 
     def ratio(name, num, den):
-        if den == 0:
-            put(name, 0.0, flag="zero_denominator")
-        else:
-            put(name, num / den)
+        put(name, 0.0 if den == 0 else num / den)
 
     ratio("mean_over_max", mean_total, vmax)
     ratio("min_over_mean", vmin, mean_total)
@@ -116,11 +108,9 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
     lag = SECONDS_PER_DAY // s.period_s
     a, b = v[lag:], v[:-lag]
     if a.std() == 0 or b.std() == 0:
-        put("autocorr_day", 0.0, flag="zero_variance")
+        put("autocorr_day", 0.0)
     else:
-        r = float(np.corrcoef(a, b)[0, 1])
-        put("autocorr_day", max(r, 0.0),
-            flag="clamped_negative" if r < 0 else None)
+        put("autocorr_day", max(float(np.corrcoef(a, b)[0, 1]), 0.0))
     return fv
 
 
@@ -130,9 +120,10 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     """HVAC and event-stream features over a home.
 
     hvac_circuits falls back to the count of event-pair magnitude clusters at
-    or above HVAC_MIN_W when the metadata does not provide it (flagged). The
+    or above HVAC_MIN_W when the metadata does not provide it. The
     highest-power-appliance statistics come from the magnitudes of the top
-    pair cluster, the last one. HVAC is ON above ON_THRESHOLD_W.
+    pair cluster, the last one, and are 0 with no pairs. HVAC is ON above
+    ON_THRESHOLD_W.
     """
     check_same_axis(hvac, aggregate, "hvac", "aggregate")
     agg_energy = float(aggregate.values.sum())
@@ -145,24 +136,16 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     fv.add("appliance_switches", float(len(events)))
     fv.add("hvac_on_fraction", float((hvac.values > ON_THRESHOLD_W).mean()))
     frac = float(hvac.values.sum()) / agg_energy
-    fv.add("hvac_energy_fraction", min(frac, 1.0),
-           flag="clamped_above_1" if frac > 1.0 else None)
+    fv.add("hvac_energy_fraction", min(frac, 1.0))
 
     clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
-    if hvac_circuits is not None:
-        fv.add("hvac_circuits", float(hvac_circuits))
-    else:
-        n_big = sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)
-        fv.add("hvac_circuits", float(n_big), flag="cluster_count_proxy")
-    if clusters:
-        top = clusters[-1]["values"]
-        fv.add("top_appliance_mean", float(np.mean(top)))
-        fv.add("top_appliance_max", float(np.max(top)))
-        fv.add("top_appliance_median", float(np.median(top)))
-    else:
-        for name in ("top_appliance_mean", "top_appliance_max",
-                     "top_appliance_median"):
-            fv.add(name, 0.0, flag="no_event_pairs")
+    if hvac_circuits is None:
+        hvac_circuits = sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)
+    fv.add("hvac_circuits", float(hvac_circuits))
+    top = clusters[-1]["values"] if clusters else [0.0]
+    fv.add("top_appliance_mean", float(np.mean(top)))
+    fv.add("top_appliance_max", float(np.max(top)))
+    fv.add("top_appliance_median", float(np.median(top)))
     return fv
 
 
@@ -281,10 +264,7 @@ def build_home_features(home: HomeData, sources,
             out[source] = agg_fv.merge(hvac_bundle(hvac))
         elif source == "disagg-fhmm":
             cut = max(len(aggregate) // 2, 1)
-            halves = {name: home.appliance(name).slice(0, cut)
-                      for name in entry.appliance_paths}
-            models = train_appliance_models(halves, seed=seed,
-                                            home_id=entry.home_id)
+            models = train_appliance_models(home, cut, seed=seed)
             if not any(m.name == "hvac" for m in models):
                 raise ValueError(f"home {entry.home_id}: no usable hvac model")
             hvac = fhmm_disaggregate(aggregate, models).appliances["hvac"]

@@ -560,10 +560,12 @@ class DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Read a manifest and check each home once: a unique `home_id`, an
-    `aggregate_path`, paths naming existing files, a known timezone, finite
-    characteristics >= 0 and an integer `hvac_circuits` >= 0 when given. Any
-    fault is a ManifestError naming the manifest and the home."""
+    """Read a manifest and check it once: `meta`, when given, an object, and
+    for each home a unique `home_id` that is one plain path component and one
+    unquoted CSV field, an `aggregate_path`, paths naming existing files, a
+    known timezone, finite characteristics >= 0 and an integer
+    `hvac_circuits` >= 0 when given. Any fault is a ManifestError naming the
+    manifest and the home."""
     path = Path(path)
     with open(path) as f:
         try:
@@ -571,9 +573,12 @@ def load_manifest(path) -> DatasetManifest:
             homes = doc.get("homes") if isinstance(doc, dict) else None
             if not isinstance(homes, list) or not homes:
                 raise ValueError("'homes' must be a non-empty list")
+            meta = doc.get("meta", {})
+            if not isinstance(meta, dict):
+                raise ValueError("'meta' must be an object")
             return DatasetManifest([_home_entry(h, i, path.parent)
                                     for i, h in enumerate(homes)],
-                                   path.parent, dict(doc.get("meta", {})))
+                                   path.parent, meta)
         except ValueError as exc:  # json.JSONDecodeError is one
             raise ManifestError(f"{path}: {exc}", path=str(path)) from exc
 
@@ -582,10 +587,15 @@ def _home_entry(h, i: int, base_dir: Path) -> HomeEntry:
     """The i-th home of a manifest; a ValueError names it and its fault."""
     if not (isinstance(h, dict) and "home_id" in h):
         raise ValueError(f"home #{i + 1} is not an object with a 'home_id'")
-    home = f"home {h['home_id']}"
+    home_id = str(h["home_id"])
+    home = f"home {home_id}"
+    # the id names the home's output directory and its row of a feature CSV
+    if home_id in ("", ".", "..") or any(c in home_id for c in '/\\\0,"\r\n'):
+        raise ValueError(f"home {home_id!r}: home_id must be one plain path "
+                         "component and one unquoted CSV field")
     if "aggregate_path" not in h:
         raise ValueError(f"{home}: no 'aggregate_path'")
-    e = HomeEntry(str(h["home_id"]), h["aggregate_path"],
+    e = HomeEntry(home_id, h["aggregate_path"],
                   h.get("appliance_paths", {}), h.get("occupancy_path"),
                   h.get("timezone", "UTC"), h.get("characteristics", {}),
                   h.get("hvac_circuits"))

@@ -17,14 +17,14 @@ from nilminfer.classify import (characteristics_experiment, knn_classify,
 # ---------------------------------------------------------------------------
 
 def test_label_examples():
-    rec = label_characteristics({"area_sqft": 2000, "occupants": 2})
-    assert rec.labels["area"] == "High"
-    assert rec.labels["occupants"] == "LE2"
+    labels = label_characteristics({"area_sqft": 2000, "occupants": 2})
+    assert labels["area"] == "High"
+    assert labels["occupants"] == "LE2"
 
 
 def test_label_boundaries():
     labels = label_characteristics({"age_years": 30, "area_sqft": 1800,
-                                    "income_usd_per_year": 150_000}).labels
+                                    "income_usd_per_year": 150_000})
     assert labels["age"] == "Old"          # ties go to the >= class
     assert labels["area"] == "High"
     assert labels["income"] == "Below150k"
@@ -33,18 +33,18 @@ def test_label_boundaries():
 def test_label_full_taxonomy():
     labels = label_characteristics({
         "age_years": 12, "area_sqft": 1200, "income_usd_per_year": 200_000,
-        "floors": 2, "rooms": 7, "occupants": 4}).labels
+        "floors": 2, "rooms": 7, "occupants": 4})
     assert labels == {"age": "New", "area": "Medium", "income": "Above150k",
                       "floors": "TwoPlus", "rooms": "SevenToEight",
                       "occupants": "GT2"}
-    assert label_characteristics({"rooms": 6}).labels["rooms"] == "LE6"
-    assert label_characteristics({"rooms": 9}).labels["rooms"] == "GT8"
+    assert label_characteristics({"rooms": 6})["rooms"] == "LE6"
+    assert label_characteristics({"rooms": 9})["rooms"] == "GT8"
 
 
 def test_label_missing_and_out_of_range():
-    labels = label_characteristics({}).labels
+    labels = label_characteristics({})
     assert all(v is None for v in labels.values())
-    assert label_characteristics({"area_sqft": 800}).labels["area"] is None
+    assert label_characteristics({"area_sqft": 800})["area"] is None
 
 
 def test_label_negative_rejected():

@@ -473,6 +473,7 @@ def test_degenerate_appliance_warns_alike_in_disaggregate_and_features(
         area_sqft=math.nan), True, id="nan-characteristic"),
     pytest.param(lambda d: d["homes"].append(copy.deepcopy(d["homes"][0])), True,
                  id="duplicate-home-id"),
+    pytest.param(lambda d: d.update(meta=5), False, id="meta-not-object"),
 ])
 def test_manifest_faults_are_manifest_errors_naming_manifest_and_home(
         tmp_path, small_corpus, capsys, mutate, names_home):
@@ -518,3 +519,63 @@ def test_misaligned_submeter_is_an_alignment_error_naming_its_file(
     assert not (tmp_path / "traces" / "metrics.json").exists()
     # the home is scored before any of its traces is written
     assert not (tmp_path / "traces" / doc["homes"][0]["home_id"]).exists()
+
+
+@pytest.mark.parametrize("home_id", ["", ".", "..", "a/b", "/abs", "a\\b",
+                                     "a\0b", "a,b", 'a"b', "a\rb", "a\nb"])
+def test_home_id_must_be_one_path_component_and_one_csv_field(
+        tmp_path, small_corpus, home_id):
+    doc = corpus_doc(small_corpus, 2)
+    doc["homes"][0]["home_id"] = home_id
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(manifest)
+    assert exc.value.path == str(manifest)
+    assert f"home {home_id!r}: home_id must be" in str(exc.value)
+
+
+@pytest.mark.parametrize("home_id", ["home_00", "house 7-b.v2"])
+def test_plain_home_ids_load(tmp_path, small_corpus, home_id):
+    doc = corpus_doc(small_corpus, 1)
+    doc["homes"][0]["home_id"] = home_id
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    assert [e.home_id for e in load_manifest(manifest).homes] == [home_id]
+
+
+def test_disaggregate_with_an_absolute_home_id_writes_nothing(
+        tmp_path, small_corpus, capsys):
+    escaped = tmp_path / "escaped"
+    doc = corpus_doc(small_corpus, 2)
+    doc["homes"][0]["home_id"] = str(escaped)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    assert run(["disaggregate", "--algo", "hart", "--manifest", str(manifest),
+                "--out", str(tmp_path / "traces")]) == 1
+    assert error_record(capsys)["error"] == "ManifestError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+def test_home_with_only_constant_submeters_fails_alike_in_both_fhmm_callers(
+        tmp_path, small_corpus, capsys):
+    """Every submeter of the home is constant, so no appliance model trains:
+    disaggregate and the disagg-fhmm features fail with the same error."""
+    doc = corpus_doc(small_corpus, 2)
+    home = doc["homes"][0]
+    agg = small_corpus.homes[home["home_id"]].aggregate
+    for name in home["appliance_paths"]:
+        flat = tmp_path / f"{name}.csv"
+        write_power_csv(PowerSeries(agg.start_time, agg.period_s,
+                                    np.full(len(agg), 80.0)), flat)
+        home["appliance_paths"][name] = str(flat)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    for argv in (["disaggregate", "--algo", "fhmm", "--out", str(tmp_path / "traces")],
+                 ["features", "--source", "disagg-fhmm",
+                  "--out", str(tmp_path / "features.csv")]):
+        with pytest.warns(UserWarning, match="skipping degenerate appliance"):
+            assert run([*argv, "--manifest", str(manifest)]) == 1
+        assert error_record(capsys) == {
+            "error": "DegenerateModelError", "subcommand": argv[0],
+            "message": f"home {home['home_id']}: no trainable appliances"}

@@ -358,7 +358,7 @@ def test_hart_single_square_wave_exact():
     s = series(np.tile(one, 6))
     result = hart_disaggregate(s)
     np.testing.assert_array_equal(result.appliances["hvac"].values, s.values)
-    assert result.flags.get("highest_power_is_hvac")
+    assert result.appliances["hvac"] is result.appliances["highest_power_appliance"]
 
 
 def test_hart_fridge_hvac_mixture():
@@ -368,7 +368,8 @@ def test_hart_fridge_hvac_mixture():
     spec.occupant_load.rate_per_occupied_hour = 0.0
     home = gen_home(spec)
     result = hart_disaggregate(home.aggregate)
-    assert result.flags["hvac_center_w"] == pytest.approx(3000.0, rel=0.1)
+    hvac = result.appliances["hvac"].values
+    assert hvac[hvac > 0] == pytest.approx(3000.0, rel=0.1)
     truth = home.appliances["hvac"]
     got_on = result.appliances["hvac"].values > 1500
     true_on = truth.values > 1500
@@ -378,16 +379,15 @@ def test_hart_fridge_hvac_mixture():
 def test_hart_zero_events_flagged():
     s = series(np.full(200, 80.0))
     result = hart_disaggregate(s)
-    assert result.flags.get("hvac_absent") is True
-    assert result.flags.get("no_clusters") is True
-    assert result.appliances["hvac"].values.max() == 0.0
+    for trace in result.appliances.values():
+        assert not trace.values.any()
 
 
 def test_hart_no_cluster_above_hvac_threshold():
     # one 300 W load: highest cluster exists but no hvac-sized one
     s = square_wave(300.0, 40, 40, 5)
     result = hart_disaggregate(s)
-    assert result.flags.get("hvac_absent") is True
+    assert not result.appliances["hvac"].values.any()
     assert result.appliances["highest_power_appliance"].values.max() > 0
 
 
@@ -415,33 +415,27 @@ def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
             trace[(p.on_time - t0) // per:(p.off_time - t0) // per] += p.magnitude_w
         return trace
 
-    flags, appliances, used, zeros = {}, {}, [], np.zeros(n)
+    appliances, used, zeros = {}, [], np.zeros(n)
     hvac_cands = [c for c in clusters if c["center"] >= hvac_min_w]
     if hvac_cands:
         hvac_cluster = max(hvac_cands, key=lambda c: c["center"])
         appliances["hvac"] = PowerSeries(t0, per, cluster_trace(hvac_cluster))
         used.append(id(hvac_cluster))
-        flags["hvac_center_w"] = hvac_cluster["center"]
     else:
         appliances["hvac"] = PowerSeries(t0, per, zeros)
-        flags["hvac_absent"] = True
     if clusters:
         top = max(clusters, key=lambda c: c["center"])
         if id(top) in used:
             appliances["highest_power_appliance"] = appliances["hvac"]
-            flags["highest_power_is_hvac"] = True
         else:
             appliances["highest_power_appliance"] = PowerSeries(
                 t0, per, cluster_trace(top))
-        flags["highest_center_w"] = top["center"]
-        flags["top_cluster_magnitudes"] = [float(v) for v in top["values"]]
     else:
         appliances["highest_power_appliance"] = PowerSeries(t0, per, zeros)
-        flags["no_clusters"] = True
     distinct = {id(v): v for v in appliances.values()}
     pred_sum = np.sum([v.values for v in distinct.values()], axis=0)
     residual = PowerSeries(t0, per, np.maximum(aggregate.values - pred_sum, 0.0))
-    return disagg.DisaggResult(appliances, residual, flags)
+    return disagg.DisaggResult(appliances, residual)
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,7 +447,7 @@ def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
        st.lists(st.floats(0, 5000), min_size=60, max_size=60))
 def test_hart_reconstruct_matches_search_by_identity(specs, values):
     """No pairs, only sub-hvac centers, a top center of exactly 1000 W, many
-    clusters and repeated magnitudes: the same traces, residual and flags,
+    clusters and repeated magnitudes: the same traces and residual,
     and hvac is the highest power appliance exactly when the reference
     found them to be one cluster."""
     aggregate = series(values)
@@ -461,7 +455,6 @@ def test_hart_reconstruct_matches_search_by_identity(specs, values):
              for on, d, mag in specs]
     got = disagg.hart_reconstruct(aggregate, pairs)
     want = hart_reconstruct_by_identity(aggregate, pairs)
-    assert got.flags == want.flags
     assert got.residual.values.tobytes() == want.residual.values.tobytes()
     assert got.appliances.keys() == want.appliances.keys()
     for name, trace in want.appliances.items():
@@ -474,8 +467,9 @@ def test_hart_top_center_of_exactly_hvac_min_is_hvac():
     aggregate = series(np.full(40, 1200.0))
     pairs = [EventPair(DEFAULT_START + 30 * k, DEFAULT_START + 30 * (k + 2), mag)
              for k, mag in ((0, 990.0), (5, 1000.0), (10, 1010.0))]
+    mags = np.array([p.magnitude_w for p in pairs])
+    assert cluster_magnitudes(mags)[-1]["center"] == disagg.HVAC_MIN_W == 1000.0
     result = disagg.hart_reconstruct(aggregate, pairs)
-    assert result.flags["hvac_center_w"] == disagg.HVAC_MIN_W == 1000.0
     assert result.appliances["hvac"] is result.appliances["highest_power_appliance"]
 
 

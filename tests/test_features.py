@@ -47,7 +47,6 @@ def test_constant_week_features():
     assert v["aggregate_frac_above_1kw"] == 0.0    # strict >
     assert v["aggregate_variance"] == 0.0
     assert v["aggregate_autocorr_day"] == 0.0
-    assert fv.flags["aggregate_autocorr_day"] == "zero_variance"
 
 
 def test_weekday_weekend_ratio():
@@ -126,7 +125,6 @@ def test_scaling_behavior():
 def test_zero_denominator_flagged():
     fv = extract_consumption_features(constant_week(0.0), "z")
     assert fv.values["z_mean_over_max"] == 0.0
-    assert fv.flags["z_mean_over_max"] == "zero_denominator"
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +157,8 @@ def test_appliance_features_zero_hvac():
     assert fv.values["hvac_max_power"] == 0.0
     assert fv.values["hvac_on_fraction"] == 0.0
     assert fv.values["hvac_energy_fraction"] == 0.0
-    assert fv.flags["top_appliance_mean"] == "no_event_pairs"
+    for stat in ("mean", "max", "median"):
+        assert fv.values[f"top_appliance_{stat}"] == 0.0
 
 
 def test_appliance_features_circuit_metadata():
@@ -167,7 +166,7 @@ def test_appliance_features_circuit_metadata():
     fv = extract_appliance_features(hvac, hvac, [], [], hvac_circuits=2)
     assert fv.values["hvac_circuits"] == 2.0
     fv2 = extract_appliance_features(hvac, hvac, [], [])
-    assert fv2.flags["hvac_circuits"] == "cluster_count_proxy"
+    assert fv2.values["hvac_circuits"] == 0.0  # no pairs, so no cluster
 
 
 @pytest.mark.parametrize("shift", [0, 900])

@@ -90,12 +90,12 @@ def test_home_spec_validation():
 
 
 def test_corpus_class_coverage(default_corpus):
-    records = [label_characteristics(h.characteristics, h.home_id)
+    records = [label_characteristics(h.characteristics)
                for h in default_corpus.manifest.homes]
     for characteristic, classes in CLASS_SETS.items():
         counts = {c: 0 for c in classes}
         for r in records:
-            label = r.labels[characteristic]
+            label = r[characteristic]
             assert label is not None
             counts[label] += 1
         assert min(counts.values()) >= 4, (characteristic, counts)
