@@ -5,6 +5,7 @@ NILM accuracy metrics.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,20 @@ class DisaggResult:
     residual: PowerSeries
 
 
+def _nearest(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each value's nearest center, ties to the lower index:
+    np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1), by the
+    same float operations, in one pass over values per center instead of a
+    (values, centers) matrix. Values and centers must not be NaN."""
+    best = np.abs(values - centers[0])
+    assign = np.zeros(values.size, dtype=np.intp)
+    for j in range(1, centers.size):
+        d = np.abs(values - centers[j])
+        assign[d < best] = j  # strict, so the first minimum is kept
+        np.minimum(best, d, out=best)
+    return assign
+
+
 def _kmeans_1d(values: np.ndarray, k: int, seed: int):
     """Plain Lloyd's k-means on 1-D data with k seeded restarts; returns the
     centers with the best inertia, sorted ascending."""
@@ -94,7 +109,7 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int):
     for _ in range(k):
         centers = np.sort(rng.choice(uniq, size=k, replace=False))
         for _it in range(100):
-            assign = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+            assign = _nearest(values, centers)
             new = centers.copy()
             for j in range(k):
                 sel = values[assign == j]
@@ -105,8 +120,7 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int):
                 centers = new
                 break
             centers = new
-        inertia = float(((values - centers[np.argmin(
-            np.abs(values[:, None] - centers[None, :]), axis=1)]) ** 2).sum())
+        inertia = float(((values - centers[_nearest(values, centers)]) ** 2).sum())
         if inertia < best_inertia:
             best_inertia, best_centers = inertia, centers
     return best_centers
@@ -136,7 +150,7 @@ def train_hmm(appliance: PowerSeries, n_states: int = 2, *, name: str,
         raise DegenerateModelError(
             f"state levels collapsed to duplicates: {centers}")
 
-    assign = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+    assign = _nearest(values, centers)
     counts = np.zeros((n_states, n_states))
     np.add.at(counts, (assign[:-1], assign[1:]), 1.0)
     transition = (counts + 1.0) / (counts + 1.0).sum(axis=1, keepdims=True)
@@ -256,8 +270,10 @@ def _decode_group(jobs, digits) -> list[np.ndarray]:
     return list(path.T)
 
 
-def fhmm_decode(jobs) -> list[DisaggResult]:
-    """fhmm_disaggregate of each (aggregate, models) job, in order.
+def fhmm_decode(jobs) -> Iterator[DisaggResult]:
+    """fhmm_disaggregate of each (aggregate, models) job, in order, each
+    built as it is asked for, so that a caller that uses one home's result
+    before the next holds one home's traces at a time.
 
     Jobs with the same product-state count S and the same length decode
     together in one Viterbi loop, in groups of at most PRODUCT_STATE_CAP // S
@@ -276,7 +292,6 @@ def fhmm_decode(jobs) -> list[DisaggResult]:
             chunk = members[k:k + size]
             paths.update(zip(chunk, _decode_group([jobs[i] for i in chunk],
                                                   [digits[i] for i in chunk])))
-    results = []
     for i, (aggregate, models) in enumerate(jobs):
         x = aggregate.values
         appliances = {}
@@ -289,8 +304,7 @@ def fhmm_decode(jobs) -> list[DisaggResult]:
                                              aggregate.timezone)
         residual = PowerSeries(aggregate.start_time, aggregate.period_s,
                                np.maximum(x - pred_sum, 0.0), aggregate.timezone)
-        results.append(DisaggResult(appliances=appliances, residual=residual))
-    return results
+        yield DisaggResult(appliances=appliances, residual=residual)
 
 
 def fhmm_disaggregate(aggregate: PowerSeries,
@@ -303,7 +317,7 @@ def fhmm_disaggregate(aggregate: PowerSeries,
     state mean along the MAP path; the residual is the aggregate minus the
     sum of predictions, clamped at zero.
     """
-    return fhmm_decode([(aggregate, models)])[0]
+    return next(fhmm_decode([(aggregate, models)]))
 
 
 def hart_disaggregate(aggregate: PowerSeries,

@@ -5,7 +5,7 @@ canvas, fixed float formatting, no timestamps.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4",
            "#8c613c", "#dc7ec0", "#797979")
@@ -20,7 +20,7 @@ def _header(title: str) -> list[str]:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="17">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="17">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -42,7 +42,7 @@ def _axis(parts: list[str], y_max: float, y_label: str):
     parts.append(f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">'
-                 f'{escape(y_label)}</text>')
+                 f'{escape(y_label, quote=False)}</text>')
 
 
 def grouped_bar_svg(title: str, group_labels: list, series: list,
@@ -71,7 +71,7 @@ def grouped_bar_svg(title: str, group_labels: list, series: list,
                          f'fill="{color}"/>')
         parts.append(f'<text x="{gx + group_w / 2:.1f}" y="{y0 + 16}" '
                      f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{escape(str(label))}</text>')
+                     f'font-size="11">{escape(str(label), quote=False)}</text>')
     for si, (name, _) in enumerate(series):
         lx = x0 + si * 130
         ly = _H - 40
@@ -79,7 +79,7 @@ def grouped_bar_svg(title: str, group_labels: list, series: list,
         parts.append(f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{lx + 16}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{escape(str(name))}</text>')
+                     f'font-size="11">{escape(str(name), quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -102,10 +102,10 @@ def scatter_svg(title: str, points: list, x_label: str, y_label: str) -> str:
                      f'fill="{color}"/>')
         parts.append(f'<text x="{px + 9:.1f}" y="{py + 4:.1f}" '
                      f'font-family="sans-serif" font-size="11">'
-                     f'{escape(str(label))}</text>')
+                     f'{escape(str(label), quote=False)}</text>')
     parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 14}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">{escape(x_label)}</text>')
+                 f'font-size="12">{escape(x_label, quote=False)}</text>')
     for i in range(5):
         frac = i / 4
         x = x0 + frac * (x1 - x0)

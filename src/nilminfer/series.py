@@ -8,6 +8,7 @@ boundaries) is computed in the series' IANA timezone.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -191,12 +192,11 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
     path = Path(path)
     ts, vals = _read_csv(path, "power_w", _parse_reading)
 
-    uniq, inverse, counts = np.unique(ts, return_inverse=True, return_counts=True)
-    if uniq.size != ts.size:
-        sums = np.zeros(uniq.size)
+    if (ts[1:] == ts[:-1]).any():  # ts is sorted, so a duplicate is adjacent
+        ts, inverse, counts = np.unique(ts, return_inverse=True, return_counts=True)
+        sums = np.zeros(ts.size)
         np.add.at(sums, inverse, vals)
         vals = sums / counts
-        ts = uniq
 
     period_s = _infer_period(ts)
 
@@ -242,13 +242,26 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
 
 def write_power_csv(s: PowerSeries, path) -> None:
     """Write the `timestamp,power_w` CSV form. Floats use repr so a
-    write -> load -> write cycle is byte-identical."""
+    write -> load -> write cycle is byte-identical. A series with at most
+    half as many runs of equal bits (0.0 is not -0.0) as rows, such as a
+    decoded trace, is written a run at a time; noisy readings row by row."""
+    bits = s.values.view(np.int64)
+    changes = bits[1:] != bits[:-1]
+    t0, per = s.start_time, s.period_s
     with open(path, "w", newline="") as f:
         f.write("timestamp,power_w\n")
-        t = s.start_time
-        for v in s.values.tolist():
-            f.write(f"{t},{v!r}\n")
-            t += s.period_s
+        if 2 * (np.count_nonzero(changes) + 1) <= len(s):
+            starts = [0, *(np.flatnonzero(changes) + 1).tolist()]
+            for a, b, v in zip(starts, starts[1:] + [len(s)],
+                               s.values[starts].tolist()):
+                tail = f",{v!r}\n"
+                f.write(tail.join(map(str, range(t0 + a * per, t0 + b * per, per))))
+                f.write(tail)
+        else:
+            t = t0
+            for v in s.values.tolist():
+                f.write(f"{t},{v!r}\n")
+                t += per
 
 
 def _parse_timestamp(text: str) -> int:
@@ -568,19 +581,25 @@ def load_manifest(path) -> DatasetManifest:
     manifest and the home."""
     path = Path(path)
     with open(path) as f:
-        try:
-            doc = json.load(f)
-            homes = doc.get("homes") if isinstance(doc, dict) else None
-            if not isinstance(homes, list) or not homes:
-                raise ValueError("'homes' must be a non-empty list")
-            meta = doc.get("meta", {})
-            if not isinstance(meta, dict):
-                raise ValueError("'meta' must be an object")
-            return DatasetManifest([_home_entry(h, i, path.parent)
-                                    for i, h in enumerate(homes)],
-                                   path.parent, meta)
-        except ValueError as exc:  # json.JSONDecodeError is one
-            raise ManifestError(f"{path}: {exc}", path=str(path)) from exc
+        return _checked_manifest(f, path)
+
+
+def _checked_manifest(f, path: Path) -> DatasetManifest:
+    """The manifest that the JSON text file f, to be found at path,
+    describes, by load_manifest's checks; a fault is a ManifestError."""
+    try:
+        doc = json.load(f)
+        homes = doc.get("homes") if isinstance(doc, dict) else None
+        if not isinstance(homes, list) or not homes:
+            raise ValueError("'homes' must be a non-empty list")
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError("'meta' must be an object")
+        return DatasetManifest([_home_entry(h, i, path.parent)
+                                for i, h in enumerate(homes)],
+                               path.parent, meta)
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise ManifestError(f"{path}: {exc}", path=str(path)) from exc
 
 
 def _home_entry(h, i: int, base_dir: Path) -> HomeEntry:
@@ -656,9 +675,13 @@ class HomeData:
 
 
 def save_manifest(m: DatasetManifest, path) -> None:
+    """Write m as JSON at path, unless load_manifest would refuse those bytes
+    there: then raise its ManifestError and write nothing."""
+    path = Path(path)
     # an absent occupancy_path or hvac_circuits is left out, not written null
     doc = {"meta": m.meta, "homes": [{k: v for k, v in vars(h).items() if v is not None}
                                      for h in m.homes]}
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _checked_manifest(io.StringIO(text), path)
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)

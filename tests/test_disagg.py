@@ -151,6 +151,23 @@ def test_model_with_a_bad_variance_is_rejected(variance):
         ApplianceHMM(**hmm_fields(state_vars=[4.0, variance]))
 
 
+def test_nearest_is_argmin_with_ties_and_equal_centers():
+    rng = np.random.default_rng(0)
+    grid = np.arange(0.0, 10.0, 0.5)  # values on the grid tie exactly
+    for trial in range(2000):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        if trial % 2:
+            values, centers = rng.choice(grid, size=n), rng.choice(grid, size=k)
+        else:
+            values, centers = rng.random(n) * 10, rng.random(k) * 10
+        centers = np.sort(centers)  # drawn with replacement: equal centers too
+        want = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+        assert np.array_equal(disagg._nearest(values, centers), want)
+    # 3.5 is as near to 2 as to 5, and the two centers at 2 are equal
+    assert disagg._nearest(np.array([2.0, 3.5, 5.0]),
+                           np.array([2.0, 2.0, 5.0])).tolist() == [0, 0, 2]
+
+
 # ---------------------------------------------------------------------------
 # fhmm_disaggregate
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Feature catalogs, chi-squared selection, correlation."""
+import copy
+import warnings
 from datetime import datetime
 from zoneinfo import ZoneInfo
 
@@ -6,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilminfer.errors import AlignmentError, CoverageError, UndefinedStatisticError
+from nilminfer.errors import (AlignmentError, ConfigurationError, CoverageError,
+                              UndefinedStatisticError)
 from nilminfer.events import DetectorConfig, detect_events, pair_events
 from nilminfer.features import (FeatureVector, build_feature_table,
                                 chi2_select, extract_appliance_features,
                                 extract_consumption_features, pearson,
                                 write_feature_csv)
-from nilminfer.series import PowerSeries, local_weekdays
+from nilminfer.series import (DatasetManifest, PowerSeries, local_weekdays,
+                              write_power_csv)
 from nilminfer.synth import DEFAULT_START
 
 WEEK = 7 * 86400
@@ -343,3 +347,28 @@ def test_disagg_hart_source_detects_the_aggregate_once(small_corpus,
     _, X = build_feature_table(one, ("disagg-hart",)).matrix("disagg-hart")
     assert X.shape == (1, 52)
     assert calls == [len(small_corpus.homes[one.homes[0].home_id].aggregate)]
+
+
+@pytest.mark.parametrize("source", ["both", "disagg-fhmm"])
+def test_home_without_usable_hvac_is_a_configuration_error(source, tmp_path,
+                                                           small_corpus):
+    src = small_corpus.manifest
+    entry = copy.deepcopy(src.homes[0])
+    entry.aggregate_path = str(src.resolve(entry.aggregate_path))
+    paths = {name: str(src.resolve(p)) for name, p in entry.appliance_paths.items()}
+    if source == "both":
+        del paths["hvac"]
+        fault = "has no submetered hvac"
+    else:  # an hvac that never runs cannot be fitted, so it is skipped
+        agg = small_corpus.homes[entry.home_id].aggregate
+        write_power_csv(PowerSeries(agg.start_time, agg.period_s,
+                                    np.zeros(len(agg))), tmp_path / "hvac.csv")
+        paths["hvac"] = str(tmp_path / "hvac.csv")
+        fault = "no usable hvac model"
+    entry.appliance_paths = paths
+    manifest = DatasetManifest([entry], base_dir=tmp_path)
+    with pytest.raises(ConfigurationError,
+                       match=f"home {entry.home_id}.*{fault}"):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "skipping degenerate appliance hvac")
+            build_feature_table(manifest, (source,))

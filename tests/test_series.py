@@ -186,6 +186,29 @@ def test_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _row_by_row_csv(s):
+    """write_power_csv's bytes as its row loop writes them."""
+    return "timestamp,power_w\n" + "".join(
+        f"{s.start_time + i * s.period_s},{v!r}\n"
+        for i, v in enumerate(s.values.tolist()))
+
+
+@pytest.mark.parametrize("values", [
+    np.full(50, 42.5),
+    [7.25],
+    [0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 5.0, 5.0],
+    [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],   # runs = rows / 2: written a run at a time
+    [1.0, 1.0, 2.0, 2.0, 3.0, 4.0],   # one run more: written row by row
+    np.random.default_rng(3).random(500) * 1000.0,
+], ids=["one-value", "single-row", "signed-zeros", "half-rows-runs",
+        "one-run-past-half", "noisy"])
+def test_write_power_csv_matches_row_by_row_form(tmp_path, values):
+    s = make_series(values, period=30)
+    path = tmp_path / "s.csv"
+    write_power_csv(s, path)
+    assert path.read_text() == _row_by_row_csv(s)
+
+
 def test_load_after_write_identity(tmp_path):
     s = make_series([0.0, 1.5, 3.25, 100.0], period=30)
     path = tmp_path / "s.csv"
@@ -742,12 +765,23 @@ def test_manifest_round_trip(tmp_path, small_corpus):
 
 
 def test_manifest_missing_file_rejected(tmp_path):
-    m = DatasetManifest(homes=[HomeEntry("h1", "nope.csv")], base_dir=tmp_path)
-    save_manifest(m, tmp_path / "m.json")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"homes": [{"home_id": "h1", "aggregate_path": "nope.csv"}]}))
     with pytest.raises(ManifestError) as exc:
         load_manifest(tmp_path / "m.json")
     assert exc.value.path == str(tmp_path / "m.json")
     assert "home h1" in str(exc.value) and "nope.csv" in str(exc.value)
+
+
+def test_save_manifest_refuses_what_load_refuses_and_writes_nothing(
+        tmp_path, small_corpus):
+    entry = HomeEntry("a,b", str(small_corpus.manifest.resolve(
+        small_corpus.manifest.homes[0].aggregate_path)))
+    path = tmp_path / "m.json"
+    with pytest.raises(ManifestError, match="home 'a,b'") as exc:
+        save_manifest(DatasetManifest([entry]), path)
+    assert exc.value.path == str(path)
+    assert not path.exists()
 
 
 def test_manifest_duplicate_ids_rejected():
