@@ -15,11 +15,13 @@ from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
                      detect_events, pair_events)
 from .series import HomeData, PowerSeries, check_same_axis
 
-# Dense decoding of one day at 30 s, 4-state appliances, 2-core VM, numpy 2.4:
-# 0.02 s at 64 states, 0.15 s at 256, 3.1-3.2 s at 1024 (80-81 MB peak RSS).
-# At 4096 states each (S, S) score matrix would be 128 MiB.
+# Dense decoding of one day at 30 s, 4-state appliances, shared 2-core VM,
+# numpy 2.4.6: 0.05 s at 64 states, 0.20-0.27 s at 256, 4.1-5.3 s at 1024
+# (83 MB peak RSS). At 4096 states each (S, S) score matrix would be 128 MiB.
 PRODUCT_STATE_CAP = 1024
-EMIT_BLOCK = 1024  # steps of log emissions computed at a time
+# steps of log emissions computed at a time; a guessed block of leader
+# steps is EMIT_BLOCK // S steps long
+EMIT_BLOCK = 1024
 OFF_SNAP_W = 15.0
 VAR_FLOOR_W2 = 1.0
 ON_THRESHOLD_W = 50.0  # a trace is ON where its power is strictly above this
@@ -220,6 +222,17 @@ def _viterbi(log_init, log_trans, emit, n: int):
     of steps [t0, t1), asked for in blocks of at most EMIT_BLOCK steps.
     Each score is read at its first argmax rather than taken as a max: a max
     over a tie of 0.0 and -0.0 may return either zero.
+
+    Nearly every step of a sticky model is a leader step: every state's best
+    predecessor is one state, the leader, nearly always the argmax of the
+    previous step's log emissions. Blocks of up to EMIT_BLOCK // S steps, so
+    that the check is no larger than an emission block, are guessed to be
+    leader steps (_leader_steps) and kept up to the first step that the
+    exact scores refute. That step is taken alone, and so are 1, 2, 4, ...
+    more steps after each further miss, until a block is kept whole. A
+    block's check runs along its steps and a single step along the states,
+    so blocks shorter than S steps (every block from S = 64 on) are not
+    guessed: they would cost more than the steps they save.
     """
     n_homes, total = log_init.shape
     delta = log_init + emit(0, 1)[:, 0]
@@ -230,21 +243,88 @@ def _viterbi(log_init, log_trans, emit, n: int):
     row_starts = np.arange(n_homes * total).reshape(n_homes, total) * total
     best = np.empty((n_homes, total), dtype=np.intp)
     from_scores = delta[:, None, :]  # a view: delta is updated in place
+    span, shortest = EMIT_BLOCK // total, max(total, 2)
+    alone, backoff = (0 if span >= shortest else n), 1  # steps to take singly
+    walk = np.zeros(n, dtype=bool)  # steps taken singly, walked back one by one
     for t0 in range(1, n, EMIT_BLOCK):
         block = emit(t0, min(t0 + EMIT_BLOCK, n))
-        for t in range(t0, t0 + block.shape[1]):
-            np.add(from_scores, log_trans, out=scores)
-            scores.argmax(axis=2, out=psi[t])
-            np.add(psi[t], row_starts, out=best)
-            flat_scores.take(best, out=delta)
-            delta += block[:, t - t0]
-    psi = psi.reshape(n, n_homes * total)
-    offsets = np.arange(n_homes) * total
+        t, t1 = t0, t0 + block.shape[1]
+        while t < t1:
+            m = min(span, t1 - t)
+            if not alone and m >= shortest:
+                taken = _leader_steps(delta, log_trans,
+                                      block[:, t - t0:t - t0 + m], psi[t:t + m])
+                t += taken
+                if taken == m:
+                    backoff = 1
+                    continue
+                alone, backoff = backoff, 2 * backoff
+            run = min(max(alone, 1), t1 - t)
+            alone = max(alone - run, 0)
+            walk[t:t + run] = True
+            for t in range(t, t + run):
+                np.add(from_scores, log_trans, out=scores)
+                scores.argmax(axis=2, out=psi[t])
+                np.add(psi[t], row_starts, out=best)
+                flat_scores.take(best, out=delta)
+                delta += block[:, t - t0]
+            t += 1
     path = np.empty((n, n_homes), dtype=psi.dtype)
     path[-1] = delta.argmax(axis=1)
-    for t in range(n - 1, 0, -1):
+    # a leader step's psi row names one predecessor for every state, so it
+    # sets the previous step of the path whatever the current one
+    path[:-1] = psi[1:, :, 0]
+    psi = psi.reshape(n, n_homes * total)
+    offsets = np.arange(n_homes) * total
+    for t in np.flatnonzero(walk)[::-1]:
         path[t - 1] = psi[t].take(path[t] + offsets)
     return path, delta
+
+
+def _leader_steps(delta, log_trans, emissions, psi) -> int:
+    """Steps of _viterbi taken as leader steps, while the exact scores
+    confirm that every state's first argmax is the leader: returns how many
+    of the m steps of emissions (H, m, S) it took, after writing their rows
+    of psi (m, H, S) and moving delta past them in place. The first step is
+    led by delta's argmax, each later one by its previous step's most
+    likely emission.
+
+    The leader's score before each step is a running sum, delta[k_0] +
+    T[k_1, k_0] + E[0, k_1] + T[k_2, k_1] + ..., taken by np.cumsum, which
+    adds in order; the scores after step s are (that score + T[:, k_s]) +
+    E[s]. These are the additions of the step-by-step loop in its order, so
+    every score kept has its bytes. A step is confirmed when, for every
+    state, each other predecessor's score is strictly below the leader's:
+    then the leader is the first argmax, and a tie, a NaN or a leader score
+    of -inf only sends the step to the step-by-step loop. Scores are laid
+    out [home, to, from, step] so that each operation runs along the steps.
+    """
+    n_homes, m, total = emissions.shape
+    homes = np.arange(n_homes)[:, None]
+    lead = np.empty((n_homes, m), dtype=np.intp)
+    lead[:, 0] = delta.argmax(axis=1)
+    lead[:, 1:] = emissions[:, :-1].argmax(axis=2)
+    flat_trans = log_trans.reshape(-1)
+    trans_rows = (homes[:, :, None] * total + np.arange(total)[:, None]) * total
+    cols = flat_trans.take(trans_rows + lead[:, None, :])  # T[h, :, k_s]
+    terms = np.empty((n_homes, 2 * m - 1))
+    terms[:, 0] = delta[homes[:, 0], lead[:, 0]]
+    terms[:, 1::2] = flat_trans.take(trans_rows[:, 0] + lead[:, 1:] * total
+                                     + lead[:, :-1])
+    terms[:, 2::2] = emissions[homes, np.arange(m - 1), lead[:, 1:]]
+    via_leader = np.cumsum(terms, axis=1)[:, None, ::2] + cols
+    after = via_leader + emissions.transpose(0, 2, 1)
+    prev = np.empty_like(after)
+    prev[:, :, 0] = delta
+    prev[:, :, 1:] = after[:, :, :-1]
+    prev[homes, lead, np.arange(m)] = -np.inf  # the leader itself passes
+    below = prev[:, None] + log_trans[..., None] < via_leader[:, :, None, :]
+    hit = np.logical_and.reduce(below.reshape(-1, m), axis=0)
+    taken = m if hit.all() else int(hit.argmin())
+    if taken:
+        psi[:taken] = lead[:, :taken].T[:, :, None]
+        delta[:] = after[:, :, taken - 1]
+    return taken
 
 
 def _decode_group(jobs, digits) -> list[np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disagg import (ON_THRESHOLD_W, fhmm_decode, hart_reconstruct,
+from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_reconstruct,
                      train_appliance_models)
 from .errors import ConfigurationError, CoverageError, UndefinedStatisticError
 from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
@@ -232,13 +232,11 @@ class FeatureTable:
 
 def build_home_features(home: HomeData, sources,
                         det: DetectorConfig = DetectorConfig(), *,
-                        seed: int = 0) -> tuple[dict, tuple | None]:
-    """(FeatureVector per requested source but disagg-fhmm, fhmm) for one
-    home. Shared inputs (aggregate stream, detected events, pair list) are
-    computed once. fhmm is None unless disagg-fhmm is requested; then it is
-    the (aggregate, models) fhmm_decode job, the models trained with this
-    seed on the first half of each submetered trace, and the function that
-    makes the source's vector from the decoded hvac trace."""
+                        seed: int = 0) -> dict:
+    """FeatureVector per requested source for one home. Shared inputs
+    (aggregate stream, detected events, pair list) are computed once.
+    disagg-fhmm decodes the whole aggregate with models trained with this
+    seed on the first half of each submetered trace."""
     entry = home.entry
     aggregate = home.aggregate
     agg_fv = extract_consumption_features(aggregate, "aggregate")
@@ -252,7 +250,7 @@ def build_home_features(home: HomeData, sources,
             hvac_circuits=entry.hvac_circuits))
         return fv
 
-    out, fhmm = {}, None
+    out = {}
     for source in sources:
         if source == "aggregate-only":
             out[source] = agg_fv
@@ -269,29 +267,22 @@ def build_home_features(home: HomeData, sources,
             models = train_appliance_models(home, cut, seed=seed)
             if not any(m.name == "hvac" for m in models):
                 raise ConfigurationError(f"home {entry.home_id}: no usable hvac model")
-            fhmm = ((aggregate, models),
-                    lambda hvac: agg_fv.merge(hvac_bundle(hvac)))
+            hvac = fhmm_disaggregate(aggregate, models).appliances["hvac"]
+            out[source] = agg_fv.merge(hvac_bundle(hvac))
         else:
             raise ValueError(f"unknown feature source {source!r}")
-    return out, fhmm
+    return out
 
 
 def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(),
                         **kwargs) -> FeatureTable:
-    """Each home's vectors, one home's files at a time; disagg-fhmm keeps
-    each home's aggregate and models to decode all homes in one batch."""
+    """Each home's vectors, one home's files at a time."""
     vectors: dict = {source: {} for source in sources}
-    fhmm_homes = []  # (home_id, decode job, vector of the decoded hvac)
     for entry in manifest.homes:
-        per_source, fhmm = build_home_features(HomeData(manifest, entry),
-                                               sources, det, **kwargs)
+        per_source = build_home_features(HomeData(manifest, entry), sources,
+                                         det, **kwargs)
         for source, fv in per_source.items():
             vectors[source][entry.home_id] = fv
-        if fhmm is not None:
-            fhmm_homes.append((entry.home_id, *fhmm))
-    decoded = fhmm_decode([job for _, job, _ in fhmm_homes])
-    for (home_id, _, finish), result in zip(fhmm_homes, decoded):
-        vectors["disagg-fhmm"][home_id] = finish(result.appliances["hvac"])
     return FeatureTable(home_ids=[e.home_id for e in manifest.homes],
                         vectors=vectors)
 

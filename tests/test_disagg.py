@@ -313,6 +313,115 @@ def test_viterbi_over_256_states_keeps_wide_back_pointers():
     assert path.max() > 255
 
 
+def test_cumsum_adds_in_order():
+    """_leader_steps takes each leader's score as np.cumsum of the terms the
+    step-by-step loop adds, so cumsum must be that loop's left fold, bit for
+    bit, through signed zeros, -inf and magnitudes far apart."""
+    rng = np.random.default_rng(17)
+    specials = np.array([0.0, -0.0, -np.inf])
+    for _ in range(2000):
+        rows, size = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        a = rng.choice([-1.0, 1.0], (rows, size)) * 10.0 ** rng.uniform(-20, 20, (rows, size))
+        special = rng.random((rows, size)) < 0.2
+        a[special] = rng.choice(specials, int(special.sum()))
+        want = np.empty_like(a)
+        for r in range(rows):
+            acc = a[r, 0]
+            want[r, 0] = acc
+            for i in range(1, size):
+                acc = acc + a[r, i]
+                want[r, i] = acc
+        assert np.cumsum(a, axis=1).tobytes() == want.tobytes()
+
+
+def counting_leader_steps():
+    """A patch of disagg._leader_steps that records, per guessed block, how
+    many steps it kept."""
+    kept = []
+    leader_steps = disagg._leader_steps
+
+    def counting(*args):
+        kept.append(leader_steps(*args))
+        return kept[-1]
+
+    return mock.patch.object(disagg, "_leader_steps", counting), kept
+
+
+@st.composite
+def sticky_models(draw):
+    """1 to 3 homes of one product space of sticky chains (each stays put
+    with probability 0.9 to 0.999), with product-state means 100 apart and
+    readings drawn from the chains with noise of sd 5, over 100 to 300
+    steps, as (models, EMIT_BLOCK): a block of span >= S leader steps, plus
+    a remainder, so that both kinds of block end anywhere."""
+    ks = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)
+              .filter(lambda ks: np.prod(ks) <= 12))
+    n, n_homes = draw(st.integers(100, 300)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    digits = np.indices(ks).reshape(len(ks), -1).T
+    total = len(digits)
+    means = 100.0 * np.arange(total)
+    models = []
+    for _ in range(n_homes):
+        log_init, log_trans = np.zeros(total), np.zeros((total, total))
+        chains = np.zeros((n, len(ks)), dtype=int)
+        for i, k in enumerate(ks):
+            stay = rng.uniform(0.9, 0.999)
+            trans = (1 - stay) * rng.dirichlet(np.ones(k - 1), size=k)
+            trans = np.insert(trans.ravel(), np.arange(k) * k, stay).reshape(k, k)
+            init = rng.dirichlet(np.ones(k))
+            log_init += np.log(init)[digits[:, i]]
+            log_trans += np.log(trans)[np.ix_(digits[:, i], digits[:, i])]
+            chains[0, i] = rng.choice(k, p=init)
+            for t in range(1, n):
+                chains[t, i] = rng.choice(k, p=trans[chains[t - 1, i]])
+        state = np.ravel_multi_index(chains.T, ks)
+        x = means[state] + rng.normal(0, 5, n)
+        log_emit = -0.5 * np.log(2 * np.pi * 25) - (x[:, None] - means) ** 2 / 50
+        models.append((log_init, log_trans, log_emit))
+    block = total * draw(st.integers(max(total, 2), 40)) + draw(st.integers(0, total - 1))
+    return models, block
+
+
+@settings(max_examples=100, deadline=None)
+@given(sticky_models())
+def test_viterbi_leader_steps_match_fresh_scores(drawn):
+    """Sticky models decode as leader steps, bit for bit: nearly every step
+    is kept from a guessed block, not taken alone."""
+    models, block = drawn
+    patch, kept = counting_leader_steps()
+    with patch, mock.patch.object(disagg, "EMIT_BLOCK", block):
+        path, delta = batched_viterbi(models)
+    for h, model in enumerate(models):
+        ref_path, ref_delta = viterbi_fresh_scores(*model)
+        np.testing.assert_array_equal(path[:, h], ref_path)
+        assert delta[h].tobytes() == ref_delta.tobytes()
+    n = path.shape[0]
+    assert sum(kept) >= 3 * (n - 1) // 4
+
+
+def test_viterbi_guesses_that_all_miss_back_off():
+    """Emissions favour state 0, but from state 0 the chain nearly always
+    moves to state 1, so no step has one best predecessor for every state
+    and every guess misses. The decode is still the reference's, and the
+    back-off keeps the guessed blocks to about log2(n)."""
+    n = 3000
+    trans = np.array([[1e-12, 1 - 2e-12, 1e-12],
+                      [1 / 3, 1 / 3, 1 / 3],
+                      [1 / 3, 1 / 3, 1 / 3]])
+    log_emit = np.tile(np.log([0.6, 0.2, 0.2]), (n, 1))
+    models = [(np.log(np.full(3, 1 / 3)), np.log(trans), log_emit)] * 2
+    patch, kept = counting_leader_steps()
+    with patch:
+        path, delta = batched_viterbi(models)
+    ref_path, ref_delta = viterbi_fresh_scores(*models[0])
+    for h in range(2):
+        np.testing.assert_array_equal(path[:, h], ref_path)
+        assert delta[h].tobytes() == ref_delta.tobytes()
+    assert 1 <= len(kept) <= np.log2(n) + 2
+    assert not any(kept)
+
+
 def test_absent_appliance_decodes_to_zero():
     app1 = square_wave(300.0, 20, 20, 12)
     app2 = square_wave(800.0, 25, 15, 12)
