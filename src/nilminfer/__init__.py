@@ -31,7 +31,7 @@ from .occupancy import (OccupancyMetrics,
                         window_power_features, evaluate_occupancy,
                         occupancy_experiment)
 from .disagg import (ApplianceHMM, DisaggResult, NilmMetrics, train_hmm,
-                     train_appliance_models, fhmm_decode, fhmm_disaggregate,
+                     train_appliance_models, fhmm_disaggregate,
                      hart_disaggregate, nilm_metrics)
 from .features import (FeatureVector, extract_consumption_features,
                        extract_appliance_features, chi2_select, pearson,

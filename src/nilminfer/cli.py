@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import characteristics_experiment
-from .disagg import (ON_THRESHOLD_W, fhmm_decode, hart_disaggregate,
+from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_disaggregate,
                      nilm_metrics, train_appliance_models)
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
@@ -142,30 +142,16 @@ def _test_truths(home: HomeData, names, cut: int) -> dict:
 
 
 def cmd_disaggregate(cfg: dict) -> int:
-    """Hart results are scored and staged home by home. FHMM homes are all
-    loaded and trained first, keeping only each home's test aggregate,
-    models and scored test slices, then decoded at once by fhmm_decode.
-    Traces go to a staging directory inside out. They are moved into place,
-    and metrics.json is written, only once every home is scored, so a failed
-    run changes no file under out."""
+    """Homes are loaded, decoded, scored and staged one at a time: each
+    home's traces go to a staging directory inside out. They are moved into
+    place, and metrics.json is written, only once every home is scored, so a
+    failed run changes no file under out."""
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     det = _detector(cfg)
     all_metrics = {}
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
-        def stage(home_id: str, result, truths: dict):
-            all_metrics[home_id] = {
-                name: nilm_metrics(trace, truths[name],
-                                   cfg["on_threshold"]).as_dict()
-                for name, trace in sorted(result.appliances.items())
-                if name in truths}
-            home_dir = Path(staging, home_id)
-            home_dir.mkdir()
-            for name, trace in sorted(result.appliances.items()):
-                write_power_csv(trace, home_dir / f"{name}.csv")
-
-        fhmm_homes = []  # (home_id, (test aggregate, models), truths)
         for entry in manifest.homes:
             home = HomeData(manifest, entry)
             aggregate = home.aggregate
@@ -173,17 +159,21 @@ def cmd_disaggregate(cfg: dict) -> int:
             test = aggregate.slice(cut, len(aggregate))
             if cfg["algo"] == "hart":
                 result = hart_disaggregate(test, det)
-                stage(entry.home_id, result,
-                      _test_truths(home, result.appliances, cut))
             elif cfg["algo"] == "fhmm":
                 models = train_appliance_models(home, cut, seed=cfg["seed"])
-                fhmm_homes.append((entry.home_id, (test, models),
-                                   _test_truths(home, [m.name for m in models], cut)))
+                result = fhmm_disaggregate(test, models)
             else:
                 raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
-        decoded = fhmm_decode([job for _, job, _ in fhmm_homes])
-        for (home_id, _, truths), result in zip(fhmm_homes, decoded):
-            stage(home_id, result, truths)
+            truths = _test_truths(home, result.appliances, cut)
+            all_metrics[entry.home_id] = {
+                name: nilm_metrics(trace, truths[name],
+                                   cfg["on_threshold"]).as_dict()
+                for name, trace in sorted(result.appliances.items())
+                if name in truths}
+            home_dir = Path(staging, entry.home_id)
+            home_dir.mkdir()
+            for name, trace in sorted(result.appliances.items()):
+                write_power_csv(trace, home_dir / f"{name}.csv")
         for f in sorted(Path(staging).glob("*/*")):
             (out / f.parent.name).mkdir(exist_ok=True)
             f.replace(out / f.parent.name / f.name)

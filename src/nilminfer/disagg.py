@@ -5,7 +5,6 @@ NILM accuracy metrics.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +15,12 @@ from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
 from .series import HomeData, PowerSeries, check_same_axis
 
 # Dense decoding of one day at 30 s, 4-state appliances, shared 2-core VM,
-# numpy 2.4.6: 0.05 s at 64 states, 0.20-0.27 s at 256, 4.1-5.3 s at 1024
-# (83 MB peak RSS). At 4096 states each (S, S) score matrix would be 128 MiB.
+# numpy 2.4.6: 0.05 s at 64 states, 0.21-0.24 s at 256, 5.5-6.2 s at 1024
+# (60 MB peak RSS). At 4096 states each (S, S) score matrix would be 128 MiB.
 PRODUCT_STATE_CAP = 1024
-# steps of log emissions computed at a time; a guessed block of leader
-# steps is EMIT_BLOCK // S steps long
-EMIT_BLOCK = 1024
+# floats of log emissions computed at a time: blocks of EMIT_BLOCK // S
+# steps; a guessed block of leader steps is (EMIT_BLOCK // S) // S steps long
+EMIT_BLOCK = 32768
 OFF_SNAP_W = 15.0
 VAR_FLOOR_W2 = 1.0
 ON_THRESHOLD_W = 50.0  # a trace is ON where its power is strictly above this
@@ -194,8 +193,125 @@ def train_appliance_models(home: HomeData, cut: int, *,
     return models
 
 
-def _product_space(aggregate: PowerSeries, models: list[ApplianceHMM]):
-    """The product states' digits, one column per appliance."""
+def _viterbi(log_init, log_trans, emit, n: int):
+    """(MAP path (n,), final log scores (S,)) of a dense HMM of S states
+    over n steps; ties to the lowest state.
+
+    log_trans[to, from] is transposed so that each step reduces over the
+    contiguous axis. emit(t0, t1) returns the (t1 - t0, S) log emissions of
+    steps [t0, t1), asked for in blocks of at most EMIT_BLOCK // S steps,
+    so that no block holds more than EMIT_BLOCK floats. Each score is read
+    at its first argmax rather than taken as a max: a max over a tie of 0.0
+    and -0.0 may return either zero.
+
+    Nearly every step of a sticky model is a leader step: every state's best
+    predecessor is one state, the leader, nearly always the argmax of the
+    previous step's log emissions. Blocks of up to (EMIT_BLOCK // S) // S
+    steps, so that the check is no larger than an emission block, are
+    guessed to be leader steps (_leader_steps) and kept up to the first step
+    that the exact scores refute. That step is taken alone, and so are 1, 2,
+    4, ... more steps after each further miss, until a block is kept whole.
+    A block's check runs along its steps and a single step along the
+    states, so blocks shorter than S steps (every block from S = 33 on) are
+    not guessed: they would cost more than the steps they save.
+    """
+    total = log_init.size
+    delta = log_init + emit(0, 1)[0]
+    psi = np.empty((n, total), dtype=np.uint8 if total <= 256 else np.int16)
+    scores = np.empty((total, total))
+    flat_scores = scores.reshape(-1)
+    row_starts = np.arange(total) * total
+    best = np.empty(total, dtype=np.intp)
+    from_scores = delta[None, :]  # a view: delta is updated in place
+    steps = EMIT_BLOCK // total
+    span, shortest = steps // total, max(total, 2)
+    alone, backoff = (0 if span >= shortest else n), 1  # steps to take singly
+    walk = np.zeros(n, dtype=bool)  # steps taken singly, walked back one by one
+    for t0 in range(1, n, steps):
+        block = emit(t0, min(t0 + steps, n))
+        t, t1 = t0, t0 + len(block)
+        while t < t1:
+            m = min(span, t1 - t)
+            if not alone and m >= shortest:
+                taken = _leader_steps(delta, log_trans,
+                                      block[t - t0:t - t0 + m], psi[t:t + m])
+                t += taken
+                if taken == m:
+                    backoff = 1
+                    continue
+                alone, backoff = backoff, 2 * backoff
+            run = min(max(alone, 1), t1 - t)
+            alone = max(alone - run, 0)
+            walk[t:t + run] = True
+            for t in range(t, t + run):
+                np.add(from_scores, log_trans, out=scores)
+                scores.argmax(axis=1, out=psi[t])
+                np.add(psi[t], row_starts, out=best)
+                flat_scores.take(best, out=delta)
+                delta += block[t - t0]
+            t += 1
+    path = np.empty(n, dtype=psi.dtype)
+    path[-1] = delta.argmax()
+    # a leader step's psi row names one predecessor for every state, so it
+    # sets the previous step of the path whatever the current one
+    path[:-1] = psi[1:, 0]
+    for t in np.flatnonzero(walk)[::-1]:
+        path[t - 1] = psi[t, path[t]]
+    return path, delta
+
+
+def _leader_steps(delta, log_trans, emissions, psi) -> int:
+    """Steps of _viterbi taken as leader steps, while the exact scores
+    confirm that every state's first argmax is the leader: returns how many
+    of the m steps of emissions (m, S) it took, after writing their rows of
+    psi (m, S) and moving delta past them in place. The first step is led
+    by delta's argmax, each later one by its previous step's most likely
+    emission.
+
+    The leader's score before each step is a running sum, delta[k_0] +
+    T[k_1, k_0] + E[0, k_1] + T[k_2, k_1] + ..., taken by np.cumsum, which
+    adds in order; the scores after step s are (that score + T[:, k_s]) +
+    E[s]. These are the additions of the step-by-step loop in its order, so
+    every score kept has its bytes. A step is confirmed when, for every
+    state, each other predecessor's score is strictly below the leader's:
+    then the leader is the first argmax, and a tie, a NaN or a leader score
+    of -inf only sends the step to the step-by-step loop. Scores are laid
+    out [to, from, step] so that each operation runs along the steps.
+    """
+    m = len(emissions)
+    steps = np.arange(m)
+    lead = np.empty(m, dtype=np.intp)
+    lead[0] = delta.argmax()
+    lead[1:] = emissions[:-1].argmax(axis=1)
+    terms = np.empty(2 * m - 1)
+    terms[0] = delta[lead[0]]
+    terms[1::2] = log_trans[lead[1:], lead[:-1]]
+    terms[2::2] = emissions[steps[:-1], lead[1:]]
+    via_leader = np.cumsum(terms)[::2] + log_trans[:, lead]  # (to, step)
+    after = via_leader + emissions.T
+    prev = np.empty_like(after)
+    prev[:, 0] = delta
+    prev[:, 1:] = after[:, :-1]
+    prev[lead, steps] = -np.inf  # the leader itself passes
+    below = prev + log_trans[..., None] < via_leader[:, None, :]
+    hit = np.logical_and.reduce(below.reshape(-1, m), axis=0)
+    taken = m if hit.all() else int(hit.argmin())
+    if taken:
+        psi[:taken] = lead[:taken, None]
+        delta[:] = after[:, taken - 1]
+    return taken
+
+
+def fhmm_disaggregate(aggregate: PowerSeries,
+                      models: list[ApplianceHMM]) -> DisaggResult:
+    """Exact MAP decoding of the additive factorial model.
+
+    Viterbi over the product state space with Gaussian emissions (mean and
+    variance both sum over appliances) and factorized transitions. Ties take
+    the lowest product-state index. Each appliance's trace reads out its
+    state mean along the MAP path; the residual is the aggregate minus the
+    sum of predictions, clamped at zero.
+    """
     if not models:
         raise ValueError("need at least one appliance model")
     for m in models:
@@ -210,194 +326,33 @@ def _product_space(aggregate: PowerSeries, models: list[ApplianceHMM]):
             f"product state space {total} exceeds {PRODUCT_STATE_CAP}; reduce "
             f"state counts or the number of appliances")
     # appliance 0 owns the most significant digit of the product index
-    return np.indices(ks).reshape(len(ks), -1).T
-
-
-def _viterbi(log_init, log_trans, emit, n: int):
-    """(MAP paths (n, H), final log scores (H, S)) of H dense HMMs of S
-    states over the same n steps, decoded together; ties to the lowest state.
-
-    log_trans[h, to, from] is transposed so that each step reduces over the
-    contiguous axis. emit(t0, t1) returns the (H, t1 - t0, S) log emissions
-    of steps [t0, t1), asked for in blocks of at most EMIT_BLOCK steps.
-    Each score is read at its first argmax rather than taken as a max: a max
-    over a tie of 0.0 and -0.0 may return either zero.
-
-    Nearly every step of a sticky model is a leader step: every state's best
-    predecessor is one state, the leader, nearly always the argmax of the
-    previous step's log emissions. Blocks of up to EMIT_BLOCK // S steps, so
-    that the check is no larger than an emission block, are guessed to be
-    leader steps (_leader_steps) and kept up to the first step that the
-    exact scores refute. That step is taken alone, and so are 1, 2, 4, ...
-    more steps after each further miss, until a block is kept whole. A
-    block's check runs along its steps and a single step along the states,
-    so blocks shorter than S steps (every block from S = 64 on) are not
-    guessed: they would cost more than the steps they save.
-    """
-    n_homes, total = log_init.shape
-    delta = log_init + emit(0, 1)[:, 0]
-    psi = np.empty((n, n_homes, total),
-                   dtype=np.uint8 if total <= 256 else np.int16)
-    scores = np.empty((n_homes, total, total))
-    flat_scores = scores.reshape(-1)
-    row_starts = np.arange(n_homes * total).reshape(n_homes, total) * total
-    best = np.empty((n_homes, total), dtype=np.intp)
-    from_scores = delta[:, None, :]  # a view: delta is updated in place
-    span, shortest = EMIT_BLOCK // total, max(total, 2)
-    alone, backoff = (0 if span >= shortest else n), 1  # steps to take singly
-    walk = np.zeros(n, dtype=bool)  # steps taken singly, walked back one by one
-    for t0 in range(1, n, EMIT_BLOCK):
-        block = emit(t0, min(t0 + EMIT_BLOCK, n))
-        t, t1 = t0, t0 + block.shape[1]
-        while t < t1:
-            m = min(span, t1 - t)
-            if not alone and m >= shortest:
-                taken = _leader_steps(delta, log_trans,
-                                      block[:, t - t0:t - t0 + m], psi[t:t + m])
-                t += taken
-                if taken == m:
-                    backoff = 1
-                    continue
-                alone, backoff = backoff, 2 * backoff
-            run = min(max(alone, 1), t1 - t)
-            alone = max(alone - run, 0)
-            walk[t:t + run] = True
-            for t in range(t, t + run):
-                np.add(from_scores, log_trans, out=scores)
-                scores.argmax(axis=2, out=psi[t])
-                np.add(psi[t], row_starts, out=best)
-                flat_scores.take(best, out=delta)
-                delta += block[:, t - t0]
-            t += 1
-    path = np.empty((n, n_homes), dtype=psi.dtype)
-    path[-1] = delta.argmax(axis=1)
-    # a leader step's psi row names one predecessor for every state, so it
-    # sets the previous step of the path whatever the current one
-    path[:-1] = psi[1:, :, 0]
-    psi = psi.reshape(n, n_homes * total)
-    offsets = np.arange(n_homes) * total
-    for t in np.flatnonzero(walk)[::-1]:
-        path[t - 1] = psi[t].take(path[t] + offsets)
-    return path, delta
-
-
-def _leader_steps(delta, log_trans, emissions, psi) -> int:
-    """Steps of _viterbi taken as leader steps, while the exact scores
-    confirm that every state's first argmax is the leader: returns how many
-    of the m steps of emissions (H, m, S) it took, after writing their rows
-    of psi (m, H, S) and moving delta past them in place. The first step is
-    led by delta's argmax, each later one by its previous step's most
-    likely emission.
-
-    The leader's score before each step is a running sum, delta[k_0] +
-    T[k_1, k_0] + E[0, k_1] + T[k_2, k_1] + ..., taken by np.cumsum, which
-    adds in order; the scores after step s are (that score + T[:, k_s]) +
-    E[s]. These are the additions of the step-by-step loop in its order, so
-    every score kept has its bytes. A step is confirmed when, for every
-    state, each other predecessor's score is strictly below the leader's:
-    then the leader is the first argmax, and a tie, a NaN or a leader score
-    of -inf only sends the step to the step-by-step loop. Scores are laid
-    out [home, to, from, step] so that each operation runs along the steps.
-    """
-    n_homes, m, total = emissions.shape
-    homes = np.arange(n_homes)[:, None]
-    lead = np.empty((n_homes, m), dtype=np.intp)
-    lead[:, 0] = delta.argmax(axis=1)
-    lead[:, 1:] = emissions[:, :-1].argmax(axis=2)
-    flat_trans = log_trans.reshape(-1)
-    trans_rows = (homes[:, :, None] * total + np.arange(total)[:, None]) * total
-    cols = flat_trans.take(trans_rows + lead[:, None, :])  # T[h, :, k_s]
-    terms = np.empty((n_homes, 2 * m - 1))
-    terms[:, 0] = delta[homes[:, 0], lead[:, 0]]
-    terms[:, 1::2] = flat_trans.take(trans_rows[:, 0] + lead[:, 1:] * total
-                                     + lead[:, :-1])
-    terms[:, 2::2] = emissions[homes, np.arange(m - 1), lead[:, 1:]]
-    via_leader = np.cumsum(terms, axis=1)[:, None, ::2] + cols
-    after = via_leader + emissions.transpose(0, 2, 1)
-    prev = np.empty_like(after)
-    prev[:, :, 0] = delta
-    prev[:, :, 1:] = after[:, :, :-1]
-    prev[homes, lead, np.arange(m)] = -np.inf  # the leader itself passes
-    below = prev[:, None] + log_trans[..., None] < via_leader[:, :, None, :]
-    hit = np.logical_and.reduce(below.reshape(-1, m), axis=0)
-    taken = m if hit.all() else int(hit.argmin())
-    if taken:
-        psi[:taken] = lead[:, :taken].T[:, :, None]
-        delta[:] = after[:, :, taken - 1]
-    return taken
-
-
-def _decode_group(jobs, digits) -> list[np.ndarray]:
-    """MAP product-state paths of jobs that share one product-state count
-    and one length, in a single Viterbi loop."""
-    n_homes, total = len(jobs), len(digits[0])
-    means, variances, log_init = np.zeros((3, n_homes, total))
-    log_trans = np.zeros((n_homes, total, total))  # [home, to, from]
-    for h, ((_, models), d) in enumerate(zip(jobs, digits)):
-        for i, m in enumerate(models):
-            means[h] += m.state_means_w[d[:, i]]
-            variances[h] += m.state_vars[d[:, i]]
-            log_init[h] += np.log(m.initial[d[:, i]])
-            log_trans[h] += np.log(m.transition.T[np.ix_(d[:, i], d[:, i])])
-    x = np.stack([aggregate.values for aggregate, _ in jobs])
-    norm = -0.5 * np.log(2 * np.pi * variances)[:, None, :]
-    twice_var = (2 * variances)[:, None, :]
+    digits = np.indices(ks).reshape(len(ks), -1).T
+    means, variances, log_init = np.zeros((3, total))
+    log_trans = np.zeros((total, total))  # [to, from]
+    for i, m in enumerate(models):
+        d = digits[:, i]
+        means += m.state_means_w[d]
+        variances += m.state_vars[d]
+        log_init += np.log(m.initial[d])
+        log_trans += np.log(m.transition.T[np.ix_(d, d)])
+    x = aggregate.values
+    norm = -0.5 * np.log(2 * np.pi * variances)
 
     def emit(t0, t1):
-        return norm - (x[:, t0:t1, None] - means[:, None, :]) ** 2 / twice_var
+        return norm - (x[t0:t1, None] - means) ** 2 / (2 * variances)
 
-    path, _ = _viterbi(log_init, log_trans, emit, x.shape[1])
-    return list(path.T)
-
-
-def fhmm_decode(jobs) -> Iterator[DisaggResult]:
-    """fhmm_disaggregate of each (aggregate, models) job, in order, each
-    built as it is asked for, so that a caller that uses one home's result
-    before the next holds one home's traces at a time.
-
-    Jobs with the same product-state count S and the same length decode
-    together in one Viterbi loop, in groups of at most PRODUCT_STATE_CAP // S
-    homes, so that no score, emission or back-pointer buffer outgrows one
-    home's at the cap. Each home's path and trace are exactly those of
-    decoding it alone.
-    """
-    digits = [_product_space(aggregate, models) for aggregate, models in jobs]
-    groups: dict = {}
-    for i, (aggregate, _) in enumerate(jobs):
-        groups.setdefault((len(digits[i]), len(aggregate)), []).append(i)
-    paths = {}
-    for (total, _), members in groups.items():
-        size = PRODUCT_STATE_CAP // total
-        for k in range(0, len(members), size):
-            chunk = members[k:k + size]
-            paths.update(zip(chunk, _decode_group([jobs[i] for i in chunk],
-                                                  [digits[i] for i in chunk])))
-    for i, (aggregate, models) in enumerate(jobs):
-        x = aggregate.values
-        appliances = {}
-        pred_sum = np.zeros(x.size)
-        for j, m in enumerate(models):
-            trace = m.state_means_w[digits[i][paths[i], j]]
-            pred_sum += trace
-            appliances[m.name] = PowerSeries(aggregate.start_time,
-                                             aggregate.period_s, trace,
-                                             aggregate.timezone)
-        residual = PowerSeries(aggregate.start_time, aggregate.period_s,
-                               np.maximum(x - pred_sum, 0.0), aggregate.timezone)
-        yield DisaggResult(appliances=appliances, residual=residual)
-
-
-def fhmm_disaggregate(aggregate: PowerSeries,
-                      models: list[ApplianceHMM]) -> DisaggResult:
-    """Exact MAP decoding of the additive factorial model.
-
-    Viterbi over the product state space with Gaussian emissions (mean and
-    variance both sum over appliances) and factorized transitions. Ties take
-    the lowest product-state index. Each appliance's trace reads out its
-    state mean along the MAP path; the residual is the aggregate minus the
-    sum of predictions, clamped at zero.
-    """
-    return next(fhmm_decode([(aggregate, models)]))
+    path, _ = _viterbi(log_init, log_trans, emit, x.size)
+    appliances = {}
+    pred_sum = np.zeros(x.size)
+    for i, m in enumerate(models):
+        trace = m.state_means_w[digits[path, i]]
+        pred_sum += trace
+        appliances[m.name] = PowerSeries(aggregate.start_time,
+                                         aggregate.period_s, trace,
+                                         aggregate.timezone)
+    residual = PowerSeries(aggregate.start_time, aggregate.period_s,
+                           np.maximum(x - pred_sum, 0.0), aggregate.timezone)
+    return DisaggResult(appliances=appliances, residual=residual)
 
 
 def hart_disaggregate(aggregate: PowerSeries,

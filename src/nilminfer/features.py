@@ -115,15 +115,13 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
 
 
 def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
-                               events, pairs, *,
-                               hvac_circuits: int | None = None) -> FeatureVector:
+                               events, pairs) -> FeatureVector:
     """HVAC and event-stream features over a home.
 
-    hvac_circuits falls back to the count of event-pair magnitude clusters at
-    or above HVAC_MIN_W when the metadata does not provide it. The
-    highest-power-appliance statistics come from the magnitudes of the top
-    pair cluster, the last one, and are 0 with no pairs. HVAC is ON above
-    ON_THRESHOLD_W.
+    hvac_circuits is the count of event-pair magnitude clusters at or above
+    HVAC_MIN_W. The highest-power-appliance statistics come from the
+    magnitudes of the top pair cluster, the last one, and are 0 with no
+    pairs. HVAC is ON above ON_THRESHOLD_W.
     """
     check_same_axis(hvac, aggregate, "hvac", "aggregate")
     agg_energy = float(aggregate.values.sum())
@@ -139,9 +137,8 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     fv.add("hvac_energy_fraction", min(frac, 1.0))
 
     clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
-    if hvac_circuits is None:
-        hvac_circuits = sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)
-    fv.add("hvac_circuits", float(hvac_circuits))
+    fv.add("hvac_circuits",
+           float(sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)))
     top = clusters[-1]["values"] if clusters else [0.0]
     fv.add("top_appliance_mean", float(np.mean(top)))
     fv.add("top_appliance_max", float(np.max(top)))
@@ -245,10 +242,8 @@ def build_home_features(home: HomeData, sources,
 
     def hvac_bundle(hvac_stream):
         fv = extract_consumption_features(hvac_stream, "hvac")
-        fv = fv.merge(extract_appliance_features(
-            hvac_stream, aggregate, events, pairs,
-            hvac_circuits=entry.hvac_circuits))
-        return fv
+        return fv.merge(extract_appliance_features(hvac_stream, aggregate,
+                                                   events, pairs))
 
     out = {}
     for source in sources:

@@ -245,42 +245,31 @@ def chain_log_models(draw):
     return chain_log_arrays(draw, *draw(chain_shapes))
 
 
-@st.composite
-def stacked_chain_log_models(draw):
-    """1 to 4 chain_log_arrays models of one shape."""
-    ks, n = draw(chain_shapes)
-    return [chain_log_arrays(draw, ks, n) for _ in range(draw(st.integers(1, 4)))]
+def viterbi(model):
+    """disagg._viterbi of one (log_init, log_trans, log_emit) model, with
+    the transitions transposed as it takes them."""
+    log_init, log_trans, log_emit = model
+    return disagg._viterbi(log_init, np.ascontiguousarray(log_trans.T),
+                           lambda t0, t1: log_emit[t0:t1], len(log_emit))
 
 
-def batched_viterbi(models):
-    """disagg._viterbi of the stacked (log_init, log_trans, log_emit)
-    models, with the transitions transposed as it takes them."""
-    log_emit = np.stack([e for _, _, e in models])
-    return disagg._viterbi(np.stack([i for i, _, _ in models]),
-                           np.stack([t.T for _, t, _ in models]),
-                           lambda t0, t1: log_emit[:, t0:t1], log_emit.shape[1])
-
-
-@settings(max_examples=300, deadline=None)
-@given(chain_log_models())
-def test_viterbi_step_in_place_matches_fresh_scores(model):
-    path, delta = batched_viterbi([model])
+def assert_matches_fresh_scores(model, path, delta):
     ref_path, ref_delta = viterbi_fresh_scores(*model)
-    np.testing.assert_array_equal(path[:, 0], ref_path)
-    assert delta[0].tobytes() == ref_delta.tobytes()
+    np.testing.assert_array_equal(path, ref_path)
+    assert delta.tobytes() == ref_delta.tobytes()
 
 
-@settings(max_examples=300, deadline=None)
-@given(stacked_chain_log_models(), st.integers(1, 5))
-def test_batched_viterbi_matches_each_home_alone(models, block):
-    """Homes decoded together, with emission blocks that split the sequence
-    anywhere, get each home's own path and final score bytes."""
+@settings(max_examples=400, deadline=None)
+@given(chain_log_models(), st.integers(0, 5), st.integers(0, 26))
+def test_viterbi_step_in_place_matches_fresh_scores(model, steps, spare):
+    """Path and final score bytes of the reference, at the default
+    EMIT_BLOCK (steps 0) and with emission blocks of 1 to 5 steps, plus
+    floats short of one more step, that split the sequence anywhere."""
+    total = len(model[0])
+    block = steps * total + spare % total if steps else disagg.EMIT_BLOCK
     with mock.patch.object(disagg, "EMIT_BLOCK", block):
-        path, delta = batched_viterbi(models)
-    for h, model in enumerate(models):
-        ref_path, ref_delta = viterbi_fresh_scores(*model)
-        np.testing.assert_array_equal(path[:, h], ref_path)
-        assert delta[h].tobytes() == ref_delta.tobytes()
+        path, delta = viterbi(model)
+    assert_matches_fresh_scores(model, path, delta)
 
 
 def test_viterbi_signed_zero_ties_keep_the_first_argmax_score():
@@ -289,27 +278,25 @@ def test_viterbi_signed_zero_ties_keep_the_first_argmax_score():
     rng = np.random.default_rng(14)
     zeros = np.array([0.0, -0.0])
     for total in (2, 3, 4, 8):
-        models = [(rng.choice(zeros, total), rng.choice(zeros, (total, total)),
-                   rng.choice(zeros, (4, total))) for _ in range(20)]
-        path, delta = batched_viterbi(models)
-        for h, model in enumerate(models):
-            ref_path, ref_delta = viterbi_fresh_scores(*model)
-            np.testing.assert_array_equal(path[:, h], ref_path)
-            assert delta[h].tobytes() == ref_delta.tobytes()
+        for _ in range(20):
+            model = (rng.choice(zeros, total), rng.choice(zeros, (total, total)),
+                     rng.choice(zeros, (4, total)))
+            assert_matches_fresh_scores(model, *viterbi(model))
+
+
+def random_log_model(total, n, rng):
+    """Log initial and transition probabilities drawn from flat Dirichlets,
+    and standard normal log emissions times 3."""
+    return (np.log(rng.dirichlet(np.ones(total))),
+            np.log(rng.dirichlet(np.ones(total), size=total)),
+            rng.normal(0, 3, (n, total)))
 
 
 def test_viterbi_over_256_states_keeps_wide_back_pointers():
     """At 300 states a back-pointer does not fit in a uint8."""
-    rng = np.random.default_rng(13)
-    total, n = 300, 20
-    models = [(np.log(rng.dirichlet(np.ones(total))),
-               np.log(rng.dirichlet(np.ones(total), size=total)),
-               rng.normal(0, 3, (n, total))) for _ in range(2)]
-    path, delta = batched_viterbi(models)
-    for h, model in enumerate(models):
-        ref_path, ref_delta = viterbi_fresh_scores(*model)
-        np.testing.assert_array_equal(path[:, h], ref_path)
-        assert delta[h].tobytes() == ref_delta.tobytes()
+    model = random_log_model(300, 20, np.random.default_rng(13))
+    path, delta = viterbi(model)
+    assert_matches_fresh_scores(model, path, delta)
     assert path.max() > 255
 
 
@@ -349,38 +336,37 @@ def counting_leader_steps():
 
 @st.composite
 def sticky_models(draw):
-    """1 to 3 homes of one product space of sticky chains (each stays put
-    with probability 0.9 to 0.999), with product-state means 100 apart and
-    readings drawn from the chains with noise of sd 5, over 100 to 300
-    steps, as (models, EMIT_BLOCK): a block of span >= S leader steps, plus
-    a remainder, so that both kinds of block end anywhere."""
+    """One product space of sticky chains (each stays put with probability
+    0.9 to 0.999), with product-state means 100 apart and readings drawn
+    from the chains with noise of sd 5, over 100 to 300 steps, as (model,
+    EMIT_BLOCK): emission blocks of S guessed blocks of span >= S leader
+    steps plus a remainder, and floats short of one more step, so that both
+    kinds of block end anywhere."""
     ks = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)
               .filter(lambda ks: np.prod(ks) <= 12))
-    n, n_homes = draw(st.integers(100, 300)), draw(st.integers(1, 3))
+    n = draw(st.integers(100, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     digits = np.indices(ks).reshape(len(ks), -1).T
     total = len(digits)
     means = 100.0 * np.arange(total)
-    models = []
-    for _ in range(n_homes):
-        log_init, log_trans = np.zeros(total), np.zeros((total, total))
-        chains = np.zeros((n, len(ks)), dtype=int)
-        for i, k in enumerate(ks):
-            stay = rng.uniform(0.9, 0.999)
-            trans = (1 - stay) * rng.dirichlet(np.ones(k - 1), size=k)
-            trans = np.insert(trans.ravel(), np.arange(k) * k, stay).reshape(k, k)
-            init = rng.dirichlet(np.ones(k))
-            log_init += np.log(init)[digits[:, i]]
-            log_trans += np.log(trans)[np.ix_(digits[:, i], digits[:, i])]
-            chains[0, i] = rng.choice(k, p=init)
-            for t in range(1, n):
-                chains[t, i] = rng.choice(k, p=trans[chains[t - 1, i]])
-        state = np.ravel_multi_index(chains.T, ks)
-        x = means[state] + rng.normal(0, 5, n)
-        log_emit = -0.5 * np.log(2 * np.pi * 25) - (x[:, None] - means) ** 2 / 50
-        models.append((log_init, log_trans, log_emit))
-    block = total * draw(st.integers(max(total, 2), 40)) + draw(st.integers(0, total - 1))
-    return models, block
+    log_init, log_trans = np.zeros(total), np.zeros((total, total))
+    chains = np.zeros((n, len(ks)), dtype=int)
+    for i, k in enumerate(ks):
+        stay = rng.uniform(0.9, 0.999)
+        trans = (1 - stay) * rng.dirichlet(np.ones(k - 1), size=k)
+        trans = np.insert(trans.ravel(), np.arange(k) * k, stay).reshape(k, k)
+        init = rng.dirichlet(np.ones(k))
+        log_init += np.log(init)[digits[:, i]]
+        log_trans += np.log(trans)[np.ix_(digits[:, i], digits[:, i])]
+        chains[0, i] = rng.choice(k, p=init)
+        for t in range(1, n):
+            chains[t, i] = rng.choice(k, p=trans[chains[t - 1, i]])
+    state = np.ravel_multi_index(chains.T, ks)
+    x = means[state] + rng.normal(0, 5, n)
+    log_emit = -0.5 * np.log(2 * np.pi * 25) - (x[:, None] - means) ** 2 / 50
+    steps = total * draw(st.integers(max(total, 2), 40)) + draw(st.integers(0, total - 1))
+    block = total * steps + draw(st.integers(0, total - 1))
+    return (log_init, log_trans, log_emit), block
 
 
 @settings(max_examples=100, deadline=None)
@@ -388,16 +374,12 @@ def sticky_models(draw):
 def test_viterbi_leader_steps_match_fresh_scores(drawn):
     """Sticky models decode as leader steps, bit for bit: nearly every step
     is kept from a guessed block, not taken alone."""
-    models, block = drawn
+    model, block = drawn
     patch, kept = counting_leader_steps()
     with patch, mock.patch.object(disagg, "EMIT_BLOCK", block):
-        path, delta = batched_viterbi(models)
-    for h, model in enumerate(models):
-        ref_path, ref_delta = viterbi_fresh_scores(*model)
-        np.testing.assert_array_equal(path[:, h], ref_path)
-        assert delta[h].tobytes() == ref_delta.tobytes()
-    n = path.shape[0]
-    assert sum(kept) >= 3 * (n - 1) // 4
+        path, delta = viterbi(model)
+    assert_matches_fresh_scores(model, path, delta)
+    assert sum(kept) >= 3 * (len(path) - 1) // 4
 
 
 def test_viterbi_guesses_that_all_miss_back_off():
@@ -409,17 +391,40 @@ def test_viterbi_guesses_that_all_miss_back_off():
     trans = np.array([[1e-12, 1 - 2e-12, 1e-12],
                       [1 / 3, 1 / 3, 1 / 3],
                       [1 / 3, 1 / 3, 1 / 3]])
-    log_emit = np.tile(np.log([0.6, 0.2, 0.2]), (n, 1))
-    models = [(np.log(np.full(3, 1 / 3)), np.log(trans), log_emit)] * 2
+    model = (np.log(np.full(3, 1 / 3)), np.log(trans),
+             np.tile(np.log([0.6, 0.2, 0.2]), (n, 1)))
     patch, kept = counting_leader_steps()
     with patch:
-        path, delta = batched_viterbi(models)
-    ref_path, ref_delta = viterbi_fresh_scores(*models[0])
-    for h in range(2):
-        np.testing.assert_array_equal(path[:, h], ref_path)
-        assert delta[h].tobytes() == ref_delta.tobytes()
+        path, delta = viterbi(model)
+    assert_matches_fresh_scores(model, path, delta)
     assert 1 <= len(kept) <= np.log2(n) + 2
     assert not any(kept)
+
+
+@pytest.mark.parametrize("total", [2, 6, 32, 33, 1024])
+def test_emission_blocks_hold_at_most_emit_block_floats(total):
+    """Emissions are asked for in blocks of EMIT_BLOCK // S steps, over two
+    full blocks and a part, and the decode is the reference's. Blocks of
+    leader steps are guessed up to S = 32, and not from S = 33 on."""
+    steps = disagg.EMIT_BLOCK // total
+    n = 2 * steps + 3
+    model = random_log_model(total, n, np.random.default_rng(total))
+    log_init, log_trans, log_emit = model
+    asked = []
+
+    def emit(t0, t1):
+        asked.append((t0, t1))
+        return log_emit[t0:t1]
+
+    patch, kept = counting_leader_steps()
+    with patch:
+        path, delta = disagg._viterbi(log_init, np.ascontiguousarray(log_trans.T),
+                                      emit, n)
+    assert_matches_fresh_scores(model, path, delta)
+    assert asked == [(0, 1), (1, 1 + steps), (1 + steps, 1 + 2 * steps),
+                     (1 + 2 * steps, n)]
+    assert max(t1 - t0 for t0, t1 in asked) * total <= disagg.EMIT_BLOCK
+    assert bool(kept) == (total <= 32)
 
 
 def test_absent_appliance_decodes_to_zero():

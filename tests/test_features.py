@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import (AlignmentError, ConfigurationError, CoverageError,
                               UndefinedStatisticError)
-from nilminfer.events import DetectorConfig, detect_events, pair_events
+from nilminfer.events import (DetectorConfig, EventPair, detect_events,
+                              pair_events)
 from nilminfer.features import (FeatureVector, build_feature_table,
                                 chi2_select, extract_appliance_features,
                                 extract_consumption_features, pearson,
@@ -166,11 +167,27 @@ def test_appliance_features_zero_hvac():
 
 
 def test_appliance_features_circuit_metadata():
+    """hvac_circuits counts the pair clusters at or above HVAC_MIN_W; no
+    metadata feeds it."""
     hvac = hvac_square()
-    fv = extract_appliance_features(hvac, hvac, [], [], hvac_circuits=2)
-    assert fv.values["hvac_circuits"] == 2.0
-    fv2 = extract_appliance_features(hvac, hvac, [], [])
-    assert fv2.values["hvac_circuits"] == 0.0  # no pairs, so no cluster
+    fv = extract_appliance_features(hvac, hvac, [], [])
+    assert fv.values["hvac_circuits"] == 0.0  # no pairs, so no cluster
+    pairs = [EventPair(DEFAULT_START + 900 * k, DEFAULT_START + 900 * (k + 1), mag)
+             for k, mag in enumerate((300.0, 300.0, 1500.0, 3000.0, 3000.0))]
+    fv = extract_appliance_features(hvac, hvac, [], pairs)
+    assert fv.values["hvac_circuits"] == 2.0  # 1500 W and 3000 W, not 300 W
+
+
+def test_manifest_hvac_circuits_feeds_no_feature(small_corpus):
+    manifest = small_corpus.manifest
+    one = type(manifest)(homes=manifest.homes[:1], base_dir=manifest.base_dir)
+    relabelled = copy.deepcopy(one)
+    relabelled.homes[0].hvac_circuits = 7
+    sources = ("both", "disagg-hart")
+    for source in sources:
+        _, X = build_feature_table(one, sources).matrix(source)
+        _, X_relabelled = build_feature_table(relabelled, sources).matrix(source)
+        assert X.tobytes() == X_relabelled.tobytes()
 
 
 @pytest.mark.parametrize("shift", [0, 900])
