@@ -361,16 +361,17 @@ def hart_disaggregate(aggregate: PowerSeries,
     return hart_reconstruct(aggregate, pair_events(detect_events(aggregate, det)))
 
 
-def hart_reconstruct(aggregate: PowerSeries, pairs: list) -> DisaggResult:
+def hart_reconstruct(aggregate: PowerSeries, pairs: list, clusters=None) -> DisaggResult:
     """Hart's event-pair clustering (Proc. IEEE, 1992) of the aggregate's pairs.
 
-    The top magnitude cluster, the last of cluster_magnitudes, becomes
-    "highest_power_appliance": rectangular pulses over its pairs' ON
-    intervals. That same series is "hvac" when its center is at least
-    HVAC_MIN_W; otherwise "hvac" is all zeros. The residual is the aggregate
-    less the top trace, clamped at 0.
+    The top magnitude cluster, the last of cluster_magnitudes (clusters, if
+    given), becomes "highest_power_appliance": rectangular pulses over its
+    pairs' ON intervals. That same series is "hvac" when its center is at
+    least HVAC_MIN_W; otherwise "hvac" is all zeros. The residual is the
+    aggregate less the top trace, clamped at 0.
     """
-    clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
+    if clusters is None:
+        clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
     t0, per, tz = aggregate.start_time, aggregate.period_s, aggregate.timezone
     trace = np.zeros(len(aggregate))
     for idx in clusters[-1]["indices"] if clusters else ():

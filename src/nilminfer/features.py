@@ -115,13 +115,13 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
 
 
 def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
-                               events, pairs) -> FeatureVector:
+                               events, pairs, clusters=None) -> FeatureVector:
     """HVAC and event-stream features over a home.
 
-    hvac_circuits is the count of event-pair magnitude clusters at or above
-    HVAC_MIN_W. The highest-power-appliance statistics come from the
-    magnitudes of the top pair cluster, the last one, and are 0 with no
-    pairs. HVAC is ON above ON_THRESHOLD_W.
+    hvac_circuits is the count of event-pair magnitude clusters (clusters,
+    if given) at or above HVAC_MIN_W. The highest-power-appliance statistics
+    come from the magnitudes of the top pair cluster, the last one, and are
+    0 with no pairs. HVAC is ON above ON_THRESHOLD_W.
     """
     check_same_axis(hvac, aggregate, "hvac", "aggregate")
     agg_energy = float(aggregate.values.sum())
@@ -136,7 +136,8 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     frac = float(hvac.values.sum()) / agg_energy
     fv.add("hvac_energy_fraction", min(frac, 1.0))
 
-    clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
+    if clusters is None:
+        clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
     fv.add("hvac_circuits",
            float(sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)))
     top = clusters[-1]["values"] if clusters else [0.0]
@@ -231,7 +232,7 @@ def build_home_features(home: HomeData, sources,
                         det: DetectorConfig = DetectorConfig(), *,
                         seed: int = 0) -> dict:
     """FeatureVector per requested source for one home. Shared inputs
-    (aggregate stream, detected events, pair list) are computed once.
+    (aggregate stream, events, pairs and their clusters) are computed once.
     disagg-fhmm decodes the whole aggregate with models trained with this
     seed on the first half of each submetered trace."""
     entry = home.entry
@@ -239,11 +240,12 @@ def build_home_features(home: HomeData, sources,
     agg_fv = extract_consumption_features(aggregate, "aggregate")
     events = detect_events(aggregate, det)
     pairs = pair_events(events)
+    clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
 
     def hvac_bundle(hvac_stream):
         fv = extract_consumption_features(hvac_stream, "hvac")
         return fv.merge(extract_appliance_features(hvac_stream, aggregate,
-                                                   events, pairs))
+                                                   events, pairs, clusters))
 
     out = {}
     for source in sources:
@@ -255,7 +257,7 @@ def build_home_features(home: HomeData, sources,
             bundle = hvac_bundle(home.appliance("hvac"))
             out[source] = bundle if source == "hvac-only" else agg_fv.merge(bundle)
         elif source == "disagg-hart":
-            hvac = hart_reconstruct(aggregate, pairs).appliances["hvac"]
+            hvac = hart_reconstruct(aggregate, pairs, clusters).appliances["hvac"]
             out[source] = agg_fv.merge(hvac_bundle(hvac))
         elif source == "disagg-fhmm":
             cut = max(len(aggregate) // 2, 1)

@@ -34,7 +34,8 @@ from .series import (HomeData, OccupancySeries, PowerSeries, SECONDS_PER_DAY,
                      window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
-UNSUPERVISED_ALGORITHMS = ("ours", "ours-optimised", "chen", "chen-median")
+EVENT_ALGORITHMS = ("ours", "ours-optimised")  # one event pipeline, two markings
+UNSUPERVISED_ALGORITHMS = EVENT_ALGORITHMS + ("chen", "chen-median")
 SUPERVISED_ALGORITHMS = ("knn", "rf")
 EVAL_HOURS = (6, 22)  # local [start, end) hours of the scored windows
 PAIR_GAP_FILL_S = 3600  # occupied intervals closer than this are bridged
@@ -149,13 +150,18 @@ def predict_occupancy_events(s: PowerSeries, det: DetectorConfig = DetectorConfi
     unless mark_start_of_day is off, from midnight to its first event.
     A day with no foreground pairs stays unoccupied throughout.
     """
+    return _occupancy_from_pairs(s, _foreground_pairs(s, det), mark_start_of_day)
+
+
+def _foreground_pairs(s: PowerSeries, det: DetectorConfig):
     if s.span_s < SECONDS_PER_DAY:
         raise CoverageError("need at least one full day of data")
-
     events = detect_events(s, det)
     profile = learn_background(s, det)
-    foreground = remove_background(pair_events(events), profile)
+    return remove_background(pair_events(events), profile)
 
+
+def _occupancy_from_pairs(s: PowerSeries, foreground, mark_start_of_day: bool):
     intervals = _merge_intervals([(p.on_time, p.off_time) for p in foreground])
 
     times = sorted(t for p in foreground for t in (p.on_time, p.off_time))
@@ -266,12 +272,13 @@ def _supervised_xy(series: PowerSeries, truth_w: OccupancySeries):
 
 
 def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
-                           det: DetectorConfig) -> OccupancySeries:
-    """Occupancy of test_series by one unsupervised algorithm."""
-    if algorithm == "ours":
-        return predict_occupancy_events(test_series, det)
-    if algorithm == "ours-optimised":
-        return predict_occupancy_events(test_series, det, mark_start_of_day=False)
+                           det: DetectorConfig, foreground=None) -> OccupancySeries:
+    """Occupancy of test_series by one unsupervised algorithm. The event
+    pipeline's algorithms use foreground as its pairs when given."""
+    if algorithm in EVENT_ALGORITHMS:
+        if foreground is None:
+            foreground = _foreground_pairs(test_series, det)
+        return _occupancy_from_pairs(test_series, foreground, algorithm == "ours")
     if algorithm == "chen":
         return predict_occupancy_night_threshold(test_series, "max")
     if algorithm == "chen-median":
@@ -335,6 +342,7 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                     "training data from another home")
             train_X = np.vstack([X for _, X, _ in parts])
             train_y = np.concatenate([y for _, _, y in parts])
+        foreground = None  # the event pipeline's pairs, run once per home
         for algorithm in algorithms:
             if algorithm in SUPERVISED_ALGORITHMS:
                 idx, X_te, _ = test_xy
@@ -344,7 +352,9 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                 flags[idx] = np.asarray(labels, dtype=int) == 1
                 pred = replace(truth_w, flags=flags)
             else:
-                pred = predict_with_algorithm(algorithm, test_series, det)
+                if algorithm in EVENT_ALGORITHMS and foreground is None:
+                    foreground = _foreground_pairs(test_series, det)
+                pred = predict_with_algorithm(algorithm, test_series, det, foreground)
             metrics = evaluate_occupancy(pred, truth_w)
             all_rows.append({"home_id": home_id, "algorithm": algorithm,
                              **metrics.as_dict()})

@@ -367,6 +367,7 @@ _COLUMN_PARSERS = {_parse_reading: (np.float64, np.isfinite, np.float64),
                    _parse_flag: (np.int64, lambda v: (v == 0) | (v == 1), bool)}
 
 _ISO_DTYPE = "S26"  # one byte past the offset form, so a longer stamp shows
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt's openers
 
 
 def _iso_epochs(stamps: np.ndarray) -> np.ndarray:
@@ -429,18 +430,19 @@ def _read_csv_arrays(path: Path, value_col: str, parse_value):
     """`_read_csv` by `np.loadtxt`, for files whose stamps are all epoch
     integers or all in the fixed ISO form of `_iso_epochs`. None for any file
     it cannot vouch reads as `_read_csv_rows` would read it."""
-    # loadtxt reads the file again: holding its bytes meanwhile costs peak RSS
-    columns = _plain_columns(path, value_col)
+    # loadtxt reads the file again: holding its bytes meanwhile costs peak RSS.
+    # It reads a path in chunks (a handle line by line) but decompresses by suffix.
+    columns = None if path.suffix in _COMPRESSED_SUFFIXES else _plain_columns(path, value_col)
     if columns is None:
         return None
     # the first stamp picks the one form tried; any other file is the row loop's
     stamp_dtype, epochs = (_ISO_DTYPE, _iso_epochs) if columns[2] else (np.int64, np.asarray)
     value_dtype, valid, result_dtype = _COLUMN_PARSERS[parse_value]
     try:
-        with open(path, "rb") as f, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. a header-only file
             cols = np.loadtxt(
-                f, dtype=[("t", stamp_dtype), ("v", value_dtype)],
+                str(path), dtype=[("t", stamp_dtype), ("v", value_dtype)],
                 delimiter=",", comments=None, quotechar=None, skiprows=1,
                 usecols=columns[:2], ndmin=1, encoding="ascii")
         ts = epochs(cols["t"])

@@ -402,6 +402,45 @@ def test_rf_and_optimised_variant_run(small_corpus):
                        **evaluate_occupancy(pred, truth).as_dict()}
 
 
+def test_ours_and_optimised_share_one_event_pipeline_per_home(small_corpus,
+                                                              monkeypatch):
+    """Both event algorithms of one run detect each test half's events once
+    and learn its background once, and score as each does alone."""
+    from nilminfer import events
+    manifest = small_corpus.manifest
+    calls = {"detect": 0, "learn": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # events.detect_events is what learn_background calls on each night run
+    monkeypatch.setattr(events, "detect_events",
+                        counted("detect", events.detect_events))
+    learn_detects = 0
+    for entry in manifest.homes:
+        _, test_half = _split_half(HomeData(manifest, entry).aggregate)
+        events.learn_background(test_half)
+        learn_detects, calls["detect"] = learn_detects + calls["detect"], 0
+    assert learn_detects >= 2 * len(manifest.homes)  # a night per day or so
+
+    for name, key in [("detect_events", "detect"),
+                      ("learn_background", "learn")]:
+        monkeypatch.setattr(occupancy, name,
+                            counted(key, getattr(occupancy, name)))
+    both = occupancy_experiment(manifest, "split-half",
+                                ("ours", "ours-optimised"))
+    assert calls == {"detect": len(manifest.homes) + learn_detects,
+                     "learn": len(manifest.homes)}
+    monkeypatch.undo()
+    alone = [row for algorithm in ("ours", "ours-optimised") for row in
+             occupancy_experiment(manifest, "split-half", (algorithm,))["per_home"]]
+    assert both["per_home"] == sorted(
+        alone, key=lambda r: (r["home_id"], r["algorithm"]))
+
+
 def test_loho_each_home_tested_once(small_corpus):
     res = occupancy_experiment(small_corpus.manifest, "loho",
                                ("ours", "knn"))

@@ -442,6 +442,17 @@ def test_read_csv_equals_row_loop(tmp_path, file):
         assert series._read_csv_arrays(path, col, VALUE_COLUMNS[col]) is not None
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_read_csv_reads_a_compressed_suffix_as_plain_text(tmp_path, suffix):
+    """np.loadtxt decompresses a path by its suffix; a file is plain text."""
+    rows = [csv_row(DEFAULT_START + 30 * i, timezone.utc, "epoch", "power_w",
+                    "1.5") for i in range(3)]
+    path = tmp_path / f"in.csv{suffix}"
+    path.write_text(csv_text(rows, "power_w"))
+    assert_read_csv_equals_row_loop(path, "power_w")
+    assert series.load_power_csv(path).values.tolist() == [1.5] * 3
+
+
 @pytest.mark.parametrize("form", ["epoch", "iso"])
 @pytest.mark.parametrize("col", sorted(VALUE_COLUMNS))
 def test_read_csv_equals_row_loop_on_each_odd_field(tmp_path, form, col):
