@@ -317,6 +317,9 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     classifier, and report mean test accuracy along with the majority-class
     baseline. Characteristics with any class under 2 homes are skipped.
     """
+    for i, source in enumerate(feature_sources):
+        if source in feature_sources[:i]:
+            raise ValueError(f"feature source {source!r} is given twice")
     table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
     labels = {e.home_id: label_characteristics(e.characteristics)
               for e in manifest.homes}

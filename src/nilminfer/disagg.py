@@ -358,20 +358,20 @@ def fhmm_disaggregate(aggregate: PowerSeries,
 def hart_disaggregate(aggregate: PowerSeries,
                       det: DetectorConfig = DetectorConfig()) -> DisaggResult:
     """Unsupervised disaggregation: hart_reconstruct on the aggregate's pairs."""
-    return hart_reconstruct(aggregate, pair_events(detect_events(aggregate, det)))
+    pairs = pair_events(detect_events(aggregate, det))
+    return hart_reconstruct(aggregate, pairs, cluster_magnitudes(
+        np.array([p.magnitude_w for p in pairs])))
 
 
-def hart_reconstruct(aggregate: PowerSeries, pairs: list, clusters=None) -> DisaggResult:
+def hart_reconstruct(aggregate: PowerSeries, pairs: list, clusters: list) -> DisaggResult:
     """Hart's event-pair clustering (Proc. IEEE, 1992) of the aggregate's pairs.
 
-    The top magnitude cluster, the last of cluster_magnitudes (clusters, if
-    given), becomes "highest_power_appliance": rectangular pulses over its
+    clusters is cluster_magnitudes of the pairs' magnitudes. Its top cluster,
+    the last, becomes "highest_power_appliance": rectangular pulses over its
     pairs' ON intervals. That same series is "hvac" when its center is at
     least HVAC_MIN_W; otherwise "hvac" is all zeros. The residual is the
     aggregate less the top trace, clamped at 0.
     """
-    if clusters is None:
-        clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
     t0, per, tz = aggregate.start_time, aggregate.period_s, aggregate.timezone
     trace = np.zeros(len(aggregate))
     for idx in clusters[-1]["indices"] if clusters else ():

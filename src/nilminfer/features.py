@@ -115,13 +115,13 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
 
 
 def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
-                               events, pairs, clusters=None) -> FeatureVector:
+                               events, clusters: list) -> FeatureVector:
     """HVAC and event-stream features over a home.
 
-    hvac_circuits is the count of event-pair magnitude clusters (clusters,
-    if given) at or above HVAC_MIN_W. The highest-power-appliance statistics
-    come from the magnitudes of the top pair cluster, the last one, and are
-    0 with no pairs. HVAC is ON above ON_THRESHOLD_W.
+    hvac_circuits is the count of the event-pair magnitude clusters
+    (cluster_magnitudes) at or above HVAC_MIN_W. The highest-power-appliance
+    statistics come from the magnitudes of the top cluster, the last one,
+    and are 0 with no pairs. HVAC is ON above ON_THRESHOLD_W.
     """
     check_same_axis(hvac, aggregate, "hvac", "aggregate")
     agg_energy = float(aggregate.values.sum())
@@ -136,8 +136,6 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     frac = float(hvac.values.sum()) / agg_energy
     fv.add("hvac_energy_fraction", min(frac, 1.0))
 
-    if clusters is None:
-        clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
     fv.add("hvac_circuits",
            float(sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)))
     top = clusters[-1]["values"] if clusters else [0.0]
@@ -245,7 +243,7 @@ def build_home_features(home: HomeData, sources,
     def hvac_bundle(hvac_stream):
         fv = extract_consumption_features(hvac_stream, "hvac")
         return fv.merge(extract_appliance_features(hvac_stream, aggregate,
-                                                   events, pairs, clusters))
+                                                   events, clusters))
 
     out = {}
     for source in sources:

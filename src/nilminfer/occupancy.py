@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .series import (HomeData, OccupancySeries, PowerSeries, SECONDS_PER_DAY,
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 EVENT_ALGORITHMS = ("ours", "ours-optimised")  # one event pipeline, two markings
-UNSUPERVISED_ALGORITHMS = EVENT_ALGORITHMS + ("chen", "chen-median")
+NIGHT_STATS = {"chen": "max", "chen-median": "median"}  # one windowing, two stats
+UNSUPERVISED_ALGORITHMS = EVENT_ALGORITHMS + tuple(NIGHT_STATS)
 SUPERVISED_ALGORITHMS = ("knn", "rf")
 EVAL_HOURS = (6, 22)  # local [start, end) hours of the scored windows
 PAIR_GAP_FILL_S = 3600  # occupied intervals closer than this are bridged
@@ -116,10 +118,12 @@ def window_power_features(s: PowerSeries):
 
     Returns (window_starts, X); windows without samples are omitted.
     """
-    starts, counts, mean, std, rng = window_stats(s)
+    return _power_feature_rows(*window_stats(s))
+
+
+def _power_feature_rows(starts, counts, mean, std, rng):
     valid = counts > 0
-    X = np.column_stack([mean[valid], std[valid], rng[valid]])
-    return starts[valid], X
+    return starts[valid], np.column_stack([mean[valid], std[valid], rng[valid]])
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +200,13 @@ def predict_occupancy_night_threshold(s: PowerSeries,
     std or mean strictly exceeds the chosen statistic (max or median) of that
     feature over the same day's NIGHT_HOURS windows. Days without a usable
     night window are skipped with a warning."""
-    if stat not in ("max", "median"):
+    if stat not in NIGHT_STATS.values():
         raise ValueError("stat must be 'max' or 'median'")
-    agg = np.max if stat == "max" else np.median
+    return _night_threshold(s, stat, *window_stats(s))
 
-    starts, counts, mean, std, rng = window_stats(s)
+
+def _night_threshold(s: PowerSeries, stat: str, starts, counts, mean, std, rng):
+    agg = np.max if stat == "max" else np.median
     whours = local_clock_hours(starts, s.timezone)
     valid = counts > 0
     flags = np.zeros(starts.size, dtype=bool)
@@ -216,7 +222,7 @@ def predict_occupancy_night_threshold(s: PowerSeries,
                       | (mean[day] > t_mean))
     if skipped:
         warnings.warn(f"night-threshold predictor skipped {len(skipped)} "
-                      f"day(s) without a preceding night window", stacklevel=2)
+                      f"day(s) without a preceding night window", stacklevel=3)
     return OccupancySeries(int(starts[0]), flags, s.timezone)
 
 
@@ -259,31 +265,16 @@ def evaluate_occupancy(pred: OccupancySeries,
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _supervised_xy(series: PowerSeries, truth_w: OccupancySeries):
+def _supervised_xy(stats, timezone: str, truth_w: OccupancySeries):
     """Indices into truth_w, [mean, std, range] features and occupancy
-    labels of the series' non-empty eval-hour windows inside the truth's
-    span; truth_w is on the series' grid."""
-    starts, X = window_power_features(series)
+    labels of the non-empty eval-hour windows of stats (window_stats of a
+    series on truth_w's grid) inside the truth's span."""
+    starts, X = _power_feature_rows(*stats)
     idx = (starts - truth_w.window_start) // WINDOW_S
-    keep = (_in_eval_hours(starts, series.timezone) & (idx >= 0)
+    keep = (_in_eval_hours(starts, timezone) & (idx >= 0)
             & (idx < len(truth_w)))
     idx, X = idx[keep], X[keep]
     return idx, X, truth_w.flags[idx].astype(int)
-
-
-def predict_with_algorithm(algorithm: str, test_series: PowerSeries,
-                           det: DetectorConfig, foreground=None) -> OccupancySeries:
-    """Occupancy of test_series by one unsupervised algorithm. The event
-    pipeline's algorithms use foreground as its pairs when given."""
-    if algorithm in EVENT_ALGORITHMS:
-        if foreground is None:
-            foreground = _foreground_pairs(test_series, det)
-        return _occupancy_from_pairs(test_series, foreground, algorithm == "ours")
-    if algorithm == "chen":
-        return predict_occupancy_night_threshold(test_series, "max")
-    if algorithm == "chen-median":
-        return predict_occupancy_night_threshold(test_series, "median")
-    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _split_half(series: PowerSeries):
@@ -309,14 +300,16 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     """
     if protocol not in ("split-half", "loho"):
         raise ValueError("protocol must be 'split-half' or 'loho'")
-    for a in algorithms:
+    for i, a in enumerate(algorithms):
         if a not in UNSUPERVISED_ALGORITHMS + SUPERVISED_ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
+        if a in algorithms[:i]:
+            raise ValueError(f"algorithm {a!r} is given twice")
     needs_training = any(a in SUPERVISED_ALGORITHMS for a in algorithms)
 
-    # Each home is read, split, windowed and featurised once; its truth
-    # windows score every algorithm and its supervised arrays serve every
-    # held-out home.
+    # Each home is read, split and featurised once, each half windowed and its
+    # event pipeline run at most once, on first need; its truth windows score
+    # every algorithm and its supervised arrays serve every held-out home.
     homes = []
     for entry in manifest.homes:
         home = HomeData(manifest, entry)
@@ -324,15 +317,19 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
         train_series, test_series = (_split_half(series) if protocol == "split-half"
                                      else (series, series))
         truth_w = window_occupancy(test_series, *home.occupancy)
+        windows = cache(partial(window_stats, test_series))
         train_xy = test_xy = None
         if needs_training:
-            test_xy = _supervised_xy(test_series, truth_w)
+            test_xy = _supervised_xy(windows(), test_series.timezone, truth_w)
             train_xy = test_xy if protocol == "loho" else _supervised_xy(
-                train_series, window_occupancy(train_series, *home.occupancy))
-        homes.append((entry.home_id, test_series, truth_w, train_xy, test_xy))
+                window_stats(train_series), train_series.timezone,
+                window_occupancy(train_series, *home.occupancy))
+        homes.append([entry.home_id, test_series, truth_w, train_xy, test_xy, windows])
 
     all_rows = []
-    for home_id, test_series, truth_w, train_xy, test_xy in homes:
+    for home in homes:
+        windows = home.pop()  # dropped once this home is scored
+        home_id, test_series, truth_w, train_xy, test_xy = home
         if needs_training:
             parts = [train_xy] if protocol == "split-half" else \
                 [h[3] for h in homes if h[0] != home_id]
@@ -342,7 +339,7 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                     "training data from another home")
             train_X = np.vstack([X for _, X, _ in parts])
             train_y = np.concatenate([y for _, _, y in parts])
-        foreground = None  # the event pipeline's pairs, run once per home
+        foreground = cache(partial(_foreground_pairs, test_series, det))
         for algorithm in algorithms:
             if algorithm in SUPERVISED_ALGORITHMS:
                 idx, X_te, _ = test_xy
@@ -351,10 +348,11 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                 flags = np.zeros(len(truth_w), dtype=bool)
                 flags[idx] = np.asarray(labels, dtype=int) == 1
                 pred = replace(truth_w, flags=flags)
+            elif algorithm in EVENT_ALGORITHMS:
+                pred = _occupancy_from_pairs(test_series, foreground(),
+                                             algorithm == "ours")
             else:
-                if algorithm in EVENT_ALGORITHMS and foreground is None:
-                    foreground = _foreground_pairs(test_series, det)
-                pred = predict_with_algorithm(algorithm, test_series, det, foreground)
+                pred = _night_threshold(test_series, NIGHT_STATS[algorithm], *windows())
             metrics = evaluate_occupancy(pred, truth_w)
             all_rows.append({"home_id": home_id, "algorithm": algorithm,
                              **metrics.as_dict()})

@@ -453,6 +453,11 @@ def test_characteristics_experiment_deterministic(default_corpus):
     assert a == b
 
 
+def test_characteristics_experiment_rejects_repeated_source(small_corpus):
+    with pytest.raises(ValueError, match="feature source 'both' is given twice"):
+        characteristics_experiment(small_corpus.manifest, ("both", "both"))
+
+
 def test_characteristics_experiment_skips_small_classes(small_corpus):
     # 5 homes: some classes have < 2 members and must be skipped with warning
     with pytest.warns(UserWarning) as caught:

@@ -224,6 +224,21 @@ def test_classify_subcommand(tmp_path, small_corpus):
     ET.parse(charts / "characteristics_accuracy.svg")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["occupancy", "--algo", "chen,chen"], "algorithm 'chen' is given twice"),
+    (["classify", "--source", "both,both"],
+     "feature source 'both' is given twice"),
+], ids=["occupancy", "classify"])
+def test_repeated_names_exit_1_naming_the_name(tmp_path, small_corpus, capsys,
+                                               argv, message):
+    out = tmp_path / "out.json"
+    assert run([*argv, "--manifest", manifest_path(small_corpus),
+                "--out", str(out)]) == 1
+    assert error_record(capsys) == {"error": "ValueError", "message": message,
+                                    "subcommand": argv[0]}
+    assert not out.exists()
+
+
 def test_config_file_provides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"days": 7, "homes": 2}))

@@ -10,7 +10,8 @@ from nilminfer import disagg
 from nilminfer.disagg import (ApplianceHMM, fhmm_disaggregate,
                               hart_disaggregate, nilm_metrics, train_hmm)
 from nilminfer.errors import AlignmentError, CapacityError, DegenerateModelError
-from nilminfer.events import EventPair, cluster_magnitudes
+from nilminfer.events import (EventPair, cluster_magnitudes, detect_events,
+                              pair_events)
 from nilminfer.series import PowerSeries
 from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
 
@@ -534,6 +535,20 @@ def test_hart_traces_nonnegative(default_corpus):
         assert (trace.values >= 0).all()
 
 
+def test_hart_disaggregate_is_hart_reconstruct_of_its_clustered_pairs(
+        default_corpus):
+    aggregate = default_corpus.homes["home_06"].aggregate
+    pairs = pair_events(detect_events(aggregate))
+    want = disagg.hart_reconstruct(aggregate, pairs, cluster_magnitudes(
+        np.array([p.magnitude_w for p in pairs])))
+    got = hart_disaggregate(aggregate)
+    assert want.appliances["hvac"].values.any()
+    assert got.residual.values.tobytes() == want.residual.values.tobytes()
+    assert got.appliances.keys() == want.appliances.keys()
+    for name, trace in want.appliances.items():
+        assert got.appliances[name].values.tobytes() == trace.values.tobytes()
+
+
 def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
     """Reference: the largest-center cluster at or above hvac_min_w is hvac
     and the largest-center cluster overall is the highest power appliance,
@@ -589,7 +604,8 @@ def test_hart_reconstruct_matches_search_by_identity(specs, values):
     aggregate = series(values)
     pairs = [EventPair(DEFAULT_START + 30 * on, DEFAULT_START + 30 * (on + d), mag)
              for on, d, mag in specs]
-    got = disagg.hart_reconstruct(aggregate, pairs)
+    got = disagg.hart_reconstruct(aggregate, pairs, cluster_magnitudes(
+        np.array([p.magnitude_w for p in pairs])))
     want = hart_reconstruct_by_identity(aggregate, pairs)
     assert got.residual.values.tobytes() == want.residual.values.tobytes()
     assert got.appliances.keys() == want.appliances.keys()
@@ -605,7 +621,7 @@ def test_hart_top_center_of_exactly_hvac_min_is_hvac():
              for k, mag in ((0, 990.0), (5, 1000.0), (10, 1010.0))]
     mags = np.array([p.magnitude_w for p in pairs])
     assert cluster_magnitudes(mags)[-1]["center"] == disagg.HVAC_MIN_W == 1000.0
-    result = disagg.hart_reconstruct(aggregate, pairs)
+    result = disagg.hart_reconstruct(aggregate, pairs, cluster_magnitudes(mags))
     assert result.appliances["hvac"] is result.appliances["highest_power_appliance"]
 
 

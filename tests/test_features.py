@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import (AlignmentError, ConfigurationError, CoverageError,
                               UndefinedStatisticError)
-from nilminfer.events import (DetectorConfig, EventPair, detect_events,
-                              pair_events)
+from nilminfer.events import (DetectorConfig, EventPair, cluster_magnitudes,
+                              detect_events, pair_events)
 from nilminfer.features import (FeatureVector, build_feature_table,
                                 chi2_select, extract_appliance_features,
                                 extract_consumption_features, pearson,
@@ -142,12 +142,16 @@ def hvac_square(level=3000.0, period=900):
     return week_series(np.where(half_hours, level, 0.0), period)
 
 
+def clusters_of(pairs):
+    return cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
+
+
 def test_appliance_features_closed_form():
     hvac = hvac_square()
     det = DetectorConfig()
     events = detect_events(hvac, det)
     pairs = pair_events(events)
-    fv = extract_appliance_features(hvac, hvac, events, pairs)
+    fv = extract_appliance_features(hvac, hvac, events, clusters_of(pairs))
     assert fv.values["hvac_max_power"] == 3000.0
     assert fv.values["hvac_on_fraction"] == pytest.approx(0.5)
     assert fv.values["hvac_energy_fraction"] == pytest.approx(1.0)
@@ -174,7 +178,7 @@ def test_appliance_features_circuit_metadata():
     assert fv.values["hvac_circuits"] == 0.0  # no pairs, so no cluster
     pairs = [EventPair(DEFAULT_START + 900 * k, DEFAULT_START + 900 * (k + 1), mag)
              for k, mag in enumerate((300.0, 300.0, 1500.0, 3000.0, 3000.0))]
-    fv = extract_appliance_features(hvac, hvac, [], pairs)
+    fv = extract_appliance_features(hvac, hvac, [], clusters_of(pairs))
     assert fv.values["hvac_circuits"] == 2.0  # 1500 W and 3000 W, not 300 W
 
 

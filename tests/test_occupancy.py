@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import AlignmentError, ConfigurationError
 from nilminfer import occupancy
-from nilminfer.events import DetectorConfig
 from nilminfer.occupancy import (_merge_intervals, _split_half,
                                  evaluate_occupancy, occupancy_experiment,
                                  predict_occupancy_events,
                                  predict_occupancy_night_threshold,
-                                 predict_with_algorithm, window_grid,
-                                 window_power_features, window_stats)
+                                 window_grid, window_power_features,
+                                 window_stats)
 from nilminfer.series import (WINDOW_S, HomeData, OccupancySeries,
                               PowerSeries, local_clock_hours, window_occupancy,
                               write_occupancy_csv)
@@ -441,6 +440,34 @@ def test_ours_and_optimised_share_one_event_pipeline_per_home(small_corpus,
         alone, key=lambda r: (r["home_id"], r["algorithm"]))
 
 
+@pytest.mark.parametrize("protocol, algorithms, per_home", [
+    ("split-half", ("chen", "chen-median"), 1),
+    ("split-half", ("chen", "knn"), 2),  # the test half, then the train half
+    ("loho", ("chen", "knn"), 1),
+], ids=["split-half-night-stats", "split-half-supervised", "loho-supervised"])
+def test_each_half_is_windowed_once(small_corpus, monkeypatch, protocol,
+                                    algorithms, per_home):
+    """The night statistics and the supervised features of one run share
+    each half's window_stats, and score as each algorithm does alone."""
+    manifest = small_corpus.manifest
+    windowed = []
+
+    def counted(s):
+        windowed.append(s)
+        return window_stats(s)
+
+    monkeypatch.setattr(occupancy, "window_stats", counted)
+    both = occupancy_experiment(manifest, protocol, algorithms)
+    assert len(windowed) == per_home * len(manifest.homes)
+    assert len({(s.start_time, s.values.tobytes()) for s in windowed}) == \
+        len(windowed)
+    monkeypatch.undo()
+    alone = [row for algorithm in algorithms for row in
+             occupancy_experiment(manifest, protocol, (algorithm,))["per_home"]]
+    assert both["per_home"] == sorted(
+        alone, key=lambda r: (r["home_id"], r["algorithm"]))
+
+
 def test_loho_each_home_tested_once(small_corpus):
     res = occupancy_experiment(small_corpus.manifest, "loho",
                                ("ours", "knn"))
@@ -505,8 +532,9 @@ def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # chen skips the first, partial day
-            pred = predict_with_algorithm(row["algorithm"], home.aggregate,
-                                          DetectorConfig())
+            pred = (predict_occupancy_events(home.aggregate)
+                    if row["algorithm"] == "ours"
+                    else predict_occupancy_night_threshold(home.aggregate, "max"))
         assert row == {"home_id": row["home_id"], "algorithm": row["algorithm"],
                        **evaluate_occupancy(pred, home.occupancy).as_dict()}
     assert {r["n_windows"] for r in res["per_home"]} == {896}
@@ -532,4 +560,10 @@ def test_supervised_requires_ground_truth(small_corpus, tmp_path):
 def test_experiment_rejects_unknown_algorithm(small_corpus):
     with pytest.raises(ValueError):
         occupancy_experiment(small_corpus.manifest, "split-half", ("svm",))
+
+
+def test_experiment_rejects_repeated_algorithm(small_corpus):
+    with pytest.raises(ValueError, match="algorithm 'chen' is given twice"):
+        occupancy_experiment(small_corpus.manifest, "split-half",
+                             ("chen", "ours", "chen"))
 
