@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindowError
-from .series import PowerSeries, local_clock_hours
+from .series import PowerSeries, in_clock_hours
 
 HVAC_MIN_W = 1000.0  # a pair cluster centered at or above this is HVAC
 CLUSTER_GAP_FRAC = 0.1  # magnitude cluster gap, and background match tolerance
@@ -186,8 +186,7 @@ def learn_background(s: PowerSeries,
     with at least BACKGROUND_MIN_SUPPORT members become the profile centers,
     matched within CLUSTER_GAP_FRAC. One-off night usage thus never qualifies.
     """
-    hours = local_clock_hours(s.timestamps(), s.timezone)
-    night = (hours >= NIGHT_HOURS[0]) & (hours < NIGHT_HOURS[1])
+    night = in_clock_hours(s.timestamps(), s.timezone, NIGHT_HOURS)
     if not night.any():
         raise EmptyWindowError(
             f"series has no samples in the [{NIGHT_HOURS[0]}, "

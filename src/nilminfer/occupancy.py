@@ -31,7 +31,7 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
 from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
                      learn_background, pair_events, remove_background)
 from .series import (HomeData, OccupancySeries, PowerSeries, SECONDS_PER_DAY,
-                     WINDOW_S, local_clock_hours, local_day_bounds, window_grid,
+                     WINDOW_S, in_clock_hours, local_day_bounds, window_grid,
                      window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
@@ -170,7 +170,7 @@ def _occupancy_from_pairs(s: PowerSeries, foreground, mark_start_of_day: bool):
 
     times = sorted(t for p in foreground for t in (p.on_time, p.off_time))
     extra = []
-    for ds, de in local_day_bounds(s):
+    for ds, de in local_day_bounds(s.start_time, s.end_time, s.timezone):
         # the day's edges are times[first:end], those in [ds, de)
         first, end = bisect_left(times, ds), bisect_left(times, de)
         if first == end:
@@ -207,19 +207,20 @@ def predict_occupancy_night_threshold(s: PowerSeries,
 
 def _night_threshold(s: PowerSeries, stat: str, starts, counts, mean, std, rng):
     agg = np.max if stat == "max" else np.median
-    whours = local_clock_hours(starts, s.timezone)
-    valid = counts > 0
+    night = in_clock_hours(starts, s.timezone, NIGHT_HOURS) & (counts > 0)
     flags = np.zeros(starts.size, dtype=bool)
     skipped = []
-    for ds, de in local_day_bounds(s):
-        day = (starts >= ds) & (starts < de) & valid
-        night = day & (whours >= NIGHT_HOURS[0]) & (whours < NIGHT_HOURS[1])
-        if counts[night].sum() < 2:
+    # each local day's windows are one slice of the sorted starts; an empty
+    # window's NaN statistics compare False, so it stays unoccupied
+    days = local_day_bounds(s.start_time, s.end_time, s.timezone)
+    for (ds, _), (a, b) in zip(days, np.searchsorted(starts, days).tolist()):
+        at_night = night[a:b]
+        if counts[a:b][at_night].sum() < 2:
             skipped.append(ds)
             continue
-        t_rng, t_std, t_mean = agg(rng[night]), agg(std[night]), agg(mean[night])
-        flags[day] = ((rng[day] > t_rng) | (std[day] > t_std)
-                      | (mean[day] > t_mean))
+        r, sd, m = rng[a:b], std[a:b], mean[a:b]
+        flags[a:b] = ((r > agg(r[at_night])) | (sd > agg(sd[at_night]))
+                      | (m > agg(m[at_night])))
     if skipped:
         warnings.warn(f"night-threshold predictor skipped {len(skipped)} "
                       f"day(s) without a preceding night window", stacklevel=3)
@@ -229,12 +230,6 @@ def _night_threshold(s: PowerSeries, stat: str, starts, counts, mean, std, rng):
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-def _in_eval_hours(starts: np.ndarray, timezone: str) -> np.ndarray:
-    """Mask of the windows whose local start hour lies in EVAL_HOURS."""
-    hours = local_clock_hours(starts, timezone)
-    return (hours >= EVAL_HOURS[0]) & (hours < EVAL_HOURS[1])
-
 
 def evaluate_occupancy(pred: OccupancySeries,
                        truth: OccupancySeries) -> OccupancyMetrics:
@@ -251,7 +246,8 @@ def evaluate_occupancy(pred: OccupancySeries,
     n = (t1 - t0) // WINDOW_S
     p = pred.flags[(t0 - pred.window_start) // WINDOW_S:][:n]
     t = truth.flags[(t0 - truth.window_start) // WINDOW_S:][:n]
-    m = _in_eval_hours(t0 + np.arange(n, dtype=np.int64) * WINDOW_S, pred.timezone)
+    m = in_clock_hours(t0 + np.arange(n, dtype=np.int64) * WINDOW_S, pred.timezone,
+                       EVAL_HOURS)
     if not m.any():
         raise EmptyWindowError("no windows inside the evaluation hours")
     tp = int((p & t & m).sum())
@@ -271,7 +267,7 @@ def _supervised_xy(stats, timezone: str, truth_w: OccupancySeries):
     series on truth_w's grid) inside the truth's span."""
     starts, X = _power_feature_rows(*stats)
     idx = (starts - truth_w.window_start) // WINDOW_S
-    keep = (_in_eval_hours(starts, timezone) & (idx >= 0)
+    keep = (in_clock_hours(starts, timezone, EVAL_HOURS) & (idx >= 0)
             & (idx < len(truth_w)))
     idx, X = idx[keep], X[keep]
     return idx, X, truth_w.flags[idx].astype(int)
@@ -279,7 +275,7 @@ def _supervised_xy(stats, timezone: str, truth_w: OccupancySeries):
 
 def _split_half(series: PowerSeries):
     """Split at the local midnight closest to the middle of the span."""
-    days = local_day_bounds(series)
+    days = local_day_bounds(series.start_time, series.end_time, series.timezone)
     if len(days) < 2:
         raise CoverageError("split-half needs at least two days")
     cut = days[len(days) // 2][0]

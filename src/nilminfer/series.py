@@ -135,25 +135,26 @@ def local_weekdays(ts: np.ndarray, tzname: str) -> np.ndarray:
     return ((np.asarray(ts, dtype=np.int64) + off) // SECONDS_PER_DAY + 3) % 7
 
 
-def local_midnight_before(t: int, tzname: str) -> int:
-    """Epoch of the local midnight at or before t."""
+def in_clock_hours(ts: np.ndarray, tzname: str, hours: tuple) -> np.ndarray:
+    """Mask of the timestamps whose local clock hour lies in the half-open
+    [hours[0], hours[1])."""
+    h = local_clock_hours(ts, tzname)
+    return (h >= hours[0]) & (h < hours[1])
+
+
+def local_day_bounds(start: int, end: int, tzname: str) -> list[tuple[int, int]]:
+    """Half-open [day_start, day_end) epochs of every local day that the span
+    [start, end) touches, the one local-calendar day rule. DST days come out
+    23 or 25 hours long, as the zone dictates."""
     tz = ZoneInfo(tzname)
-    d = datetime.fromtimestamp(int(t), tz).date()
-    return int(datetime(d.year, d.month, d.day, tzinfo=tz).timestamp())
-
-
-def local_day_bounds(s: PowerSeries) -> list[tuple[int, int]]:
-    """Half-open [day_start, day_end) epochs of every local day the series
-    touches. DST days come out 23 or 25 hours long, as the zone dictates."""
-    tz = ZoneInfo(s.timezone)
-    d = datetime.fromtimestamp(s.start_time, tz).date()
+    d = datetime.fromtimestamp(start, tz).date()
     out = []
     while True:
         ds = int(datetime(d.year, d.month, d.day, tzinfo=tz).timestamp())
         nd = d + timedelta(days=1)
         de = int(datetime(nd.year, nd.month, nd.day, tzinfo=tz).timestamp())
         out.append((ds, de))
-        if de >= s.end_time:
+        if de >= end:
             break
         d = nd
     return out
@@ -168,8 +169,7 @@ def clock_window_mean(s: PowerSeries, start_hour: float, end_hour: float) -> flo
     [start_hour, end_hour), pooled across all covered days."""
     if not 0 <= start_hour < end_hour <= 24:
         raise ValueError("need 0 <= start_hour < end_hour <= 24")
-    hours = local_clock_hours(s.timestamps(), s.timezone)
-    mask = (hours >= start_hour) & (hours < end_hour)
+    mask = in_clock_hours(s.timestamps(), s.timezone, (start_hour, end_hour))
     if not mask.any():
         raise EmptyWindowError(
             f"no samples in local window [{start_hour}, {end_hour})")
@@ -200,11 +200,14 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
 
     period_s = _infer_period(ts)
 
-    rel = ts - ts[0]
-    if np.any(rel % period_s != 0):
-        bad = int(ts[np.nonzero(rel % period_s)[0][0]])
+    # a reading holds until the next one: itself and the samples missing after it
+    holds = np.diff(ts, append=ts[-1] + period_s)
+    off_grid = np.flatnonzero(holds % period_s)
+    if off_grid.size:
+        bad = int(ts[off_grid[0] + 1])
         raise ParseError(f"{path}: timestamp {bad} is off the {period_s}s grid",
                          path=str(path))
+    holds //= period_s
 
     n_clamped = int((vals < 0).sum())
     if n_clamped:
@@ -212,31 +215,17 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
                       stacklevel=2)
         vals = np.maximum(vals, 0.0)
 
-    pos = rel // period_s
-    n = int(pos[-1]) + 1
-    grid = np.full(n, np.nan)
-    grid[pos] = vals
+    too_long = np.flatnonzero(holds > MAX_GAP_PERIODS + 1)
+    if too_long.size:
+        k = int(too_long[0])
+        raise GapError(
+            f"{path}: {int(holds[k]) - 1} consecutive samples missing between "
+            f"{int(ts[k]) + period_s} and {int(ts[k + 1]) - period_s} "
+            f"(max {MAX_GAP_PERIODS})", path=str(path))
 
-    n_filled = 0
-    missing = np.isnan(grid)
-    if missing.any():
-        idx = np.flatnonzero(missing)
-        # split into consecutive runs and forward-fill short ones
-        run_starts = idx[np.flatnonzero(np.concatenate(([True], np.diff(idx) > 1)))]
-        run_ends = idx[np.flatnonzero(np.concatenate((np.diff(idx) > 1, [True])))]
-        for a, b in zip(run_starts, run_ends):
-            run_len = int(b - a + 1)
-            if run_len > MAX_GAP_PERIODS:
-                t_a = int(ts[0] + a * period_s)
-                t_b = int(ts[0] + b * period_s)
-                raise GapError(
-                    f"{path}: {run_len} consecutive samples missing between "
-                    f"{t_a} and {t_b} (max {MAX_GAP_PERIODS})", path=str(path))
-            grid[a:b + 1] = grid[a - 1]
-            n_filled += run_len
-
-    return PowerSeries(int(ts[0]), period_s, grid, timezone,
-                       meta={"source": str(path), "n_gap_filled": n_filled,
+    return PowerSeries(int(ts[0]), period_s, np.repeat(vals, holds), timezone,
+                       meta={"source": str(path),
+                             "n_gap_filled": int(holds.sum()) - ts.size,
                              "n_negative_clamped": n_clamped})
 
 
@@ -510,8 +499,8 @@ def load_occupancy_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def window_grid(s: PowerSeries) -> tuple[int, int]:
     """(anchor, n_windows) of the one occupancy window grid: WINDOW_S windows
-    from the local midnight at or before the series' start, covering it."""
-    anchor = local_midnight_before(s.start_time, s.timezone)
+    from the start of the series' first local day, covering it."""
+    anchor = local_day_bounds(s.start_time, s.end_time, s.timezone)[0][0]
     n_windows = -(-(s.end_time - anchor) // WINDOW_S)
     return anchor, int(n_windows)
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .series import (MAX_GAP_PERIODS, OccupancySeries, PowerSeries,
                      SECONDS_PER_DAY, DatasetManifest, HomeEntry, local_clock_hours,
-                     local_weekdays, save_manifest, window_occupancy,
-                     write_occupancy_csv, write_power_csv)
+                     local_day_bounds, local_weekdays, save_manifest,
+                     window_occupancy, write_occupancy_csv, write_power_csv)
 
 # 2024-01-01 00:00 UTC, a Monday; keeps weekday arithmetic easy to reason about
 DEFAULT_START = 1704067200
@@ -128,20 +128,20 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     period = spec.period_s
-    spd = SECONDS_PER_DAY // period
-    n = spec.days * spd
+    n = spec.days * SECONDS_PER_DAY // period
     ts = DEFAULT_START + np.arange(n, dtype=np.int64) * period
     t_rel = (ts - DEFAULT_START).astype(float)
 
     hours = local_clock_hours(ts, spec.timezone)
-    weekdays = local_weekdays(ts, spec.timezone)
 
-    # --- occupancy schedule: home except for away blocks -------------------
+    # --- occupancy schedule: home except for away blocks, per local day -----
     occupied = np.ones(n, dtype=bool)
-    for d in range(spec.days):
-        day = slice(d * spd, (d + 1) * spd)
+    days = np.array(local_day_bounds(int(ts[0]), int(ts[-1]) + period, spec.timezone))
+    for wd, (a, b) in zip(local_weekdays(days[:, 0], spec.timezone).tolist(),
+                          np.searchsorted(ts, days).tolist()):
+        day = slice(a, b)
         h = hours[day]
-        if weekdays[d * spd] < 5:
+        if wd < 5:
             away_start = 8.0 + rng.uniform(0.0, 1.0)
             base_end = 16.5 + rng.uniform(0.0, 1.5)
             scale = max(0.35, 1.0 - 0.15 * (spec.occupants - 1))

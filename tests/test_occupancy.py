@@ -197,6 +197,42 @@ def test_night_threshold_matches_bruteforce(default_corpus):
         assert np.array_equal(pred.flags, expected), stat
 
 
+@pytest.mark.parametrize("first_day", [(2024, 3, 8), (2024, 11, 1)])
+def test_night_threshold_matches_bruteforce_across_dst(first_day):
+    # Six New York days around a transition, one of them 23 or 25 hours long.
+    # The series starts at 00:07 and ends inside the last night, so its edge
+    # windows are partial and the grid's first window precedes its start.
+    zone = ZoneInfo("America/New_York")
+    start = int(datetime(*first_day, 0, 7, tzinfo=zone).timestamp())
+    n = 5 * 1440 + 265
+    rng = np.random.default_rng(11)
+    values = 100.0 + rng.gamma(2.0, 10.0, n) * rng.integers(1, 4, n)
+    s = PowerSeries(start, 60, values, "America/New_York")
+    ts = s.timestamps()
+    for stat, agg in (("max", np.max), ("median", np.median)):
+        pred = predict_occupancy_night_threshold(s, stat)
+        starts = pred.window_starts()
+        # the local day and hour of each window from datetime, not 86400 s steps
+        local = [datetime.fromtimestamp(int(w0), zone) for w0 in starts]
+        expected = np.zeros(len(pred), dtype=bool)
+        for date in sorted({d.date() for d in local}):
+            feats, n_night, night = {}, 0, []
+            for w, (w0, d) in enumerate(zip(starts, local)):
+                seg = s.values[(ts >= w0) & (ts < w0 + 900)]
+                if d.date() != date or seg.size == 0:
+                    continue
+                feats[w] = (seg.max() - seg.min(), seg.std(), seg.mean())
+                if 1 <= d.hour < 5:
+                    n_night += seg.size
+                    night.append(feats[w])
+            assert n_night >= 2, date
+            thr = tuple(agg([f[i] for f in night]) for i in range(3))
+            for w, f in feats.items():
+                expected[w] = (f[0] > thr[0]) or (f[1] > thr[1]) or (f[2] > thr[2])
+        assert expected.any() and not expected.all()
+        assert np.array_equal(pred.flags, expected), (first_day, stat)
+
+
 def test_night_threshold_median_flags_superset_of_max(default_corpus):
     for hid in ("home_01", "home_05"):
         s = default_corpus.homes[hid].aggregate
@@ -539,7 +575,7 @@ def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
                        **evaluate_occupancy(pred, home.occupancy).as_dict()}
     assert {r["n_windows"] for r in res["per_home"]} == {896}
     ours, = [s for s in res["summary"] if s["algorithm"] == "ours"]
-    assert round(ours["accuracy_pct"], 2) == 94.22
+    assert round(ours["accuracy_pct"], 2) == 92.39
 
 
 def test_supervised_beats_chance_on_corpus(small_corpus):

@@ -75,6 +75,31 @@ def test_gap_too_long_raises(tmp_path):
     assert exc.value.path == str(p)
 
 
+def test_gap_fill_holds_each_reading_and_names_the_first_long_gap(tmp_path):
+    assert series.MAX_GAP_PERIODS == 10
+    # 30 s slots with short gaps of 2, 1 and 3 missing samples, then the same
+    # readings with long gaps of 12 and 15 opened after slots 8 and 14
+    short = [0, 1, 2, 5, 6, 8, 9, 10, 14, 15, 16]
+    long = [k + 12 * (k > 8) + 15 * (k > 14) for k in short]
+    p = tmp_path / "a.csv"
+
+    def write(slots):
+        p.write_text("timestamp,power_w\n" + "".join(
+            f"{1000 + 30 * k},{10 * i}\n" for i, k in enumerate(slots)))
+
+    write(long)
+    with pytest.raises(GapError) as exc:
+        load_power_csv(p)
+    assert str(exc.value) == (f"{p}: 12 consecutive samples missing between "
+                              "1270 and 1600 (max 10)")
+    write(short)  # every reading holds until the next one
+    s = load_power_csv(p)
+    assert s.start_time == 1000 and s.period_s == 30
+    assert s.values.tolist() == [0, 10, 20, 20, 20, 30, 40, 40, 50, 60,
+                                 70, 70, 70, 70, 80, 90, 100]
+    assert s.meta["n_gap_filled"] == 6
+
+
 def test_period_is_the_smallest_spacing_that_divides_every_spacing(tmp_path):
     # more spacings of 60 s than of 30 s: the 30 s grid still holds them all
     p = tmp_path / "a.csv"

@@ -1,6 +1,8 @@
 """Synthetic-home generator: determinism, ground-truth bookkeeping,
 corpus construction."""
 import warnings
+from datetime import datetime
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -75,6 +77,25 @@ def test_occupancy_independent_of_background():
     occ = home.occupancy_flags
     r = np.corrcoef(fridge_on.astype(float), occ.astype(float))[0, 1]
     assert abs(r) < 0.1
+
+
+@pytest.mark.parametrize("tz", ["UTC", "America/New_York", "Asia/Tokyo",
+                                "Asia/Kolkata"])
+def test_schedule_follows_the_local_weekday(tz):
+    # A weekday away block starts by 9:00 and runs past 10:00; a weekend one
+    # starts at 10:00 or later. So from 9:00 to 10:00 local time every local
+    # Monday to Friday is away, and until 10:00 every Saturday and Sunday is
+    # at home.
+    zone = ZoneInfo(tz)
+    for seed in range(4):
+        home = gen_home(HomeSpec(seed=seed, days=8, period_s=300, timezone=tz))
+        local = [datetime.fromtimestamp(t, zone) for t in home.occupancy_ts.tolist()]
+        hour = np.array([d.hour for d in local])
+        weekday = np.array([d.weekday() < 5 for d in local])
+        away, at_home = (hour == 9) & weekday, (hour < 10) & ~weekday
+        assert away.any() and at_home.any()
+        assert not home.occupancy_flags[away].any(), (tz, seed)
+        assert home.occupancy_flags[at_home].all(), (tz, seed)
 
 
 def test_home_spec_validation():
