@@ -8,13 +8,17 @@ boundaries) is computed in the series' IANA timezone.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone as _utc_tz
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -179,7 +183,8 @@ def clock_window_mean(s: PowerSeries, start_hour: float, end_hour: float) -> flo
 def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
     """Ingest a `timestamp,power_w` CSV onto a uniform grid.
 
-    Duplicate timestamps collapse to their mean. The period is the
+    Duplicate timestamps collapse to their mean, and a file left with one
+    timestamp, which fixes no period, is a ParseError. The period is the
     smallest spacing between the remaining timestamps when every spacing is
     a multiple of it, so a recording that lost many readings is still read
     at its own period; otherwise it is the most common spacing, and a
@@ -197,6 +202,9 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
         sums = np.zeros(ts.size)
         np.add.at(sums, inverse, vals)
         vals = sums / counts
+    if ts.size < 2:
+        raise ParseError(f"{path}: one distinct timestamp ({int(ts[0])}); a "
+                         "power series needs two to fix its period", path=str(path))
 
     period_s = _infer_period(ts)
 
@@ -294,9 +302,106 @@ def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.n
     column at a time; every other file goes through the row loop
     `_read_csv_rows`, the grammar of record and the only source of a
     ParseError, so both give the same arrays.
+
+    A parse is cached under the file's content (`_cache_entry`), so a file
+    that an earlier run parsed is read back from its entry, not parsed
+    again. A file the reader refuses, or one that changes while it is
+    parsed, gets no entry.
     """
+    result_dtype = _COLUMN_PARSERS[parse_value][2]
+    keyed = _cache_entry(path, value_col)
+    cached = None if keyed is None else _load_entry(keyed[0], result_dtype)
+    if cached is not None:
+        return cached
     arrays = _read_csv_arrays(path, value_col, parse_value)
-    return arrays if arrays is not None else _read_csv_rows(path, value_col, parse_value)
+    if arrays is None:
+        arrays = _read_csv_rows(path, value_col, parse_value)
+    if keyed is not None:
+        _store_entry(*keyed, path, *arrays)
+    return arrays
+
+
+@cache
+def _code_fingerprint() -> bytes:
+    """What a parse depends on besides the file's bytes: this module's
+    source and the Python and numpy that run it. Any edit of the reader
+    changes it, so no entry outlives the code that wrote it."""
+    h = hashlib.sha256(Path(__file__).read_bytes())
+    h.update(f"\0{sys.version}\0{np.__version__}".encode())
+    return h.digest()
+
+
+def _cache_entry(path: Path, value_col: str) -> tuple[Path, tuple] | None:
+    """The cache entry of path's parse as value_col,
+    `$XDG_CACHE_HOME/nilminfer/<key>.npy` (default `~/.cache`), and the
+    file's `_file_stamp` from just before it was hashed. The key is the
+    sha256 of the file's bytes, value_col and `_code_fingerprint()`; not the
+    path or mtime, so a copied file hits and a rewritten one misses. None,
+    before any hashing, when the cache directory cannot be made or has no
+    absolute home; None also when the file cannot be read, so the reader
+    raises its own error."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no HOME and no passwd entry: "~" stays
+        return None
+    cache_dir = Path(base, "nilminfer")
+    try:
+        cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with open(path, "rb") as f:
+            stamp = _file_stamp(os.fstat(f.fileno()))
+            h = hashlib.file_digest(f, "sha256")  # in chunks, not a file-sized buffer
+    except OSError:
+        return None
+    h.update(f"\0{value_col}\0".encode() + _code_fingerprint())
+    return cache_dir / f"{h.hexdigest()}.npy", stamp
+
+
+def _file_stamp(st: os.stat_result) -> tuple:
+    """What changes when a file is rewritten: its inode, size and times.
+    Taken before the hash, a write after it moves the stamp (the kernel
+    gives a file whose times were just read a finer timestamp on its next
+    change, where the filesystem supports it)."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _load_entry(entry: Path, result_dtype) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (ts, vals) a cache entry holds, or None for a miss: no entry, an
+    unreadable or truncated one, or arrays that no parse returns (ts 1-D
+    int64, vals as many values of the parser's result dtype)."""
+    try:
+        with open(entry, "rb") as f:
+            ts = np.lib.format.read_array(f, allow_pickle=False)
+            vals = np.lib.format.read_array(f, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if ts.dtype == np.int64 and vals.dtype == result_dtype \
+            and ts.ndim == 1 and vals.shape == ts.shape:
+        return ts, vals
+    return None
+
+
+def _store_entry(entry: Path, stamp: tuple, path: Path, ts: np.ndarray,
+                 vals: np.ndarray) -> None:
+    """Write (ts, vals), the parse of path, as two `np.save` arrays to a
+    temporary file beside entry and rename it into place, so a reader sees a
+    whole entry or none. Nothing is written if path's stamp moved since it
+    was hashed: the parse may then be of other bytes than the key's. A cache
+    that cannot be written is skipped without a word."""
+    try:
+        if _file_stamp(os.stat(path)) != stamp:
+            return
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.save(f, ts, allow_pickle=False)
+                np.save(f, vals, allow_pickle=False)
+            os.replace(tmp, entry)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+    except OSError:
+        pass
 
 
 def _read_csv_rows(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:
@@ -447,8 +552,6 @@ def _infer_period(ts: np.ndarray) -> int:
     """The smallest spacing of the sorted, distinct ts when every spacing is
     a multiple of it (missing samples), else the most common spacing, ties
     to the smallest (jitter, which the grid check then refuses)."""
-    if ts.size < 2:
-        return 1
     uniq, counts = np.unique(np.diff(ts), return_counts=True)
     if np.all(uniq % uniq[0] == 0):
         return int(uniq[0])

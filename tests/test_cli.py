@@ -581,3 +581,26 @@ def test_home_with_only_constant_submeters_fails_alike_in_both_fhmm_callers(
         assert error_record(capsys) == {
             "error": "DegenerateModelError", "subcommand": argv[0],
             "message": f"home {home['home_id']}: no trainable appliances"}
+
+
+@pytest.mark.parametrize("rows", ["1704067200,5\n", "1704067200,5\n1704067200,7\n"],
+                         ids=["one-row", "duplicates"])
+def test_aggregate_with_one_distinct_stamp_is_a_parse_error_naming_it(
+        tmp_path, small_corpus, capsys, rows):
+    """One stamp fixes no period; every subcommand that reads the aggregate
+    fails at ingest, naming the file."""
+    doc = corpus_doc(small_corpus, 2)
+    bad = tmp_path / "aggregate.csv"
+    bad.write_text("timestamp,power_w\n" + rows)
+    doc["homes"][0]["aggregate_path"] = str(bad)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    for argv in (["detect-events", "--out", str(tmp_path / "events")],
+                 ["disaggregate", "--out", str(tmp_path / "traces")],
+                 ["occupancy", "--out", str(tmp_path / "occ.json")],
+                 ["features", "--out", str(tmp_path / "features.csv")]):
+        assert run([*argv, "--manifest", str(manifest)]) == 1
+        assert error_record(capsys) == {
+            "error": "ParseError", "subcommand": argv[0],
+            "message": f"{bad}: one distinct timestamp (1704067200); a power "
+                       "series needs two to fix its period"}

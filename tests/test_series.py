@@ -1,6 +1,9 @@
 """Core series model: ingestion, clock windows, manifests."""
 import csv
+import io
 import json
+import os
+import pwd
 import warnings
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
@@ -609,6 +612,218 @@ def test_iso_epochs_equals_parse_timestamp(year, month_day, clock, offset, form)
             series._iso_epochs(stamps)
     else:
         assert series._iso_epochs(stamps).tolist() == [expected]
+
+
+# ---------------------------------------------------------------------------
+# The parse cache behind _read_csv (its directory is per test, see conftest)
+# ---------------------------------------------------------------------------
+
+def count_parses(monkeypatch) -> list:
+    """Spy on both parsers of _read_csv; the list grows by one per parse."""
+    calls = []
+    for name in ("_read_csv_arrays", "_read_csv_rows"):
+        parse = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda *a, _p=parse, _n=name:
+                            calls.append(_n) or _p(*a))
+    return calls
+
+
+def epoch_power_text():
+    rng = np.random.default_rng(5)
+    return "timestamp,power_w\n" + "".join(
+        f"{DEFAULT_START + 30 * i},{v!r}\n"
+        for i, v in enumerate((rng.random(300) * 900).tolist()))
+
+
+def iso_power_text():
+    tz = timezone(timedelta(hours=-5))
+    return "timestamp,power_w\n" + "".join(
+        f"{datetime.fromtimestamp(DEFAULT_START + 30 * i, tz).isoformat()},"
+        f"{50 + i % 7 * 0.25!r}\n" for i in range(300))
+
+
+def occupancy_text():
+    return "timestamp,occupied\n" + "".join(
+        f"{DEFAULT_START + 60 * i},{i // 11 % 2}\n" for i in range(300))
+
+
+def load_by_column(path, col):
+    if col == "power_w":
+        s = load_power_csv(path)
+        meta = {k: v for k, v in s.meta.items() if k != "source"}
+        return [s.start_time, s.period_s, s.values.dtype, s.values.tobytes(), meta]
+    ts, flags = load_occupancy_csv(path)
+    return [ts.dtype, ts.tobytes(), flags.dtype, flags.tobytes()]
+
+
+@pytest.mark.parametrize("text, col", [
+    (epoch_power_text(), "power_w"), (iso_power_text(), "power_w"),
+    (occupancy_text(), "occupied"),
+], ids=["epoch-power", "iso-offset-power", "occupancy"])
+def test_cache_hit_is_bitwise_a_fresh_parse(tmp_path, monkeypatch,
+                                            private_parse_cache, text, col):
+    # a hit must return exactly what the parsers return, dtype and bytes
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    parses = count_parses(monkeypatch)
+    first = load_by_column(path, col)
+    assert parses == ["_read_csv_arrays"] and len(list(private_parse_cache.iterdir())) == 1
+    assert load_by_column(path, col) == first and len(parses) == 1
+    (tmp_path / "copy.csv").write_bytes(path.read_bytes())  # keyed by content, not path
+    assert load_by_column(tmp_path / "copy.csv", col) == first and len(parses) == 1
+    monkeypatch.setenv("XDG_CACHE_HOME", str(path))  # a file: no usable cache
+    assert load_by_column(path, col) == first and len(parses) == 2
+
+
+def test_cache_one_byte_edit_misses(tmp_path, monkeypatch, private_parse_cache):
+    # the key is the file's bytes, so an edit that keeps size and mtime still misses
+    path = tmp_path / "in.csv"
+    path.write_text("timestamp,power_w\n0,10\n30,20\n60,30\n")
+    assert load_power_csv(path).values.tolist() == [10, 20, 30]
+    parses = count_parses(monkeypatch)
+    mtime = path.stat().st_mtime_ns
+    path.write_text("timestamp,power_w\n0,10\n30,29\n60,30\n")
+    os.utime(path, ns=(mtime, mtime))
+    assert load_power_csv(path).values.tolist() == [10, 29, 30]
+    assert parses == ["_read_csv_arrays"]
+    assert len(list(private_parse_cache.iterdir())) == 2
+
+
+def npy_bytes(*arrays):
+    buf = io.BytesIO()
+    for a in arrays:
+        np.save(buf, a)
+    return buf.getvalue()
+
+
+# cache entries that no parse writes, made from the parse (ts, vals)
+BAD_ENTRIES = {
+    "truncated": lambda ts, vals: npy_bytes(ts, vals)[:-5],
+    "empty": lambda ts, vals: b"",
+    "float-stamps": lambda ts, vals: npy_bytes(ts.astype(float), vals),
+    "int-values": lambda ts, vals: npy_bytes(ts, vals.astype(np.int64)),
+    "big-endian-values": lambda ts, vals: npy_bytes(ts, vals.astype(">f8")),
+    "short-values": lambda ts, vals: npy_bytes(ts, vals[:-1]),
+    "2-d-stamps": lambda ts, vals: npy_bytes(ts[:, None], vals[:, None]),
+    "one-array": lambda ts, vals: npy_bytes(ts),
+    "not-npy": lambda ts, vals: b"timestamp,power_w\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ENTRIES))
+def test_cache_bad_entry_is_reparsed_and_rewritten(tmp_path, monkeypatch,
+                                                   private_parse_cache, kind):
+    # a damaged or foreign entry is a miss, never a wrong series or an error
+    path = tmp_path / "in.csv"
+    path.write_text(epoch_power_text())
+    first = load_by_column(path, "power_w")
+    [entry] = private_parse_cache.iterdir()
+    good = entry.read_bytes()
+    ts, vals = series._read_csv_rows(path, "power_w", series._parse_reading)
+    entry.write_bytes(BAD_ENTRIES[kind](ts, vals))
+    parses = count_parses(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_by_column(path, "power_w") == first
+    assert parses == ["_read_csv_arrays"] and entry.read_bytes() == good
+    assert list(private_parse_cache.iterdir()) == [entry]
+
+
+@pytest.mark.parametrize("where", ["regular-file", "under-a-file", "relative", "no-home"])
+def test_unusable_cache_home_leaves_ingest_working_without_warning(
+        tmp_path, monkeypatch, where):
+    # a cache that cannot be read or written is no cache, and says nothing
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if where == "no-home":  # expanduser("~") then returns "~", a relative path
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr(pwd, "getpwuid", lambda uid: (_ for _ in ()).throw(KeyError(uid)))
+        assert os.path.expanduser("~") == "~"
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", {
+            "regular-file": str(blocker), "under-a-file": str(blocker / "cache"),
+            "relative": "rel"}[where])
+        monkeypatch.setenv("HOME", str(blocker))  # the default ~/.cache too
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "in.csv"
+    path.write_text(epoch_power_text())
+    parses = count_parses(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = [load_by_column(path, "power_w") for _ in range(2)]
+    assert loaded[0] == loaded[1] and len(parses) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "in.csv"]
+
+
+@pytest.mark.parametrize("rewrite", ["in-place-longer", "replaced-same-size"])
+def test_file_rewritten_during_the_parse_gets_no_entry(tmp_path, monkeypatch,
+                                                       private_parse_cache, rewrite):
+    # the key is the bytes hashed before the parse; a parse of other bytes
+    # stored under it would be returned for the old content from then on
+    path = tmp_path / "in.csv"
+    old, new = "timestamp,power_w\n0,10\n30,20\n", "timestamp,power_w\n0,10\n30,29\n"
+    if rewrite == "in-place-longer":
+        new += "60,30\n"
+    path.write_text(old)
+    parse = series._read_csv_arrays
+
+    def rewrite_then_parse(*args):
+        if rewrite == "in-place-longer":
+            path.write_text(new)
+        else:
+            (tmp_path / "next.csv").write_text(new)
+            os.replace(tmp_path / "next.csv", path)
+        monkeypatch.setattr(series, "_read_csv_arrays", parse)
+        return parse(*args)
+
+    monkeypatch.setattr(series, "_read_csv_arrays", rewrite_then_parse)
+    assert load_power_csv(path).values[:2].tolist() == [10, 29]
+    assert not any(private_parse_cache.iterdir())
+    path.write_text(old)
+    assert load_power_csv(path).values.tolist() == [10, 20]
+
+
+@pytest.mark.parametrize("text, col", [
+    ("timestamp,power_w\n0,1\n30,nan\n", "power_w"),
+    ("timestamp,power_w\n", "power_w"),
+    ("timestamp,occupied\n0,1\n60,2\n", "occupied"),
+], ids=["nan-reading", "no-rows", "bad-flag"])
+def test_refused_file_gets_no_entry_and_raises_alike(tmp_path, private_parse_cache,
+                                                     text, col):
+    # only a parse the reader returns is cached; an error is raised afresh
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            load_by_column(path, col)
+        errors.append((str(exc.value), exc.value.line, exc.value.path))
+    assert errors[0] == errors[1]
+    assert not private_parse_cache.exists() or not any(private_parse_cache.iterdir())
+
+
+def test_clamp_warning_and_gap_error_fire_on_a_hit(tmp_path, monkeypatch,
+                                                   private_parse_cache):
+    # the cache holds only _read_csv's arrays; every check after it reruns
+    clamped, gap = tmp_path / "clamped.csv", tmp_path / "gap.csv"
+    clamped.write_text("timestamp,power_w\n0,5\n30,-2\n60,7\n")
+    gap.write_text("timestamp,power_w\n0,5\n30,6\n390,7\n")
+
+    def load_both():
+        with pytest.warns(UserWarning) as caught:
+            s = load_power_csv(clamped)
+        assert [str(w.message) for w in caught] == \
+            [f"{clamped}: clamped 1 negative power readings to 0"]
+        assert s.values.tolist() == [5, 0, 7] and s.meta["n_negative_clamped"] == 1
+        with pytest.raises(GapError, match="11 consecutive samples missing"):
+            load_power_csv(gap)
+
+    load_both()
+    assert len(list(private_parse_cache.iterdir())) == 2
+    parses = count_parses(monkeypatch)
+    load_both()
+    assert parses == []
 
 
 # ---------------------------------------------------------------------------
