@@ -25,10 +25,8 @@ from .series import (PowerSeries, OccupancySeries, DatasetManifest, HomeEntry,
 from .events import (Event, EventPair, BackgroundProfile, DetectorConfig,
                      detect_events, pair_events, learn_background,
                      remove_background, cluster_magnitudes)
-from .occupancy import (OccupancyMetrics,
-                        predict_occupancy_events,
-                        predict_occupancy_night_threshold,
-                        window_power_features, evaluate_occupancy,
+from .occupancy import (OccupancyMetrics, predict_occupancy_events,
+                        predict_occupancy_night_threshold, evaluate_occupancy,
                         occupancy_experiment)
 from .disagg import (ApplianceHMM, DisaggResult, NilmMetrics, train_hmm,
                      train_appliance_models, fhmm_disaggregate,

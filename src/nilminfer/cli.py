@@ -9,7 +9,7 @@ timestamps, so identical configs reproduce identical bytes.
 Config precedence: CLI flags > --config file > defaults; the file's values
 are parsed as flags placed before the command line's own, so the file may
 also supply a required flag. The default seed comes from the DISAGG_SEED
-environment variable when set.
+environment variable when set, checked as --seed is.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -33,10 +34,6 @@ from .series import HomeData, load_manifest, write_power_csv
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 from .synth import gen_corpus
 from .report import render_classification_report, render_occupancy_report
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("DISAGG_SEED", "7"))
 
 
 def _checked(kind, ok, need: str):
@@ -82,6 +79,20 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
+@contextmanager
+def _staged(out: Path):
+    """A directory inside out whose files move to the same paths in out only
+    once the block ends without an error: a failed run changes no file there."""
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+        yield Path(staging)
+        for f in sorted(Path(staging).rglob("*")):
+            if f.is_file():
+                dest = out / f.relative_to(staging)
+                dest.parent.mkdir(exist_ok=True)
+                f.replace(dest)
+
+
 def _detector(cfg: dict) -> DetectorConfig:
     return DetectorConfig(steady_tol_w=cfg["steady_tol"],
                           min_event_w=cfg["min_event"])
@@ -99,24 +110,24 @@ def cmd_synth(cfg: dict) -> int:
 def cmd_detect_events(cfg: dict) -> int:
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     det = _detector(cfg)
     counts = {}
-    for entry in manifest.homes:
-        events = detect_events(HomeData(manifest, entry).aggregate, det)
-        pairs = pair_events(events)
-        with open(out / f"events_{entry.home_id}.csv", "w") as f:
-            f.write("time,delta_w\n")
-            for e in events:
-                f.write(f"{e.time},{e.delta_w!r}\n")
-        with open(out / f"pairs_{entry.home_id}.csv", "w") as f:
-            f.write("on_time,off_time,magnitude_w\n")
-            for p in pairs:
-                f.write(f"{p.on_time},{p.off_time},{p.magnitude_w!r}\n")
-        counts[entry.home_id] = {"events": len(events), "pairs": len(pairs)}
-    _write_json(out / "run_meta.json",
-                _envelope(cfg, {"subcommand": "detect-events",
-                                "counts": counts}))
+    with _staged(out) as staging:
+        for entry in manifest.homes:
+            events = detect_events(HomeData(manifest, entry).aggregate, det)
+            pairs = pair_events(events)
+            with open(staging / f"events_{entry.home_id}.csv", "w") as f:
+                f.write("time,delta_w\n")
+                for e in events:
+                    f.write(f"{e.time},{e.delta_w!r}\n")
+            with open(staging / f"pairs_{entry.home_id}.csv", "w") as f:
+                f.write("on_time,off_time,magnitude_w\n")
+                for p in pairs:
+                    f.write(f"{p.on_time},{p.off_time},{p.magnitude_w!r}\n")
+            counts[entry.home_id] = {"events": len(events), "pairs": len(pairs)}
+        _write_json(staging / "run_meta.json",
+                    _envelope(cfg, {"subcommand": "detect-events",
+                                    "counts": counts}))
     print(f"wrote event/pair CSVs for {len(counts)} homes to {out}")
     return 0
 
@@ -133,25 +144,14 @@ def cmd_occupancy(cfg: dict) -> int:
     return 0
 
 
-def _test_truths(home: HomeData, names, cut: int) -> dict:
-    """The test slices, from cut on, of the named appliances the home has a
-    submeter for: the series their traces are scored against."""
-    n = len(home.aggregate)
-    return {name: home.appliance(name).slice(cut, n)
-            for name in names if name in home.entry.appliance_paths}
-
-
 def cmd_disaggregate(cfg: dict) -> int:
-    """Homes are loaded, decoded, scored and staged one at a time: each
-    home's traces go to a staging directory inside out. They are moved into
-    place, and metrics.json is written, only once every home is scored, so a
-    failed run changes no file under out."""
+    """Homes are loaded, decoded, scored and staged one at a time, so one
+    home is held at a time; staging keeps a failed run from changing out."""
     manifest = load_manifest(cfg["manifest"])
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     det = _detector(cfg)
     all_metrics = {}
-    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+    with _staged(out) as staging:
         for entry in manifest.homes:
             home = HomeData(manifest, entry)
             aggregate = home.aggregate
@@ -159,27 +159,21 @@ def cmd_disaggregate(cfg: dict) -> int:
             test = aggregate.slice(cut, len(aggregate))
             if cfg["algo"] == "hart":
                 result = hart_disaggregate(test, det)
-            elif cfg["algo"] == "fhmm":
+            else:
                 models = train_appliance_models(home, cut, seed=cfg["seed"])
                 result = fhmm_disaggregate(test, models)
-            else:
-                raise ValueError(f"unknown disaggregation algorithm {cfg['algo']!r}")
-            truths = _test_truths(home, result.appliances, cut)
-            all_metrics[entry.home_id] = {
-                name: nilm_metrics(trace, truths[name],
-                                   cfg["on_threshold"]).as_dict()
-                for name, trace in sorted(result.appliances.items())
-                if name in truths}
-            home_dir = Path(staging, entry.home_id)
+            home_dir = staging / entry.home_id
             home_dir.mkdir()
+            all_metrics[entry.home_id] = scores = {}
             for name, trace in sorted(result.appliances.items()):
+                if name in entry.appliance_paths:  # scored against its submeter
+                    truth = home.appliance(name).slice(cut, len(aggregate))
+                    scores[name] = nilm_metrics(trace, truth,
+                                                cfg["on_threshold"]).as_dict()
                 write_power_csv(trace, home_dir / f"{name}.csv")
-        for f in sorted(Path(staging).glob("*/*")):
-            (out / f.parent.name).mkdir(exist_ok=True)
-            f.replace(out / f.parent.name / f.name)
-    _write_json(out / "metrics.json",
-                _envelope(cfg, {"subcommand": "disaggregate",
-                                "algo": cfg["algo"], "metrics": all_metrics}))
+        _write_json(staging / "metrics.json",
+                    _envelope(cfg, {"subcommand": "disaggregate",
+                                    "algo": cfg["algo"], "metrics": all_metrics}))
     print(f"wrote {cfg['algo']} traces for {len(all_metrics)} homes to {out}")
     return 0
 
@@ -242,78 +236,60 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     positive = _checked(float, lambda x: 0 < x < math.inf,
                         "need a finite number > 0")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+    def command(name, func, help, source="--manifest", detector=True):
+        """A subcommand that reads source (if any) and writes --out, with the
+        flags every subcommand takes and, if detector, the two thresholds."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if source:
+            p.add_argument(source, required=required)
+        p.add_argument("--out", required=required)
+        p.add_argument("--seed", type=_int_at_least(0),
+                       default=os.environ.get("DISAGG_SEED", "7"))
         p.add_argument("--config", help="JSON config file (flags win)")
+        if detector:
+            p.add_argument("--steady-tol", dest="steady_tol", type=positive,
+                           default=DetectorConfig.steady_tol_w)
+            p.add_argument("--min-event", dest="min_event", type=positive,
+                           default=DetectorConfig.min_event_w)
+        return p
 
-    def common_and_detector(p):
-        common(p)
-        p.add_argument("--steady-tol", dest="steady_tol", type=positive,
-                       default=DetectorConfig.steady_tol_w)
-        p.add_argument("--min-event", dest="min_event", type=positive,
-                       default=DetectorConfig.min_event_w)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    p = command("synth", cmd_synth, "generate a synthetic corpus",
+                source=None, detector=False)
     p.add_argument("--homes", type=_int_at_least(2), default=20)
     p.add_argument("--days", type=_int_at_least(1), default=14)
     p.add_argument("--period", default=30, type=_checked(
         int, lambda n: n >= 1 and 86400 % n == 0, "need a positive divisor of 86400"))
-    p.add_argument("--out", required=required)
-    common(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("detect-events", help="export event/pair CSVs")
-    p.add_argument("--manifest", required=required)
-    p.add_argument("--out", required=required)
-    common_and_detector(p)
-    p.set_defaults(func=cmd_detect_events)
+    command("detect-events", cmd_detect_events, "export event/pair CSVs")
 
-    p = sub.add_parser("occupancy", help="occupancy prediction experiment")
-    p.add_argument("--manifest", required=required)
+    p = command("occupancy", cmd_occupancy, "occupancy prediction experiment")
     p.add_argument("--algo", default="ours,chen",
                    help="comma list: ours,ours-optimised,chen,chen-median,knn,rf")
     p.add_argument("--protocol", choices=("split-half", "loho"),
                    default="split-half")
     # accepted so existing command lines keep working; homes run serially
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
-    p.add_argument("--out", required=required)
-    common_and_detector(p)
-    p.set_defaults(func=cmd_occupancy)
 
-    p = sub.add_parser("disaggregate", help="appliance disaggregation")
-    p.add_argument("--manifest", required=required)
+    p = command("disaggregate", cmd_disaggregate, "appliance disaggregation")
     p.add_argument("--algo", choices=("fhmm", "hart"), default="fhmm")
     p.add_argument("--train-split", dest="train_split", default=0.5,
                    type=_checked(float, lambda x: 0 < x < 1, "need a number in (0, 1)"))
     p.add_argument("--on-threshold", dest="on_threshold", default=ON_THRESHOLD_W,
                    type=_checked(float, lambda x: 0 <= x < math.inf,
                                  "need a finite number >= 0"))
-    p.add_argument("--out", required=required)
-    common_and_detector(p)
-    p.set_defaults(func=cmd_disaggregate)
 
-    p = sub.add_parser("features", help="export a feature matrix CSV")
-    p.add_argument("--manifest", required=required)
+    p = command("features", cmd_features, "export a feature matrix CSV")
     p.add_argument("--source", choices=FEATURE_SOURCES, default="both")
-    p.add_argument("--out", required=required)
-    common_and_detector(p)
-    p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("classify", help="household-characteristic experiment")
-    p.add_argument("--manifest", required=required)
+    p = command("classify", cmd_classify, "household-characteristic experiment")
     p.add_argument("--source", default="both",
                    help=f"comma list from {FEATURE_SOURCES}")
     p.add_argument("--classifier", choices=("knn", "rf"), default="knn")
     p.add_argument("--folds", type=_int_at_least(2), default=2)
-    p.add_argument("--out", required=required)
-    common_and_detector(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("report", help="render SVG charts from results JSON")
-    p.add_argument("--results", required=required)
-    p.add_argument("--out", required=required)
-    common(p)
-    p.set_defaults(func=cmd_report)
+    command("report", cmd_report, "render SVG charts from results JSON",
+            source="--results", detector=False)
     return parser
 
 

@@ -113,19 +113,6 @@ def window_stats(s: PowerSeries):
     return starts, counts, mean, std, rng
 
 
-def window_power_features(s: PowerSeries):
-    """Per-window [mean, population std, range] feature rows, time-ordered.
-
-    Returns (window_starts, X); windows without samples are omitted.
-    """
-    return _power_feature_rows(*window_stats(s))
-
-
-def _power_feature_rows(starts, counts, mean, std, rng):
-    valid = counts > 0
-    return starts[valid], np.column_stack([mean[valid], std[valid], rng[valid]])
-
-
 # ---------------------------------------------------------------------------
 # Unsupervised predictors
 # ---------------------------------------------------------------------------
@@ -265,11 +252,12 @@ def _supervised_xy(stats, timezone: str, truth_w: OccupancySeries):
     """Indices into truth_w, [mean, std, range] features and occupancy
     labels of the non-empty eval-hour windows of stats (window_stats of a
     series on truth_w's grid) inside the truth's span."""
-    starts, X = _power_feature_rows(*stats)
+    starts, counts, mean, std, rng = stats
     idx = (starts - truth_w.window_start) // WINDOW_S
-    keep = (in_clock_hours(starts, timezone, EVAL_HOURS) & (idx >= 0)
-            & (idx < len(truth_w)))
-    idx, X = idx[keep], X[keep]
+    keep = (in_clock_hours(starts, timezone, EVAL_HOURS) & (counts > 0)
+            & (idx >= 0) & (idx < len(truth_w)))
+    idx = idx[keep]
+    X = np.column_stack([mean[keep], std[keep], rng[keep]])
     return idx, X, truth_w.flags[idx].astype(int)
 
 

@@ -7,6 +7,7 @@ boundaries) is computed in the series' IANA timezone.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -30,6 +31,7 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
 SECONDS_PER_DAY = 86400
 WINDOW_S = 900  # occupancy window width; divides the day
 MAX_GAP_PERIODS = 10  # longest run of missing samples ingest forward-fills
+CACHE_MAX_BYTES = 1 << 30  # parse cache bound, kept by `_evict` after each store
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +46,6 @@ class PowerSeries:
     period_s: int
     values: np.ndarray
     timezone: str = "UTC"
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if int(self.period_s) <= 0:
@@ -189,10 +190,10 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
     a multiple of it, so a recording that lost many readings is still read
     at its own period; otherwise it is the most common spacing, and a
     timestamp off that grid raises ParseError. Negative readings are
-    clamped to 0 and counted in the returned series' meta; gaps of at most
-    MAX_GAP_PERIODS missing samples are then forward-filled and counted, and
-    longer gaps raise GapError (interpolating across a long outage would
-    fabricate downstream evidence).
+    clamped to 0 with a warning that counts them; gaps of at most
+    MAX_GAP_PERIODS missing samples are then forward-filled, and longer gaps
+    raise GapError (interpolating across a long outage would fabricate
+    downstream evidence).
     """
     path = Path(path)
     ts, vals = _read_csv(path, "power_w", _parse_reading)
@@ -231,10 +232,7 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
             f"{int(ts[k]) + period_s} and {int(ts[k + 1]) - period_s} "
             f"(max {MAX_GAP_PERIODS})", path=str(path))
 
-    return PowerSeries(int(ts[0]), period_s, np.repeat(vals, holds), timezone,
-                       meta={"source": str(path),
-                             "n_gap_filled": int(holds.sum()) - ts.size,
-                             "n_negative_clamped": n_clamped})
+    return PowerSeries(int(ts[0]), period_s, np.repeat(vals, holds), timezone)
 
 
 def write_power_csv(s: PowerSeries, path) -> None:
@@ -377,6 +375,8 @@ def _load_entry(entry: Path, result_dtype) -> tuple[np.ndarray, np.ndarray] | No
         return None
     if ts.dtype == np.int64 and vals.dtype == result_dtype \
             and ts.ndim == 1 and vals.shape == ts.shape:
+        with contextlib.suppress(OSError):
+            os.utime(entry)  # a hit marks the entry used, for `_evict`
         return ts, vals
     return None
 
@@ -400,8 +400,26 @@ def _store_entry(entry: Path, stamp: tuple, path: Path, ts: np.ndarray,
         except BaseException:
             Path(tmp).unlink(missing_ok=True)
             raise
+        _evict(entry.parent)
     except OSError:
         pass
+
+
+def _evict(cache_dir: Path) -> None:
+    """Keep the most recently used files of cache_dir (by modification time)
+    that together hold at most CACHE_MAX_BYTES and delete the rest, a killed
+    writer's `.tmp` too. A file that vanishes meanwhile is skipped."""
+    files = []
+    with os.scandir(cache_dir) as listing:
+        for f in listing:
+            with contextlib.suppress(FileNotFoundError):
+                st = f.stat()
+                files.append((-st.st_mtime_ns, st.st_size, f.path))
+    kept = 0
+    for _, size, path in sorted(files):  # newest first
+        kept += size
+        if kept > CACHE_MAX_BYTES:
+            Path(path).unlink(missing_ok=True)
 
 
 def _read_csv_rows(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:

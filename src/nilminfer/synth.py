@@ -107,9 +107,6 @@ class GeneratedHome:
     occupancy: OccupancySeries  # truth at WINDOW_S windows
     provenance: list
 
-    def foreground_edges(self) -> list:
-        return [e for e in self.provenance if e.source == "occupant_load"]
-
 
 def _cyclic_state(t_rel: np.ndarray, phase: float, on_s: float,
                   cycle_s: float) -> np.ndarray:

@@ -53,8 +53,8 @@ def test_criterion_1_event_recovery(default_corpus):
             by_time = {}
             for e in events:
                 by_time.setdefault(e.time, []).append(e)
-            for pe in home.foreground_edges():
-                if abs(pe.delta_w) < 70:
+            for pe in home.provenance:
+                if pe.source != "occupant_load" or abs(pe.delta_w) < 70:
                     continue
                 total += 1
                 hits += any(abs(de.delta_w - pe.delta_w) <= 15

@@ -199,6 +199,39 @@ def test_failed_disaggregate_changes_no_file_under_out(tmp_path, small_corpus,
     assert earlier.read_text() == "an earlier run's trace\n"
 
 
+def files_under(out) -> dict:
+    return {p.relative_to(out): p.read_bytes() if p.is_file() else None
+            for p in out.rglob("*")}
+
+
+@pytest.mark.parametrize("command", [["detect-events"],
+                                     ["disaggregate", "--algo", "hart"]])
+@pytest.mark.parametrize("earlier", [False, True], ids=["empty-out", "earlier-run"])
+def test_failed_run_changes_no_file_under_out(tmp_path, small_corpus, capsys,
+                                             command, earlier):
+    """The third home's aggregate has a malformed row: the run fails there,
+    into an empty out or one an earlier run with another config wrote, and
+    leaves every file under out as it was, with nothing of the first two
+    homes and no staging directory."""
+    doc = corpus_doc(small_corpus, 3)
+    bad = tmp_path / "aggregate.csv"
+    with open(doc["homes"][2]["aggregate_path"]) as f:
+        bad.write_text(f.read() + "x,1\n")
+    doc["homes"][2]["aggregate_path"] = str(bad)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    if earlier:
+        assert run([*command, "--manifest", manifest_path(small_corpus),
+                    "--out", str(out), "--steady-tol", "40"]) == 0
+    before = files_under(out)
+    assert run([*command, "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert error_record(capsys)["error"] == "ParseError"
+    assert files_under(out) == before
+    assert bool(before) == earlier
+
+
 def test_features_csv(tmp_path, small_corpus):
     out = tmp_path / "features.csv"
     assert run(["features", "--manifest", manifest_path(small_corpus),
@@ -324,13 +357,15 @@ def test_config_file_values_are_checked_and_converted_like_flags(
     ("disaggregate", "steady-tol", "-5"), ("features", "steady-tol", "0"),
     ("detect-events", "min-event", "inf"), ("classify", "min-event", "nan"),
     ("occupancy", "min-event", "0"), ("disaggregate", "on-threshold", "nan"),
-    ("disaggregate", "on-threshold", "-1"), ("disaggregate", "on-threshold", "inf")])
+    ("disaggregate", "on-threshold", "-1"), ("disaggregate", "on-threshold", "inf"),
+    ("occupancy", "seed", "-3"), ("detect-events", "seed", "abc"),
+    ("classify", "seed", "-1")])
 @pytest.mark.parametrize("spelling", ["separate", "equals", "config"])
 def test_out_of_range_numbers_are_usage_errors(tmp_path, small_corpus, capsys,
                                                command, flag, value, spelling):
     """--folds below 2, --train-split outside (0, 1), --steady-tol and
-    --min-event not finite and > 0, --on-threshold not finite and >= 0, or
-    any of them not a number, exit 2 naming the flag, given on the command
+    --min-event not finite and > 0, --on-threshold not finite and >= 0,
+    --seed below 0, or any of them not a number, exit 2 naming the flag, given on the command
     line either way or in a config file, with a message of their own, not
     argparse's "invalid <type>"."""
     if spelling == "separate":
@@ -351,12 +386,13 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, small_corpus, capsys,
 @pytest.mark.parametrize("flag, value", [
     ("homes", "1"), ("homes", "0"), ("homes", "two"), ("days", "0"),
     ("days", "-1"), ("days", "1.5"), ("period", "7"), ("period", "0"),
-    ("period", "-30"), ("period", "30.0"), ("period", "172800")])
+    ("period", "-30"), ("period", "30.0"), ("period", "172800"),
+    ("seed", "-1"), ("seed", "1.5")])
 @pytest.mark.parametrize("spelling", ["flag", "config"])
 def test_synth_out_of_range_numbers_are_usage_errors(tmp_path, capsys, flag,
                                                      value, spelling):
-    """--homes below 2, --days below 1 and a --period that is not a positive
-    divisor of 86400 exit 2 naming the flag, on the command line or from a
+    """--homes below 2, --days below 1, a --period that is not a positive
+    divisor of 86400 and a --seed below 0 exit 2 naming the flag, on the command line or from a
     config file, and write nothing."""
     out = tmp_path / "corpus"
     argv = ["synth", "--out", str(out)]
@@ -384,6 +420,22 @@ def test_subcommands_do_not_mutate_inputs(tmp_path, small_corpus):
                 "--algo", "ours", "--out", str(tmp_path / "o.json")]) == 0
     for p, blob in before.items():
         assert p.read_bytes() == blob
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_malformed_env_seed_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                             value):
+    """DISAGG_SEED is checked as --seed is, when a subcommand needs it: exit
+    2 naming --seed, while --version still works."""
+    monkeypatch.setenv("DISAGG_SEED", value)
+    assert run(["--version"]) == 0
+    out = tmp_path / "corpus"
+    assert run(["synth", "--homes", "2", "--days", "1", "--out", str(out)]) == 2
+    assert "argument --seed: need an integer of at least 0" in capsys.readouterr().err
+    assert not out.exists()
+    # a flag given on the command line wins over a malformed default
+    assert run(["synth", "--homes", "2", "--days", "1", "--seed", "3",
+                "--out", str(out)]) == 0
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

@@ -13,8 +13,7 @@ from nilminfer.occupancy import (_merge_intervals, _split_half,
                                  evaluate_occupancy, occupancy_experiment,
                                  predict_occupancy_events,
                                  predict_occupancy_night_threshold,
-                                 window_grid, window_power_features,
-                                 window_stats)
+                                 window_grid, window_stats)
 from nilminfer.series import (WINDOW_S, HomeData, OccupancySeries,
                               PowerSeries, local_clock_hours, window_occupancy,
                               write_occupancy_csv)
@@ -261,9 +260,17 @@ def test_night_threshold_rejects_unknown_stat():
 # window features
 # ---------------------------------------------------------------------------
 
+def window_features(s):
+    """(starts, [mean, std, range] rows) of the non-empty windows of s, read
+    from the columns of window_stats."""
+    starts, counts, mean, std, rng = window_stats(s)
+    full = counts > 0
+    return starts[full], np.column_stack([mean, std, rng])[full]
+
+
 def test_window_features_constant():
     s = day_series([], base=1000.0)
-    starts, X = window_power_features(s)
+    starts, X = window_features(s)
     assert X.shape == (96, 3)
     np.testing.assert_allclose(X[0], [1000.0, 0.0, 0.0])
 
@@ -271,13 +278,13 @@ def test_window_features_constant():
 def test_window_features_two_point():
     vals = np.tile([0.0, 1000.0], 43200)
     s = PowerSeries(DEFAULT_START, 1, vals)
-    _, X = window_power_features(s)
+    _, X = window_features(s)
     np.testing.assert_allclose(X[0], [500.0, 500.0, 1000.0])
 
 
 def test_window_features_match_bruteforce(default_corpus):
     s = default_corpus.homes["home_02"].aggregate
-    starts, X = window_power_features(s)
+    starts, X = window_features(s)
     ts = s.timestamps()
     for i in np.random.default_rng(0).choice(len(starts), 25, replace=False):
         seg = s.values[(ts >= starts[i]) & (ts < starts[i] + 900)]
@@ -536,7 +543,7 @@ def test_loho_supervised_rows_lie_inside_the_truth(small_corpus, tmp_path,
     rows = {}
     for entry in manifest.homes:
         home = HomeData(manifest, entry)
-        starts, _ = window_power_features(home.aggregate)
+        starts, _ = window_features(home.aggregate)
         t = home.occupancy[0]
         hours = starts % 86400 / HOUR
         inside = (starts >= t[0] - t[0] % WINDOW_S) & (starts <= t[-1])

@@ -27,6 +27,13 @@ def make_series(values, period=1, start=DEFAULT_START, tz="UTC"):
     return PowerSeries(start, period, np.asarray(values, dtype=float), tz)
 
 
+def n_filled(s, path) -> int:
+    """Samples ingest forward-filled into s: its length less the distinct
+    stamps of the file at path (each instant written as one text)."""
+    rows = path.read_text().splitlines()[1:]
+    return len(s) - len({row.split(",")[0] for row in rows if row})
+
+
 # ---------------------------------------------------------------------------
 # PowerSeries invariants
 # ---------------------------------------------------------------------------
@@ -65,7 +72,7 @@ def test_gap_forward_fill(tmp_path):
     p.write_text("timestamp,power_w\n0,100\n1,100\n3,100\n")
     s = load_power_csv(p)
     assert np.array_equal(s.values, [100.0, 100.0, 100.0, 100.0])
-    assert s.meta["n_gap_filled"] == 1
+    assert n_filled(s, p) == 1
 
 
 def test_gap_too_long_raises(tmp_path):
@@ -100,7 +107,7 @@ def test_gap_fill_holds_each_reading_and_names_the_first_long_gap(tmp_path):
     assert s.start_time == 1000 and s.period_s == 30
     assert s.values.tolist() == [0, 10, 20, 20, 20, 30, 40, 40, 50, 60,
                                  70, 70, 70, 70, 80, 90, 100]
-    assert s.meta["n_gap_filled"] == 6
+    assert n_filled(s, p) == 6
 
 
 def test_period_is_the_smallest_spacing_that_divides_every_spacing(tmp_path):
@@ -110,7 +117,7 @@ def test_period_is_the_smallest_spacing_that_divides_every_spacing(tmp_path):
                  + "".join(f"{t},{t}\n" for t in (0, 30, 60, 120, 180, 240, 300)))
     s = load_power_csv(p)
     assert s.period_s == 30 and len(s) == 11
-    assert s.meta["n_gap_filled"] == 4
+    assert n_filled(s, p) == 4
     assert s.values.tolist() == [0, 30, 60, 60, 120, 120, 180, 180, 240, 240, 300]
 
 
@@ -121,7 +128,7 @@ def test_a_stray_row_half_a_period_off_reads_at_the_smaller_period(tmp_path):
     p.write_text("timestamp,power_w\n"
                  + "".join(f"{t},{t}\n" for t in (0, 60, 120, 150, 180, 240, 300)))
     s = load_power_csv(p)
-    assert s.period_s == 30 and s.meta["n_gap_filled"] == 4
+    assert s.period_s == 30 and n_filled(s, p) == 4
     assert s.values.tolist() == [0, 0, 60, 60, 120, 150, 180, 180, 240, 240, 300]
 
 
@@ -162,20 +169,22 @@ def test_duplicate_timestamps_collapse_to_mean(tmp_path):
 def test_negative_readings_clamped_with_warning(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n0,-5\n1,100\n")
-    with pytest.warns(UserWarning, match="clamped 1 negative"):
+    with pytest.warns(UserWarning, match="clamped 1 negative") as caught:
         s = load_power_csv(p)
     assert np.array_equal(s.values, [0.0, 100.0])
-    assert s.meta["n_negative_clamped"] == 1
+    assert [str(w.message) for w in caught] == \
+        [f"{p}: clamped 1 negative power readings to 0"]
 
 
 def test_negative_count_excludes_gap_fill_copies(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n0,100\n1,-5\n4,100\n")
-    with pytest.warns(UserWarning, match="clamped 1 negative"):
+    with pytest.warns(UserWarning, match="clamped 1 negative") as caught:
         s = load_power_csv(p)
     assert np.array_equal(s.values, [100.0, 0.0, 0.0, 0.0, 100.0])
-    assert s.meta["n_negative_clamped"] == 1
-    assert s.meta["n_gap_filled"] == 2
+    assert [str(w.message) for w in caught] == \
+        [f"{p}: clamped 1 negative power readings to 0"]
+    assert n_filled(s, p) == 2
 
 
 @pytest.mark.parametrize("reading", ["nan", "inf", "-inf", "NaN"])
@@ -251,7 +260,7 @@ ISO_OFFSETS = [timezone(timedelta(minutes=m)) for m in (-300, 0, 60, 330)]
 
 def expected_ingest(rows, period, max_gap):
     """Plain-Python model of load_power_csv on integer readings: (start,
-    values, n_gap_filled, n_negative_clamped), or None for a gap too long."""
+    values, samples gap-filled, readings clamped), or None for a gap too long."""
     by_slot = {}
     for slot, value in rows:
         by_slot.setdefault(slot, []).append(value)
@@ -331,9 +340,8 @@ def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
     start, values, filled, clamped = expected
     assert s.start_time == start and s.period_s == period
     assert s.values.tolist() == values
-    assert s.meta["n_gap_filled"] == filled
-    assert s.meta["n_negative_clamped"] == clamped
-    notes = [str(w.message) for w in caught]
+    assert len(s) - len({slot for slot, _ in rows}) == filled
+    notes = [str(w.message) for w in caught]  # the clamp count is in the text
     assert notes == ([f"{path}: clamped {clamped} negative power readings to 0"]
                      if clamped else [])
 
@@ -649,9 +657,9 @@ def occupancy_text():
 
 def load_by_column(path, col):
     if col == "power_w":
-        s = load_power_csv(path)
-        meta = {k: v for k, v in s.meta.items() if k != "source"}
-        return [s.start_time, s.period_s, s.values.dtype, s.values.tobytes(), meta]
+        s = load_power_csv(path)  # a clamp warning would fail the test
+        return [s.start_time, s.period_s, s.values.dtype, s.values.tobytes(),
+                n_filled(s, path)]
     ts, flags = load_occupancy_csv(path)
     return [ts.dtype, ts.tobytes(), flags.dtype, flags.tobytes()]
 
@@ -687,6 +695,33 @@ def test_cache_one_byte_edit_misses(tmp_path, monkeypatch, private_parse_cache):
     assert load_power_csv(path).values.tolist() == [10, 29, 30]
     assert parses == ["_read_csv_arrays"]
     assert len(list(private_parse_cache.iterdir())) == 2
+
+
+@pytest.mark.parametrize("hit", [False, True], ids=["no-hit", "hit-on-oldest"])
+def test_cache_evicts_least_recently_used_first(tmp_path, monkeypatch,
+                                               private_parse_cache, hit):
+    # entries a (used long ago) and b (later), and a stale temporary file
+    # that a killed writer left; the cap holds two entries
+    paths = [tmp_path / f"{name}.csv" for name in "abc"]
+    for k, p in enumerate(paths):
+        p.write_text(f"timestamp,power_w\n0,{k}\n30,{k}\n")
+    entries = [series._cache_entry(p, "power_w")[0] for p in paths]
+    for p, e, t in zip(paths[:2], entries, (1000, 2000)):
+        load_power_csv(p)
+        os.utime(e, (t, t))
+    stale = private_parse_cache / "stale.tmp"
+    stale.write_bytes(b"x")
+    os.utime(stale, (0, 0))
+    if hit:
+        monkeypatch.setattr(series, "CACHE_MAX_BYTES", 0)
+        parses = count_parses(monkeypatch)
+        assert load_power_csv(paths[0]).values.tolist() == [0, 0]
+        assert parses == []  # a hit: it marks a used now and evicts nothing
+        assert len(list(private_parse_cache.iterdir())) == 3
+    monkeypatch.setattr(series, "CACHE_MAX_BYTES", 2 * entries[0].stat().st_size)
+    load_power_csv(paths[2])  # a miss: storing c evicts down to the cap
+    kept = [entries[0], entries[2]] if hit else entries[1:]
+    assert sorted(private_parse_cache.iterdir()) == sorted(kept)
 
 
 def npy_bytes(*arrays):
@@ -815,7 +850,7 @@ def test_clamp_warning_and_gap_error_fire_on_a_hit(tmp_path, monkeypatch,
             s = load_power_csv(clamped)
         assert [str(w.message) for w in caught] == \
             [f"{clamped}: clamped 1 negative power readings to 0"]
-        assert s.values.tolist() == [5, 0, 7] and s.meta["n_negative_clamped"] == 1
+        assert s.values.tolist() == [5, 0, 7]
         with pytest.raises(GapError, match="11 consecutive samples missing"):
             load_power_csv(gap)
 

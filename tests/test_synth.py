@@ -142,7 +142,9 @@ def test_corpus_round_trips_without_warnings(default_corpus):
                            timezone=entry.timezone)
     home = default_corpus.homes["home_00"]
     assert np.array_equal(s.values, home.aggregate.values)
-    assert s.meta["n_gap_filled"] == 0 and s.meta["n_negative_clamped"] == 0
+    # no reading clamped (its warning would have raised) and none gap-filled
+    rows = manifest.resolve(entry.aggregate_path).read_text().splitlines()[1:]
+    assert len(s) == len({row.split(",")[0] for row in rows})
 
 
 def test_manifest_states_the_gap_policy_ingest_applies():
