@@ -16,6 +16,11 @@ The library is organized around plain numpy data types:
 * cli       -- experiment harness (`nilminfer <subcommand>`)
 """
 
+import os
+
+# Before series imports numpy: no BLAS call here is big enough to thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .series import (PowerSeries, OccupancySeries, DatasetManifest, HomeEntry,

@@ -265,6 +265,12 @@ def stratified_folds(labels, n_folds: int, seed: int) -> list[np.ndarray]:
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
+def _complement(n: int, fold: np.ndarray) -> np.ndarray:
+    """The indices of range(n) outside a fold, ascending: np.setdiff1d's
+    result without the numpy.ma import np.setdiff1d makes."""
+    return np.delete(np.arange(n), fold)
+
+
 def classifier_predict(classifier: str, train_X, train_y, test_X,
                        seed: int = 0):
     """Labels of test_X from "knn" (k = KNN_K, capped at the training size)
@@ -290,7 +296,7 @@ def _scan_k(X, y, classifier, seed):
             cands.append(kk)
     accs = {kk: [] for kk in cands}
     for te in stratified_folds(y, 2, seed + 1):
-        tr = np.setdiff1d(np.arange(len(y)), te)
+        tr = _complement(len(y), te)
         if len(set(y[tr].tolist())) < 2 or te.size == 0:
             continue
         order, _ = chi2_select(X[tr], y[tr], d)
@@ -345,7 +351,7 @@ def characteristics_experiment(manifest, feature_sources=("both",),
             best_ks = []
             for f in range(folds):
                 te = fold_idx[f]
-                tr = np.setdiff1d(np.arange(len(labelled)), te)
+                tr = _complement(len(labelled), te)
                 k_best = _scan_k(X[tr], y_all[tr], classifier, seed)
                 sel, _ = chi2_select(X[tr], y_all[tr], k_best)
                 pred = classifier_predict(classifier, X[tr][:, sel],

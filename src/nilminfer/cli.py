@@ -225,8 +225,8 @@ def cmd_report(cfg: dict) -> int:
     return 0
 
 
-def build_parser(required: bool = True) -> argparse.ArgumentParser:
-    """The CLI parser; with required=False no flag is required."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser."""
     parser = argparse.ArgumentParser(
         prog="nilminfer",
         description="Energy-disaggregation experiments: occupancy and "
@@ -242,8 +242,8 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if source:
-            p.add_argument(source, required=required)
-        p.add_argument("--out", required=required)
+            p.add_argument(source, required=True)
+        p.add_argument("--out", required=True)
         p.add_argument("--seed", type=_int_at_least(0),
                        default=os.environ.get("DISAGG_SEED", "7"))
         p.add_argument("--config", help="JSON config file (flags win)")
@@ -296,12 +296,16 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
 def run(argv) -> int:
     args = None
     try:
-        # A parse that requires no flag finds the subcommand, its settings
-        # and --config. The file's values then go in as flags ahead of the
-        # command line's own, so argparse converts and checks them like any
-        # flag, a flag given on the command line wins however it is spelled,
-        # and a required flag may come from the file.
-        args = build_parser(required=False).parse_args(argv)
+        # One parser. A first pass, given a placeholder for every flag a
+        # subcommand requires, finds the subcommand, its settings and
+        # --config; its --help and usage errors are the parser's own. The
+        # file's values then go in as flags ahead of the command line's own,
+        # so argparse converts and checks them like any flag, a flag given
+        # on the command line wins however it is spelled, and a required
+        # flag may come from the file.
+        parser = build_parser()
+        args, _ = parser.parse_known_args(
+            [*argv, "--manifest=", "--results=", "--out="])
         if args.config:
             with open(args.config) as f:
                 file_cfg = json.load(f)
@@ -310,7 +314,7 @@ def run(argv) -> int:
             argv = [*argv[:i], *(f"--{k.replace('_', '-')}={v}"
                                  for k, v in file_cfg.items() if k in keys),
                     *argv[i:]]
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         return args.func(_config(args))
     except SystemExit as exc:  # usage errors, --help and --version
         return int(exc.code) if exc.code is not None else 0

@@ -98,11 +98,19 @@ def _nearest(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return assign
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of 1-D values without NaN, bit for bit: its own float path,
+    the default sort and then the first of each run of equal values (so the
+    same one of 0.0 and -0.0), without the numpy.ma import np.unique makes."""
+    s = np.sort(values)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+
+
 def _kmeans_1d(values: np.ndarray, k: int, seed: int):
     """Plain Lloyd's k-means on 1-D data with k seeded restarts; returns the
     centers with the best inertia, sorted ascending."""
     rng = np.random.default_rng(seed)
-    uniq = np.unique(values)
+    uniq = _distinct(values)
     if uniq.size < k:
         raise DegenerateModelError(
             f"only {uniq.size} distinct values for {k} states")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindowError
-from .series import PowerSeries, in_clock_hours
+from .series import PowerSeries, in_clock_hours, median
 
 HVAC_MIN_W = 1000.0  # a pair cluster centered at or above this is HVAC
 CLUSTER_GAP_FRAC = 0.1  # magnitude cluster gap, and background match tolerance
@@ -172,7 +172,7 @@ def cluster_magnitudes(mags: np.ndarray) -> list[dict]:
     splits = np.flatnonzero(gaps > CLUSTER_GAP_FRAC * sorted_vals[:-1]) + 1
     bounds = [0, *splits.tolist(), sorted_vals.size]
 
-    return [{"center": float(np.median(sorted_vals[a:b])),
+    return [{"center": float(median(sorted_vals[a:b])),
              "indices": order[a:b], "values": sorted_vals[a:b].copy()}
             for a, b in zip(bounds[:-1], bounds[1:])]
 

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, CoverageError, UndefinedStatisticError
 from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
                      detect_events, pair_events)
 from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, check_same_axis,
-                     local_clock_hours, local_weekdays)
+                     local_clock_hours, local_weekdays, median)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 CLOCK_WINDOWS = {
@@ -141,7 +141,7 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
     top = clusters[-1]["values"] if clusters else [0.0]
     fv.add("top_appliance_mean", float(np.mean(top)))
     fv.add("top_appliance_max", float(np.max(top)))
-    fv.add("top_appliance_median", float(np.median(top)))
+    fv.add("top_appliance_median", float(median(top)))
     return fv
 
 

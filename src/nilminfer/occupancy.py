@@ -31,8 +31,8 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
 from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
                      learn_background, pair_events, remove_background)
 from .series import (HomeData, OccupancySeries, PowerSeries, SECONDS_PER_DAY,
-                     WINDOW_S, in_clock_hours, local_day_bounds, window_grid,
-                     window_occupancy)
+                     WINDOW_S, in_clock_hours, local_day_bounds, median,
+                     window_grid, window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 EVENT_ALGORITHMS = ("ours", "ours-optimised")  # one event pipeline, two markings
@@ -193,7 +193,7 @@ def predict_occupancy_night_threshold(s: PowerSeries,
 
 
 def _night_threshold(s: PowerSeries, stat: str, starts, counts, mean, std, rng):
-    agg = np.max if stat == "max" else np.median
+    agg = np.max if stat == "max" else median
     night = in_clock_hours(starts, s.timezone, NIGHT_HOURS) & (counts > 0)
     flags = np.zeros(starts.size, dtype=bool)
     skipped = []

@@ -169,6 +169,18 @@ def local_day_bounds(start: int, end: int, tzname: str) -> list[tuple[int, int]]
 # Operations
 # ---------------------------------------------------------------------------
 
+def median(values) -> np.float64:
+    """np.median of non-empty 1-D values, bit for bit: the same partition,
+    NaN check and mean (which turns a -0.0 middle into +0.0), without the
+    numpy.ma import that np.median makes on first use."""
+    n = len(values)
+    h = n // 2
+    part = np.partition(values, [h - 1, h, -1] if n % 2 == 0 else [h, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[h - 1 + n % 2:h + 1].mean()
+
+
 def clock_window_mean(s: PowerSeries, start_hour: float, end_hour: float) -> float:
     """Mean power over samples whose local clock time falls in
     [start_hour, end_hour), pooled across all covered days."""

@@ -404,6 +404,17 @@ def test_majority_cv_identity():
         assert acc == pytest.approx(float(np.mean(y[te] == modal)))
 
 
+def test_fold_complement_is_setdiff1d():
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        n, n_folds = int(rng.integers(2, 40)), int(rng.integers(2, 6))
+        y = rng.integers(0, 3, n).astype(str)
+        for fold in stratified_folds(y, n_folds, seed=trial):  # some empty
+            got = classify._complement(n, fold)
+            want = np.setdiff1d(np.arange(n), fold)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_stratified_folds_balanced():
     y = ["a"] * 7 + ["b"] * 5 + ["c"] * 4
     folds = stratified_folds(y, 2, seed=1)

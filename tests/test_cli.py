@@ -2,12 +2,16 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import nilminfer
 from nilminfer.cli import _config, build_parser, run
 from nilminfer.errors import AlignmentError, ManifestError
 from nilminfer.series import (DatasetManifest, PowerSeries, load_manifest,
@@ -69,6 +73,19 @@ def test_report_produces_valid_svg(tmp_path, small_corpus):
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["disaggregate", "--help"], ["synth", "--help"], ["report", "-h"],
+    ["synth", "--config", "no-such-file.json", "--help"]])
+def test_help_shows_required_flags_as_required(argv, capsys):
+    assert run(argv) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    flags = {"disaggregate": ["--manifest MANIFEST", "--out OUT"],
+             "synth": ["--out OUT"],
+             "report": ["--results RESULTS", "--out OUT"]}[argv[0]]
+    for flag in flags:
+        assert f" {flag}" in usage and f"[{flag}]" not in usage
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -656,3 +673,49 @@ def test_aggregate_with_one_distinct_stamp_is_a_parse_error_naming_it(
             "error": "ParseError", "subcommand": argv[0],
             "message": f"{bad}: one distinct timestamp (1704067200); a power "
                        "series needs two to fix its period"}
+
+
+# where a fresh interpreter finds this nilminfer
+SRC = os.path.dirname(os.path.dirname(nilminfer.__file__))
+STARTUP_PROBE = """
+import json, os, sys
+from nilminfer.cli import run
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy_ma": "numpy.ma" in sys.modules,
+                  "threads": len(os.listdir("/proc/self/task"))}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the threads in /proc/self/task")
+def test_cli_runs_import_no_numpy_ma_and_keep_one_thread(tmp_path,
+                                                         small_corpus):
+    """The benchmark's occupancy-split, disagg-fhmm and characteristics-iso
+    commands, run in a fresh interpreter with OPENBLAS_NUM_THREADS unset,
+    load no numpy.ma (np.median, np.unique or np.setdiff1d would) and leave
+    the process with its one thread: importing nilminfer before numpy keeps
+    OpenBLAS from starting a worker pool."""
+    m = manifest_path(small_corpus)
+    runs = [["occupancy", "--protocol", "split-half", "--algo",
+             "ours,ours-optimised,chen,chen-median"],
+            ["disaggregate", "--algo", "fhmm"],
+            ["classify", "--classifier", "knn",
+             "--source", "aggregate-only,both,disagg-hart"]]
+    argvs = [[*argv, "--manifest", m, "--out", str(tmp_path / f"out{i}")]
+             for i, argv in enumerate(runs)]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got == {"codes": [0, 0, 0], "numpy_ma": False, "threads": 1}
+
+
+def test_import_keeps_a_callers_openblas_num_threads():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, nilminfer; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "2"

@@ -153,6 +153,23 @@ def test_model_with_a_bad_variance_is_rejected(variance):
         ApplianceHMM(**hmm_fields(state_vars=[4.0, variance]))
 
 
+def test_distinct_is_np_unique_with_signed_zeros():
+    """Bit for bit, sign of zero included, on sizes past the sort's
+    16-element insertion-sort cutoff, where which of 0.0 and -0.0 leads
+    depends on the sort algorithm (a stable sort differs)."""
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 1.5, -1.5, 3.0, 250.0, -0.0, 0.0])
+    for trial in range(3000):
+        n = int(rng.integers(0, 200))
+        if trial % 3:
+            values = rng.choice(pool, size=n)
+        else:
+            values = np.round(rng.normal(size=n), 1) * rng.choice([1.0, -1.0])
+        got, want = disagg._distinct(values), np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_nearest_is_argmin_with_ties_and_equal_centers():
     rng = np.random.default_rng(0)
     grid = np.arange(0.0, 10.0, 0.5)  # values on the grid tie exactly

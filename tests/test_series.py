@@ -18,7 +18,7 @@ from nilminfer.errors import (CoverageError, EmptyWindowError, GapError,
 from nilminfer.series import (DatasetManifest, HomeEntry,
                               PowerSeries, clock_window_mean, load_manifest,
                               load_occupancy_csv, load_power_csv,
-                              local_clock_hours, save_manifest,
+                              local_clock_hours, median, save_manifest,
                               window_occupancy, write_power_csv)
 from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
 
@@ -1131,3 +1131,31 @@ def test_mutated_manifest_loads_or_raises_manifest_error(tmp_path, home, where,
         assert all(type(v) in (int, float) and v >= 0
                    for v in h.characteristics.values())
         assert h.hvac_circuits is None or type(h.hvac_circuits) is int
+
+
+def _same_float(got, want) -> bool:
+    """Bitwise equality of two float64 scalars, type included."""
+    return (type(got) is type(want)
+            and np.float64(got).tobytes() == np.float64(want).tobytes())
+
+
+@pytest.mark.parametrize("values", [
+    [5.0], [-0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 1.0, 0.0],
+    [-0.0, 0.0, -0.0], [3.0, 1.0, 2.0, 2.0], [np.nan], [1.0, np.nan],
+    [np.nan, 1.0, 2.0], [-np.nan, 0.0, -0.0], [np.inf, -np.inf, 1.0],
+    [np.inf, -np.inf]])
+def test_median_is_np_median_bit_for_bit(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mean of inf and -inf warns
+        assert _same_float(median(np.array(values)), np.median(values))
+
+
+def test_median_is_np_median_on_random_draws():
+    """Odd and even sizes, heavy ties, mixed 0.0/-0.0 and a NaN anywhere."""
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 2.5, np.nan, -np.inf])
+    for trial in range(20000):
+        n = int(rng.integers(1, 40))
+        values = (rng.choice(pool, size=n) if trial % 2
+                  else rng.normal(size=n).round(1))
+        assert _same_float(median(values), np.median(values)), values
