@@ -36,9 +36,8 @@ from .occupancy import (OccupancyMetrics, predict_occupancy_events,
 from .disagg import (ApplianceHMM, DisaggResult, NilmMetrics, train_hmm,
                      train_appliance_models, fhmm_disaggregate,
                      hart_disaggregate, nilm_metrics)
-from .features import (FeatureVector, extract_consumption_features,
-                       extract_appliance_features, chi2_select, pearson,
-                       build_feature_table, write_feature_csv)
+from .features import (extract_consumption_features, extract_appliance_features,
+                       chi2_select, pearson, build_feature_table, write_feature_csv)
 from .classify import (label_characteristics, knn_classify, rf_classify,
                        majority_baseline, characteristics_experiment,
                        stratified_folds)

@@ -327,14 +327,13 @@ def characteristics_experiment(manifest, feature_sources=("both",),
         if source in feature_sources[:i]:
             raise ValueError(f"feature source {source!r} is given twice")
     table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
-    labels = {e.home_id: label_characteristics(e.characteristics)
-              for e in manifest.homes}
+    labels = [label_characteristics(e.characteristics) for e in manifest.homes]
 
     results = []
     for characteristic in CHARACTERISTICS:
-        labelled = [h for h in table.home_ids
-                    if labels[h][characteristic] is not None]
-        y_all = np.array([labels[h][characteristic] for h in labelled],
+        labelled = [i for i, home in enumerate(labels)
+                    if home[characteristic] is not None]
+        y_all = np.array([labels[i][characteristic] for i in labelled],
                          dtype=object)
         class_counts = {c: int((y_all == c).sum()) for c in sorted(set(y_all.tolist()))}
         if len(class_counts) < 2 or min(class_counts.values()) < folds:
@@ -342,11 +341,10 @@ def characteristics_experiment(manifest, feature_sources=("both",),
                           f"{class_counts} too small for {folds}-fold CV",
                           stacklevel=2)
             continue
-        rows_idx = np.array([table.home_ids.index(h) for h in labelled])
         fold_idx = stratified_folds(y_all, folds, seed)
         for source in feature_sources:
-            ids, X_full = table.matrix(source)
-            X = X_full[rows_idx]
+            ids, X = table[source]
+            X = X[labelled]
             fold_accs, base_accs, selected = [], [], set()
             best_ks = []
             for f in range(folds):

@@ -180,14 +180,15 @@ def cmd_disaggregate(cfg: dict) -> int:
 
 def cmd_features(cfg: dict) -> int:
     manifest = load_manifest(cfg["manifest"])
-    table = build_feature_table(manifest, (cfg["source"],), det=_detector(cfg),
-                                seed=cfg["seed"])
+    ids, X = build_feature_table(manifest, (cfg["source"],), det=_detector(cfg),
+                                 seed=cfg["seed"])[cfg["source"]]
+    home_ids = [e.home_id for e in manifest.homes]
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
-    write_feature_csv(table, cfg["source"], cfg["out"])
+    write_feature_csv(home_ids, ids, X, cfg["out"])
     _write_json(Path(cfg["out"]).with_suffix(".meta.json"),
                 _envelope(cfg, {"subcommand": "features",
-                                "n_homes": len(table.home_ids)}))
-    print(f"wrote {cfg['source']} features for {len(table.home_ids)} homes "
+                                "n_homes": len(home_ids)}))
+    print(f"wrote {cfg['source']} features for {len(home_ids)} homes "
           f"to {cfg['out']}")
     return 0
 

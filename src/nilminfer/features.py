@@ -6,12 +6,12 @@ proportions, variance and day-lag autocorrelation) can be computed on any
 power stream and is prefixed with a stream tag. The appliance catalog adds
 HVAC- and event-derived features: max HVAC power, switch counts, circuit
 count, ON-time and energy fractions, and the power statistics of the highest
-power appliance found by event-pair clustering. Every feature value is
-non-negative by construction, which the chi-squared scorer requires.
+power appliance found by event-pair clustering. Each catalog is a plain dict
+of non-negative floats, which the chi-squared scorer requires.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -33,28 +33,7 @@ CLOCK_WINDOWS = {
 }
 
 
-@dataclass
-class FeatureVector:
-    """Named feature values, each finite and non-negative."""
-    values: dict = field(default_factory=dict)
-
-    def add(self, name: str, value: float):
-        value = float(value)
-        if not np.isfinite(value) or value < 0:
-            raise ValueError(f"feature {name!r} must be finite and >= 0, "
-                             f"got {value}")
-        self.values[name] = value
-
-    def merge(self, other: "FeatureVector") -> "FeatureVector":
-        out = FeatureVector(dict(self.values))
-        for name in other.values:
-            if name in out.values:
-                raise ValueError(f"duplicate feature {name!r}")
-            out.values[name] = other.values[name]
-        return out
-
-
-def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
+def extract_consumption_features(s: PowerSeries, prefix: str) -> dict:
     """The 22-feature consumption catalog over one stream.
 
     Requires at least one full week so weekday/weekend means are defined.
@@ -65,21 +44,20 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
     if s.span_s < 7 * SECONDS_PER_DAY:
         raise CoverageError(
             f"need at least one full week, got {s.span_s / SECONDS_PER_DAY:.2f} days")
-    fv = FeatureVector()
+    fv = {}
     v = s.values
     ts = s.timestamps()
     hours = local_clock_hours(ts, s.timezone)
     wd = local_weekdays(ts, s.timezone)
 
     def put(name, value):
-        fv.add(f"{prefix}_{name}", value)
+        fv[f"{prefix}_{name}"] = float(value)
 
     mean_total = float(v.mean())
     put("mean_total", mean_total)
-    weekday = v[wd < 5]
-    weekend = v[wd >= 5]
-    put("mean_weekday", weekday.mean())
-    put("mean_weekend", weekend.mean())
+    weekday, weekend = float(v[wd < 5].mean()), float(v[wd >= 5].mean())
+    put("mean_weekday", weekday)
+    put("mean_weekend", weekend)
     window_means = {}
     for name, (h0, h1) in CLOCK_WINDOWS.items():
         m = float(v[(hours >= h0) & (hours < h1)].mean())
@@ -98,7 +76,7 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
     ratio("evening_over_noon", window_means["mean_evening"], window_means["mean_noon"])
     ratio("noon_over_total", window_means["mean_noon"], mean_total)
     ratio("night_over_day", window_means["mean_night"], window_means["mean_day"])
-    ratio("weekday_over_weekend", float(weekday.mean()), float(weekend.mean()))
+    ratio("weekday_over_weekend", weekday, weekend)
 
     put("frac_above_mean", float((v > mean_total).mean()))
     put("frac_above_500w", float((v > 500.0).mean()))
@@ -107,15 +85,13 @@ def extract_consumption_features(s: PowerSeries, prefix: str) -> FeatureVector:
     put("variance", float(v.var()))
     lag = SECONDS_PER_DAY // s.period_s
     a, b = v[lag:], v[:-lag]
-    if a.std() == 0 or b.std() == 0:
-        put("autocorr_day", 0.0)
-    else:
-        put("autocorr_day", max(float(np.corrcoef(a, b)[0, 1]), 0.0))
+    constant = a.std() == 0 or b.std() == 0
+    put("autocorr_day", 0.0 if constant else max(float(np.corrcoef(a, b)[0, 1]), 0.0))
     return fv
 
 
 def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
-                               events, clusters: list) -> FeatureVector:
+                               events, clusters: list) -> dict:
     """HVAC and event-stream features over a home.
 
     hvac_circuits is the count of the event-pair magnitude clusters
@@ -129,20 +105,17 @@ def extract_appliance_features(hvac: PowerSeries, aggregate: PowerSeries,
         raise UndefinedStatisticError(
             "aggregate has zero energy; fractions are undefined")
 
-    fv = FeatureVector()
-    fv.add("hvac_max_power", float(hvac.values.max()))
-    fv.add("appliance_switches", float(len(events)))
-    fv.add("hvac_on_fraction", float((hvac.values > ON_THRESHOLD_W).mean()))
-    frac = float(hvac.values.sum()) / agg_energy
-    fv.add("hvac_energy_fraction", min(frac, 1.0))
-
-    fv.add("hvac_circuits",
-           float(sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)))
     top = clusters[-1]["values"] if clusters else [0.0]
-    fv.add("top_appliance_mean", float(np.mean(top)))
-    fv.add("top_appliance_max", float(np.max(top)))
-    fv.add("top_appliance_median", float(median(top)))
-    return fv
+    return {
+        "hvac_max_power": float(hvac.values.max()),
+        "appliance_switches": float(len(events)),
+        "hvac_on_fraction": float((hvac.values > ON_THRESHOLD_W).mean()),
+        "hvac_energy_fraction": min(float(hvac.values.sum()) / agg_energy, 1.0),
+        "hvac_circuits": float(sum(1 for c in clusters if c["center"] >= HVAC_MIN_W)),
+        "top_appliance_mean": float(np.mean(top)),
+        "top_appliance_max": float(np.max(top)),
+        "top_appliance_median": float(median(top)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -209,83 +182,88 @@ FEATURE_SOURCES = ("aggregate-only", "hvac-only", "both", "disagg-hart",
                    "disagg-fhmm")
 
 
-@dataclass
-class FeatureTable:
-    home_ids: list
-    vectors: dict  # source -> {home_id -> FeatureVector}
-
-    def matrix(self, source: str):
-        """(feature_ids, X) with rows ordered like home_ids and columns by
-        sorted feature id."""
-        vecs = self.vectors[source]
-        ids = sorted(vecs[self.home_ids[0]].values)
-        for h in self.home_ids:
-            if sorted(vecs[h].values) != ids:
-                raise ValueError(f"home {h} has inconsistent feature ids")
-        X = np.array([[vecs[h].values[i] for i in ids] for h in self.home_ids])
-        return np.array(ids, dtype=object), X
-
-
 def build_home_features(home: HomeData, sources,
                         det: DetectorConfig = DetectorConfig(), *,
                         seed: int = 0) -> dict:
-    """FeatureVector per requested source for one home. Shared inputs
-    (aggregate stream, events, pairs and their clusters) are computed once.
-    disagg-fhmm decodes the whole aggregate with models trained with this
-    seed on the first half of each submetered trace."""
+    """Feature dict per requested source for one home. Each shared input (the
+    aggregate catalog; events, pairs and clusters; the submetered HVAC bundle)
+    is computed once, on first need. disagg-fhmm decodes the whole aggregate
+    with models trained with this seed on the first half of each submeter."""
     entry = home.entry
     aggregate = home.aggregate
-    agg_fv = extract_consumption_features(aggregate, "aggregate")
-    events = detect_events(aggregate, det)
-    pairs = pair_events(events)
-    clusters = cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
+    agg = cache(partial(extract_consumption_features, aggregate, "aggregate"))
 
-    def hvac_bundle(hvac_stream):
-        fv = extract_consumption_features(hvac_stream, "hvac")
-        return fv.merge(extract_appliance_features(hvac_stream, aggregate,
-                                                   events, clusters))
+    @cache
+    def edges():
+        pairs = pair_events(events := detect_events(aggregate, det))
+        magnitudes = np.array([p.magnitude_w for p in pairs])
+        return events, pairs, cluster_magnitudes(magnitudes)
+
+    def hvac_bundle(hvac):
+        events, _, clusters = edges()
+        return (extract_consumption_features(hvac, "hvac")
+                | extract_appliance_features(hvac, aggregate, events, clusters))
+
+    @cache
+    def submetered():
+        if "hvac" not in entry.appliance_paths:
+            raise ConfigurationError(f"home {entry.home_id} has no submetered hvac")
+        return hvac_bundle(home.appliance("hvac"))
 
     out = {}
     for source in sources:
         if source == "aggregate-only":
-            out[source] = agg_fv
-        elif source in ("hvac-only", "both"):
-            if "hvac" not in entry.appliance_paths:
-                raise ConfigurationError(f"home {entry.home_id} has no submetered hvac")
-            bundle = hvac_bundle(home.appliance("hvac"))
-            out[source] = bundle if source == "hvac-only" else agg_fv.merge(bundle)
+            out[source] = agg()
+        elif source == "hvac-only":
+            out[source] = submetered()
+        elif source == "both":
+            out[source] = agg() | submetered()
         elif source == "disagg-hart":
+            _, pairs, clusters = edges()
             hvac = hart_reconstruct(aggregate, pairs, clusters).appliances["hvac"]
-            out[source] = agg_fv.merge(hvac_bundle(hvac))
+            out[source] = agg() | hvac_bundle(hvac)
         elif source == "disagg-fhmm":
             cut = max(len(aggregate) // 2, 1)
             models = train_appliance_models(home, cut, seed=seed)
             if not any(m.name == "hvac" for m in models):
                 raise ConfigurationError(f"home {entry.home_id}: no usable hvac model")
             hvac = fhmm_disaggregate(aggregate, models).appliances["hvac"]
-            out[source] = agg_fv.merge(hvac_bundle(hvac))
+            out[source] = agg() | hvac_bundle(hvac)
         else:
             raise ValueError(f"unknown feature source {source!r}")
     return out
 
 
 def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(),
-                        **kwargs) -> FeatureTable:
-    """Each home's vectors, one home's files at a time."""
-    vectors: dict = {source: {} for source in sources}
+                        **kwargs) -> dict:
+    """{source: (ids, X)}: the sorted feature ids as an object array and one row
+    per manifest home, in manifest order, read one home's files at a time. A
+    home whose ids differ from the first home's, or a value that is not finite
+    and >= 0, is a ValueError naming the home (and the feature)."""
+    homes = {source: [] for source in sources}
     for entry in manifest.homes:
-        per_source = build_home_features(HomeData(manifest, entry), sources,
-                                         det, **kwargs)
-        for source, fv in per_source.items():
-            vectors[source][entry.home_id] = fv
-    return FeatureTable(home_ids=[e.home_id for e in manifest.homes],
-                        vectors=vectors)
+        for source, features in build_home_features(
+                HomeData(manifest, entry), sources, det, **kwargs).items():
+            homes[source].append(features)
+    table = {}
+    for source, rows in homes.items():
+        ids = sorted(rows[0])
+        odd = [e.home_id for e, f in zip(manifest.homes, rows) if sorted(f) != ids]
+        if odd:
+            raise ValueError(f"home {odd[0]} has inconsistent {source} feature ids")
+        X = np.array([[features[i] for i in ids] for features in rows])
+        bad = np.argwhere(~np.isfinite(X) | (X < 0))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"home {manifest.homes[i].home_id}: feature {ids[j]!r} "
+                             f"must be finite and >= 0, got {X[i, j]}")
+        table[source] = (np.array(ids, dtype=object), X)
+    return table
 
 
-def write_feature_csv(table: FeatureTable, source: str, path) -> None:
-    """CSV with a home_id column followed by the sorted feature ids."""
-    ids, X = table.matrix(source)
+def write_feature_csv(home_ids, ids, X, path) -> None:
+    """CSV with a home_id column, then one column per feature id (a row of X)."""
     with open(path, "w", newline="") as f:
         f.write("home_id," + ",".join(ids) + "\n")
-        for home_id, row in zip(table.home_ids, X):
+        for home_id, row in zip(home_ids, X):
             f.write(home_id + "," + ",".join(repr(float(v)) for v in row) + "\n")

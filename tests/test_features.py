@@ -12,12 +12,13 @@ from nilminfer.errors import (AlignmentError, ConfigurationError, CoverageError,
                               UndefinedStatisticError)
 from nilminfer.events import (DetectorConfig, EventPair, cluster_magnitudes,
                               detect_events, pair_events)
-from nilminfer.features import (FeatureVector, build_feature_table,
-                                chi2_select, extract_appliance_features,
+from nilminfer.features import (FEATURE_SOURCES, build_feature_table,
+                                build_home_features, chi2_select,
+                                extract_appliance_features,
                                 extract_consumption_features, pearson,
                                 write_feature_csv)
-from nilminfer.series import (DatasetManifest, PowerSeries, local_weekdays,
-                              write_power_csv)
+from nilminfer.series import (DatasetManifest, HomeData, PowerSeries,
+                              local_weekdays, write_power_csv)
 from nilminfer.synth import DEFAULT_START
 
 WEEK = 7 * 86400
@@ -36,8 +37,7 @@ def constant_week(level=1000.0, period=900):
 # ---------------------------------------------------------------------------
 
 def test_constant_week_features():
-    fv = extract_consumption_features(constant_week(), "aggregate")
-    v = fv.values
+    v = extract_consumption_features(constant_week(), "aggregate")
     assert len(v) == 22
     for name in ("mean_total", "mean_weekday", "mean_weekend", "mean_day",
                  "mean_evening", "mean_morning", "mean_night", "mean_noon",
@@ -61,9 +61,9 @@ def test_weekday_weekend_ratio():
     wd = local_weekdays(s0.timestamps(), "UTC")
     vals = np.where(wd < 5, 2000.0, 1000.0)
     fv = extract_consumption_features(week_series(vals, period), "agg")
-    assert fv.values["agg_weekday_over_weekend"] == pytest.approx(2.0)
-    assert fv.values["agg_mean_weekday"] == pytest.approx(2000.0)
-    assert fv.values["agg_mean_weekend"] == pytest.approx(1000.0)
+    assert fv["agg_weekday_over_weekend"] == pytest.approx(2.0)
+    assert fv["agg_mean_weekday"] == pytest.approx(2000.0)
+    assert fv["agg_mean_weekend"] == pytest.approx(1000.0)
 
 
 def test_consumption_features_match_bruteforce(default_corpus):
@@ -104,7 +104,7 @@ def test_consumption_features_match_bruteforce(default_corpus):
     r = float(np.corrcoef(v[lag:], v[:-lag])[0, 1])
     expect["x_autocorr_day"] = max(r, 0.0)
     for name, want in expect.items():
-        assert fv.values[name] == pytest.approx(want, abs=1e-9), name
+        assert fv[name] == pytest.approx(want, abs=1e-9), name
 
 
 def test_short_series_rejected():
@@ -119,17 +119,17 @@ def test_scaling_behavior():
     a = extract_consumption_features(week_series(vals), "s")
     b = extract_consumption_features(week_series(vals * 3.0), "s")
     for name in ("mean_total", "max", "min", "mean_night"):
-        assert b.values[f"s_{name}"] == pytest.approx(3 * a.values[f"s_{name}"])
+        assert b[f"s_{name}"] == pytest.approx(3 * a[f"s_{name}"])
     for name in ("mean_over_max", "night_over_day", "frac_above_mean",
                  "autocorr_day"):
-        assert b.values[f"s_{name}"] == pytest.approx(a.values[f"s_{name}"],
+        assert b[f"s_{name}"] == pytest.approx(a[f"s_{name}"],
                                                       abs=1e-12)
-    assert b.values["s_variance"] == pytest.approx(9 * a.values["s_variance"])
+    assert b["s_variance"] == pytest.approx(9 * a["s_variance"])
 
 
 def test_zero_denominator_flagged():
     fv = extract_consumption_features(constant_week(0.0), "z")
-    assert fv.values["z_mean_over_max"] == 0.0
+    assert fv["z_mean_over_max"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +152,22 @@ def test_appliance_features_closed_form():
     events = detect_events(hvac, det)
     pairs = pair_events(events)
     fv = extract_appliance_features(hvac, hvac, events, clusters_of(pairs))
-    assert fv.values["hvac_max_power"] == 3000.0
-    assert fv.values["hvac_on_fraction"] == pytest.approx(0.5)
-    assert fv.values["hvac_energy_fraction"] == pytest.approx(1.0)
-    assert fv.values["appliance_switches"] == len(events)
-    assert fv.values["top_appliance_median"] == pytest.approx(3000.0)
+    assert fv["hvac_max_power"] == 3000.0
+    assert fv["hvac_on_fraction"] == pytest.approx(0.5)
+    assert fv["hvac_energy_fraction"] == pytest.approx(1.0)
+    assert fv["appliance_switches"] == len(events)
+    assert fv["top_appliance_median"] == pytest.approx(3000.0)
 
 
 def test_appliance_features_zero_hvac():
     aggregate = constant_week(100.0)
     hvac = constant_week(0.0)
     fv = extract_appliance_features(hvac, aggregate, [], [])
-    assert fv.values["hvac_max_power"] == 0.0
-    assert fv.values["hvac_on_fraction"] == 0.0
-    assert fv.values["hvac_energy_fraction"] == 0.0
+    assert fv["hvac_max_power"] == 0.0
+    assert fv["hvac_on_fraction"] == 0.0
+    assert fv["hvac_energy_fraction"] == 0.0
     for stat in ("mean", "max", "median"):
-        assert fv.values[f"top_appliance_{stat}"] == 0.0
+        assert fv[f"top_appliance_{stat}"] == 0.0
 
 
 def test_appliance_features_circuit_metadata():
@@ -175,11 +175,11 @@ def test_appliance_features_circuit_metadata():
     metadata feeds it."""
     hvac = hvac_square()
     fv = extract_appliance_features(hvac, hvac, [], [])
-    assert fv.values["hvac_circuits"] == 0.0  # no pairs, so no cluster
+    assert fv["hvac_circuits"] == 0.0  # no pairs, so no cluster
     pairs = [EventPair(DEFAULT_START + 900 * k, DEFAULT_START + 900 * (k + 1), mag)
              for k, mag in enumerate((300.0, 300.0, 1500.0, 3000.0, 3000.0))]
     fv = extract_appliance_features(hvac, hvac, [], clusters_of(pairs))
-    assert fv.values["hvac_circuits"] == 2.0  # 1500 W and 3000 W, not 300 W
+    assert fv["hvac_circuits"] == 2.0  # 1500 W and 3000 W, not 300 W
 
 
 def test_manifest_hvac_circuits_feeds_no_feature(small_corpus):
@@ -189,8 +189,8 @@ def test_manifest_hvac_circuits_feeds_no_feature(small_corpus):
     relabelled.homes[0].hvac_circuits = 7
     sources = ("both", "disagg-hart")
     for source in sources:
-        _, X = build_feature_table(one, sources).matrix(source)
-        _, X_relabelled = build_feature_table(relabelled, sources).matrix(source)
+        _, X = build_feature_table(one, sources)[source]
+        _, X_relabelled = build_feature_table(relabelled, sources)[source]
         assert X.tobytes() == X_relabelled.tobytes()
 
 
@@ -207,14 +207,6 @@ def test_appliance_features_zero_aggregate_energy():
     zero = constant_week(0.0)
     with pytest.raises(UndefinedStatisticError):
         extract_appliance_features(zero, zero, [], [])
-
-
-def test_feature_vector_rejects_negative():
-    fv = FeatureVector()
-    with pytest.raises(ValueError):
-        fv.add("bad", -1.0)
-    with pytest.raises(ValueError):
-        fv.add("bad", float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +315,28 @@ def test_feature_table_and_csv(default_corpus, tmp_path):
     manifest = default_corpus.manifest
     sub = type(manifest)(homes=manifest.homes[:3], base_dir=manifest.base_dir)
     table = build_feature_table(sub, ("aggregate-only", "both"))
-    ids, X = table.matrix("aggregate-only")
+    ids, X = table["aggregate-only"]
     assert X.shape == (3, 22)
-    ids_b, X_b = table.matrix("both")
+    ids_b, X_b = table["both"]
     assert X_b.shape == (3, 52)  # 22 aggregate + 22 hvac + 8 appliance-level
     assert (X >= 0).all() and (X_b >= 0).all()
 
     out = tmp_path / "features.csv"
-    write_feature_csv(table, "both", out)
+    home_ids = [e.home_id for e in sub.homes]
+    write_feature_csv(home_ids, ids_b, X_b, out)
     lines = out.read_text().splitlines()
-    assert lines[0].split(",")[0] == "home_id"
-    assert len(lines) == 4
-    header = lines[0].split(",")[1:]
-    assert header == sorted(header)
+    assert lines[0] == ",".join(["home_id", *ids_b])
+    assert [line.split(",")[0] for line in lines[1:]] == home_ids
+    assert [[float(v) for v in line.split(",")[1:]] for line in lines[1:]] == \
+        X_b.tolist()
 
 
 def test_disagg_fhmm_source_depends_on_seed(small_corpus):
     manifest = small_corpus.manifest
     one = type(manifest)(homes=manifest.homes[:1], base_dir=manifest.base_dir)
-    _, X0 = build_feature_table(one, ("disagg-fhmm",), seed=0).matrix("disagg-fhmm")
-    _, X0_again = build_feature_table(one, ("disagg-fhmm",),
-                                      seed=0).matrix("disagg-fhmm")
-    _, X7 = build_feature_table(one, ("disagg-fhmm",), seed=7).matrix("disagg-fhmm")
+    _, X0 = build_feature_table(one, ("disagg-fhmm",), seed=0)["disagg-fhmm"]
+    _, X0_again = build_feature_table(one, ("disagg-fhmm",), seed=0)["disagg-fhmm"]
+    _, X7 = build_feature_table(one, ("disagg-fhmm",), seed=7)["disagg-fhmm"]
     assert X0.shape == (1, 52) and (X0 >= 0).all()
     assert np.array_equal(X0, X0_again)
     assert not np.array_equal(X0, X7)
@@ -365,7 +357,7 @@ def test_disagg_hart_source_detects_the_aggregate_once(small_corpus,
         monkeypatch.setattr(module, "detect_events", counting_detect_events)
     manifest = small_corpus.manifest
     one = type(manifest)(homes=manifest.homes[:1], base_dir=manifest.base_dir)
-    _, X = build_feature_table(one, ("disagg-hart",)).matrix("disagg-hart")
+    _, X = build_feature_table(one, ("disagg-hart",))["disagg-hart"]
     assert X.shape == (1, 52)
     assert calls == [len(small_corpus.homes[one.homes[0].home_id].aggregate)]
 
@@ -393,3 +385,92 @@ def test_home_without_usable_hvac_is_a_configuration_error(source, tmp_path,
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "skipping degenerate appliance hvac")
             build_feature_table(manifest, (source,))
+
+
+def test_feature_table_matches_each_home(small_corpus):
+    """Oracle: each source's matrix is build_home_features home by home, rows
+    in manifest order and columns in sorted feature id order."""
+    manifest = small_corpus.manifest
+    table = build_feature_table(manifest, FEATURE_SOURCES)
+    assert list(table) == list(FEATURE_SOURCES)
+    per_home = [build_home_features(HomeData(manifest, entry), FEATURE_SOURCES)
+                for entry in manifest.homes]
+    for source, (ids, X) in table.items():
+        assert ids.dtype == object
+        assert ids.tolist() == sorted(per_home[0][source])
+        want = [[home[source][i] for i in ids] for home in per_home]
+        assert X.shape == (len(manifest.homes), len(ids))
+        assert X.tolist() == want, source
+
+
+def spy(monkeypatch, names):
+    """Wrap each named nilminfer.features global; return its calls' args."""
+    import nilminfer.features
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(nilminfer.features, name),
+                     **kwargs):
+            calls[_name].append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nilminfer.features, name, counting)
+    return calls
+
+
+def edit_nth_appliance_catalog(monkeypatch, n, edit):
+    """The nth extract_appliance_features call (1-based; the nth home for a
+    single-source table) returns its catalog after edit(catalog)."""
+    import nilminfer.features
+    extract = nilminfer.features.extract_appliance_features
+    calls = []
+
+    def edited(*args):
+        calls.append(args)
+        features = extract(*args)
+        if len(calls) == n:
+            edit(features)
+        return features
+
+    monkeypatch.setattr(nilminfer.features, "extract_appliance_features", edited)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+def test_feature_table_names_the_home_and_feature_of_a_bad_value(
+        small_corpus, monkeypatch, value):
+    manifest = small_corpus.manifest
+    edit_nth_appliance_catalog(monkeypatch, 2, lambda features: features.update(
+        hvac_on_fraction=value))
+    with pytest.raises(ValueError, match=rf"home {manifest.homes[1].home_id}: "
+                       r"feature 'hvac_on_fraction' must be finite and >= 0"):
+        build_feature_table(manifest, ("both",))
+
+
+def test_feature_table_rejects_inconsistent_ids(small_corpus, monkeypatch):
+    manifest = small_corpus.manifest
+    edit_nth_appliance_catalog(monkeypatch, 3, lambda features: features.pop(
+        "hvac_circuits"))
+    with pytest.raises(ValueError, match=f"home {manifest.homes[2].home_id} "
+                       "has inconsistent both feature ids"):
+        build_feature_table(manifest, ("both",))
+
+
+@pytest.mark.parametrize("sources, prefixes, appliance, edges", [
+    (("aggregate-only",), ["aggregate"], 0, 0),  # no event pipeline
+    (("hvac-only",), ["hvac"], 1, 1),  # no aggregate catalog
+    (("hvac-only", "both"), ["aggregate", "hvac"], 1, 1),  # one hvac bundle
+    (("aggregate-only", "both", "disagg-hart"), ["aggregate", "hvac", "hvac"], 2, 1),
+], ids=["aggregate-only", "hvac-only", "hvac-only,both",
+        "aggregate-only,both,disagg-hart"])
+def test_each_home_computes_only_what_its_sources_read(
+        small_corpus, monkeypatch, sources, prefixes, appliance, edges):
+    """Per home: the consumption catalogs by stream, appliance catalogs and
+    runs of detection, pairing and clustering that the sources need."""
+    calls = spy(monkeypatch, ["extract_consumption_features",
+                              "extract_appliance_features", "detect_events",
+                              "pair_events", "cluster_magnitudes"])
+    build_feature_table(small_corpus.manifest, sources)
+    n = len(small_corpus.manifest.homes)
+    assert sorted(args[1] for args in calls["extract_consumption_features"]) == \
+        sorted(prefixes * n)
+    assert len(calls["extract_appliance_features"]) == appliance * n
+    for name in ("detect_events", "pair_events", "cluster_magnitudes"):
+        assert len(calls[name]) == edges * n, name
