@@ -28,16 +28,16 @@ print(f"step 4  drop background:    {len(foreground)} foreground pairs left")
 
 pred = predict_occupancy_events(agg, det)
 m = evaluate_occupancy(pred, home.occupancy)
-print(f"step 5  windowed occupancy: accuracy {m.accuracy_pct:.1f}%  "
-      f"(TP {m.tp}  TN {m.tn}  FP {m.fp}  FN {m.fn})")
+print(f"step 5  windowed occupancy: accuracy {m['accuracy_pct']:.1f}%  "
+      f"(TP {m['tp']}  TN {m['tn']}  FP {m['fp']}  FN {m['fn']})")
 
 # compare against the two aggregate-only baselines
 for label, stat in (("night-threshold (max)", "max"),
                     ("night-threshold (median)", "median")):
     alt = predict_occupancy_night_threshold(agg, stat)
     am = evaluate_occupancy(alt, home.occupancy)
-    print(f"baseline {label:25s} accuracy {am.accuracy_pct:.1f}%  "
-          f"energy proxy {am.energy_proxy}  miss time {am.miss_time}")
+    print(f"baseline {label:25s} accuracy {am['accuracy_pct']:.1f}%  "
+          f"energy proxy {am['energy_proxy']}  miss time {am['miss_time']}")
 
-print(f"\nevent pipeline HVAC-control view: energy proxy {m.energy_proxy} "
-      f"windows, miss time {m.miss_time} windows")
+print(f"\nevent pipeline HVAC-control view: energy proxy {m['energy_proxy']} "
+      f"windows, miss time {m['miss_time']} windows")

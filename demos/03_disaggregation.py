@@ -31,8 +31,8 @@ print(f"\nhvac reconstruction on the held-out half "
 truth = home.appliances["hvac"].slice(half, len(agg))
 for label, result in (("fhmm (supervised)", fhmm), ("hart (unsupervised)", hart)):
     m = nilm_metrics(result.appliances["hvac"], truth)
-    print(f"  {label:20s} energy error {m.error_energy_pct:5.1f}%   "
-          f"F-score {m.fscore:.3f}   RMSE {m.rmse_w:6.1f} W")
+    print(f"  {label:20s} energy error {m['error_energy_pct']:5.1f}%   "
+          f"F-score {m['fscore']:.3f}   RMSE {m['rmse_w']:6.1f} W")
 
 # where does the unsupervised route leave energy unexplained?
 frac = hart.residual.values.sum() / test.values.sum()

@@ -30,12 +30,10 @@ from .series import (PowerSeries, OccupancySeries, DatasetManifest, HomeEntry,
 from .events import (Event, EventPair, BackgroundProfile, DetectorConfig,
                      detect_events, pair_events, learn_background,
                      remove_background, cluster_magnitudes)
-from .occupancy import (OccupancyMetrics, predict_occupancy_events,
-                        predict_occupancy_night_threshold, evaluate_occupancy,
-                        occupancy_experiment)
-from .disagg import (ApplianceHMM, DisaggResult, NilmMetrics, train_hmm,
-                     train_appliance_models, fhmm_disaggregate,
-                     hart_disaggregate, nilm_metrics)
+from .occupancy import (predict_occupancy_events, predict_occupancy_night_threshold,
+                        evaluate_occupancy, occupancy_experiment)
+from .disagg import (ApplianceHMM, DisaggResult, train_hmm, train_appliance_models,
+                     fhmm_disaggregate, hart_disaggregate, nilm_metrics)
 from .features import (extract_consumption_features, extract_appliance_features,
                        chi2_select, pearson, build_feature_table, write_feature_csv)
 from .classify import (label_characteristics, knn_classify, rf_classify,

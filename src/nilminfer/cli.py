@@ -27,6 +27,7 @@ from . import __version__
 from .classify import characteristics_experiment
 from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_disaggregate,
                      nilm_metrics, train_appliance_models)
+from .errors import ParseError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
 from .occupancy import occupancy_experiment
@@ -70,6 +71,18 @@ def _config_hash(cfg: dict) -> str:
 def _envelope(cfg: dict, payload: dict) -> dict:
     return {"tool_version": __version__, "seed": cfg.get("seed"),
             "config": cfg, "config_hash": _config_hash(cfg), **payload}
+
+
+def _json_object(path) -> dict:
+    """The JSON object a --config or --results file holds, else a ParseError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: not JSON ({exc.msg})",
+                         line=exc.lineno, path=str(path)) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON object", path=str(path))
+    return doc
 
 
 def _write_json(path, obj) -> None:
@@ -168,8 +181,7 @@ def cmd_disaggregate(cfg: dict) -> int:
             for name, trace in sorted(result.appliances.items()):
                 if name in entry.appliance_paths:  # scored against its submeter
                     truth = home.appliance(name).slice(cut, len(aggregate))
-                    scores[name] = nilm_metrics(trace, truth,
-                                                cfg["on_threshold"]).as_dict()
+                    scores[name] = nilm_metrics(trace, truth, cfg["on_threshold"])
                 write_power_csv(trace, home_dir / f"{name}.csv")
         _write_json(staging / "metrics.json",
                     _envelope(cfg, {"subcommand": "disaggregate",
@@ -205,23 +217,20 @@ def cmd_classify(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    with open(cfg["results"]) as f:
-        payload = json.load(f)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    payload = _json_object(cfg["results"])
     if "per_home" in payload:
         charts = render_occupancy_report(payload)
     elif "rows" in payload:
         charts = render_classification_report(payload["rows"])
     else:
-        raise ValueError("unrecognized results payload; expected occupancy "
-                         "or classification output")
+        raise ParseError(f"{cfg['results']}: not an occupancy or classification "
+                         f"results payload", path=cfg["results"])
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     for name, svg in sorted(charts.items()):
-        with open(out / name, "w") as f:
-            f.write(svg)
-    _write_json(out / "run_meta.json",
-                _envelope(cfg, {"subcommand": "report",
-                                "charts": sorted(charts)}))
+        (out / name).write_text(svg)
+    _write_json(out / "run_meta.json", _envelope(
+        cfg, {"subcommand": "report", "charts": sorted(charts)}))
     print(f"wrote {len(charts)} chart(s) to {out}")
     return 0
 
@@ -300,20 +309,23 @@ def run(argv) -> int:
         # One parser. A first pass, given a placeholder for every flag a
         # subcommand requires, finds the subcommand, its settings and
         # --config; its --help and usage errors are the parser's own. The
-        # file's values then go in as flags ahead of the command line's own,
-        # so argparse converts and checks them like any flag, a flag given
-        # on the command line wins however it is spelled, and a required
-        # flag may come from the file.
+        # file's values, each a number or a string, then go in as flags ahead
+        # of the command line's own, so argparse converts and checks them like
+        # any flag, a flag given on the command line wins however it is
+        # spelled, and a required flag may come from the file.
         parser = build_parser()
         args, _ = parser.parse_known_args(
             [*argv, "--manifest=", "--results=", "--out="])
         if args.config:
-            with open(args.config) as f:
-                file_cfg = json.load(f)
             keys = _config(args)
+            flags = {f"--{k.replace('_', '-')}": v
+                     for k, v in _json_object(args.config).items() if k in keys}
+            for flag, v in flags.items():
+                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                    parser.error(f"argument {flag}: need a number or a string "
+                                 f"in --config, got {json.dumps(v)}")
             i = argv.index(args.subcommand) + 1
-            argv = [*argv[:i], *(f"--{k.replace('_', '-')}={v}"
-                                 for k, v in file_cfg.items() if k in keys),
+            argv = [*argv[:i], *(f"{flag}={v}" for flag, v in flags.items()),
                     *argv[i:]]
         args = parser.parse_args(argv)
         return args.func(_config(args))

@@ -395,23 +395,12 @@ def hart_reconstruct(aggregate: PowerSeries, pairs: list, clusters: list) -> Dis
                         residual=residual)
 
 
-@dataclass(frozen=True)
-class NilmMetrics:
-    """error_energy_pct is None when the truth carries zero energy (the
-    metric is undefined there); rmse and F-score are always computed."""
-    error_energy_pct: float | None
-    rmse_w: float
-    fscore: float
-
-    def as_dict(self) -> dict:
-        return {"error_energy_pct": self.error_energy_pct,
-                "rmse_w": self.rmse_w, "fscore": self.fscore}
-
-
 def nilm_metrics(pred: PowerSeries, truth: PowerSeries,
-                 on_threshold_w: float = ON_THRESHOLD_W) -> NilmMetrics:
-    """Percent energy error, RMSE power, and F-score on the ON indicator
-    (power strictly above on_threshold_w)."""
+                 on_threshold_w: float = ON_THRESHOLD_W) -> dict:
+    """Percent energy error, RMSE power and F-score on the ON indicator (power
+    strictly above on_threshold_w) as error_energy_pct, rmse_w and fscore.
+    error_energy_pct is None when the truth carries zero energy (the metric
+    is undefined there); rmse and F-score are always computed."""
     check_same_axis(pred, truth, "pred", "truth")
     p, t = pred.values, truth.values
     rmse = float(np.sqrt(np.mean((p - t) ** 2)))
@@ -429,4 +418,4 @@ def nilm_metrics(pred: PowerSeries, truth: PowerSeries,
     recall = tp / t_on.sum() if t_on.sum() else 0.0
     fscore = (2 * precision * recall / (precision + recall)
               if precision + recall > 0 else 0.0)
-    return NilmMetrics(error_energy_pct=error_energy, rmse_w=rmse, fscore=fscore)
+    return {"error_energy_pct": error_energy, "rmse_w": rmse, "fscore": fscore}

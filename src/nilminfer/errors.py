@@ -12,7 +12,7 @@ class InputError(ValueError):
 
 
 class ParseError(InputError):
-    """A CSV row could not be parsed."""
+    """An input file, or a row of it, could not be parsed."""
 
 
 class GapError(InputError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache, partial
 
 import numpy as np
@@ -41,39 +41,6 @@ UNSUPERVISED_ALGORITHMS = EVENT_ALGORITHMS + tuple(NIGHT_STATS)
 SUPERVISED_ALGORITHMS = ("knn", "rf")
 EVAL_HOURS = (6, 22)  # local [start, end) hours of the scored windows
 PAIR_GAP_FILL_S = 3600  # occupied intervals closer than this are bridged
-
-
-@dataclass(frozen=True)
-class OccupancyMetrics:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def n_windows(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-    @property
-    def accuracy_pct(self) -> float:
-        return 100.0 * (self.tp + self.tn) / self.n_windows
-
-    @property
-    def energy_proxy(self) -> int:
-        """Windows the HVAC would run for: TP + FP."""
-        return self.tp + self.fp
-
-    @property
-    def miss_time(self) -> int:
-        """Occupied windows predicted empty: FN."""
-        return self.fn
-
-    def as_dict(self) -> dict:
-        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn,
-                "n_windows": self.n_windows,
-                "accuracy_pct": self.accuracy_pct,
-                "energy_proxy": self.energy_proxy,
-                "miss_time": self.miss_time}
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +185,11 @@ def _night_threshold(s: PowerSeries, stat: str, starts, counts, mean, std, rng):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_occupancy(pred: OccupancySeries,
-                       truth: OccupancySeries) -> OccupancyMetrics:
-    """Confusion counts over windows both series cover, restricted to windows
-    whose local start hour lies in EVAL_HOURS."""
+def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries) -> dict:
+    """The metric row over windows both series cover whose local start hour
+    lies in EVAL_HOURS: the counts tp, tn, fp, fn and n_windows, accuracy_pct,
+    energy_proxy (TP + FP, the windows the HVAC would run for) and miss_time
+    (FN, occupied windows predicted empty)."""
     if pred.timezone != truth.timezone:
         raise AlignmentError("timezones differ")
     if (truth.window_start - pred.window_start) % WINDOW_S != 0:
@@ -241,7 +209,10 @@ def evaluate_occupancy(pred: OccupancySeries,
     tn = int((~p & ~t & m).sum())
     fp = int((p & ~t & m).sum())
     fn = int((~p & t & m).sum())
-    return OccupancyMetrics(tp=tp, tn=tn, fp=fp, fn=fn)
+    n_windows = tp + tn + fp + fn
+    return {"tp": tp, "tn": tn, "fp": fp, "fn": fn, "n_windows": n_windows,
+            "accuracy_pct": 100.0 * (tp + tn) / n_windows,
+            "energy_proxy": tp + fp, "miss_time": fn}
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +308,14 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                                              algorithm == "ours")
             else:
                 pred = _night_threshold(test_series, NIGHT_STATS[algorithm], *windows())
-            metrics = evaluate_occupancy(pred, truth_w)
             all_rows.append({"home_id": home_id, "algorithm": algorithm,
-                             **metrics.as_dict()})
+                             **evaluate_occupancy(pred, truth_w)})
     all_rows.sort(key=lambda r: (r["home_id"], r["algorithm"]))
 
     summary = []
     for algorithm in algorithms:
         rows = [r for r in all_rows if r["algorithm"] == algorithm]
-        summary.append({
-            "algorithm": algorithm,
-            "n_homes": len(rows),
-            **{k: float(np.mean([r[k] for r in rows]))
-               for k in ("tp", "tn", "fp", "fn", "accuracy_pct",
-                         "energy_proxy", "miss_time", "n_windows")},
-        })
+        summary.append({"algorithm": algorithm, "n_homes": len(rows),
+                        **{k: float(np.mean([r[k] for r in rows]))
+                           for k in rows[0] if k not in ("home_id", "algorithm")}})
     return {"protocol": protocol, "per_home": all_rows, "summary": summary}

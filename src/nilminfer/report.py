@@ -120,29 +120,28 @@ def render_occupancy_report(results: dict) -> dict:
     """SVG documents for an occupancy results payload: window-rate bars per
     algorithm and the energy-vs-miss-time trade-off scatter."""
     summary = results.get("summary", [])
-    algos = [row["algorithm"] for row in summary]
-    out = {}
-    if summary:
-        n = [max(row["n_windows"], 1) for row in summary]
-        series = [("accuracy %", [row["accuracy_pct"] for row in summary])]
-        for key in ("tp", "tn", "fp", "fn"):
-            series.append((f"{key.upper()} %",
-                           [100.0 * row[key] / n[i]
-                            for i, row in enumerate(summary)]))
-        out["occupancy_metrics.svg"] = grouped_bar_svg(
-            "Occupancy prediction quality by algorithm", algos, series,
-            "percent of evaluated windows")
-        points = [(row["algorithm"], row["energy_proxy"], row["miss_time"])
-                  for row in summary]
-        out["energy_vs_miss_time.svg"] = scatter_svg(
-            "HVAC-control trade-off (lower-left is better)", points,
-            "energy proxy (mean windows predicted occupied)",
-            "miss time (mean occupied windows missed)")
-    return out
+    if not summary:
+        return {}
+    series = [("accuracy %", [row["accuracy_pct"] for row in summary])]
+    series += [(f"{key.upper()} %", [100.0 * row[key] / max(row["n_windows"], 1)
+                                     for row in summary])
+               for key in ("tp", "tn", "fp", "fn")]
+    points = [(row["algorithm"], row["energy_proxy"], row["miss_time"])
+              for row in summary]
+    return {"occupancy_metrics.svg": grouped_bar_svg(
+                "Occupancy prediction quality by algorithm",
+                [row["algorithm"] for row in summary], series,
+                "percent of evaluated windows"),
+            "energy_vs_miss_time.svg": scatter_svg(
+                "HVAC-control trade-off (lower-left is better)", points,
+                "energy proxy (mean windows predicted occupied)",
+                "miss time (mean occupied windows missed)")}
 
 
 def render_classification_report(rows: list) -> dict:
     """Accuracy bars per characteristic, one bar series per feature source."""
+    if not rows:
+        return {}
     chars = sorted({r["characteristic"] for r in rows})
     sources = sorted({r["source"] for r in rows})
     series = []

@@ -274,6 +274,52 @@ def test_classify_subcommand(tmp_path, small_corpus):
     ET.parse(charts / "characteristics_accuracy.svg")
 
 
+def test_report_of_a_classification_with_no_rows_renders_no_chart(tmp_path):
+    """Two homes leave every characteristic too few per class for 2-fold CV,
+    so classify writes no rows; report on that draws no chart, as it does
+    for an occupancy payload with an empty summary."""
+    corpus, table, charts = tmp_path / "c", tmp_path / "t.json", tmp_path / "ch"
+    assert run(["synth", "--homes", "2", "--days", "7", "--out", str(corpus)]) == 0
+    with pytest.warns(UserWarning, match="too small for 2-fold CV"):
+        assert run(["classify", "--manifest", str(corpus / "manifest.json"),
+                    "--source", "aggregate-only", "--out", str(table)]) == 0
+    assert json.loads(table.read_text())["rows"] == []
+    assert run(["report", "--results", str(table), "--out", str(charts)]) == 0
+    assert json.loads((charts / "run_meta.json").read_text())["charts"] == []
+    assert sorted(p.name for p in charts.iterdir()) == ["run_meta.json"]
+
+
+NOT_AN_OBJECT = {"empty": ("", "not JSON (Expecting value)", 1),
+                 "broken": ('{"homes": 2,\n "days": }', "not JSON (Expecting value)", 2),
+                 "list": ("[1]", "not a JSON object", None),
+                 "string": ('"rows"', "not a JSON object", None)}
+
+
+@pytest.mark.parametrize("flag, text, message, line", [
+    *[pytest.param(flag, *case, id=f"{flag[2:]}-{name}")
+      for flag in ("--config", "--results") for name, case in NOT_AN_OBJECT.items()],
+    pytest.param("--results", '{"homes": 2}', "not an occupancy or "
+                 "classification results payload", None, id="results-other-object")])
+def test_a_json_file_that_is_not_an_object_is_a_parse_error_naming_it(
+        tmp_path, capsys, flag, text, message, line):
+    """--config and --results are read by one reader: a file that is not
+    JSON, or JSON but not an object, exits 1 with a ParseError naming the
+    file (and the line where the JSON breaks); for --results, so is an
+    object that is no known payload. Nothing is written under --out."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    argv = (["synth", "--config", str(bad), "--out", str(out)]
+            if flag == "--config" else
+            ["report", "--results", str(bad), "--out", str(out)])
+    assert run(argv) == 1
+    record = error_record(capsys)
+    where = f"{bad}:{line}:" if line else f"{bad}:"
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith(where) and message in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["occupancy", "--algo", "chen,chen"], "algorithm 'chen' is given twice"),
     (["classify", "--source", "both,both"],
@@ -342,7 +388,7 @@ def test_config_file_and_flags_record_the_same_config(tmp_path):
 
 
 def test_config_file_values_are_checked_and_converted_like_flags(
-        tmp_path, small_corpus):
+        tmp_path, small_corpus, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     # a float where the flag takes an int is a usage error, not a crash
     cfg.write_text(json.dumps({"homes": 2, "days": 1, "period": 60.0}))
@@ -353,6 +399,19 @@ def test_config_file_values_are_checked_and_converted_like_flags(
     assert run(["occupancy", "--config", str(cfg),
                 "--manifest", manifest_path(small_corpus),
                 "--out", str(tmp_path / "occ.json")]) == 2
+    # null, a boolean, a list or an object has no text of a flag value: a
+    # usage error naming the key, not a corpus written to ./None
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for key, value in (("out", None), ("out", True), ("out", ["a"]),
+                       ("out", {"a": 1}), ("homes", False), ("seed", None)):
+        cfg.write_text(json.dumps({"homes": 2, "days": 1, "out": "corpus",
+                                   key: value}))
+        assert run(["synth", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --{key}: need a number or a string in --config" in err
+    assert list(cwd.iterdir()) == []
     # an int where the flag takes a float records the float, as the flag does
     cfg.write_text(json.dumps({"steady_tol": 40}))
     out = tmp_path / "events"

@@ -648,40 +648,40 @@ def test_hart_top_center_of_exactly_hvac_min_is_hvac():
 
 def test_nilm_identity():
     s = square_wave(200.0, 10, 10, 4)
-    m = nilm_metrics(s, s)
-    assert (m.error_energy_pct, m.rmse_w, m.fscore) == (0.0, 0.0, 1.0)
+    assert nilm_metrics(s, s) == {"error_energy_pct": 0.0, "rmse_w": 0.0,
+                                  "fscore": 1.0}
 
 
 def test_nilm_hand_example():
     truth = series([100.0, 0.0], period=1)
     pred = series([50.0, 50.0], period=1)
     m = nilm_metrics(pred, truth, on_threshold_w=10)
-    assert m.error_energy_pct == pytest.approx(0.0)
-    assert m.rmse_w == pytest.approx(50.0)
-    assert m.fscore == pytest.approx(2 / 3)
+    assert m["error_energy_pct"] == pytest.approx(0.0)
+    assert m["rmse_w"] == pytest.approx(50.0)
+    assert m["fscore"] == pytest.approx(2 / 3)
 
 
 def test_nilm_zero_truth_energy():
     truth = series([0.0, 0.0], period=1)
     pred = series([50.0, 0.0], period=1)
     m = nilm_metrics(pred, truth)
-    assert m.error_energy_pct is None
-    assert m.rmse_w == pytest.approx(50.0 / np.sqrt(2))
-    assert m.fscore == 0.0
+    assert m["error_energy_pct"] is None
+    assert m["rmse_w"] == pytest.approx(50.0 / np.sqrt(2))
+    assert m["fscore"] == 0.0
 
 
 def test_nilm_symmetry_and_scale_covariance():
     rng = np.random.default_rng(11)
     a = series(rng.uniform(0, 500, 100), period=1)
     b = series(rng.uniform(0, 500, 100), period=1)
-    assert nilm_metrics(a, b).rmse_w == pytest.approx(nilm_metrics(b, a).rmse_w)
+    assert nilm_metrics(a, b)["rmse_w"] == pytest.approx(nilm_metrics(b, a)["rmse_w"])
     c = 3.0
     scaled = nilm_metrics(series(a.values * c, period=1),
                           series(b.values * c, period=1),
                           on_threshold_w=50 * c)
     base = nilm_metrics(a, b, on_threshold_w=50)
-    assert scaled.error_energy_pct == pytest.approx(base.error_energy_pct)
-    assert scaled.fscore == pytest.approx(base.fscore)
+    assert scaled["error_energy_pct"] == pytest.approx(base["error_energy_pct"])
+    assert scaled["fscore"] == pytest.approx(base["fscore"])
 
 
 def test_nilm_length_mismatch():

@@ -142,7 +142,7 @@ def test_event_pipeline_background_removed(default_corpus):
     home = gen_home(spec)
     pred = predict_occupancy_events(home.aggregate)
     m = evaluate_occupancy(pred, home.occupancy)
-    assert m.tp + m.fp == 0
+    assert m["tp"] + m["fp"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +333,16 @@ def occ(flags, start=DEFAULT_START):
 def test_evaluate_identity_is_perfect():
     truth = occ([1, 1, 0, 0], start=DEFAULT_START + 6 * HOUR)
     m = evaluate_occupancy(truth, truth)
-    assert (m.fp, m.fn) == (0, 0) and m.accuracy_pct == 100.0
+    assert (m["fp"], m["fn"]) == (0, 0) and m["accuracy_pct"] == 100.0
 
 
 def test_evaluate_hand_count():
     start = DEFAULT_START + 6 * HOUR  # inside evaluation hours
     truth = occ([1, 1, 0, 0], start=start)
     pred = occ([1, 0, 1, 0], start=start)
-    m = evaluate_occupancy(pred, truth)
-    assert (m.tp, m.fn, m.fp, m.tn) == (1, 1, 1, 1)
-    assert m.accuracy_pct == 50.0
-    assert m.energy_proxy == 2 and m.miss_time == 1
-    assert m.n_windows == 4
+    assert evaluate_occupancy(pred, truth) == {
+        "tp": 1, "tn": 1, "fp": 1, "fn": 1, "n_windows": 4,
+        "accuracy_pct": 50.0, "energy_proxy": 2, "miss_time": 1}
 
 
 def test_evaluate_matches_bruteforce_loop():
@@ -367,7 +365,10 @@ def test_evaluate_matches_bruteforce_loop():
             tn += (not p) and (not t)
             fp += p and not t
             fn += (not p) and t
-        assert (m.tp, m.tn, m.fp, m.fn) == (tp, tn, fp, fn)
+        n_eval = tp + tn + fp + fn
+        assert m == {"tp": tp, "tn": tn, "fp": fp, "fn": fn, "n_windows": n_eval,
+                     "accuracy_pct": 100.0 * (tp + tn) / n_eval,
+                     "energy_proxy": tp + fp, "miss_time": fn}
 
 
 @settings(max_examples=50, deadline=None)
@@ -386,7 +387,7 @@ def test_metric_identity(pred_flags, truth_flags, offset_windows):
     starts = np.arange(n) * 900 + start
     hours = local_clock_hours(starts, "UTC")
     n_eval = int(((hours >= 6) & (hours < 22)).sum())
-    assert m.tp + m.tn + m.fp + m.fn == n_eval
+    assert m["tp"] + m["tn"] + m["fp"] + m["fn"] == n_eval
 
 
 def test_evaluate_alignment_errors():
@@ -441,7 +442,7 @@ def test_rf_and_optimised_variant_run(small_corpus):
         row, = [r for r in res["per_home"] if r["home_id"] == entry.home_id
                 and r["algorithm"] == "ours-optimised"]
         assert row == {"home_id": entry.home_id, "algorithm": "ours-optimised",
-                       **evaluate_occupancy(pred, truth).as_dict()}
+                       **evaluate_occupancy(pred, truth)}
 
 
 def test_ours_and_optimised_share_one_event_pipeline_per_home(small_corpus,
@@ -571,7 +572,7 @@ def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
         if row["algorithm"] == "knn":
             m = evaluate_occupancy(predict_occupancy_events(home.aggregate),
                                    home.occupancy)
-            assert row["n_windows"] == m.n_windows
+            assert row["n_windows"] == m["n_windows"]
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # chen skips the first, partial day
@@ -579,7 +580,7 @@ def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
                     if row["algorithm"] == "ours"
                     else predict_occupancy_night_threshold(home.aggregate, "max"))
         assert row == {"home_id": row["home_id"], "algorithm": row["algorithm"],
-                       **evaluate_occupancy(pred, home.occupancy).as_dict()}
+                       **evaluate_occupancy(pred, home.occupancy)}
     assert {r["n_windows"] for r in res["per_home"]} == {896}
     ours, = [s for s in res["summary"] if s["algorithm"] == "ours"]
     assert round(ours["accuracy_pct"], 2) == 92.39
