@@ -17,12 +17,12 @@ det = DetectorConfig()
 events = detect_events(agg, det)
 print(f"step 1  detect events:      {len(events)} steps >= {det.min_event_w} W")
 
-profile = learn_background(agg)
-centers = ", ".join(f"{c:.0f} W" for c in profile.cluster_centers_w)
-print(f"step 2  night background:   clusters at [{centers}]")
+centers = learn_background(agg)
+listed = ", ".join(f"{c:.0f} W" for c in centers)
+print(f"step 2  night background:   clusters at [{listed}]")
 
 pairs = pair_events(events)
-foreground = remove_background(pairs, profile)
+foreground = remove_background(pairs, centers)
 print(f"step 3  pair edges:         {len(pairs)} ON/OFF pairs")
 print(f"step 4  drop background:    {len(foreground)} foreground pairs left")
 

@@ -17,7 +17,7 @@ with tempfile.TemporaryDirectory() as workdir:
     true_max, est_max, true_night, est_night = [], [], [], []
     for home_id in sorted(corpus.homes):
         home = corpus.homes[home_id]
-        est = hart_disaggregate(home.aggregate).appliances["hvac"]
+        est = hart_disaggregate(home.aggregate)["hvac"]
         truth = home.appliances["hvac"]
         true_max.append(truth.values.max())
         est_max.append(est.values.max())

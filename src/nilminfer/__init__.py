@@ -27,12 +27,12 @@ from .series import (PowerSeries, OccupancySeries, DatasetManifest, HomeEntry,
                      HomeData, load_power_csv, write_power_csv,
                      load_occupancy_csv, window_occupancy, clock_window_mean,
                      load_manifest, save_manifest)
-from .events import (Event, EventPair, BackgroundProfile, DetectorConfig,
-                     detect_events, pair_events, learn_background,
-                     remove_background, cluster_magnitudes)
+from .events import (EVENT_DTYPE, PAIR_DTYPE, DetectorConfig, detect_events,
+                     pair_events, learn_background, remove_background,
+                     cluster_magnitudes)
 from .occupancy import (predict_occupancy_events, predict_occupancy_night_threshold,
                         evaluate_occupancy, occupancy_experiment)
-from .disagg import (ApplianceHMM, DisaggResult, train_hmm, train_appliance_models,
+from .disagg import (ApplianceHMM, train_hmm, train_appliance_models,
                      fhmm_disaggregate, hart_disaggregate, nilm_metrics)
 from .features import (extract_consumption_features, extract_appliance_features,
                        chi2_select, pearson, build_feature_table, write_feature_csv)

@@ -34,7 +34,8 @@ from .occupancy import occupancy_experiment
 from .series import HomeData, load_manifest, write_power_csv
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 from .synth import gen_corpus
-from .report import render_classification_report, render_occupancy_report
+from .report import (CLASSIFICATION_KEYS, OCCUPANCY_KEYS,
+                     render_classification_report, render_occupancy_report)
 
 
 def _checked(kind, ok, need: str):
@@ -76,7 +77,10 @@ def _envelope(cfg: dict, payload: dict) -> dict:
 def _json_object(path) -> dict:
     """The JSON object a --config or --results file holds, else a ParseError."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                         f"{exc.reason})", path=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: not JSON ({exc.msg})",
                          line=exc.lineno, path=str(path)) from exc
@@ -131,12 +135,12 @@ def cmd_detect_events(cfg: dict) -> int:
             pairs = pair_events(events)
             with open(staging / f"events_{entry.home_id}.csv", "w") as f:
                 f.write("time,delta_w\n")
-                for e in events:
-                    f.write(f"{e.time},{e.delta_w!r}\n")
+                for t, d in events.tolist():
+                    f.write(f"{t},{d!r}\n")
             with open(staging / f"pairs_{entry.home_id}.csv", "w") as f:
                 f.write("on_time,off_time,magnitude_w\n")
-                for p in pairs:
-                    f.write(f"{p.on_time},{p.off_time},{p.magnitude_w!r}\n")
+                for on, off, m in pairs.tolist():
+                    f.write(f"{on},{off},{m!r}\n")
             counts[entry.home_id] = {"events": len(events), "pairs": len(pairs)}
         _write_json(staging / "run_meta.json",
                     _envelope(cfg, {"subcommand": "detect-events",
@@ -171,14 +175,14 @@ def cmd_disaggregate(cfg: dict) -> int:
             cut = max(1, int(len(aggregate) * cfg["train_split"]))
             test = aggregate.slice(cut, len(aggregate))
             if cfg["algo"] == "hart":
-                result = hart_disaggregate(test, det)
+                traces = hart_disaggregate(test, det)
             else:
                 models = train_appliance_models(home, cut, seed=cfg["seed"])
-                result = fhmm_disaggregate(test, models)
+                traces = fhmm_disaggregate(test, models)
             home_dir = staging / entry.home_id
             home_dir.mkdir()
             all_metrics[entry.home_id] = scores = {}
-            for name, trace in sorted(result.appliances.items()):
+            for name, trace in sorted(traces.items()):
                 if name in entry.appliance_paths:  # scored against its submeter
                     truth = home.appliance(name).slice(cut, len(aggregate))
                     scores[name] = nilm_metrics(trace, truth, cfg["on_threshold"])
@@ -217,14 +221,25 @@ def cmd_classify(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    payload = _json_object(cfg["results"])
+    """Charts of a results payload's rows, each checked for the keys drawn."""
+    path = cfg["results"]
+    payload = _json_object(path)
     if "per_home" in payload:
-        charts = render_occupancy_report(payload)
+        table, keys, render = "summary", OCCUPANCY_KEYS, render_occupancy_report
     elif "rows" in payload:
-        charts = render_classification_report(payload["rows"])
+        table, keys, render = "rows", CLASSIFICATION_KEYS, render_classification_report
     else:
-        raise ParseError(f"{cfg['results']}: not an occupancy or classification "
-                         f"results payload", path=cfg["results"])
+        raise ParseError(f"{path}: not an occupancy or classification "
+                         f"results payload", path=path)
+    rows = payload.get(table, [])
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: {table} is not a list", path=path)
+    for i, row in enumerate(rows):
+        for key in keys:
+            if not isinstance(row, dict) or key not in row:
+                raise ParseError(f"{path}: {table} row {i} has no {key!r}",
+                                 path=path)
+    charts = render(rows)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, svg in sorted(charts.items()):

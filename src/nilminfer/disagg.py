@@ -78,12 +78,6 @@ class ApplianceHMM:
         return int(self.state_means_w.size)
 
 
-@dataclass
-class DisaggResult:
-    appliances: dict            # name -> PowerSeries
-    residual: PowerSeries
-
-
 def _nearest(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of each value's nearest center, ties to the lower index:
     np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1), by the
@@ -311,14 +305,13 @@ def _leader_steps(delta, log_trans, emissions, psi) -> int:
 
 
 def fhmm_disaggregate(aggregate: PowerSeries,
-                      models: list[ApplianceHMM]) -> DisaggResult:
-    """Exact MAP decoding of the additive factorial model.
+                      models: list[ApplianceHMM]) -> dict:
+    """Exact MAP decoding of the additive factorial model: {name: trace}.
 
     Viterbi over the product state space with Gaussian emissions (mean and
     variance both sum over appliances) and factorized transitions. Ties take
     the lowest product-state index. Each appliance's trace reads out its
-    state mean along the MAP path; the residual is the aggregate minus the
-    sum of predictions, clamped at zero.
+    state mean along the MAP path.
     """
     if not models:
         raise ValueError("need at least one appliance model")
@@ -350,49 +343,40 @@ def fhmm_disaggregate(aggregate: PowerSeries,
         return norm - (x[t0:t1, None] - means) ** 2 / (2 * variances)
 
     path, _ = _viterbi(log_init, log_trans, emit, x.size)
-    appliances = {}
-    pred_sum = np.zeros(x.size)
-    for i, m in enumerate(models):
-        trace = m.state_means_w[digits[path, i]]
-        pred_sum += trace
-        appliances[m.name] = PowerSeries(aggregate.start_time,
-                                         aggregate.period_s, trace,
-                                         aggregate.timezone)
-    residual = PowerSeries(aggregate.start_time, aggregate.period_s,
-                           np.maximum(x - pred_sum, 0.0), aggregate.timezone)
-    return DisaggResult(appliances=appliances, residual=residual)
+    return {m.name: PowerSeries(aggregate.start_time, aggregate.period_s,
+                                m.state_means_w[digits[path, i]],
+                                aggregate.timezone)
+            for i, m in enumerate(models)}
 
 
 def hart_disaggregate(aggregate: PowerSeries,
-                      det: DetectorConfig = DetectorConfig()) -> DisaggResult:
+                      det: DetectorConfig = DetectorConfig()) -> dict:
     """Unsupervised disaggregation: hart_reconstruct on the aggregate's pairs."""
     pairs = pair_events(detect_events(aggregate, det))
-    return hart_reconstruct(aggregate, pairs, cluster_magnitudes(
-        np.array([p.magnitude_w for p in pairs])))
+    return hart_reconstruct(aggregate, pairs,
+                            cluster_magnitudes(pairs["magnitude_w"]))
 
 
-def hart_reconstruct(aggregate: PowerSeries, pairs: list, clusters: list) -> DisaggResult:
+def hart_reconstruct(aggregate: PowerSeries, pairs: np.ndarray,
+                     clusters: list) -> dict:
     """Hart's event-pair clustering (Proc. IEEE, 1992) of the aggregate's pairs.
 
     clusters is cluster_magnitudes of the pairs' magnitudes. Its top cluster,
     the last, becomes "highest_power_appliance": rectangular pulses over its
-    pairs' ON intervals. That same series is "hvac" when its center is at
-    least HVAC_MIN_W; otherwise "hvac" is all zeros. The residual is the
-    aggregate less the top trace, clamped at 0.
+    pairs' ON intervals, added in index order. That same series is "hvac"
+    when its center is at least HVAC_MIN_W; otherwise "hvac" is all zeros.
     """
     t0, per, tz = aggregate.start_time, aggregate.period_s, aggregate.timezone
     trace = np.zeros(len(aggregate))
-    for idx in clusters[-1]["indices"] if clusters else ():
-        p = pairs[int(idx)]
-        trace[(p.on_time - t0) // per:(p.off_time - t0) // per] += p.magnitude_w
+    top = pairs[clusters[-1]["indices"]] if clusters else pairs[:0]
+    for on, off, magnitude in top.tolist():
+        trace[(on - t0) // per:(off - t0) // per] += magnitude
     highest = PowerSeries(t0, per, trace, tz)
     if clusters and clusters[-1]["center"] >= HVAC_MIN_W:
         hvac = highest
     else:
         hvac = PowerSeries(t0, per, np.zeros_like(trace), tz)
-    residual = PowerSeries(t0, per, np.maximum(aggregate.values - trace, 0.0), tz)
-    return DisaggResult(appliances={"hvac": hvac, "highest_power_appliance": highest},
-                        residual=residual)
+    return {"hvac": hvac, "highest_power_appliance": highest}
 
 
 def nilm_metrics(pred: PowerSeries, truth: PowerSeries,

@@ -26,44 +26,12 @@ PAIR_TOL_FRAC = 0.2  # a fall pairs a rise within this fraction of its magnitude
 MAX_PAIR_S = 7200  # no ON interval is longer
 
 
-@dataclass(frozen=True)
-class Event:
-    """Signed step change between adjacent steady states."""
-    time: int
-    delta_w: float
-    pre_level_w: float
-
-
-@dataclass(frozen=True)
-class EventPair:
-    """Matched rising/falling edge pair: one appliance ON interval."""
-    on_time: int
-    off_time: int
-    magnitude_w: float
-
-    def __post_init__(self):
-        if self.off_time <= self.on_time:
-            raise ValueError("off_time must be after on_time")
-        if self.magnitude_w <= 0:
-            raise ValueError("magnitude_w must be positive")
-
-    @property
-    def duration_s(self) -> int:
-        return self.off_time - self.on_time
-
-
-@dataclass(frozen=True)
-class BackgroundProfile:
-    """Recurring night-time event magnitudes treated as background loads."""
-    cluster_centers_w: tuple
-
-    def __post_init__(self):
-        centers = tuple(float(c) for c in self.cluster_centers_w)
-        if any(c <= 0 for c in centers):
-            raise ValueError("cluster centers must be positive")
-        if list(centers) != sorted(centers):
-            raise ValueError("cluster centers must be sorted ascending")
-        object.__setattr__(self, "cluster_centers_w", centers)
+# One record per event: its time and the signed step between the means of
+# the steady states either side. One record per pair: an ON interval and the
+# rise's magnitude (> 0, off_time > on_time).
+EVENT_DTYPE = np.dtype([("time", np.int64), ("delta_w", np.float64)])
+PAIR_DTYPE = np.dtype([("on_time", np.int64), ("off_time", np.int64),
+                       ("magnitude_w", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -82,8 +50,8 @@ class DetectorConfig:
                 f"{self.steady_tol_w} and {self.min_event_w}")
 
 
-def detect_events(s: PowerSeries, det: DetectorConfig = DetectorConfig()) -> list[Event]:
-    """Detect signed step events in a power trace.
+def detect_events(s: PowerSeries, det: DetectorConfig = DetectorConfig()) -> np.ndarray:
+    """Detect signed step events in a power trace, as EVENT_DTYPE records.
 
     A steady state is a maximal run of samples each within det.steady_tol_w
     of the running mean of the state so far. Transitions between adjacent
@@ -111,18 +79,17 @@ def detect_events(s: PowerSeries, det: DetectorConfig = DetectorConfig()) -> lis
             cnt = 1
     means.append(cur)
 
-    events = []
-    t0, p = s.start_time, s.period_s
-    for k in range(1, len(means)):
-        delta = means[k] - means[k - 1]
-        if abs(delta) >= det.min_event_w:
-            events.append(Event(time=t0 + starts[k] * p, delta_w=delta,
-                                pre_level_w=means[k - 1]))
+    delta = np.diff(means)
+    keep = np.abs(delta) >= det.min_event_w
+    events = np.empty(int(keep.sum()), EVENT_DTYPE)
+    events["time"] = s.start_time + np.array(starts)[1:][keep] * s.period_s
+    events["delta_w"] = delta[keep]
     return events
 
 
-def pair_events(events: list[Event]) -> list[EventPair]:
-    """Greedily pair falling edges to earlier rising edges.
+def pair_events(events: np.ndarray) -> np.ndarray:
+    """Greedily pair falling edges to earlier rising edges: EVENT_DTYPE
+    records in, PAIR_DTYPE records out.
 
     Scanning in time order, each falling edge matches the earliest unmatched
     rising edge of similar magnitude (|d_on + d_off| <= PAIR_TOL_FRAC * d_on)
@@ -130,27 +97,25 @@ def pair_events(events: list[Event]) -> list[EventPair]:
     by on_time. Open rises older than MAX_PAIR_S can match no later fall and
     are dropped as the scan passes them, so the state stays bounded.
     """
-    times = [e.time for e in events]
-    if times != sorted(times):
+    if np.any(np.diff(events["time"]) < 0):
         raise ValueError("events must be time-ordered")
 
-    open_rises: deque[Event] = deque()
-    pairs: list[EventPair] = []
-    for e in events:
-        while open_rises and e.time - open_rises[0].time > MAX_PAIR_S:
+    open_rises, pairs = deque(), []  # (time, delta) and (on, off, magnitude)
+    for t, d in events.tolist():
+        while open_rises and t - open_rises[0][0] > MAX_PAIR_S:
             open_rises.popleft()
-        if e.delta_w > 0:
-            open_rises.append(e)
+        if d > 0:
+            open_rises.append((t, d))
             continue
-        for i, rise in enumerate(open_rises):
-            if e.time == rise.time:
+        for i, (on, rise) in enumerate(open_rises):
+            if t == on:
                 continue
-            if abs(rise.delta_w + e.delta_w) <= PAIR_TOL_FRAC * rise.delta_w:
-                pairs.append(EventPair(rise.time, e.time, rise.delta_w))
+            if abs(rise + d) <= PAIR_TOL_FRAC * rise:
+                pairs.append((on, t, rise))
                 del open_rises[i]
                 break
-    pairs.sort(key=lambda pr: (pr.on_time, pr.off_time))
-    return pairs
+    pairs.sort(key=lambda pr: pr[:2])
+    return np.array(pairs, dtype=PAIR_DTYPE)
 
 
 def cluster_magnitudes(mags: np.ndarray) -> list[dict]:
@@ -178,13 +143,14 @@ def cluster_magnitudes(mags: np.ndarray) -> list[dict]:
 
 
 def learn_background(s: PowerSeries,
-                     det: DetectorConfig = DetectorConfig()) -> BackgroundProfile:
+                     det: DetectorConfig = DetectorConfig()) -> np.ndarray:
     """Learn background-load magnitudes from the night-time trace.
 
     Events are detected on each contiguous run of NIGHT_HOURS; absolute
     magnitudes are clustered (CLUSTER_GAP_FRAC) and the medians of clusters
-    with at least BACKGROUND_MIN_SUPPORT members become the profile centers,
-    matched within CLUSTER_GAP_FRAC. One-off night usage thus never qualifies.
+    with at least BACKGROUND_MIN_SUPPORT members, in ascending order, are
+    the background centers, matched within CLUSTER_GAP_FRAC. One-off night
+    usage thus never qualifies.
     """
     night = in_clock_hours(s.timestamps(), s.timezone, NIGHT_HOURS)
     if not night.any():
@@ -193,23 +159,17 @@ def learn_background(s: PowerSeries,
             f"{NIGHT_HOURS[1]}) night window")
     # a night run [i, j) starts and ends where the padded mask changes
     edges = np.flatnonzero(np.diff(np.concatenate(([False], night, [False]))))
-    mags = []
-    for i, j in zip(edges[0::2].tolist(), edges[1::2].tolist()):
-        if j - i < 2:
-            continue
-        for e in detect_events(s.slice(i, j), det):
-            mags.append(abs(e.delta_w))
-    return BackgroundProfile(tuple(
-        c["center"] for c in cluster_magnitudes(np.array(mags))
-        if c["values"].size >= BACKGROUND_MIN_SUPPORT))
+    deltas = [detect_events(s.slice(i, j), det)["delta_w"]
+              for i, j in zip(edges[0::2].tolist(), edges[1::2].tolist())
+              if j - i >= 2]
+    clusters = cluster_magnitudes(np.abs(np.concatenate([[], *deltas])))
+    return np.array([c["center"] for c in clusters
+                     if c["values"].size >= BACKGROUND_MIN_SUPPORT])
 
 
-def remove_background(pairs: list[EventPair],
-                      profile: BackgroundProfile) -> list[EventPair]:
-    """Drop pairs whose magnitude matches any background cluster center within
+def remove_background(pairs: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Drop pairs whose magnitude matches any background center within
     CLUSTER_GAP_FRAC of it; everything else passes through in order."""
-    centers = np.array(profile.cluster_centers_w)
-    mags = np.array([p.magnitude_w for p in pairs])
-    struck = (np.abs(mags[:, None] - centers)
+    struck = (np.abs(pairs["magnitude_w"][:, None] - centers)
               <= CLUSTER_GAP_FRAC * centers).any(axis=1)
-    return [p for p, gone in zip(pairs, struck.tolist()) if not gone]
+    return pairs[~struck]

@@ -196,8 +196,7 @@ def build_home_features(home: HomeData, sources,
     @cache
     def edges():
         pairs = pair_events(events := detect_events(aggregate, det))
-        magnitudes = np.array([p.magnitude_w for p in pairs])
-        return events, pairs, cluster_magnitudes(magnitudes)
+        return events, pairs, cluster_magnitudes(pairs["magnitude_w"])
 
     def hvac_bundle(hvac):
         events, _, clusters = edges()
@@ -220,14 +219,14 @@ def build_home_features(home: HomeData, sources,
             out[source] = agg() | submetered()
         elif source == "disagg-hart":
             _, pairs, clusters = edges()
-            hvac = hart_reconstruct(aggregate, pairs, clusters).appliances["hvac"]
+            hvac = hart_reconstruct(aggregate, pairs, clusters)["hvac"]
             out[source] = agg() | hvac_bundle(hvac)
         elif source == "disagg-fhmm":
             cut = max(len(aggregate) // 2, 1)
             models = train_appliance_models(home, cut, seed=seed)
             if not any(m.name == "hvac" for m in models):
                 raise ConfigurationError(f"home {entry.home_id}: no usable hvac model")
-            hvac = fhmm_disaggregate(aggregate, models).appliances["hvac"]
+            hvac = fhmm_disaggregate(aggregate, models)["hvac"]
             out[source] = agg() | hvac_bundle(hvac)
         else:
             raise ValueError(f"unknown feature source {source!r}")

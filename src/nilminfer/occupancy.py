@@ -120,9 +120,10 @@ def _foreground_pairs(s: PowerSeries, det: DetectorConfig):
 
 
 def _occupancy_from_pairs(s: PowerSeries, foreground, mark_start_of_day: bool):
-    intervals = _merge_intervals([(p.on_time, p.off_time) for p in foreground])
+    on, off = foreground["on_time"].tolist(), foreground["off_time"].tolist()
+    intervals = _merge_intervals(zip(on, off))
 
-    times = sorted(t for p in foreground for t in (p.on_time, p.off_time))
+    times = sorted(on + off)
     extra = []
     for ds, de in local_day_bounds(s.start_time, s.end_time, s.timezone):
         # the day's edges are times[first:end], those in [ds, de)

@@ -10,6 +10,12 @@ from html import escape
 PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4",
            "#8c613c", "#dc7ec0", "#797979")
 
+# the keys each renderer reads from every row
+OCCUPANCY_KEYS = ("algorithm", "accuracy_pct", "n_windows", "tp", "tn", "fp",
+                  "fn", "energy_proxy", "miss_time")
+CLASSIFICATION_KEYS = ("characteristic", "source", "accuracy_pct",
+                       "baseline_accuracy_pct")
+
 _W, _H = 880, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 50, 90
 
@@ -116,10 +122,9 @@ def scatter_svg(title: str, points: list, x_label: str, y_label: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_occupancy_report(results: dict) -> dict:
-    """SVG documents for an occupancy results payload: window-rate bars per
-    algorithm and the energy-vs-miss-time trade-off scatter."""
-    summary = results.get("summary", [])
+def render_occupancy_report(summary: list) -> dict:
+    """SVG documents for an occupancy payload's summary rows: window-rate
+    bars per algorithm and the energy-vs-miss-time trade-off scatter."""
     if not summary:
         return {}
     series = [("accuracy %", [row["accuracy_pct"] for row in summary])]

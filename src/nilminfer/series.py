@@ -620,9 +620,6 @@ class OccupancySeries:
     def end_time(self) -> int:
         return self.window_start + len(self) * WINDOW_S
 
-    def window_starts(self) -> np.ndarray:
-        return self.window_start + np.arange(len(self), dtype=np.int64) * WINDOW_S
-
 
 def load_occupancy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the `timestamp` and `occupied` columns. Returns (timestamps, bool

@@ -51,15 +51,15 @@ def test_criterion_1_event_recovery(default_corpus):
             events = detect_events(home.aggregate)
             per = home.aggregate.period_s
             by_time = {}
-            for e in events:
-                by_time.setdefault(e.time, []).append(e)
+            for time, delta in events.tolist():
+                by_time.setdefault(time, []).append(delta)
             for pe in home.provenance:
                 if pe.source != "occupant_load" or abs(pe.delta_w) < 70:
                     continue
                 total += 1
-                hits += any(abs(de.delta_w - pe.delta_w) <= 15
+                hits += any(abs(delta - pe.delta_w) <= 15
                             for tt in (pe.time - per, pe.time, pe.time + per)
-                            for de in by_time.get(tt, []))
+                            for delta in by_time.get(tt, []))
         rng = np.random.default_rng(0)
         spurious = 0
         for level in (0.0, 120.0, 800.0):
@@ -178,7 +178,7 @@ def test_criterion_6_disaggregated_feature_fidelity(default_corpus):
         true_max, hart_max, true_night, hart_night = [], [], [], []
         for home_id in sorted(default_corpus.homes):
             home = default_corpus.homes[home_id]
-            hvac = hart_disaggregate(home.aggregate).appliances["hvac"]
+            hvac = hart_disaggregate(home.aggregate)["hvac"]
             truth = home.appliances["hvac"]
             true_max.append(float(truth.values.max()))
             hart_max.append(float(hvac.values.max()))

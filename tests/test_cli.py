@@ -1,5 +1,6 @@
 """CLI harness: subcommands, artifacts, determinism, exit codes."""
 import copy
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,41 @@ def test_disaggregate_hart_runs(tmp_path, small_corpus):
     assert (out / "home_00" / "highest_power_appliance.csv").exists()
 
 
+# sha256 (first 16 hex digits) of every CSV detect-events and disaggregate
+# --algo hart write on the small seed-3 corpus: the event layer's output bytes
+EVENT_LAYER_CSV_DIGESTS = {
+    "events/events_home_00.csv": "e7e912c6e2ed18d6",
+    "events/events_home_01.csv": "ea32cd26201bc1e5",
+    "events/events_home_02.csv": "9d2627d99cf9fd8f",
+    "events/events_home_03.csv": "9d2ffc4601cdb7ce",
+    "events/events_home_04.csv": "f65224f6f557f2e4",
+    "events/pairs_home_00.csv": "7e853f2ac5ac9644",
+    "events/pairs_home_01.csv": "3ef9d34826176821",
+    "events/pairs_home_02.csv": "a12ecd4101ef0717",
+    "events/pairs_home_03.csv": "8f394912fa0be3b3",
+    "events/pairs_home_04.csv": "395864f07d654fbf",
+    **{f"hart/home_0{i}/{name}.csv": digest
+       for i, digest in enumerate(("6917b28f63eeeeb6", "0e3eee2b0abc0089",
+                                   "319fb82f55a2398b", "53252b4dc1a0eadb",
+                                   "6389e5c7923da349"))
+       for name in ("highest_power_appliance", "hvac")},
+}
+
+
+def test_event_layer_csvs_keep_their_pinned_bytes(tmp_path, small_corpus):
+    """No benchmark workload runs detect-events or Hart disaggregation, so
+    their CSVs are pinned here: every home's events, pairs and both Hart
+    traces (each home's top cluster is HVAC, so its two traces agree)."""
+    for out, argv in (("events", ["detect-events"]),
+                      ("hart", ["disaggregate", "--algo", "hart"])):
+        assert run([*argv, "--manifest", manifest_path(small_corpus),
+                    "--out", str(tmp_path / out)]) == 0
+    digests = {p.relative_to(tmp_path).as_posix():
+               hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in tmp_path.rglob("*.csv")}
+    assert digests == EVENT_LAYER_CSV_DIGESTS
+
+
 def test_disaggregate_rerun_leaves_only_homes_and_metrics(tmp_path, small_corpus):
     """No staging directory is left behind, and a rerun into the first
     run's output writes the same bytes."""
@@ -292,7 +328,9 @@ def test_report_of_a_classification_with_no_rows_renders_no_chart(tmp_path):
 NOT_AN_OBJECT = {"empty": ("", "not JSON (Expecting value)", 1),
                  "broken": ('{"homes": 2,\n "days": }', "not JSON (Expecting value)", 2),
                  "list": ("[1]", "not a JSON object", None),
-                 "string": ('"rows"', "not a JSON object", None)}
+                 "string": ('"rows"', "not a JSON object", None),
+                 "not-utf8": (b"\xff\xfe{}", "not UTF-8 text (byte 0: invalid "
+                              "start byte)", None)}
 
 
 @pytest.mark.parametrize("flag, text, message, line", [
@@ -303,11 +341,12 @@ NOT_AN_OBJECT = {"empty": ("", "not JSON (Expecting value)", 1),
 def test_a_json_file_that_is_not_an_object_is_a_parse_error_naming_it(
         tmp_path, capsys, flag, text, message, line):
     """--config and --results are read by one reader: a file that is not
-    JSON, or JSON but not an object, exits 1 with a ParseError naming the
-    file (and the line where the JSON breaks); for --results, so is an
-    object that is no known payload. Nothing is written under --out."""
+    UTF-8 text, not JSON, or JSON but not an object, exits 1 with a
+    ParseError naming the file (and the line where the JSON breaks); for
+    --results, so is an object that is no known payload. Nothing is written
+    under --out."""
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     argv = (["synth", "--config", str(bad), "--out", str(out)]
             if flag == "--config" else
@@ -317,6 +356,36 @@ def test_a_json_file_that_is_not_an_object_is_a_parse_error_naming_it(
     where = f"{bad}:{line}:" if line else f"{bad}:"
     assert record["error"] == "ParseError"
     assert record["message"].startswith(where) and message in record["message"]
+    assert not out.exists()
+
+
+SUMMARY_ROW = {"algorithm": "ours", "accuracy_pct": 90.0, "n_windows": 10,
+               "tp": 4, "tn": 5, "fp": 1, "fn": 0, "energy_proxy": 5,
+               "miss_time": 0}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"rows": [{"source": "both"}]}, "rows row 0 has no 'characteristic'"),
+    ({"rows": [{"characteristic": "c", "source": "both", "accuracy_pct": 50.0}]},
+     "rows row 0 has no 'baseline_accuracy_pct'"),
+    ({"rows": [1]}, "rows row 0 has no 'characteristic'"),
+    ({"rows": {"characteristic": "c"}}, "rows is not a list"),
+    ({"per_home": [], "summary": [
+        SUMMARY_ROW, {k: v for k, v in SUMMARY_ROW.items() if k != "accuracy_pct"}]},
+     "summary row 1 has no 'accuracy_pct'"),
+    ({"per_home": [], "summary": "ours"}, "summary is not a list"),
+], ids=["no-characteristic", "no-baseline", "row-not-object", "rows-not-list",
+        "no-accuracy", "summary-not-list"])
+def test_report_on_rows_without_the_keys_drawn_is_a_parse_error(
+        tmp_path, capsys, payload, message):
+    """report checks every row it draws for the keys its chart reads, and
+    names the file, the row and the first missing key; nothing is written."""
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(payload))
+    out = tmp_path / "charts"
+    assert run(["report", "--results", str(results), "--out", str(out)]) == 1
+    assert error_record(capsys) == {"error": "ParseError", "subcommand": "report",
+                                    "message": f"{results}: {message}"}
     assert not out.exists()
 
 

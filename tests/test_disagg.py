@@ -10,7 +10,7 @@ from nilminfer import disagg
 from nilminfer.disagg import (ApplianceHMM, fhmm_disaggregate,
                               hart_disaggregate, nilm_metrics, train_hmm)
 from nilminfer.errors import AlignmentError, CapacityError, DegenerateModelError
-from nilminfer.events import (EventPair, cluster_magnitudes, detect_events,
+from nilminfer.events import (PAIR_DTYPE, cluster_magnitudes, detect_events,
                               pair_events)
 from nilminfer.series import PowerSeries
 from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
@@ -62,17 +62,16 @@ def brute_force_map(x, models):
     return seqs[int(np.argmax(scores))]
 
 
-def decoded_product_path(result, models):
+def decoded_product_path(traces, models):
     ks = [m.n_states for m in models]
     strides = []
     acc = 1
     for k in reversed(ks):
         strides.insert(0, acc)
         acc *= k
-    T = len(result.residual)
-    path = np.zeros(T, dtype=int)
+    path = np.zeros(len(traces[models[0].name]), dtype=int)
     for i, m in enumerate(models):
-        trace = result.appliances[m.name].values
+        trace = traces[m.name].values
         states = np.argmin(np.abs(trace[:, None] - m.state_means_w[None, :]),
                            axis=1)
         path += states * strides[i]
@@ -196,8 +195,7 @@ def test_single_appliance_identity():
     model = train_hmm(s, 2, name="dev")
     result = fhmm_disaggregate(s, [model])
     # decoding the training signal reproduces the level-quantized trace
-    np.testing.assert_array_equal(result.appliances["dev"].values, s.values)
-    assert result.residual.values.max() == 0.0
+    np.testing.assert_array_equal(result["dev"].values, s.values)
 
 
 def test_viterbi_matches_exhaustive_enumeration():
@@ -456,8 +454,8 @@ def test_absent_appliance_decodes_to_zero():
     m1 = train_hmm(app1, 2, name="present")
     m2 = train_hmm(app2, 2, name="absent")
     result = fhmm_disaggregate(app1, [m1, m2])
-    assert result.appliances["absent"].values.max() == 0.0
-    np.testing.assert_array_equal(result.appliances["present"].values,
+    assert result["absent"].values.max() == 0.0
+    np.testing.assert_array_equal(result["present"].values,
                                   app1.values)
 
 
@@ -471,7 +469,7 @@ def test_predictions_bounded_by_aggregate_plus_noise(default_corpus):
     models = [train_hmm(t.slice(0, len(t) // 2), 2, name=n)
               for n, t in (("fridge", fridge), ("hvac", hvac))]
     result = fhmm_disaggregate(mix, models)
-    total = sum(a.values for a in result.appliances.values())
+    total = sum(a.values for a in result.values())
     sigma = np.sqrt(sum(m.state_vars.max() for m in models) + 25.0)
     # soft bound: noise tails may poke past 3 sigma on a handful of samples
     assert (total <= mix.values + 3 * sigma).mean() > 0.998
@@ -492,7 +490,7 @@ def test_capacity_cap_is_1024_product_states():
         fhmm_disaggregate(series(np.zeros(5), period=1), models)
     # 4^5 = 1024 states is at the cap, and decodes
     result = fhmm_disaggregate(series(np.zeros(3), period=1), models[:5])
-    assert sorted(result.appliances) == [f"m{i}" for i in range(5)]
+    assert sorted(result) == [f"m{i}" for i in range(5)]
 
 
 def test_period_mismatch_rejected():
@@ -511,8 +509,8 @@ def test_hart_single_square_wave_exact():
     one = np.concatenate([np.zeros(30), np.full(60, 3000.0), np.zeros(30)])
     s = series(np.tile(one, 6))
     result = hart_disaggregate(s)
-    np.testing.assert_array_equal(result.appliances["hvac"].values, s.values)
-    assert result.appliances["hvac"] is result.appliances["highest_power_appliance"]
+    np.testing.assert_array_equal(result["hvac"].values, s.values)
+    assert result["hvac"] is result["highest_power_appliance"]
 
 
 def test_hart_fridge_hvac_mixture():
@@ -522,10 +520,10 @@ def test_hart_fridge_hvac_mixture():
     spec.occupant_load.rate_per_occupied_hour = 0.0
     home = gen_home(spec)
     result = hart_disaggregate(home.aggregate)
-    hvac = result.appliances["hvac"].values
+    hvac = result["hvac"].values
     assert hvac[hvac > 0] == pytest.approx(3000.0, rel=0.1)
     truth = home.appliances["hvac"]
-    got_on = result.appliances["hvac"].values > 1500
+    got_on = result["hvac"].values > 1500
     true_on = truth.values > 1500
     assert (got_on == true_on).mean() > 0.95
 
@@ -533,7 +531,7 @@ def test_hart_fridge_hvac_mixture():
 def test_hart_zero_events_flagged():
     s = series(np.full(200, 80.0))
     result = hart_disaggregate(s)
-    for trace in result.appliances.values():
+    for trace in result.values():
         assert not trace.values.any()
 
 
@@ -541,14 +539,14 @@ def test_hart_no_cluster_above_hvac_threshold():
     # one 300 W load: highest cluster exists but no hvac-sized one
     s = square_wave(300.0, 40, 40, 5)
     result = hart_disaggregate(s)
-    assert not result.appliances["hvac"].values.any()
-    assert result.appliances["highest_power_appliance"].values.max() > 0
+    assert not result["hvac"].values.any()
+    assert result["highest_power_appliance"].values.max() > 0
 
 
 def test_hart_traces_nonnegative(default_corpus):
     home = default_corpus.homes["home_06"]
     result = hart_disaggregate(home.aggregate)
-    for trace in result.appliances.values():
+    for trace in result.values():
         assert (trace.values >= 0).all()
 
 
@@ -556,22 +554,20 @@ def test_hart_disaggregate_is_hart_reconstruct_of_its_clustered_pairs(
         default_corpus):
     aggregate = default_corpus.homes["home_06"].aggregate
     pairs = pair_events(detect_events(aggregate))
-    want = disagg.hart_reconstruct(aggregate, pairs, cluster_magnitudes(
-        np.array([p.magnitude_w for p in pairs])))
+    want = disagg.hart_reconstruct(aggregate, pairs,
+                                   cluster_magnitudes(pairs["magnitude_w"]))
     got = hart_disaggregate(aggregate)
-    assert want.appliances["hvac"].values.any()
-    assert got.residual.values.tobytes() == want.residual.values.tobytes()
-    assert got.appliances.keys() == want.appliances.keys()
-    for name, trace in want.appliances.items():
-        assert got.appliances[name].values.tobytes() == trace.values.tobytes()
+    assert want["hvac"].values.any()
+    assert got.keys() == want.keys()
+    for name, trace in want.items():
+        assert got[name].values.tobytes() == trace.values.tobytes()
 
 
 def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
     """Reference: the largest-center cluster at or above hvac_min_w is hvac
     and the largest-center cluster overall is the highest power appliance,
-    each found by max; the residual counts each distinct cluster once."""
-    mags = np.array([p.magnitude_w for p in pairs])
-    clusters = sorted(cluster_magnitudes(mags),
+    each found by max."""
+    clusters = sorted(cluster_magnitudes(pairs["magnitude_w"]),
                       key=lambda c: c["center"])
     n = len(aggregate)
     t0, per = aggregate.start_time, aggregate.period_s
@@ -579,8 +575,8 @@ def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
     def cluster_trace(cluster):
         trace = np.zeros(n)
         for idx in cluster["indices"]:
-            p = pairs[int(idx)]
-            trace[(p.on_time - t0) // per:(p.off_time - t0) // per] += p.magnitude_w
+            on, off, magnitude = pairs[int(idx)].tolist()
+            trace[(on - t0) // per:(off - t0) // per] += magnitude
         return trace
 
     appliances, used, zeros = {}, [], np.zeros(n)
@@ -600,10 +596,7 @@ def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
                 t0, per, cluster_trace(top))
     else:
         appliances["highest_power_appliance"] = PowerSeries(t0, per, zeros)
-    distinct = {id(v): v for v in appliances.values()}
-    pred_sum = np.sum([v.values for v in distinct.values()], axis=0)
-    residual = PowerSeries(t0, per, np.maximum(aggregate.values - pred_sum, 0.0))
-    return disagg.DisaggResult(appliances, residual)
+    return appliances
 
 
 @settings(max_examples=300, deadline=None)
@@ -615,31 +608,31 @@ def hart_reconstruct_by_identity(aggregate, pairs, hvac_min_w=1000.0):
        st.lists(st.floats(0, 5000), min_size=60, max_size=60))
 def test_hart_reconstruct_matches_search_by_identity(specs, values):
     """No pairs, only sub-hvac centers, a top center of exactly 1000 W, many
-    clusters and repeated magnitudes: the same traces and residual,
-    and hvac is the highest power appliance exactly when the reference
-    found them to be one cluster."""
+    clusters and repeated magnitudes: the same traces, and hvac is the
+    highest power appliance exactly when the reference found them to be one
+    cluster."""
     aggregate = series(values)
-    pairs = [EventPair(DEFAULT_START + 30 * on, DEFAULT_START + 30 * (on + d), mag)
-             for on, d, mag in specs]
-    got = disagg.hart_reconstruct(aggregate, pairs, cluster_magnitudes(
-        np.array([p.magnitude_w for p in pairs])))
+    pairs = np.array([(DEFAULT_START + 30 * on, DEFAULT_START + 30 * (on + d), mag)
+                      for on, d, mag in specs], dtype=PAIR_DTYPE)
+    got = disagg.hart_reconstruct(aggregate, pairs,
+                                  cluster_magnitudes(pairs["magnitude_w"]))
     want = hart_reconstruct_by_identity(aggregate, pairs)
-    assert got.residual.values.tobytes() == want.residual.values.tobytes()
-    assert got.appliances.keys() == want.appliances.keys()
-    for name, trace in want.appliances.items():
-        assert got.appliances[name].values.tobytes() == trace.values.tobytes()
-    assert (got.appliances["hvac"] is got.appliances["highest_power_appliance"]) == \
-        (want.appliances["hvac"] is want.appliances["highest_power_appliance"])
+    assert got.keys() == want.keys()
+    for name, trace in want.items():
+        assert got[name].values.tobytes() == trace.values.tobytes()
+    assert (got["hvac"] is got["highest_power_appliance"]) == \
+        (want["hvac"] is want["highest_power_appliance"])
 
 
 def test_hart_top_center_of_exactly_hvac_min_is_hvac():
     aggregate = series(np.full(40, 1200.0))
-    pairs = [EventPair(DEFAULT_START + 30 * k, DEFAULT_START + 30 * (k + 2), mag)
-             for k, mag in ((0, 990.0), (5, 1000.0), (10, 1010.0))]
-    mags = np.array([p.magnitude_w for p in pairs])
-    assert cluster_magnitudes(mags)[-1]["center"] == disagg.HVAC_MIN_W == 1000.0
-    result = disagg.hart_reconstruct(aggregate, pairs, cluster_magnitudes(mags))
-    assert result.appliances["hvac"] is result.appliances["highest_power_appliance"]
+    pairs = np.array([(DEFAULT_START + 30 * k, DEFAULT_START + 30 * (k + 2), mag)
+                      for k, mag in ((0, 990.0), (5, 1000.0), (10, 1010.0))],
+                     dtype=PAIR_DTYPE)
+    clusters = cluster_magnitudes(pairs["magnitude_w"])
+    assert clusters[-1]["center"] == disagg.HVAC_MIN_W == 1000.0
+    result = disagg.hart_reconstruct(aggregate, pairs, clusters)
+    assert result["hvac"] is result["highest_power_appliance"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import EmptyWindowError
 from nilminfer.events import (BACKGROUND_MIN_SUPPORT, CLUSTER_GAP_FRAC,
-                              MAX_PAIR_S, PAIR_TOL_FRAC, BackgroundProfile,
-                              DetectorConfig, Event, EventPair,
+                              EVENT_DTYPE, MAX_PAIR_S, PAIR_DTYPE,
+                              PAIR_TOL_FRAC, DetectorConfig,
                               cluster_magnitudes, detect_events,
                               learn_background, pair_events, remove_background)
 from nilminfer.series import PowerSeries
@@ -15,6 +15,16 @@ from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
 
 def make_series(values, period=1, start=DEFAULT_START):
     return PowerSeries(start, period, np.asarray(values, dtype=float))
+
+
+def events_of(*rows):
+    """EVENT_DTYPE records of (time, delta_w) rows."""
+    return np.array(list(rows), dtype=EVENT_DTYPE)
+
+
+def pairs_of(*rows):
+    """PAIR_DTYPE records of (on_time, off_time, magnitude_w) rows."""
+    return np.array(list(rows), dtype=PAIR_DTYPE)
 
 
 def planted_edge_fixture():
@@ -30,13 +40,13 @@ def planted_edge_fixture():
 def match_events(detected, planted, period, tol_w=15.0):
     """planted edges recovered within +-1 sample and +-tol_w."""
     by_time = {}
-    for e in detected:
-        by_time.setdefault(e.time, []).append(e)
+    for time, delta in detected.tolist():
+        by_time.setdefault(time, []).append(delta)
     hits = []
     for pe in planted:
-        ok = any(abs(de.delta_w - pe.delta_w) <= tol_w
+        ok = any(abs(delta - pe.delta_w) <= tol_w
                  for t in (pe.time - period, pe.time, pe.time + period)
-                 for de in by_time.get(t, []))
+                 for delta in by_time.get(t, []))
         hits.append(ok)
     return hits
 
@@ -46,22 +56,21 @@ def match_events(detected, planted, period, tol_w=15.0):
 # ---------------------------------------------------------------------------
 
 def test_constant_series_has_no_events():
-    assert detect_events(make_series(np.full(120, 100.0))) == []
+    events = detect_events(make_series(np.full(120, 100.0)))
+    assert events.dtype == EVENT_DTYPE and len(events) == 0
 
 
 def test_two_clean_edges():
     vals = np.concatenate([np.zeros(60), np.full(60, 500.0), np.zeros(60)])
     events = detect_events(make_series(vals), DetectorConfig(15, 70))
-    assert len(events) == 2
-    assert events[0].time == DEFAULT_START + 60 and events[0].delta_w == 500.0
-    assert events[1].time == DEFAULT_START + 120 and events[1].delta_w == -500.0
-    assert events[0].pre_level_w == 0.0
-    assert events[1].pre_level_w == 500.0
+    assert events.dtype == EVENT_DTYPE
+    assert events.tolist() == [(DEFAULT_START + 60, 500.0),
+                               (DEFAULT_START + 120, -500.0)]
 
 
 def test_small_steps_below_threshold_ignored():
     vals = np.concatenate([np.zeros(60), np.full(60, 50.0), np.zeros(60)])
-    assert detect_events(make_series(vals), DetectorConfig(15, 70)) == []
+    assert len(detect_events(make_series(vals), DetectorConfig(15, 70))) == 0
 
 
 def test_planted_edges_all_recovered():
@@ -75,18 +84,18 @@ def test_planted_edges_all_recovered():
     by = {}
     for pe in planted:
         by.setdefault(pe.time, []).append(pe)
-    for de in detected:
-        ok = any(abs(de.delta_w - pe.delta_w) <= 15
-                 for t in (de.time - 30, de.time, de.time + 30)
+    for time, delta in detected.tolist():
+        ok = any(abs(delta - pe.delta_w) <= 15
+                 for t in (time - 30, time, time + 30)
                  for pe in by.get(t, []))
-        assert ok, f"spurious event {de}"
+        assert ok, f"spurious event at {time}: {delta} W"
 
 
 def test_no_events_on_constant_plus_noise():
     rng = np.random.default_rng(3)
     for level in (0.0, 80.0, 300.0):
         vals = np.maximum(level + rng.normal(0, 5, 2880), 0.0)
-        assert detect_events(make_series(vals, period=30)) == []
+        assert len(detect_events(make_series(vals, period=30))) == 0
 
 
 def test_translation_invariance():
@@ -96,22 +105,20 @@ def test_translation_invariance():
     vals = np.maximum(vals, 0)
     base = detect_events(make_series(vals))
     shifted = detect_events(make_series(vals + 137.0))
-    assert [e.time for e in base] == [e.time for e in shifted]
-    np.testing.assert_allclose([e.delta_w for e in base],
-                               [e.delta_w for e in shifted], atol=1e-9)
+    assert base["time"].tolist() == shifted["time"].tolist()
+    np.testing.assert_allclose(base["delta_w"], shifted["delta_w"], atol=1e-9)
 
 
 def test_reconstruction_matches_state_means():
-    # clean staircase: every transition emits; cumulative deltas rebuild levels
+    # clean staircase: every transition emits at the first sample of its new
+    # level, and the cumulative deltas rebuild the levels from the first
     levels = [0.0, 300.0, 800.0, 200.0, 1000.0, 0.0]
     vals = np.concatenate([np.full(30, lv) for lv in levels])
     events = detect_events(make_series(vals), DetectorConfig(15, 70))
-    assert len(events) == len(levels) - 1
-    rebuilt = [events[0].pre_level_w]
-    for e in events:
-        assert e.pre_level_w == pytest.approx(rebuilt[-1])
-        rebuilt.append(e.pre_level_w + e.delta_w)
-    assert rebuilt == pytest.approx(levels)
+    assert events["time"].tolist() == [DEFAULT_START + 30 * k
+                                       for k in range(1, len(levels))]
+    rebuilt = levels[0] + np.cumsum(events["delta_w"])
+    assert rebuilt.tolist() == pytest.approx(levels[1:])
 
 
 def test_detect_events_argument_errors():
@@ -129,27 +136,25 @@ def test_detect_events_argument_errors():
 # ---------------------------------------------------------------------------
 
 def test_pair_single_match():
-    events = [Event(60, 500.0, 0.0), Event(120, -500.0, 500.0)]
-    pairs = pair_events(events)
-    assert pairs == [EventPair(60, 120, 500.0)]
-    assert pairs[0].duration_s == 60
+    pairs = pair_events(events_of((60, 500.0), (120, -500.0)))
+    assert pairs.dtype == PAIR_DTYPE
+    assert pairs.tolist() == [(60, 120, 500.0)]
 
 
 def test_unmatched_rising_edge_dropped():
-    assert pair_events([Event(60, 500.0, 0.0)]) == []
+    pairs = pair_events(events_of((60, 500.0)))
+    assert pairs.dtype == PAIR_DTYPE and len(pairs) == 0
 
 
 def test_interleaved_two_appliances():
-    events = [Event(10, 500.0, 0.0), Event(20, 200.0, 500.0),
-              Event(50, -200.0, 700.0), Event(80, -500.0, 500.0)]
-    pairs = pair_events(events)
-    assert pairs == [EventPair(10, 80, 500.0), EventPair(20, 50, 200.0)]
+    events = events_of((10, 500.0), (20, 200.0), (50, -200.0), (80, -500.0))
+    assert pair_events(events).tolist() == [(10, 80, 500.0), (20, 50, 200.0)]
 
 
 def test_pair_respects_duration_cap():
     assert MAX_PAIR_S == 7200
     for off, n_pairs in ((7200, 1), (7201, 0), (9000, 0)):
-        events = [Event(0, 500.0, 0.0), Event(off, -500.0, 500.0)]
+        events = events_of((0, 500.0), (off, -500.0))
         assert len(pair_events(events)) == n_pairs
 
 
@@ -157,60 +162,55 @@ def test_pair_respects_magnitude_tolerance():
     assert PAIR_TOL_FRAC == 0.2
     for fall, n_pairs in ((-380.0, 0), (-400.0, 1), (-420.0, 1), (-600.0, 1),
                           (-620.0, 0)):
-        events = [Event(0, 500.0, 0.0), Event(60, fall, 500.0)]
+        events = events_of((0, 500.0), (60, fall))
         assert len(pair_events(events)) == n_pairs
 
 
 def test_pair_requires_time_order():
-    events = [Event(60, 500.0, 0.0), Event(10, -500.0, 500.0)]
-    with pytest.raises(ValueError):
-        pair_events(events)
+    with pytest.raises(ValueError, match="events must be time-ordered"):
+        pair_events(events_of((60, 500.0), (10, -500.0)))
 
 
 def test_same_magnitude_pairing_is_fifo():
     rng = np.random.default_rng(5)
     times = np.sort(rng.choice(np.arange(1, 2000), size=12, replace=False))
-    events = []
-    for i, t in enumerate(times):
-        events.append(Event(int(t), 400.0 if i < 6 else -400.0, 0.0))
+    events = events_of(*((int(t), 400.0 if i < 6 else -400.0)
+                         for i, t in enumerate(times)))
     pairs = pair_events(events)
-    offs = [p.off_time for p in pairs]  # sorted by on_time already
+    offs = pairs["off_time"].tolist()  # sorted by on_time already
     assert offs == sorted(offs)
-    for p in pairs:
-        assert p.on_time < p.off_time
+    assert (pairs["on_time"] < pairs["off_time"]).all()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 20000), st.sampled_from([1, -1]),
                           st.integers(100, 1000)), min_size=0, max_size=16))
 def test_pair_output_predicates(event_specs):
-    events = [Event(t, sign * mag, 0.0)
-              for t, sign, mag in sorted(event_specs)]
+    events = events_of(*((t, sign * mag) for t, sign, mag in sorted(event_specs)))
     pairs = pair_events(events)
-    for p in pairs:
-        assert p.on_time < p.off_time
-        assert p.duration_s <= MAX_PAIR_S
-        assert p.magnitude_w > 0
+    duration = pairs["off_time"] - pairs["on_time"]
+    assert ((0 < duration) & (duration <= MAX_PAIR_S)).all()
+    assert (pairs["magnitude_w"] > 0).all()
 
 
 def pair_events_unbounded(events, match_tol_frac, max_duration_s):
     """Reference: the scan that keeps every unmatched rise open for the
     whole trace and skips the stale ones at each fall."""
     open_rises, pairs = [], []
-    for e in events:
-        if e.delta_w > 0:
-            open_rises.append(e)
+    for time, delta in events.tolist():
+        if delta > 0:
+            open_rises.append((time, delta))
             continue
-        for i, rise in enumerate(open_rises):
-            gap = e.time - rise.time
+        for i, (on, rise) in enumerate(open_rises):
+            gap = time - on
             if gap <= 0 or gap > max_duration_s:
                 continue
-            if abs(rise.delta_w + e.delta_w) <= match_tol_frac * rise.delta_w:
-                pairs.append(EventPair(rise.time, e.time, rise.delta_w))
+            if abs(rise + delta) <= match_tol_frac * rise:
+                pairs.append((on, time, rise))
                 del open_rises[i]
                 break
-    pairs.sort(key=lambda pr: (pr.on_time, pr.off_time))
-    return pairs
+    pairs.sort(key=lambda pr: (pr[0], pr[1]))
+    return np.array(pairs, dtype=PAIR_DTYPE)
 
 
 @settings(max_examples=300, deadline=None)
@@ -222,12 +222,14 @@ def pair_events_unbounded(events, match_tol_frac, max_duration_s):
 def test_pair_events_matches_unbounded_scan(specs):
     # gaps of 0 give equal timestamps; MAX_PAIR_S - 1, MAX_PAIR_S and
     # MAX_PAIR_S + 1 (and 1 + (MAX_PAIR_S - 1)) sit on both sides of the cap
-    events, t = [], 0
+    rows, t = [], 0
     for gap, sign, mag in specs:
         t += gap
-        events.append(Event(t, sign * mag, 0.0))
-    assert pair_events(events) == \
-        pair_events_unbounded(events, PAIR_TOL_FRAC, MAX_PAIR_S)
+        rows.append((t, sign * mag))
+    events = events_of(*rows)
+    got = pair_events(events)
+    want = pair_events_unbounded(events, PAIR_TOL_FRAC, MAX_PAIR_S)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +240,15 @@ def test_learn_background_ideal_fridge():
     spec = HomeSpec(seed=21, days=2, hvac=HvacSpec(power_w=0.0))
     spec.occupant_load.rate_per_occupied_hour = 0.0
     home = gen_home(spec)
-    profile = learn_background(home.aggregate)
-    assert len(profile.cluster_centers_w) == 1
-    assert profile.cluster_centers_w[0] == pytest.approx(
-        spec.fridge.power_w, abs=15)
+    centers = learn_background(home.aggregate)
+    assert len(centers) == 1
+    assert centers[0] == pytest.approx(spec.fridge.power_w, abs=15)
 
 
 def test_learn_background_flat_night_is_empty():
     s = make_series(np.full(2 * 86400 // 30, 80.0), period=30)
-    profile = learn_background(s)
-    assert profile.cluster_centers_w == ()
+    centers = learn_background(s)
+    assert centers.dtype == float and centers.size == 0
 
 
 def test_learn_background_two_loads():
@@ -256,10 +257,10 @@ def test_learn_background_two_loads():
                                   cycle_s=2400.0))
     spec.occupant_load.rate_per_occupied_hour = 0.0
     home = gen_home(spec)
-    profile = learn_background(home.aggregate)
-    assert len(profile.cluster_centers_w) == 2
-    assert profile.cluster_centers_w[0] == pytest.approx(150.0, rel=0.1)
-    assert profile.cluster_centers_w[1] == pytest.approx(1200.0, rel=0.1)
+    centers = learn_background(home.aggregate)
+    assert len(centers) == 2
+    assert centers[0] == pytest.approx(150.0, rel=0.1)
+    assert centers[1] == pytest.approx(1200.0, rel=0.1)
 
 
 def test_learn_background_requires_night_samples():
@@ -270,22 +271,21 @@ def test_learn_background_requires_night_samples():
 
 
 def test_remove_background_matches_center():
-    pairs = [EventPair(0, 60, 150.0), EventPair(100, 160, 700.0)]
-    profile = BackgroundProfile((150.0,))
-    assert remove_background(pairs, profile) == [EventPair(100, 160, 700.0)]
+    pairs = pairs_of((0, 60, 150.0), (100, 160, 700.0))
+    kept = remove_background(pairs, np.array([150.0]))
+    assert kept.dtype == PAIR_DTYPE and kept.tolist() == [(100, 160, 700.0)]
 
 
 def test_remove_background_empty_profile_is_identity():
-    pairs = [EventPair(0, 60, 150.0)]
-    assert remove_background(pairs, BackgroundProfile(())) == pairs
+    pairs = pairs_of((0, 60, 150.0))
+    assert remove_background(pairs, np.array([])).tolist() == pairs.tolist()
 
 
 def test_remove_background_idempotent():
-    pairs = [EventPair(0, 60, 140.0), EventPair(10, 80, 900.0),
-             EventPair(20, 120, 152.0)]
-    profile = BackgroundProfile((150.0, 1000.0))
-    once = remove_background(pairs, profile)
-    assert remove_background(once, profile) == once
+    pairs = pairs_of((0, 60, 140.0), (10, 80, 900.0), (20, 120, 152.0))
+    centers = np.array([150.0, 1000.0])
+    once = remove_background(pairs, centers)
+    assert remove_background(once, centers).tolist() == once.tolist()
 
 
 def test_foreground_pairs_are_occupant_driven():
@@ -294,15 +294,14 @@ def test_foreground_pairs_are_occupant_driven():
     det = DetectorConfig()
     events = detect_events(home.aggregate, det)
     pairs = pair_events(events)
-    profile = learn_background(home.aggregate)
-    kept = remove_background(pairs, profile)
-    assert kept, "expected foreground pairs"
+    kept = remove_background(pairs, learn_background(home.aggregate))
+    assert len(kept), "expected foreground pairs"
     per = home.aggregate.period_s
     on_edges = {e.time for e in home.provenance
                 if e.source == "occupant_load" and e.delta_w > 0}
-    for p in kept:
-        near = {p.on_time - per, p.on_time, p.on_time + per}
-        assert near & on_edges, f"pair {p} does not match an occupant ON edge"
+    for on, off, _ in kept.tolist():
+        near = {on - per, on, on + per}
+        assert near & on_edges, f"pair ({on}, {off}) does not match an occupant ON edge"
 
 
 def test_cluster_magnitudes_relative_gap():
@@ -336,10 +335,9 @@ def test_cluster_min_support_filters():
     for nights, centers in [
             # 200 W: 3 night events, 600 W: 2, 1000 W: 1, 2000 W: 4
             ([([2000.0, 600.0], [200.0]), ([2000.0, 200.0], [1000.0])],
-             (200.0, 2000.0)),
-            ([([600.0], [1000.0]), ([], [])], ())]:
-        profile = learn_background(night_events_series(nights))
-        assert profile.cluster_centers_w == centers
+             [200.0, 2000.0]),
+            ([([600.0], [1000.0]), ([], [])], [])]:
+        assert learn_background(night_events_series(nights)).tolist() == centers
     clusters = cluster_magnitudes(np.array([100, 101, 99, 700.0]))
     assert [c["center"] for c in clusters] == [100.0, 700.0]
     assert [c["values"].size for c in clusters] == [3, 1]
@@ -384,14 +382,11 @@ def test_cluster_magnitudes_come_in_ascending_order(mags):
         assert got["values"].tobytes() == want["values"].tobytes()
 
 
-def remove_background_per_pair(pairs, profile):
+def remove_background_per_pair(pairs, centers):
     """Reference: each pair compared with every center on its own."""
-    if not profile.cluster_centers_w:
-        return list(pairs)
-    centers = np.array(profile.cluster_centers_w)
-    return [p for p in pairs
-            if not np.any(np.abs(p.magnitude_w - centers)
-                          <= CLUSTER_GAP_FRAC * centers)]
+    return [p for p in pairs.tolist()
+            if not any(abs(p[2] - c) <= CLUSTER_GAP_FRAC * c
+                       for c in centers.tolist())]
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,12 +397,12 @@ def test_remove_background_matches_per_pair_loop(centers, specs):
     """Empty pair lists, empty profiles, and magnitudes exactly at c, at
     c - CLUSTER_GAP_FRAC*c and at c + CLUSTER_GAP_FRAC*c."""
     centers = sorted(centers)
-    pairs = []
+    rows = []
     for k, (which, edge, free) in enumerate(specs):
         if centers and edge is not None:
             c = centers[which % len(centers)]
             free = c + edge * (CLUSTER_GAP_FRAC * c)
-        pairs.append(EventPair(10 * k, 10 * k + 5, free))
-    profile = BackgroundProfile(tuple(centers))
-    assert remove_background(pairs, profile) == \
-        remove_background_per_pair(pairs, profile)
+        rows.append((10 * k, 10 * k + 5, free))
+    pairs, centers = pairs_of(*rows), np.array(centers, dtype=float)
+    assert remove_background(pairs, centers).tolist() == \
+        remove_background_per_pair(pairs, centers)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilminfer.errors import (AlignmentError, ConfigurationError, CoverageError,
                               UndefinedStatisticError)
-from nilminfer.events import (DetectorConfig, EventPair, cluster_magnitudes,
+from nilminfer.events import (PAIR_DTYPE, DetectorConfig, cluster_magnitudes,
                               detect_events, pair_events)
 from nilminfer.features import (FEATURE_SOURCES, build_feature_table,
                                 build_home_features, chi2_select,
@@ -143,7 +143,7 @@ def hvac_square(level=3000.0, period=900):
 
 
 def clusters_of(pairs):
-    return cluster_magnitudes(np.array([p.magnitude_w for p in pairs]))
+    return cluster_magnitudes(pairs["magnitude_w"])
 
 
 def test_appliance_features_closed_form():
@@ -176,8 +176,9 @@ def test_appliance_features_circuit_metadata():
     hvac = hvac_square()
     fv = extract_appliance_features(hvac, hvac, [], [])
     assert fv["hvac_circuits"] == 0.0  # no pairs, so no cluster
-    pairs = [EventPair(DEFAULT_START + 900 * k, DEFAULT_START + 900 * (k + 1), mag)
-             for k, mag in enumerate((300.0, 300.0, 1500.0, 3000.0, 3000.0))]
+    mags = (300.0, 300.0, 1500.0, 3000.0, 3000.0)
+    pairs = np.array([(DEFAULT_START + 900 * k, DEFAULT_START + 900 * (k + 1), mag)
+                      for k, mag in enumerate(mags)], dtype=PAIR_DTYPE)
     fv = extract_appliance_features(hvac, hvac, [], clusters_of(pairs))
     assert fv["hvac_circuits"] == 2.0  # 1500 W and 3000 W, not 300 W
 

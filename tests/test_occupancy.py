@@ -172,7 +172,7 @@ def test_night_threshold_matches_bruteforce(default_corpus):
         pred = predict_occupancy_night_threshold(s, stat)
         # independent per-window reimplementation
         ts = s.timestamps()
-        starts = pred.window_starts()
+        starts = pred.window_start + np.arange(len(pred)) * WINDOW_S
         expected = np.zeros(len(pred), dtype=bool)
         zone = ZoneInfo(s.timezone)
         for d0 in range(0, len(pred) * WINDOW_S, 86400):
@@ -210,7 +210,7 @@ def test_night_threshold_matches_bruteforce_across_dst(first_day):
     ts = s.timestamps()
     for stat, agg in (("max", np.max), ("median", np.median)):
         pred = predict_occupancy_night_threshold(s, stat)
-        starts = pred.window_starts()
+        starts = pred.window_start + np.arange(len(pred)) * WINDOW_S
         # the local day and hour of each window from datetime, not 86400 s steps
         local = [datetime.fromtimestamp(int(w0), zone) for w0 in starts]
         expected = np.zeros(len(pred), dtype=bool)
@@ -246,7 +246,8 @@ def test_night_threshold_skips_day_without_night():
     s = PowerSeries(start, 60, np.full(36 * 60, 100.0))  # 06:00 -> 18:00 next day
     with pytest.warns(UserWarning, match="skipped 1 day"):
         pred = predict_occupancy_night_threshold(s)
-    first_day = pred.window_starts() < DEFAULT_START + 86400
+    starts = pred.window_start + np.arange(len(pred)) * WINDOW_S
+    first_day = starts < DEFAULT_START + 86400
     assert not pred.flags[first_day].any()
 
 
