@@ -21,9 +21,10 @@ for name, trace in home.appliances.items():
     print(f"  {name:10s} mean {trace.values.mean():7.1f} W   "
           f"time-on {100 * duty:5.1f}%")
 
-occ = home.occupancy
-print(f"\noccupancy truth: {occ.flags.sum()} of {len(occ)} fifteen-minute "
-      f"windows occupied ({100 * occ.flags.mean():.0f}%)")
+occupied, scored = home.occupancy  # flags on the aggregate's window grid
+print(f"\noccupancy truth: {occupied.sum()} of {len(occupied)} fifteen-minute "
+      f"windows occupied ({100 * occupied.mean():.0f}%); the "
+      f"{scored.sum()} starting 06:00-22:00 local are the ones scored")
 
 edges = home.provenance
 by_source = {}

@@ -8,7 +8,8 @@ from nilminfer import (DetectorConfig, HomeSpec,
                        detect_events, evaluate_occupancy, gen_home,
                        learn_background, pair_events,
                        predict_occupancy_events,
-                       predict_occupancy_night_threshold, remove_background)
+                       predict_occupancy_night_threshold, remove_background,
+                       window_stats)
 
 home = gen_home(HomeSpec(seed=21, days=7))
 agg = home.aggregate
@@ -17,7 +18,7 @@ det = DetectorConfig()
 events = detect_events(agg, det)
 print(f"step 1  detect events:      {len(events)} steps >= {det.min_event_w} W")
 
-centers = learn_background(agg)
+centers = learn_background(agg, det)
 listed = ", ".join(f"{c:.0f} W" for c in centers)
 print(f"step 2  night background:   clusters at [{listed}]")
 
@@ -26,16 +27,18 @@ foreground = remove_background(pairs, centers)
 print(f"step 3  pair edges:         {len(pairs)} ON/OFF pairs")
 print(f"step 4  drop background:    {len(foreground)} foreground pairs left")
 
-pred = predict_occupancy_events(agg, det)
-m = evaluate_occupancy(pred, home.occupancy)
+# the steps above are foreground_pairs(agg, det); mark the windows around them
+pred = predict_occupancy_events(agg, foreground)
+m = evaluate_occupancy(pred, *home.occupancy)
 print(f"step 5  windowed occupancy: accuracy {m['accuracy_pct']:.1f}%  "
       f"(TP {m['tp']}  TN {m['tn']}  FP {m['fp']}  FN {m['fn']})")
 
-# compare against the two aggregate-only baselines
+# compare against the two aggregate-only baselines, on one windowing
+stats = window_stats(agg)
 for label, stat in (("night-threshold (max)", "max"),
                     ("night-threshold (median)", "median")):
-    alt = predict_occupancy_night_threshold(agg, stat)
-    am = evaluate_occupancy(alt, home.occupancy)
+    alt = predict_occupancy_night_threshold(agg, stats, stat)
+    am = evaluate_occupancy(alt, *home.occupancy)
     print(f"baseline {label:25s} accuracy {am['accuracy_pct']:.1f}%  "
           f"energy proxy {am['energy_proxy']}  miss time {am['miss_time']}")
 

@@ -221,7 +221,8 @@ def cmd_classify(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    """Charts of a results payload's rows, each checked for the keys drawn."""
+    """Charts of a results payload's rows, each checked for the keys drawn
+    and the kind of each key's value."""
     path = cfg["results"]
     payload = _json_object(path)
     if "per_home" in payload:
@@ -235,10 +236,16 @@ def cmd_report(cfg: dict) -> int:
     if not isinstance(rows, list):
         raise ParseError(f"{path}: {table} is not a list", path=path)
     for i, row in enumerate(rows):
-        for key in keys:
+        for key, kind in keys.items():
             if not isinstance(row, dict) or key not in row:
                 raise ParseError(f"{path}: {table} row {i} has no {key!r}",
                                  path=path)
+            v = row[key]
+            if not (isinstance(v, str) if kind is str else
+                    type(v) in (int, float) and math.isfinite(v)):
+                need = "a string" if kind is str else "a finite number"
+                raise ParseError(f"{path}: {table} row {i} {key!r} must be "
+                                 f"{need}, got {json.dumps(v)}", path=path)
     charts = render(rows)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

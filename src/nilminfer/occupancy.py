@@ -11,8 +11,10 @@ Three algorithm families:
 * supervised ("knn" / "rf"): per-window [mean, std, range] features fed to the
   classifiers in nilminfer.classify.
 
-Evaluation scores WINDOW_S (15-minute) windows whose local start time falls
-inside EVAL_HOURS, occupied being the positive class. energy_proxy
+Every prediction and the truth are bool flags on the series' window grid
+(series.window_grid). Evaluation scores the WINDOW_S (15-minute) windows that
+series.window_occupancy marks scored (inside the truth's span, local start in
+series.EVAL_HOURS), occupied being the positive class. energy_proxy
 (TP+FP) approximates HVAC runtime cost of acting on the prediction and
 miss_time (FN) approximates occupant discomfort.
 """
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from dataclasses import replace
 from functools import cache, partial
 
 import numpy as np
@@ -30,16 +31,15 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
                      EmptyWindowError)
 from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
                      learn_background, pair_events, remove_background)
-from .series import (HomeData, OccupancySeries, PowerSeries, SECONDS_PER_DAY,
-                     WINDOW_S, in_clock_hours, local_day_bounds, median,
-                     window_grid, window_occupancy)
+from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, WINDOW_S,
+                     in_clock_hours, local_day_bounds, median, window_grid,
+                     window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 EVENT_ALGORITHMS = ("ours", "ours-optimised")  # one event pipeline, two markings
 NIGHT_STATS = {"chen": "max", "chen-median": "median"}  # one windowing, two stats
 UNSUPERVISED_ALGORITHMS = EVENT_ALGORITHMS + tuple(NIGHT_STATS)
 SUPERVISED_ALGORITHMS = ("knn", "rf")
-EVAL_HOURS = (6, 22)  # local [start, end) hours of the scored windows
 PAIR_GAP_FILL_S = 3600  # occupied intervals closer than this are bridged
 
 
@@ -96,22 +96,10 @@ def _merge_intervals(intervals):
     return [(a, b) for a, b in out]
 
 
-def predict_occupancy_events(s: PowerSeries, det: DetectorConfig = DetectorConfig(),
-                             *, mark_start_of_day: bool = True) -> OccupancySeries:
-    """Signal occupancy from foreground event pairs.
-
-    Pipeline: detect events -> learn night background -> pair edges (no
-    pair is longer than MAX_PAIR_S) -> drop background magnitudes ->
-    occupied intervals are the union of the surviving ON intervals, with
-    gaps shorter than PAIR_GAP_FILL_S bridged. Each day with any foreground
-    activity is also marked occupied from its last event to midnight and,
-    unless mark_start_of_day is off, from midnight to its first event.
-    A day with no foreground pairs stays unoccupied throughout.
-    """
-    return _occupancy_from_pairs(s, _foreground_pairs(s, det), mark_start_of_day)
-
-
-def _foreground_pairs(s: PowerSeries, det: DetectorConfig):
+def foreground_pairs(s: PowerSeries, det: DetectorConfig):
+    """The event pairs of s that are not background load: detect events,
+    learn the night background, pair the edges (no pair is longer than
+    MAX_PAIR_S) and drop the pairs of background magnitude."""
     if s.span_s < SECONDS_PER_DAY:
         raise CoverageError("need at least one full day of data")
     events = detect_events(s, det)
@@ -119,7 +107,14 @@ def _foreground_pairs(s: PowerSeries, det: DetectorConfig):
     return remove_background(pair_events(events), profile)
 
 
-def _occupancy_from_pairs(s: PowerSeries, foreground, mark_start_of_day: bool):
+def predict_occupancy_events(s: PowerSeries, foreground, *,
+                             mark_start_of_day: bool = True) -> np.ndarray:
+    """Occupancy flags on s's window grid from its foreground pairs
+    (foreground_pairs(s, det)): occupied intervals are the union of the ON
+    intervals, with gaps shorter than PAIR_GAP_FILL_S bridged. Each day with
+    any foreground activity is also marked occupied from its last event to
+    midnight and, unless mark_start_of_day is off, from midnight to its first
+    event. A day with no foreground pairs stays unoccupied throughout."""
     on, off = foreground["on_time"].tolist(), foreground["off_time"].tolist()
     intervals = _merge_intervals(zip(on, off))
 
@@ -146,21 +141,19 @@ def _occupancy_from_pairs(s: PowerSeries, foreground, mark_start_of_day: bool):
         # ceil; the window starting exactly at b is excluded
         w1 = -(-(b - anchor) // WINDOW_S)
         flags[int(w0):min(int(w1), n_windows)] = True
-    return OccupancySeries(anchor, flags, s.timezone)
+    return flags
 
 
-def predict_occupancy_night_threshold(s: PowerSeries,
-                                      stat: str = "max") -> OccupancySeries:
-    """Night-threshold occupancy: a window is occupied when its power range,
-    std or mean strictly exceeds the chosen statistic (max or median) of that
-    feature over the same day's NIGHT_HOURS windows. Days without a usable
-    night window are skipped with a warning."""
+def predict_occupancy_night_threshold(s: PowerSeries, stats,
+                                      stat: str) -> np.ndarray:
+    """Night-threshold occupancy flags on s's window grid from its
+    window_stats(s): a window is occupied when its power range, std or mean
+    strictly exceeds the chosen statistic (max or median) of that feature
+    over the same day's NIGHT_HOURS windows. Days without a usable night
+    window are skipped with a warning."""
     if stat not in NIGHT_STATS.values():
         raise ValueError("stat must be 'max' or 'median'")
-    return _night_threshold(s, stat, *window_stats(s))
-
-
-def _night_threshold(s: PowerSeries, stat: str, starts, counts, mean, std, rng):
+    starts, counts, mean, std, rng = stats
     agg = np.max if stat == "max" else median
     night = in_clock_hours(starts, s.timezone, NIGHT_HOURS) & (counts > 0)
     flags = np.zeros(starts.size, dtype=bool)
@@ -178,38 +171,30 @@ def _night_threshold(s: PowerSeries, stat: str, starts, counts, mean, std, rng):
                       | (m > agg(m[at_night])))
     if skipped:
         warnings.warn(f"night-threshold predictor skipped {len(skipped)} "
-                      f"day(s) without a preceding night window", stacklevel=3)
-    return OccupancySeries(int(starts[0]), flags, s.timezone)
+                      f"day(s) without a preceding night window", stacklevel=2)
+    return flags
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries) -> dict:
-    """The metric row over windows both series cover whose local start hour
-    lies in EVAL_HOURS: the counts tp, tn, fp, fn and n_windows, accuracy_pct,
+def evaluate_occupancy(pred: np.ndarray, truth: np.ndarray,
+                       scored: np.ndarray) -> dict:
+    """The metric row of the flags pred against truth over the scored
+    windows, all three on one window grid (window_occupancy gives truth and
+    scored): the counts tp, tn, fp, fn and n_windows, accuracy_pct,
     energy_proxy (TP + FP, the windows the HVAC would run for) and miss_time
     (FN, occupied windows predicted empty)."""
-    if pred.timezone != truth.timezone:
-        raise AlignmentError("timezones differ")
-    if (truth.window_start - pred.window_start) % WINDOW_S != 0:
-        raise AlignmentError("window grids are offset")
-    t0 = max(pred.window_start, truth.window_start)
-    t1 = min(pred.end_time, truth.end_time)
-    if t1 <= t0:
-        raise AlignmentError("series do not overlap")
-    n = (t1 - t0) // WINDOW_S
-    p = pred.flags[(t0 - pred.window_start) // WINDOW_S:][:n]
-    t = truth.flags[(t0 - truth.window_start) // WINDOW_S:][:n]
-    m = in_clock_hours(t0 + np.arange(n, dtype=np.int64) * WINDOW_S, pred.timezone,
-                       EVAL_HOURS)
-    if not m.any():
+    if not len(pred) == len(truth) == len(scored):
+        raise AlignmentError(f"pred, truth and scored cover {len(pred)}, "
+                             f"{len(truth)} and {len(scored)} windows")
+    if not scored.any():
         raise EmptyWindowError("no windows inside the evaluation hours")
-    tp = int((p & t & m).sum())
-    tn = int((~p & ~t & m).sum())
-    fp = int((p & ~t & m).sum())
-    fn = int((~p & t & m).sum())
+    tp = int((pred & truth & scored).sum())
+    tn = int((~pred & ~truth & scored).sum())
+    fp = int((pred & ~truth & scored).sum())
+    fn = int((~pred & truth & scored).sum())
     n_windows = tp + tn + fp + fn
     return {"tp": tp, "tn": tn, "fp": fp, "fn": fn, "n_windows": n_windows,
             "accuracy_pct": 100.0 * (tp + tn) / n_windows,
@@ -220,17 +205,14 @@ def evaluate_occupancy(pred: OccupancySeries, truth: OccupancySeries) -> dict:
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _supervised_xy(stats, timezone: str, truth_w: OccupancySeries):
-    """Indices into truth_w, [mean, std, range] features and occupancy
-    labels of the non-empty eval-hour windows of stats (window_stats of a
-    series on truth_w's grid) inside the truth's span."""
-    starts, counts, mean, std, rng = stats
-    idx = (starts - truth_w.window_start) // WINDOW_S
-    keep = (in_clock_hours(starts, timezone, EVAL_HOURS) & (counts > 0)
-            & (idx >= 0) & (idx < len(truth_w)))
-    idx = idx[keep]
-    X = np.column_stack([mean[keep], std[keep], rng[keep]])
-    return idx, X, truth_w.flags[idx].astype(int)
+def _supervised_xy(stats, truth, scored):
+    """The rows (a mask of the grid), [mean, std, range] features and
+    occupancy labels of the non-empty scored windows of stats, the
+    window_stats of a series on the grid of its truth and scored."""
+    _, counts, mean, std, rng = stats
+    rows = scored & (counts > 0)
+    X = np.column_stack([mean[rows], std[rows], rng[rows]])
+    return rows, X, truth[rows].astype(int)
 
 
 def _split_half(series: PowerSeries):
@@ -272,20 +254,20 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
         series = home.aggregate
         train_series, test_series = (_split_half(series) if protocol == "split-half"
                                      else (series, series))
-        truth_w = window_occupancy(test_series, *home.occupancy)
+        truth = window_occupancy(test_series, *home.occupancy)
         windows = cache(partial(window_stats, test_series))
         train_xy = test_xy = None
         if needs_training:
-            test_xy = _supervised_xy(windows(), test_series.timezone, truth_w)
+            test_xy = _supervised_xy(windows(), *truth)
             train_xy = test_xy if protocol == "loho" else _supervised_xy(
-                window_stats(train_series), train_series.timezone,
-                window_occupancy(train_series, *home.occupancy))
-        homes.append([entry.home_id, test_series, truth_w, train_xy, test_xy, windows])
+                window_stats(train_series),
+                *window_occupancy(train_series, *home.occupancy))
+        homes.append([entry.home_id, test_series, truth, train_xy, test_xy, windows])
 
     all_rows = []
     for home in homes:
         windows = home.pop()  # dropped once this home is scored
-        home_id, test_series, truth_w, train_xy, test_xy = home
+        home_id, test_series, truth, train_xy, test_xy = home
         if needs_training:
             parts = [train_xy] if protocol == "split-half" else \
                 [h[3] for h in homes if h[0] != home_id]
@@ -295,22 +277,22 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
                     "training data from another home")
             train_X = np.vstack([X for _, X, _ in parts])
             train_y = np.concatenate([y for _, _, y in parts])
-        foreground = cache(partial(_foreground_pairs, test_series, det))
+        foreground = cache(partial(foreground_pairs, test_series, det))
         for algorithm in algorithms:
             if algorithm in SUPERVISED_ALGORITHMS:
-                idx, X_te, _ = test_xy
+                keep, X_te, _ = test_xy
                 labels = classifier_predict(algorithm, train_X, train_y, X_te,
                                             seed)
-                flags = np.zeros(len(truth_w), dtype=bool)
-                flags[idx] = np.asarray(labels, dtype=int) == 1
-                pred = replace(truth_w, flags=flags)
+                pred = np.zeros(keep.size, dtype=bool)
+                pred[keep] = np.asarray(labels, dtype=int) == 1
             elif algorithm in EVENT_ALGORITHMS:
-                pred = _occupancy_from_pairs(test_series, foreground(),
-                                             algorithm == "ours")
+                pred = predict_occupancy_events(test_series, foreground(),
+                                                mark_start_of_day=algorithm == "ours")
             else:
-                pred = _night_threshold(test_series, NIGHT_STATS[algorithm], *windows())
+                pred = predict_occupancy_night_threshold(test_series, windows(),
+                                                         NIGHT_STATS[algorithm])
             all_rows.append({"home_id": home_id, "algorithm": algorithm,
-                             **evaluate_occupancy(pred, truth_w)})
+                             **evaluate_occupancy(pred, *truth)})
     all_rows.sort(key=lambda r: (r["home_id"], r["algorithm"]))
 
     summary = []

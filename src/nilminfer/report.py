@@ -10,11 +10,13 @@ from html import escape
 PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4",
            "#8c613c", "#dc7ec0", "#797979")
 
-# the keys each renderer reads from every row
-OCCUPANCY_KEYS = ("algorithm", "accuracy_pct", "n_windows", "tp", "tn", "fp",
-                  "fn", "energy_proxy", "miss_time")
-CLASSIFICATION_KEYS = ("characteristic", "source", "accuracy_pct",
-                       "baseline_accuracy_pct")
+# the keys each renderer reads from every row, each a label (str) or a
+# finite number (float: a JSON integer or real, not a bool)
+OCCUPANCY_KEYS = {"algorithm": str, **dict.fromkeys(
+    ("accuracy_pct", "n_windows", "tp", "tn", "fp", "fn", "energy_proxy",
+     "miss_time"), float)}
+CLASSIFICATION_KEYS = {"characteristic": str, "source": str,
+                       "accuracy_pct": float, "baseline_accuracy_pct": float}
 
 _W, _H = 880, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 50, 90

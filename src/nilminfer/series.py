@@ -30,6 +30,7 @@ from .errors import (AlignmentError, ConfigurationError, CoverageError,
 
 SECONDS_PER_DAY = 86400
 WINDOW_S = 900  # occupancy window width; divides the day
+EVAL_HOURS = (6, 22)  # local [start, end) hours of the scored windows
 MAX_GAP_PERIODS = 10  # longest run of missing samples ingest forward-fills
 CACHE_MAX_BYTES = 1 << 30  # parse cache bound, kept by `_evict` after each store
 
@@ -589,37 +590,8 @@ def _infer_period(ts: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Occupancy series
+# Occupancy on the window grid
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class OccupancySeries:
-    """Boolean occupancy per WINDOW_S window.
-
-    Carries the timezone so evaluation can restrict itself to local clock
-    hours without outside context.
-    """
-
-    window_start: int
-    flags: np.ndarray
-    timezone: str = "UTC"
-
-    def __post_init__(self):
-        arr = np.array(self.flags, dtype=bool)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("flags must be a non-empty 1-D sequence")
-        arr.setflags(write=False)
-        object.__setattr__(self, "flags", arr)
-        object.__setattr__(self, "window_start", int(self.window_start))
-        ZoneInfo(self.timezone)
-
-    def __len__(self):
-        return int(self.flags.size)
-
-    @property
-    def end_time(self) -> int:
-        return self.window_start + len(self) * WINDOW_S
-
 
 def load_occupancy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the `timestamp` and `occupied` columns. Returns (timestamps, bool
@@ -636,20 +608,24 @@ def window_grid(s: PowerSeries) -> tuple[int, int]:
 
 
 def window_occupancy(s: PowerSeries, ts: np.ndarray,
-                     occupied: np.ndarray) -> OccupancySeries:
-    """Occupancy samples (ts, occupied) on s's window grid: a window is
-    occupied if any sample in it is. The result spans the windows from the
-    one holding the first on-grid sample to the one holding the last; if no
-    sample falls on the grid, CoverageError."""
+                     occupied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy samples (ts, occupied) on s's window grid, as (flags,
+    scored): a window is occupied if any sample in it is, and scored if it
+    lies between the windows of the first and the last on-grid sample and
+    its local start hour lies in EVAL_HOURS. If no sample falls on the grid,
+    CoverageError."""
     anchor, n_windows = window_grid(s)
     idx = (np.asarray(ts, dtype=np.int64) - anchor) // WINDOW_S
     on_grid = (idx >= 0) & (idx < n_windows)
     if not on_grid.any():
         raise CoverageError("no occupancy sample falls on the series' windows")
+    flags = np.zeros(n_windows, dtype=bool)
+    flags[idx[on_grid & np.asarray(occupied, dtype=bool)]] = True
     first, last = int(idx[on_grid].min()), int(idx[on_grid].max())
-    flags = np.zeros(last - first + 1, dtype=bool)
-    flags[idx[on_grid & np.asarray(occupied, dtype=bool)] - first] = True
-    return OccupancySeries(anchor + first * WINDOW_S, flags, s.timezone)
+    scored = np.zeros(n_windows, dtype=bool)
+    starts = anchor + np.arange(first, last + 1, dtype=np.int64) * WINDOW_S
+    scored[first:last + 1] = in_clock_hours(starts, s.timezone, EVAL_HOURS)
+    return flags, scored
 
 
 def write_occupancy_csv(ts: np.ndarray, occupied: np.ndarray, path) -> None:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .series import (MAX_GAP_PERIODS, OccupancySeries, PowerSeries,
-                     SECONDS_PER_DAY, DatasetManifest, HomeEntry, local_clock_hours,
+from .series import (MAX_GAP_PERIODS, PowerSeries, SECONDS_PER_DAY,
+                     DatasetManifest, HomeEntry, local_clock_hours,
                      local_day_bounds, local_weekdays, save_manifest,
                      window_occupancy, write_occupancy_csv, write_power_csv)
 
@@ -104,7 +104,7 @@ class GeneratedHome:
     appliances: dict          # name -> PowerSeries, includes baseline/occupant
     occupancy_ts: np.ndarray  # per-sample timestamps
     occupancy_flags: np.ndarray
-    occupancy: OccupancySeries  # truth at WINDOW_S windows
+    occupancy: tuple  # (flags, scored) of the truth on the window grid
     provenance: list
 
 

@@ -18,11 +18,11 @@ import numpy as np
 from nilminfer.classify import characteristics_experiment, knn_classify, rf_classify
 from nilminfer.cli import run as cli_run
 from nilminfer.disagg import fhmm_disaggregate, hart_disaggregate, nilm_metrics
-from nilminfer.events import detect_events
+from nilminfer.events import DetectorConfig, detect_events
 from nilminfer.features import chi2_select, pearson
-from nilminfer.occupancy import (evaluate_occupancy,
+from nilminfer.occupancy import (evaluate_occupancy, foreground_pairs,
                                  predict_occupancy_events,
-                                 predict_occupancy_night_threshold)
+                                 predict_occupancy_night_threshold, window_stats)
 from nilminfer.series import PowerSeries, clock_window_mean
 from nilminfer.synth import DEFAULT_START
 
@@ -102,12 +102,13 @@ def test_criterion_3_occupancy_ordering(default_corpus):
         tp_ok = []
         for home_id in sorted(default_corpus.homes):
             home = default_corpus.homes[home_id]
-            p_ours = predict_occupancy_events(home.aggregate)
-            p_max = predict_occupancy_night_threshold(home.aggregate, "max")
-            p_med = predict_occupancy_night_threshold(home.aggregate, "median")
-            m_ours = evaluate_occupancy(p_ours, home.occupancy)
-            m_max = evaluate_occupancy(p_max, home.occupancy)
-            m_med = evaluate_occupancy(p_med, home.occupancy)
+            s, stats = home.aggregate, window_stats(home.aggregate)
+            p_ours = predict_occupancy_events(s, foreground_pairs(s, DetectorConfig()))
+            p_max = predict_occupancy_night_threshold(s, stats, "max")
+            p_med = predict_occupancy_night_threshold(s, stats, "median")
+            m_ours = evaluate_occupancy(p_ours, *home.occupancy)
+            m_max = evaluate_occupancy(p_max, *home.occupancy)
+            m_med = evaluate_occupancy(p_med, *home.occupancy)
             acc_ours.append(m_ours["accuracy_pct"])
             acc_chen.append(m_max["accuracy_pct"])
             tp_ok.append(m_med["tp"] >= m_max["tp"])
@@ -125,23 +126,29 @@ def test_criterion_3_occupancy_ordering(default_corpus):
 
 def test_criterion_4_metric_identities():
     rng = np.random.default_rng(4)
-    from nilminfer.series import OccupancySeries, local_clock_hours
+    from nilminfer.series import local_clock_hours, window_occupancy
+
+    def on_grid(start, flags):
+        """(flags, scored) of one sample per window from start."""
+        s = PowerSeries(start, 900, np.zeros(flags.size))
+        return window_occupancy(s, s.timestamps(), flags)
+
     with Timer() as t:
         for _ in range(1000):
             n = int(rng.integers(8, 96))
             start = DEFAULT_START + int(rng.integers(0, 96)) * 900
-            pred = OccupancySeries(start, rng.integers(0, 2, n) > 0)
-            truth = OccupancySeries(start, rng.integers(0, 2, n) > 0)
+            pred, _ = on_grid(start, rng.integers(0, 2, n) > 0)
+            truth, scored = on_grid(start, rng.integers(0, 2, n) > 0)
             starts = start + np.arange(n, dtype=np.int64) * 900
             hours = local_clock_hours(starts, "UTC")
             n_eval = int(((hours >= 6) & (hours < 22)).sum())
             if n_eval == 0:
                 continue
-            m = evaluate_occupancy(pred, truth)
+            m = evaluate_occupancy(pred, truth, scored)
             assert m["tp"] + m["tn"] + m["fp"] + m["fn"] == n_eval
         flags = rng.integers(0, 2, 64) > 0
-        same = OccupancySeries(DEFAULT_START, flags)
-        m = evaluate_occupancy(same, same)
+        same, scored = on_grid(DEFAULT_START, flags)
+        m = evaluate_occupancy(same, same, scored)
         assert m["accuracy_pct"] == 100.0 and m["fp"] == 0 and m["fn"] == 0
         s = PowerSeries(DEFAULT_START, 30, rng.uniform(0, 500, 200))
         assert nilm_metrics(s, s) == {"error_energy_pct": 0.0, "rmse_w": 0.0,

@@ -389,6 +389,41 @@ def test_report_on_rows_without_the_keys_drawn_is_a_parse_error(
     assert not out.exists()
 
 
+CLASSIFICATION_ROW = {"characteristic": "c", "source": "s", "accuracy_pct": 60.0,
+                      "baseline_accuracy_pct": 50.0}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"rows": [{**CLASSIFICATION_ROW, "accuracy_pct": "high"}]},
+     "rows row 0 'accuracy_pct' must be a finite number, got \"high\""),
+    ({"per_home": [], "summary": [SUMMARY_ROW, {**SUMMARY_ROW, "n_windows": "ten"}]},
+     "summary row 1 'n_windows' must be a finite number, got \"ten\""),
+    ({"per_home": [], "summary": [{**SUMMARY_ROW, "tp": True}]},
+     "summary row 0 'tp' must be a finite number, got true"),
+    ({"per_home": [], "summary": [{**SUMMARY_ROW, "fn": None}]},
+     "summary row 0 'fn' must be a finite number, got null"),
+    ({"rows": [{**CLASSIFICATION_ROW, "baseline_accuracy_pct": math.inf}]},
+     "rows row 0 'baseline_accuracy_pct' must be a finite number, got Infinity"),
+    ({"rows": [{**CLASSIFICATION_ROW, "source": 2}]},
+     "rows row 0 'source' must be a string, got 2"),
+    ({"per_home": [], "summary": [{**SUMMARY_ROW, "algorithm": ["ours"]}]},
+     "summary row 0 'algorithm' must be a string, got [\"ours\"]"),
+], ids=["accuracy-text", "n-windows-text", "bool", "null", "infinite",
+        "source-number", "algorithm-list"])
+def test_report_on_a_value_of_the_wrong_kind_is_a_parse_error(
+        tmp_path, capsys, payload, message):
+    """A drawn number must be a finite JSON integer or real, not a bool, and
+    a drawn label a string; anything else exits 1 with a ParseError naming
+    the file, the table, the row and the key, and nothing is written."""
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(payload))
+    out = tmp_path / "charts"
+    assert run(["report", "--results", str(results), "--out", str(out)]) == 1
+    assert error_record(capsys) == {"error": "ParseError", "subcommand": "report",
+                                    "message": f"{results}: {message}"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["occupancy", "--algo", "chen,chen"], "algorithm 'chen' is given twice"),
     (["classify", "--source", "both,both"],

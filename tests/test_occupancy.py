@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilminfer.errors import AlignmentError, ConfigurationError
-from nilminfer import occupancy
+from nilminfer.errors import AlignmentError, ConfigurationError, EmptyWindowError
+from nilminfer import occupancy, series
+from nilminfer.events import DetectorConfig
 from nilminfer.occupancy import (_merge_intervals, _split_half,
-                                 evaluate_occupancy, occupancy_experiment,
-                                 predict_occupancy_events,
+                                 evaluate_occupancy, foreground_pairs,
+                                 occupancy_experiment, predict_occupancy_events,
                                  predict_occupancy_night_threshold,
                                  window_grid, window_stats)
-from nilminfer.series import (WINDOW_S, HomeData, OccupancySeries,
-                              PowerSeries, local_clock_hours, window_occupancy,
+from nilminfer.series import (WINDOW_S, HomeData, PowerSeries,
+                              local_clock_hours, window_occupancy,
                               write_occupancy_csv)
 from nilminfer.synth import DEFAULT_START, HomeSpec, gen_corpus, gen_home
 
@@ -33,12 +34,22 @@ def day_series(loads, period=60, days=1, base=100.0, start=DEFAULT_START):
     return PowerSeries(start, period, vals)
 
 
-def flags_between(series, h0, h1):
-    """Expected flag vector: occupied exactly inside [h0, h1) hours since
-    series start (window grid == day grid here)."""
-    n = len(series)
-    starts = np.arange(n) * WINDOW_S
+def flags_between(pred, h0, h1):
+    """Expected flag vector of pred's length: occupied exactly inside
+    [h0, h1) hours since series start (window grid == day grid here)."""
+    starts = np.arange(len(pred)) * WINDOW_S
     return (starts >= h0 * HOUR) & (starts < h1 * HOUR)
+
+
+def event_flags(s, **kwargs):
+    """The event pipeline's flags for s at the default thresholds."""
+    return predict_occupancy_events(s, foreground_pairs(s, DetectorConfig()),
+                                    **kwargs)
+
+
+def night_flags(s, stat):
+    """The night-threshold flags for s by stat ('max' or 'median')."""
+    return predict_occupancy_night_threshold(s, window_stats(s), stat)
 
 
 # ---------------------------------------------------------------------------
@@ -47,35 +58,35 @@ def flags_between(series, h0, h1):
 
 def test_day_with_no_foreground_pairs_is_unoccupied():
     s = day_series([], days=2)
-    pred = predict_occupancy_events(s)
-    assert not pred.flags.any()
+    pred = event_flags(s)
+    assert not pred.any()
 
 
 def test_event_pipeline_hand_simulation():
     s = day_series([(9.0, 9.5, 500.0), (18.0, 19.0, 300.0)])
-    pred = predict_occupancy_events(s)
+    pred = event_flags(s)
     expected = flags_between(pred, 0.0, 9.5) | flags_between(pred, 18.0, 24.0)
-    assert np.array_equal(pred.flags, expected)
+    assert np.array_equal(pred, expected)
 
 
 def test_event_pipeline_optimised_variant():
     s = day_series([(9.0, 9.5, 500.0), (18.0, 19.0, 300.0)])
-    pred = predict_occupancy_events(s, mark_start_of_day=False)
+    pred = event_flags(s, mark_start_of_day=False)
     expected = flags_between(pred, 9.0, 9.5) | flags_between(pred, 18.0, 24.0)
-    assert np.array_equal(pred.flags, expected)
+    assert np.array_equal(pred, expected)
 
 
 def test_event_pipeline_gap_fill_bridges_short_gaps():
     # 45 min between pair end and next pair start: bridged (< 3600 s), and
     # the day is marked from its last event to midnight
     s = day_series([(9.0, 9.5, 500.0), (10.25, 10.75, 400.0)])
-    pred = predict_occupancy_events(s, mark_start_of_day=False)
-    assert np.array_equal(pred.flags, flags_between(pred, 9.0, 24.0))
+    pred = event_flags(s, mark_start_of_day=False)
+    assert np.array_equal(pred, flags_between(pred, 9.0, 24.0))
     # 90 min gap: not bridged
     s2 = day_series([(9.0, 9.5, 500.0), (11.0, 11.5, 400.0)])
-    pred2 = predict_occupancy_events(s2, mark_start_of_day=False)
+    pred2 = event_flags(s2, mark_start_of_day=False)
     expected2 = flags_between(pred2, 9.0, 9.5) | flags_between(pred2, 11.0, 24.0)
-    assert np.array_equal(pred2.flags, expected2)
+    assert np.array_equal(pred2, expected2)
 
 
 @pytest.mark.parametrize("load, occupied_hours", [
@@ -86,8 +97,8 @@ def test_event_pipeline_gap_fill_bridges_short_gaps():
 ])
 def test_event_pipeline_edge_at_local_midnight_opens_the_next_day(
         load, occupied_hours):
-    pred = predict_occupancy_events(day_series([load], days=2))
-    assert np.array_equal(pred.flags, flags_between(pred, *occupied_hours))
+    pred = event_flags(day_series([load], days=2))
+    assert np.array_equal(pred, flags_between(pred, *occupied_hours))
 
 
 def mark_windows(n_windows, intervals):
@@ -129,9 +140,9 @@ def test_event_pipeline_monotone_in_pairs():
     more = day_series([(9.0, 9.5, 500.0), (12.0, 12.5, 400.0),
                        (18.0, 19.0, 300.0)])
     fewer = day_series([(9.0, 9.5, 500.0), (18.0, 19.0, 300.0)])
-    p_more = predict_occupancy_events(more)
-    p_fewer = predict_occupancy_events(fewer)
-    assert not (p_fewer.flags & ~p_more.flags).any()
+    p_more = event_flags(more)
+    p_fewer = event_flags(fewer)
+    assert not (p_fewer & ~p_more).any()
 
 
 def test_event_pipeline_background_removed(default_corpus):
@@ -140,8 +151,8 @@ def test_event_pipeline_background_removed(default_corpus):
     spec = HomeSpec(seed=41, days=2)
     spec.occupant_load.rate_per_occupied_hour = 0.0
     home = gen_home(spec)
-    pred = predict_occupancy_events(home.aggregate)
-    m = evaluate_occupancy(pred, home.occupancy)
+    pred = event_flags(home.aggregate)
+    m = evaluate_occupancy(pred, *home.occupancy)
     assert m["tp"] + m["fp"] == 0
 
 
@@ -151,32 +162,33 @@ def test_event_pipeline_background_removed(default_corpus):
 
 def test_night_threshold_constant_day_unoccupied():
     s = day_series([], base=120.0)
-    pred = predict_occupancy_night_threshold(s, stat="max")
-    assert not pred.flags.any()
+    pred = night_flags(s, "max")
+    assert not pred.any()
 
 
 def test_night_threshold_single_pulse_window():
     # night is flat; one 500 W pulse inside the 10:00 window trips range/std
     s = day_series([(10.0, 10.1, 500.0)])
-    pred = predict_occupancy_night_threshold(s, stat="max")
+    pred = night_flags(s, "max")
     idx = int(10.0 * HOUR // WINDOW_S)
     expected = np.zeros(len(pred), dtype=bool)
     expected[idx] = True
-    assert np.array_equal(pred.flags, expected)
+    assert np.array_equal(pred, expected)
 
 
 def test_night_threshold_matches_bruteforce(default_corpus):
     home = default_corpus.homes["home_03"]
     s = home.aggregate
     for stat, agg in (("max", np.max), ("median", np.median)):
-        pred = predict_occupancy_night_threshold(s, stat)
+        pred = night_flags(s, stat)
         # independent per-window reimplementation
         ts = s.timestamps()
-        starts = pred.window_start + np.arange(len(pred)) * WINDOW_S
+        anchor = window_grid(s)[0]
+        starts = anchor + np.arange(len(pred)) * WINDOW_S
         expected = np.zeros(len(pred), dtype=bool)
         zone = ZoneInfo(s.timezone)
         for d0 in range(0, len(pred) * WINDOW_S, 86400):
-            day_lo = pred.window_start + d0
+            day_lo = anchor + d0
             day_hi = day_lo + 86400
             feats = {}
             for w, w0 in enumerate(starts):
@@ -193,7 +205,7 @@ def test_night_threshold_matches_bruteforce(default_corpus):
             thr = tuple(agg([f[i] for f in night]) for i in range(3))
             for w, f in feats.items():
                 expected[w] = (f[0] > thr[0]) or (f[1] > thr[1]) or (f[2] > thr[2])
-        assert np.array_equal(pred.flags, expected), stat
+        assert np.array_equal(pred, expected), stat
 
 
 @pytest.mark.parametrize("first_day", [(2024, 3, 8), (2024, 11, 1)])
@@ -209,8 +221,8 @@ def test_night_threshold_matches_bruteforce_across_dst(first_day):
     s = PowerSeries(start, 60, values, "America/New_York")
     ts = s.timestamps()
     for stat, agg in (("max", np.max), ("median", np.median)):
-        pred = predict_occupancy_night_threshold(s, stat)
-        starts = pred.window_start + np.arange(len(pred)) * WINDOW_S
+        pred = night_flags(s, stat)
+        starts = window_grid(s)[0] + np.arange(len(pred)) * WINDOW_S
         # the local day and hour of each window from datetime, not 86400 s steps
         local = [datetime.fromtimestamp(int(w0), zone) for w0 in starts]
         expected = np.zeros(len(pred), dtype=bool)
@@ -229,15 +241,15 @@ def test_night_threshold_matches_bruteforce_across_dst(first_day):
             for w, f in feats.items():
                 expected[w] = (f[0] > thr[0]) or (f[1] > thr[1]) or (f[2] > thr[2])
         assert expected.any() and not expected.all()
-        assert np.array_equal(pred.flags, expected), (first_day, stat)
+        assert np.array_equal(pred, expected), (first_day, stat)
 
 
 def test_night_threshold_median_flags_superset_of_max(default_corpus):
     for hid in ("home_01", "home_05"):
         s = default_corpus.homes[hid].aggregate
-        p_max = predict_occupancy_night_threshold(s, stat="max")
-        p_med = predict_occupancy_night_threshold(s, stat="median")
-        assert not (p_max.flags & ~p_med.flags).any()
+        p_max = night_flags(s, "max")
+        p_med = night_flags(s, "median")
+        assert not (p_max & ~p_med).any()
 
 
 def test_night_threshold_skips_day_without_night():
@@ -245,16 +257,16 @@ def test_night_threshold_skips_day_without_night():
     start = DEFAULT_START + 6 * HOUR
     s = PowerSeries(start, 60, np.full(36 * 60, 100.0))  # 06:00 -> 18:00 next day
     with pytest.warns(UserWarning, match="skipped 1 day"):
-        pred = predict_occupancy_night_threshold(s)
-    starts = pred.window_start + np.arange(len(pred)) * WINDOW_S
+        pred = night_flags(s, "max")
+    starts = window_grid(s)[0] + np.arange(len(pred)) * WINDOW_S
     first_day = starts < DEFAULT_START + 86400
-    assert not pred.flags[first_day].any()
+    assert not pred[first_day].any()
 
 
 def test_night_threshold_rejects_unknown_stat():
     s = day_series([])
     with pytest.raises(ValueError):
-        predict_occupancy_night_threshold(s, stat="mean")
+        predict_occupancy_night_threshold(s, window_stats(s), "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +339,24 @@ def test_window_stats_match_per_window_loop(start, period, n, tz):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def occ(flags, start=DEFAULT_START):
-    return OccupancySeries(start, np.asarray(flags, dtype=bool))
+def on_grid(flags, start=DEFAULT_START):
+    """(flags, scored) by window_occupancy of one sample per window from
+    start, on the grid of a series over those windows."""
+    s = PowerSeries(start, WINDOW_S, np.zeros(len(flags)))
+    return window_occupancy(s, s.timestamps(), np.asarray(flags, dtype=bool))
 
 
 def test_evaluate_identity_is_perfect():
-    truth = occ([1, 1, 0, 0], start=DEFAULT_START + 6 * HOUR)
-    m = evaluate_occupancy(truth, truth)
+    truth, scored = on_grid([1, 1, 0, 0], start=DEFAULT_START + 6 * HOUR)
+    m = evaluate_occupancy(truth, truth, scored)
     assert (m["fp"], m["fn"]) == (0, 0) and m["accuracy_pct"] == 100.0
 
 
 def test_evaluate_hand_count():
     start = DEFAULT_START + 6 * HOUR  # inside evaluation hours
-    truth = occ([1, 1, 0, 0], start=start)
-    pred = occ([1, 0, 1, 0], start=start)
-    assert evaluate_occupancy(pred, truth) == {
+    truth, scored = on_grid([1, 1, 0, 0], start=start)
+    pred, _ = on_grid([1, 0, 1, 0], start=start)
+    assert evaluate_occupancy(pred, truth, scored) == {
         "tp": 1, "tn": 1, "fp": 1, "fn": 1, "n_windows": 4,
         "accuracy_pct": 50.0, "energy_proxy": 2, "miss_time": 1}
 
@@ -351,9 +366,10 @@ def test_evaluate_matches_bruteforce_loop():
     for _ in range(20):
         n = 64
         start = DEFAULT_START + int(rng.integers(0, 96)) * 900
-        pred = occ(rng.integers(0, 2, n), start=start)
-        truth = occ(rng.integers(0, 2, n), start=start)
-        m = evaluate_occupancy(pred, truth)
+        pred_flags, truth_flags = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        pred, _ = on_grid(pred_flags, start=start)
+        truth, scored = on_grid(truth_flags, start=start)
+        m = evaluate_occupancy(pred, truth, scored)
         zone = ZoneInfo("UTC")
         tp = tn = fp = fn = 0
         for i in range(n):
@@ -361,7 +377,7 @@ def test_evaluate_matches_bruteforce_loop():
             hour = h.hour + h.minute / 60
             if not (6 <= hour < 22):
                 continue
-            p, t = bool(pred.flags[i]), bool(truth.flags[i])
+            p, t = bool(pred_flags[i]), bool(truth_flags[i])
             tp += p and t
             tn += (not p) and (not t)
             fp += p and not t
@@ -379,24 +395,26 @@ def test_evaluate_matches_bruteforce_loop():
 def test_metric_identity(pred_flags, truth_flags, offset_windows):
     n = min(len(pred_flags), len(truth_flags))
     start = DEFAULT_START + offset_windows * 900
-    pred = occ(pred_flags[:n], start=start)
-    truth = occ(truth_flags[:n], start=start)
+    pred, _ = on_grid(pred_flags[:n], start=start)
+    truth, scored = on_grid(truth_flags[:n], start=start)
     try:
-        m = evaluate_occupancy(pred, truth)
-    except Exception:
-        return  # spans entirely outside evaluation hours
+        m = evaluate_occupancy(pred, truth, scored)
+    except EmptyWindowError:  # spans entirely outside evaluation hours
+        m = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     starts = np.arange(n) * 900 + start
     hours = local_clock_hours(starts, "UTC")
     n_eval = int(((hours >= 6) & (hours < 22)).sum())
     assert m["tp"] + m["tn"] + m["fp"] + m["fn"] == n_eval
 
 
-def test_evaluate_alignment_errors():
-    a = occ([1, 0, 1, 0])
-    with pytest.raises(AlignmentError):
-        evaluate_occupancy(a, occ([1, 0], start=DEFAULT_START + 450))
-    with pytest.raises(AlignmentError):
-        evaluate_occupancy(a, occ([1, 0], start=DEFAULT_START + 86400 * 30))
+def test_evaluate_length_mismatch_is_an_alignment_error():
+    truth, scored = on_grid([1, 0, 1, 0], start=DEFAULT_START + 6 * HOUR)
+    for args in [(truth[:-1], truth, scored), (truth, truth[1:], scored),
+                 (truth, truth, scored[:-1])]:
+        with pytest.raises(AlignmentError, match="windows"):
+            evaluate_occupancy(*args)
+    with pytest.raises(EmptyWindowError):
+        evaluate_occupancy(truth, truth, np.zeros_like(scored))
 
 
 # ---------------------------------------------------------------------------
@@ -438,46 +456,31 @@ def test_rf_and_optimised_variant_run(small_corpus):
     for entry in two.homes:
         home = HomeData(two, entry)
         _, test_half = _split_half(home.aggregate)
-        pred = predict_occupancy_events(test_half, mark_start_of_day=False)
+        pred = event_flags(test_half, mark_start_of_day=False)
         truth = window_occupancy(test_half, *home.occupancy)
         row, = [r for r in res["per_home"] if r["home_id"] == entry.home_id
                 and r["algorithm"] == "ours-optimised"]
         assert row == {"home_id": entry.home_id, "algorithm": "ours-optimised",
-                       **evaluate_occupancy(pred, truth)}
+                       **evaluate_occupancy(pred, *truth)}
 
 
 def test_ours_and_optimised_share_one_event_pipeline_per_home(small_corpus,
                                                               monkeypatch):
-    """Both event algorithms of one run detect each test half's events once
-    and learn its background once, and score as each does alone."""
-    from nilminfer import events
+    """Both event algorithms of one run take each test half's foreground
+    pairs from one foreground_pairs call, and score as each does alone."""
     manifest = small_corpus.manifest
-    calls = {"detect": 0, "learn": 0}
+    halves = []
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def spy(s, det):
+        halves.append((s.start_time, s.values.tobytes()))
+        return foreground_pairs(s, det)
 
-    # events.detect_events is what learn_background calls on each night run
-    monkeypatch.setattr(events, "detect_events",
-                        counted("detect", events.detect_events))
-    learn_detects = 0
-    for entry in manifest.homes:
-        _, test_half = _split_half(HomeData(manifest, entry).aggregate)
-        events.learn_background(test_half)
-        learn_detects, calls["detect"] = learn_detects + calls["detect"], 0
-    assert learn_detects >= 2 * len(manifest.homes)  # a night per day or so
-
-    for name, key in [("detect_events", "detect"),
-                      ("learn_background", "learn")]:
-        monkeypatch.setattr(occupancy, name,
-                            counted(key, getattr(occupancy, name)))
+    monkeypatch.setattr(occupancy, "foreground_pairs", spy)
     both = occupancy_experiment(manifest, "split-half",
                                 ("ours", "ours-optimised"))
-    assert calls == {"detect": len(manifest.homes) + learn_detects,
-                     "learn": len(manifest.homes)}
+    test_halves = [_split_half(HomeData(manifest, entry).aggregate)[1]
+                   for entry in manifest.homes]
+    assert halves == [(s.start_time, s.values.tobytes()) for s in test_halves]
     monkeypatch.undo()
     alone = [row for algorithm in ("ours", "ours-optimised") for row in
              occupancy_experiment(manifest, "split-half", (algorithm,))["per_home"]]
@@ -571,20 +574,54 @@ def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
     for row in res["per_home"]:
         home = new_york_corpus.homes[row["home_id"]]
         if row["algorithm"] == "knn":
-            m = evaluate_occupancy(predict_occupancy_events(home.aggregate),
-                                   home.occupancy)
+            m = evaluate_occupancy(event_flags(home.aggregate), *home.occupancy)
             assert row["n_windows"] == m["n_windows"]
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # chen skips the first, partial day
-            pred = (predict_occupancy_events(home.aggregate)
-                    if row["algorithm"] == "ours"
-                    else predict_occupancy_night_threshold(home.aggregate, "max"))
+            pred = (event_flags(home.aggregate) if row["algorithm"] == "ours"
+                    else night_flags(home.aggregate, "max"))
         assert row == {"home_id": row["home_id"], "algorithm": row["algorithm"],
-                       **evaluate_occupancy(pred, home.occupancy)}
+                       **evaluate_occupancy(pred, *home.occupancy)}
     assert {r["n_windows"] for r in res["per_home"]} == {896}
     ours, = [s for s in res["summary"] if s["algorithm"] == "ours"]
     assert round(ours["accuracy_pct"], 2) == 92.39
+
+
+def test_split_half_takes_one_path_per_concept(new_york_corpus, monkeypatch):
+    """A split-half run of the four unsupervised algorithms on 6 homes works
+    out each test half's local hours 4 times (the truth's scored windows,
+    the background's night and each night statistic's night), calls each
+    public predictor once per home and algorithm, and takes each home's
+    foreground pairs once."""
+    calls = []
+
+    def spy(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, key(*args, **kwargs)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(series, "local_clock_hours", lambda ts, tzname: None)
+    spy(occupancy, "foreground_pairs", lambda s, det: s.values.tobytes())
+    spy(occupancy, "predict_occupancy_events",
+        lambda s, foreground, *, mark_start_of_day: (s.values.tobytes(),
+                                                     mark_start_of_day))
+    spy(occupancy, "predict_occupancy_night_threshold",
+        lambda s, stats, stat: (s.values.tobytes(), stat))
+    occupancy_experiment(new_york_corpus.manifest, "split-half",
+                         ("ours", "ours-optimised", "chen", "chen-median"))
+    halves = {key for name, key in calls if name == "foreground_pairs"}
+    assert len(halves) == 6
+    assert sorted(calls) == sorted(
+        [("local_clock_hours", None)] * 24
+        + [("foreground_pairs", h) for h in halves]
+        + [("predict_occupancy_events", (h, mark)) for h in halves
+           for mark in (True, False)]
+        + [("predict_occupancy_night_threshold", (h, stat)) for h in halves
+           for stat in ("max", "median")])
 
 
 def test_supervised_beats_chance_on_corpus(small_corpus):

@@ -915,12 +915,15 @@ def test_local_clock_hours_handles_fixed_offset():
 # ---------------------------------------------------------------------------
 
 def test_window_occupancy_any_rule():
-    s = make_series(np.ones(27), period=100, start=0)  # three windows
-    ts = np.array([0, 200, 900, 1000])
+    # three windows from 06:00 UTC, on the grid from midnight
+    s = make_series(np.ones(27), period=100, start=6 * 3600)
+    ts = s.start_time + np.array([0, 200, 900, 1000])
     occ = np.array([False, True, False, False])
-    w = window_occupancy(s, ts, occ)
-    # the truth spans its first and last sample's windows, not the third
-    assert (w.window_start, list(w.flags)) == (0, [True, False])
+    flags, scored = window_occupancy(s, ts, occ)
+    assert flags.size == scored.size == 27
+    assert np.flatnonzero(flags).tolist() == [24]
+    # the truth is scored over its first and last sample's windows, not the third
+    assert np.flatnonzero(scored).tolist() == [24, 25]
 
 
 # local midnights of a winter day, the US spring-forward night, and the
@@ -934,14 +937,18 @@ def local_midnight(t, tz):
 
 
 def window_occupancy_by_brute_force(s, ts, occupied):
-    """(window_start, flags) by scanning the series' local-midnight grid
-    window by window, or None when no sample falls on it."""
+    """(flags, scored) by scanning the series' local-midnight grid window by
+    window, or None when no sample falls on it: scored from the first held
+    window to the last, where the window's local start hour is 6 to 21."""
+    zone = ZoneInfo(s.timezone)
     windows = range(local_midnight(s.start_time, s.timezone), s.end_time, 900)
     held = [w for w in windows if ((ts >= w) & (ts < w + 900)).any()]
     if not held:
         return None
-    span = range(held[0], held[-1] + 900, 900)
-    return held[0], [bool(occupied[(ts >= w) & (ts < w + 900)].any()) for w in span]
+    flags = [bool(occupied[(ts >= w) & (ts < w + 900)].any()) for w in windows]
+    scored = [held[0] <= w <= held[-1] and 6 <= datetime.fromtimestamp(w, zone).hour < 22
+              for w in windows]
+    return flags, scored
 
 
 @settings(max_examples=200, deadline=None)
@@ -977,8 +984,8 @@ def test_window_occupancy_matches_brute_force(tz, day, period, start_periods, n,
         with pytest.raises(CoverageError):
             window_occupancy(s, ts, occupied)
         return
-    got = window_occupancy(s, ts, occupied)
-    assert (got.window_start, got.flags.tolist(), got.timezone) == (*want, tz)
+    flags, scored = window_occupancy(s, ts, occupied)
+    assert (flags.tolist(), scored.tolist()) == want
 
 
 @pytest.mark.parametrize("shift", [-86400, 86400])

@@ -18,7 +18,7 @@ def test_same_seed_bit_identical(tmp_path):
     a, b = gen_home(spec), gen_home(HomeSpec(seed=50, days=2))
     assert np.array_equal(a.aggregate.values, b.aggregate.values)
     assert a.provenance == b.provenance
-    assert np.array_equal(a.occupancy.flags, b.occupancy.flags)
+    assert np.array_equal(a.occupancy, b.occupancy)
     from nilminfer.series import write_power_csv
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_power_csv(a.aggregate, p1)
@@ -38,7 +38,8 @@ def test_zero_occupant_rate_leaves_background_only():
     home = gen_home(spec)
     assert {e.source for e in home.provenance} <= {"fridge", "hvac"}
     # occupancy truth is still nontrivial
-    assert home.occupancy.flags.any() and not home.occupancy.flags.all()
+    flags, _ = home.occupancy
+    assert flags.any() and not flags.all()
 
 
 def test_residual_is_the_noise_term():
