@@ -154,54 +154,56 @@ def knn_classify(train_X, train_y, test_X, k: int = 5):
     return _vote(votes, classes, rank)
 
 
-def _gini_best_split(X, y_idx, orders, counts, features):
-    """Best (feature, threshold, impurity) over candidate midpoints of the
-    given feature columns, each read in its row of `orders`; None when nothing splits."""
-    n = orders.shape[1]
-    best = None
-    for f in features:
-        order = orders[f]
-        cs = X[order, f]
-        boundaries = np.flatnonzero(cs[1:] > cs[:-1])  # split between i and i+1
-        if boundaries.size == 0:
-            continue
-        # per class, the exact count left of each split position
-        lc = np.cumsum(y_idx[order] == np.arange(counts.size)[:, None],
-                       axis=1)[:, boundaries]
-        rc = counts[:, None] - lc
-        nl = (boundaries + 1).astype(float)
-        nr = n - nl
-        # summed in class order, as numpy sums a row of up to 7 classes
-        sq_l, sq_r = (lc[0] / nl) ** 2, (rc[0] / nr) ** 2
-        for c in range(1, counts.size):
-            sq_l += (lc[c] / nl) ** 2
-            sq_r += (rc[c] / nr) ** 2
-        imp = (nl * (1.0 - sq_l) + nr * (1.0 - sq_r)) / n
-        j = int(np.argmin(imp))
-        cand = (float(imp[j]), f, float((cs[boundaries[j]] + cs[boundaries[j] + 1]) / 2))
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
+def _best_split(X, hot, orders, counts, feats, mark):
+    """(feature, threshold, go_left, left class counts) of the lowest-Gini cut
+    between distinct values of a drawn feature, or None; go_left marks the
+    rows of `orders` that go left, and `mark` is all False again on return."""
+    rows = orders[feats]
+    vals = X[rows, feats[:, None]]
+    n = rows.shape[1]
+    # exact class counts left of each cut, as a (class, feature, cut) block
+    sq_l = hot.take(rows, axis=1)[:, :, :-1].cumsum(axis=2)
+    sq_r = np.array(counts, dtype=float)[:, None, None] - sq_l
+    nl = np.arange(1.0, n)
+    for sq, size in ((sq_l, nl), (sq_r, n - nl)):  # size * Gini of each side
+        sq /= size
+        sq *= sq
+        for c in range(1, len(counts)):  # summed in class order
+            sq[0] += sq[c]
+        np.subtract(1.0, sq[0], out=sq[0])
+        sq[0] *= size
+    imp = np.where(vals[:, 1:] > vals[:, :-1], (sq_l[0] + sq_r[0]) / n, np.inf)
+    r, j = divmod(int(imp.argmin()), n - 1)
+    if imp[r, j] == np.inf:
+        return None
+    thr = float((vals[r, j] + vals[r, j + 1]) / 2)
+    # not j + 1: rows equal to vals[r, j + 1] go left if the midpoint rounds to it
+    kk = int(vals[r].searchsorted(thr, side="right"))
+    mark[rows[r, :kk]] = True
+    go_left = mark[orders]
+    mark[rows[r, :kk]] = False
+    return feats[r], thr, go_left, hot[:, rows[r, :kk]].sum(axis=1).astype(int).tolist()
 
 
-def _build_tree(X, y_idx, orders, n_classes, depth, max_depth, rng, m_features):
+def _grow_tree(X, hot, orders, counts, depth, max_depth, rng, m_features, mark):
     """A leaf is a class index; an inner node is (feature, threshold, left,
     right), rows with X[:, feature] <= threshold going left. Row f of
     `orders` holds the node's rows sorted by X[:, f], ties in any order (class
-    counts are only taken between distinct values); children keep the order."""
-    counts = np.bincount(y_idx[orders[0]], minlength=n_classes)
-    if depth >= max_depth or counts.max() == orders.shape[1]:
-        return int(np.argmax(counts))
+    counts are only taken between distinct values); children keep the order.
+    `hot` holds each class's 0/1 row over X, `counts` the node's counts."""
+    top = max(counts)
+    if depth >= max_depth or top == orders.shape[1]:
+        return counts.index(top)
     feats = rng.choice(X.shape[1], size=m_features, replace=False)
     feats.sort()
-    best = _gini_best_split(X, y_idx, orders, counts, feats)
-    if best is None:
-        return int(np.argmax(counts))
-    _, f, thr = best
-    go_left = X[orders, f] <= thr
-    left, right = (_build_tree(X, y_idx, orders[side].reshape(len(orders), -1),
-                               n_classes, depth + 1, max_depth, rng, m_features)
-                   for side in (go_left, ~go_left))  # left subtree drawn first
+    split = _best_split(X, hot, orders, counts, feats, mark)  # temporaries freed here
+    if split is None:
+        return counts.index(top)
+    f, thr, go_left, lc = split
+    left, right = (_grow_tree(X, hot, orders[side].reshape(len(orders), -1), c,
+                              depth + 1, max_depth, rng, m_features, mark)
+                   for side, c in ((go_left, lc),  # left subtree drawn first
+                                   (~go_left, [a - b for a, b in zip(counts, lc)])))
     return (f, thr, left, right)
 
 
@@ -220,6 +222,11 @@ def rf_classify(train_X, train_y, test_X, seed: int = 0):
     """N_TREES bagged Gini decision trees of depth at most MAX_DEPTH over
     sqrt(d) feature subsets per node.
 
+    Each tree sorts its bootstrap once per feature and grows depth first on
+    those presorted lists. A node searches its drawn features as one
+    (feature, position) block: exact class counts at every cut by one
+    cumsum, the Gini of every cut between distinct values, and the block's
+    first minimum, so the earliest feature's earliest best cut wins.
     Deterministic for a given seed; vote ties use the same rules as kNN.
     """
     train_X, train_y, test_X = _check_xy(train_X, train_y, test_X)
@@ -228,12 +235,15 @@ def rf_classify(train_X, train_y, test_X, seed: int = 0):
     m_features = max(1, int(round(np.sqrt(d))))
     rows = np.arange(test_X.shape[0])
     votes = np.empty((test_X.shape[0], N_TREES), dtype=np.intp)
+    mark = np.zeros(n, dtype=bool)
     for t in range(N_TREES):
         rng = np.random.default_rng([seed, t])
         boot = rng.integers(0, n, size=n)
-        X = train_X[boot]
-        tree = _build_tree(X, y_idx[boot], np.argsort(X.T, axis=1), len(classes),
-                           0, MAX_DEPTH, rng, m_features)
+        X, y = train_X[boot], y_idx[boot]
+        hot = (y == np.arange(len(classes))[:, None]).astype(float)
+        tree = _grow_tree(X, hot, np.argsort(X.T, axis=1),
+                          np.bincount(y, minlength=len(classes)).tolist(), 0,
+                          MAX_DEPTH, rng, m_features, mark)
         _route(tree, test_X, rows, votes[:, t])
     return _vote(votes, classes, rank)
 

@@ -1,4 +1,5 @@
 """Label taxonomy, from-scratch classifiers, CV harness."""
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -347,37 +348,131 @@ def forest_votes(X, y, test_X, seed, max_depth):
     return seen[0], labels
 
 
+def grown_tree(X, y_idx, n_classes, orders, seed, max_depth, m_features):
+    """The forest's tree, grown from the given row orders."""
+    hot = (y_idx == np.arange(n_classes)[:, None]).astype(float)
+    counts = np.bincount(y_idx, minlength=n_classes).tolist()
+    return classify._grow_tree(X, hot, orders, counts, 0, max_depth,
+                               np.random.default_rng(seed), m_features,
+                               np.zeros(len(y_idx), dtype=bool))
+
+
+def copying_rows(X, hot, orders, counts, *rest):
+    """_grow_tree's signature over the copying-rows reference builder."""
+    return build_tree_copying_rows(X, hot.argmax(axis=0), len(counts), *rest[:-1])
+
+
+def assert_forest_matches_oracle(X, y_idx, n_classes, test_X, seed, max_depth):
+    """rf_classify casts the votes, and so gives the labels, of a forest of
+    reference trees."""
+    y = [f"c{v}" for v in y_idx]
+    votes, labels = forest_votes(X, y, test_X, seed, max_depth)
+    with mock.patch.object(classify, "_grow_tree", copying_rows):
+        ref_votes, ref_labels = forest_votes(X, y, test_X, seed, max_depth)
+    np.testing.assert_array_equal(votes, ref_votes)
+    assert list(labels) == list(ref_labels)
+
+
 @settings(max_examples=300, deadline=None)
 @given(forest_tables(), st.integers(0, 2 ** 16), st.integers(1, 6))
 def test_forest_trees_match_one_hot_split_oracle(table, seed, max_depth):
     """The presorted forest grows, node for node, the trees of a builder that
     stably sorts each node's rows afresh, whatever order equal values come in,
-    and rf_classify casts the same votes."""
+    and rf_classify casts the same votes. Its split search picks the oracle's
+    feature and threshold, marks the rows X[:, f] <= threshold as going left,
+    counts their classes, and leaves its row mark clear."""
     X, y_idx, n_classes = table
     n, d = X.shape
     m_features = max(1, int(round(np.sqrt(d))))
     reference = build_tree_copying_rows(X, y_idx, n_classes, 0, max_depth,
                                         np.random.default_rng(seed), m_features)
-    counts = np.bincount(y_idx, minlength=n_classes)
+    hot = (y_idx == np.arange(n_classes)[:, None]).astype(float)
+    counts = np.bincount(y_idx, minlength=n_classes).tolist()
     ties = np.random.default_rng(seed).permutation(n)
     for orders in (np.argsort(X.T, axis=1, kind="stable"),
                    np.array([np.lexsort((ties, col)) for col in X.T])):
-        assert (classify._gini_best_split(X, y_idx, orders, counts, range(d))
-                == gini_best_split_one_hot(X, y_idx, n_classes, range(d)))
-        assert classify._build_tree(X, y_idx, orders, n_classes, 0, max_depth,
-                                    np.random.default_rng(seed),
-                                    m_features) == reference
+        assert grown_tree(X, y_idx, n_classes, orders, seed, max_depth,
+                          m_features) == reference
+        if n < 2:  # the tree is a leaf; no node of one row is searched
+            continue
+        mark = np.zeros(n, dtype=bool)
+        split = classify._best_split(X, hot, orders, counts, np.arange(d), mark)
+        want = gini_best_split_one_hot(X, y_idx, n_classes, range(d))
+        assert not mark.any()
+        if want is None:
+            assert split is None
+            continue
+        f, thr, go_left, left_counts = split
+        assert (f, thr) == want[1:]
+        np.testing.assert_array_equal(go_left, X[orders, f] <= thr)
+        assert left_counts == np.bincount(y_idx[X[:, f] <= thr],
+                                          minlength=n_classes).tolist()
 
-    def copying_rows(X, y_idx, orders, n_classes, *rest):
-        return build_tree_copying_rows(X, y_idx, n_classes, *rest)
-
-    y = [f"c{v}" for v in y_idx]
     test_X = np.vstack([X, np.indices((4,) * d).reshape(d, -1).T[::7] - 0.5])
-    votes, labels = forest_votes(X, y, test_X, seed, max_depth)
-    with mock.patch.object(classify, "_build_tree", copying_rows):
-        ref_votes, ref_labels = forest_votes(X, y, test_X, seed, max_depth)
-    np.testing.assert_array_equal(votes, ref_votes)
-    assert list(labels) == list(ref_labels)
+    assert_forest_matches_oracle(X, y_idx, n_classes, test_X, seed, max_depth)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_forest_trees_match_the_oracle_on_a_loho_sized_table(n_classes):
+    """3000 rows of three features rounded to 0.1, so every column ties
+    often and rows repeat, as the occupancy forest's 2688-row tables are
+    sized: whole trees (from quicksort orders, ties in any order) and the
+    votes of a full-depth forest match the reference builder's."""
+    rng = np.random.default_rng(n_classes)
+    X = np.round(rng.normal(size=(3000, 3)), 1)
+    score = X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0, 0.5, 3000)
+    y_idx = np.digitize(score, np.quantile(score, np.arange(1, n_classes) / n_classes))
+    assert len(np.unique(X, axis=0)) < 3000
+    orders = np.argsort(X.T, axis=1)
+    for seed in (0, 1):
+        assert grown_tree(X, y_idx, n_classes, orders, seed, classify.MAX_DEPTH, 2) == \
+            build_tree_copying_rows(X, y_idx, n_classes, 0, classify.MAX_DEPTH,
+                                    np.random.default_rng(seed), 2)
+    test_X = np.round(rng.normal(size=(200, 3)), 1)
+    assert_forest_matches_oracle(X, y_idx, n_classes, test_X, 5, classify.MAX_DEPTH)
+
+
+def test_split_at_a_midpoint_that_rounds_up_sends_equal_rows_left():
+    """The midpoint of nextafter(1, 0) and 1.0 rounds to 1.0, so X <= 1.0
+    sends the 1.0 rows left with the smaller ones: the split is not at the
+    cut position, the left child cuts there again, and that cut's right
+    child is empty, a leaf of class 0. Trees and votes match the reference
+    builder's."""
+    below = np.nextafter(1.0, 0.0)
+    assert (below + 1.0) / 2 == 1.0
+    X = np.array([[below]] * 6 + [[1.0]] * 5 + [[2.0]] * 4)
+    y_idx = np.array([0] * 6 + [1] * 5 + [1] * 4)
+    hot = (y_idx == np.arange(2)[:, None]).astype(float)
+    f, thr, go_left, left_counts = classify._best_split(
+        X, hot, np.argsort(X.T, axis=1), [6, 9], np.arange(1), np.zeros(15, dtype=bool))
+    assert (f, thr, left_counts) == (0, 1.0, [6, 5])
+    assert go_left.sum() == 11
+    assert grown_tree(X, y_idx, 2, np.argsort(X.T, axis=1), 0, 2, 1) == \
+        (0, 1.0, (0, 1.0, 0, 0), 1)
+    for max_depth in (1, 2, 6):
+        assert grown_tree(X, y_idx, 2, np.argsort(X.T, axis=1), 0, max_depth, 1) == \
+            build_tree_copying_rows(X, y_idx, 2, 0, max_depth, np.random.default_rng(0), 1)
+        assert_forest_matches_oracle(X, y_idx, 2, np.array([[below], [1.0], [1.5], [2.0]]),
+                                     0, max_depth)
+
+
+def test_rf_traced_peak_on_a_loho_sized_table():
+    """One forest on 2688 x 3 rows, as each occupancy LOHO fold trains, peaks
+    under 1.15 MiB of traced allocations (1.5 x the 0.77 MiB the per-feature
+    search peaked at), so no split search's temporaries stay alive while the
+    children are grown."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(2688, 3))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0, 0.5, 2688) > 0).astype(int).tolist()
+    test_X = rng.normal(size=(896, 3))
+    rf_classify(X[:50], y[:50], test_X[:5])  # first-call allocations are not the forest's
+    tracemalloc.start()
+    try:
+        rf_classify(X, y, test_X, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,23 @@ def test_classify_subcommand(tmp_path, small_corpus):
     ET.parse(charts / "characteristics_accuracy.svg")
 
 
+def test_rf_classification_keeps_its_pinned_bytes(tmp_path, small_corpus):
+    """No benchmark workload runs the forest on a characteristics table (at
+    most a few rows per fold), so the rf result of all three sources is
+    pinned here: the sha256 of the payload without its envelope."""
+    out = tmp_path / "table.json"
+    with pytest.warns(UserWarning, match="skipping rooms"):
+        assert run(["classify", "--manifest", manifest_path(small_corpus),
+                    "--source", "aggregate-only,both,disagg-hart",
+                    "--classifier", "rf", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for key in ("tool_version", "seed", "config", "config_hash"):
+        del payload[key]
+    assert len(payload["rows"]) == 15
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()) \
+        .hexdigest()[:16] == "2f72996b7d7813f4"
+
+
 def test_report_of_a_classification_with_no_rows_renders_no_chart(tmp_path):
     """Two homes leave every characteristic too few per class for 2-fold CV,
     so classify writes no rows; report on that draws no chart, as it does
