@@ -5,7 +5,7 @@
 # the true occupancy schedule, and a log of every switching edge.
 import numpy as np
 
-from nilminfer import HomeSpec, gen_home, synth
+from nilminfer import HomeSpec, gen_home, synth, window_occupancy
 
 spec = HomeSpec(seed=7, days=3, occupants=3)
 home = gen_home(spec)
@@ -21,18 +21,18 @@ for name, trace in home.appliances.items():
     print(f"  {name:10s} mean {trace.values.mean():7.1f} W   "
           f"time-on {100 * duty:5.1f}%")
 
-occupied, scored = home.occupancy  # flags on the aggregate's window grid
+# the truth is one flag per sample; scoring reads it on the aggregate's
+# fifteen-minute window grid
+occupied, scored = window_occupancy(agg, *home.occupancy)
 print(f"\noccupancy truth: {occupied.sum()} of {len(occupied)} fifteen-minute "
       f"windows occupied ({100 * occupied.mean():.0f}%); the "
       f"{scored.sum()} starting 06:00-22:00 local are the ones scored")
 
+# one array of (time, delta_w) edges per source, in detect_events' dtype
 edges = home.provenance
-by_source = {}
-for e in edges:
-    by_source[e.source] = by_source.get(e.source, 0) + 1
-print(f"\nprovenance log: {len(edges)} switching edges")
-for source, count in sorted(by_source.items()):
-    print(f"  {source:15s} {count}")
+print(f"\nprovenance log: {sum(len(e) for e in edges.values())} switching edges")
+for source, planted in sorted(edges.items()):
+    print(f"  {source:15s} {len(planted)}")
 
 # the aggregate really is the sum of its parts plus noise
 residual = agg.values - sum(t.values for t in home.appliances.values())

@@ -9,7 +9,7 @@ from nilminfer import (DetectorConfig, HomeSpec,
                        learn_background, pair_events,
                        predict_occupancy_events,
                        predict_occupancy_night_threshold, remove_background,
-                       window_stats)
+                       window_occupancy, window_stats)
 
 home = gen_home(HomeSpec(seed=21, days=7))
 agg = home.aggregate
@@ -29,7 +29,8 @@ print(f"step 4  drop background:    {len(foreground)} foreground pairs left")
 
 # the steps above are foreground_pairs(agg, det); mark the windows around them
 pred = predict_occupancy_events(agg, foreground)
-m = evaluate_occupancy(pred, *home.occupancy)
+truth = window_occupancy(agg, *home.occupancy)  # per-sample truth, windowed
+m = evaluate_occupancy(pred, *truth)
 print(f"step 5  windowed occupancy: accuracy {m['accuracy_pct']:.1f}%  "
       f"(TP {m['tp']}  TN {m['tn']}  FP {m['fp']}  FN {m['fn']})")
 
@@ -38,7 +39,7 @@ stats = window_stats(agg)
 for label, stat in (("night-threshold (max)", "max"),
                     ("night-threshold (median)", "median")):
     alt = predict_occupancy_night_threshold(agg, stats, stat)
-    am = evaluate_occupancy(alt, *home.occupancy)
+    am = evaluate_occupancy(alt, *truth)
     print(f"baseline {label:25s} accuracy {am['accuracy_pct']:.1f}%  "
           f"energy proxy {am['energy_proxy']}  miss time {am['miss_time']}")
 

@@ -42,4 +42,4 @@ print(f"\nhart residual carries {100 * frac:.1f}% of the energy "
       f"(baseline load + unpaired events)")
 
 print(f"largest-magnitude cluster peaks at {top.values.max():.0f} W "
-      f"(true hvac power {home.spec.hvac.power_w:.0f} W)")
+      f"(true hvac power {home.spec.hvac_power_w:.0f} W)")

@@ -42,5 +42,4 @@ from .features import (extract_consumption_features, extract_appliance_features,
 from .classify import (label_characteristics, knn_classify, rf_classify,
                        majority_baseline, characteristics_experiment,
                        stratified_folds)
-from .synth import (HomeSpec, CyclicLoadSpec, HvacSpec, OccupantLoadSpec,
-                    GeneratedHome, Corpus, gen_home, gen_corpus)
+from .synth import HomeSpec, GeneratedHome, Corpus, gen_home, gen_corpus

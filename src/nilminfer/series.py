@@ -629,9 +629,12 @@ def window_occupancy(s: PowerSeries, ts: np.ndarray,
 
 
 def write_occupancy_csv(ts: np.ndarray, occupied: np.ndarray, path) -> None:
+    ts, occupied = np.asarray(ts).tolist(), np.asarray(occupied).tolist()
+    if len(ts) != len(occupied):
+        raise ValueError(f"{len(ts)} timestamps but {len(occupied)} occupancy flags")
     with open(path, "w", newline="") as f:
         f.write("timestamp,occupied\n")
-        for t, o in zip(np.asarray(ts).tolist(), np.asarray(occupied).tolist()):
+        for t, o in zip(ts, occupied):
             f.write(f"{t},{1 if o else 0}\n")
 
 

@@ -13,15 +13,16 @@ in the aggregate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .events import EVENT_DTYPE
 from .series import (MAX_GAP_PERIODS, PowerSeries, SECONDS_PER_DAY,
                      DatasetManifest, HomeEntry, local_clock_hours,
                      local_day_bounds, local_weekdays, save_manifest,
-                     window_occupancy, write_occupancy_csv, write_power_csv)
+                     write_occupancy_csv, write_power_csv)
 
 # 2024-01-01 00:00 UTC, a Monday; keeps weekday arithmetic easy to reason about
 DEFAULT_START = 1704067200
@@ -34,40 +35,19 @@ EDGE_MARGIN_SAMPLES = 2
 
 
 @dataclass
-class CyclicLoadSpec:
-    power_w: float = 150.0
-    on_s: float = 1200.0
-    off_s: float = 2400.0
-
-
-@dataclass
-class HvacSpec:
-    power_w: float = 2800.0
-    duty_fraction: float = 0.45
-    cycle_s: float = 2700.0
-    circuits: int = 1
-
-
-@dataclass
-class OccupantLoadSpec:
-    rate_per_occupied_hour: float = 1.5
-    power_range_w: tuple = (100.0, 1200.0)
-
-
-@dataclass
 class HomeSpec:
     seed: int = 0
     days: int = 14
     period_s: int = 30
     occupants: int = 2
-    area_sqft: float = 1500.0
-    floors: int = 1
-    rooms: int = 6
-    income_usd: float = 90000.0
-    age_years: float = 20.0
-    fridge: CyclicLoadSpec = field(default_factory=CyclicLoadSpec)
-    hvac: HvacSpec = field(default_factory=HvacSpec)
-    occupant_load: OccupantLoadSpec = field(default_factory=OccupantLoadSpec)
+    fridge_power_w: float = 150.0
+    fridge_on_s: float = 1200.0
+    fridge_off_s: float = 2400.0
+    hvac_power_w: float = 2800.0
+    hvac_duty_fraction: float = 0.45
+    hvac_cycle_s: float = 2700.0
+    occupant_rate_per_hour: float = 1.5  # arrivals per occupied waking hour
+    occupant_power_range_w: tuple = (100.0, 1200.0)
     baseline_w: float = 100.0
     appliance_noise_sigma_w: float = 2.0
     timezone: str = "UTC"
@@ -77,35 +57,29 @@ class HomeSpec:
             raise ValueError("days and period_s must be positive")
         if SECONDS_PER_DAY % self.period_s != 0:
             raise ValueError("period_s must divide 86400")
-        if not 0 < self.hvac.duty_fraction < 1:
-            raise ValueError("hvac duty_fraction must be in (0, 1)")
+        for name in ("fridge_power_w", "hvac_power_w", "baseline_w"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if not 0 < self.hvac_duty_fraction < 1:
+            raise ValueError("hvac_duty_fraction must be in (0, 1)")
         if self.appliance_noise_sigma_w < 0:
             raise ValueError("noise sigma must be >= 0")
-        if self.occupant_load.rate_per_occupied_hour < 0:
-            raise ValueError("occupant load rate must be >= 0")
-        lo, hi = self.occupant_load.power_range_w
+        if self.occupant_rate_per_hour < 0:
+            raise ValueError("occupant_rate_per_hour must be >= 0")
+        lo, hi = self.occupant_power_range_w
         if not 0 < lo <= hi:
             raise ValueError("ranges must be positive and ordered")
-        if min(self.fridge.on_s, self.fridge.off_s, self.hvac.cycle_s) <= 0:
+        if min(self.fridge_on_s, self.fridge_off_s, self.hvac_cycle_s) <= 0:
             raise ValueError("cycle durations must be positive")
-
-
-@dataclass(frozen=True)
-class ProvenanceEdge:
-    time: int
-    delta_w: float
-    source: str
 
 
 @dataclass
 class GeneratedHome:
     spec: HomeSpec
     aggregate: PowerSeries
-    appliances: dict          # name -> PowerSeries, includes baseline/occupant
-    occupancy_ts: np.ndarray  # per-sample timestamps
-    occupancy_flags: np.ndarray
-    occupancy: tuple  # (flags, scored) of the truth on the window grid
-    provenance: list
+    appliances: dict  # name -> PowerSeries, includes baseline/occupant
+    occupancy: tuple  # (timestamps, flags) per sample, as HomeData.occupancy
+    provenance: dict  # "fridge", "hvac", "occupant_load" -> EVENT_DTYPE edges
 
 
 def _cyclic_state(t_rel: np.ndarray, phase: float, on_s: float,
@@ -113,10 +87,17 @@ def _cyclic_state(t_rel: np.ndarray, phase: float, on_s: float,
     return ((t_rel + phase) % cycle_s) < on_s
 
 
-def _edges_from_levels(levels: np.ndarray, ts: np.ndarray, source: str) -> list:
+def _edges_from_levels(levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
     d = np.diff(levels)
     idx = np.flatnonzero(d)
-    return [ProvenanceEdge(int(ts[i + 1]), float(d[i]), source) for i in idx]
+    edges = np.empty(idx.size, EVENT_DTYPE)
+    edges["time"], edges["delta_w"] = ts[idx + 1], d[idx]
+    return edges
+
+
+def _near(i: int) -> slice:
+    """The samples within EDGE_MARGIN_SAMPLES of sample i."""
+    return slice(max(0, i - EDGE_MARGIN_SAMPLES), i + EDGE_MARGIN_SAMPLES + 1)
 
 
 def gen_home(spec: HomeSpec) -> GeneratedHome:
@@ -151,41 +132,39 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
                 occupied[day] &= ~((h >= away_start) & (h < away_end))
 
     # --- background loads (cycle independently of occupancy) ---------------
-    fridge_cycle = spec.fridge.on_s + spec.fridge.off_s
+    fridge_cycle = spec.fridge_on_s + spec.fridge_off_s
     fridge_on = _cyclic_state(t_rel, rng.uniform(0, fridge_cycle),
-                              spec.fridge.on_s, fridge_cycle)
-    fridge_clean = np.where(fridge_on, spec.fridge.power_w, 0.0)
+                              spec.fridge_on_s, fridge_cycle)
+    fridge_clean = np.where(fridge_on, spec.fridge_power_w, 0.0)
 
-    hvac_on_s = spec.hvac.duty_fraction * spec.hvac.cycle_s
-    hvac_on = _cyclic_state(t_rel, rng.uniform(0, spec.hvac.cycle_s),
-                            hvac_on_s, spec.hvac.cycle_s)
-    hvac_clean = np.where(hvac_on & (spec.hvac.power_w > 0),
-                          spec.hvac.power_w, 0.0)
+    hvac_on_s = spec.hvac_duty_fraction * spec.hvac_cycle_s
+    hvac_on = _cyclic_state(t_rel, rng.uniform(0, spec.hvac_cycle_s),
+                            hvac_on_s, spec.hvac_cycle_s)
+    hvac_clean = np.where(hvac_on, spec.hvac_power_w, 0.0)
 
     baseline = np.full(n, spec.baseline_w)
 
-    provenance = (_edges_from_levels(fridge_clean, ts, "fridge")
-                  + _edges_from_levels(hvac_clean, ts, "hvac"))
+    provenance = {"fridge": _edges_from_levels(fridge_clean, ts),
+                  "hvac": _edges_from_levels(hvac_clean, ts)}
 
     # occupant edges must not butt up against background edges
     edge_taken = np.zeros(n, dtype=bool)
-    for e in provenance:
-        i = int((e.time - DEFAULT_START) // period)
-        edge_taken[max(0, i - EDGE_MARGIN_SAMPLES):i + EDGE_MARGIN_SAMPLES + 1] = True
+    for edges in provenance.values():
+        for i in ((edges["time"] - DEFAULT_START) // period).tolist():
+            edge_taken[_near(i)] = True
 
     # --- occupant-driven loads during occupied waking hours ----------------
     occupant_clean = np.zeros(n)
+    occupant_edges = []
     awake = occupied & (hours >= AWAKE_START_HOUR) & (hours < AWAKE_END_HOUR)
-    load_spec = spec.occupant_load
-    if load_spec.rate_per_occupied_hour > 0:
+    if spec.occupant_rate_per_hour > 0:
         padded = np.concatenate(([False], awake, [False]))
         bounds = np.flatnonzero(np.diff(padded.astype(np.int8)))
         for a, b in zip(bounds[::2], bounds[1::2]):
             run_len = int(b - a)
             if run_len < 6:
                 continue
-            run_hours = run_len * period / 3600.0
-            k = rng.poisson(load_spec.rate_per_occupied_hour * run_hours)
+            k = rng.poisson(spec.occupant_rate_per_hour * (run_len * period / 3600.0))
             for _ in range(k):
                 for _try in range(12):
                     on_i = int(a + rng.integers(0, run_len))
@@ -193,24 +172,15 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
                     off_i = on_i + max(2, int(round(dur / period)))
                     if off_i >= b:
                         continue
-                    if edge_taken[max(0, on_i - EDGE_MARGIN_SAMPLES):
-                                  on_i + EDGE_MARGIN_SAMPLES + 1].any():
+                    if edge_taken[_near(on_i)].any() or edge_taken[_near(off_i)].any():
                         continue
-                    if edge_taken[max(0, off_i - EDGE_MARGIN_SAMPLES):
-                                  off_i + EDGE_MARGIN_SAMPLES + 1].any():
-                        continue
-                    power = rng.uniform(*load_spec.power_range_w)
+                    power = rng.uniform(*spec.occupant_power_range_w)
                     occupant_clean[on_i:off_i] += power
-                    for i in (on_i, off_i):
-                        edge_taken[max(0, i - EDGE_MARGIN_SAMPLES):
-                                   i + EDGE_MARGIN_SAMPLES + 1] = True
-                    provenance.append(
-                        ProvenanceEdge(int(ts[on_i]), power, "occupant_load"))
-                    provenance.append(
-                        ProvenanceEdge(int(ts[off_i]), -power, "occupant_load"))
+                    edge_taken[_near(on_i)] = edge_taken[_near(off_i)] = True
+                    occupant_edges += [(ts[on_i], power), (ts[off_i], -power)]
                     break
-
-    provenance.sort(key=lambda e: (e.time, e.source))
+    provenance["occupant_load"] = np.sort(np.array(occupant_edges, EVENT_DTYPE),
+                                          order="time")
 
     # --- assemble traces ----------------------------------------------------
     app_sigma = spec.appliance_noise_sigma_w
@@ -219,8 +189,8 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
     hvac_trace = np.maximum(hvac_clean + rng.normal(0, app_sigma, n), 0.0) \
         if app_sigma > 0 else hvac_clean
 
-    total = fridge_trace + hvac_trace + baseline + occupant_clean
-    total = total + rng.normal(0, NOISE_SIGMA_W, n)
+    total = (fridge_trace + hvac_trace + baseline + occupant_clean
+             + rng.normal(0, NOISE_SIGMA_W, n))
     aggregate = PowerSeries(DEFAULT_START, period, np.maximum(total, 0.0),
                             spec.timezone)
 
@@ -231,11 +201,8 @@ def gen_home(spec: HomeSpec) -> GeneratedHome:
         "occupant": PowerSeries(DEFAULT_START, period, occupant_clean, spec.timezone),
     }
 
-    occupancy = window_occupancy(aggregate, ts, occupied)
-
     return GeneratedHome(spec=spec, aggregate=aggregate, appliances=appliances,
-                         occupancy_ts=ts, occupancy_flags=occupied,
-                         occupancy=occupancy, provenance=provenance)
+                         occupancy=(ts, occupied), provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +229,8 @@ def _class_counts(n: int, fractions: tuple) -> list[int]:
 
 
 def _assign(rng, n, options, fractions):
-    labels = []
-    for opt, c in zip(options, _class_counts(n, fractions)):
-        labels.extend([opt] * c)
-    labels = np.array(labels, dtype=object)
+    labels = np.array([opt for opt, c in zip(options, _class_counts(n, fractions))
+                       for _ in range(c)], dtype=object)
     rng.shuffle(labels)
     return labels
 
@@ -274,12 +239,14 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
                out_dir=None, timezone: str = "UTC") -> Corpus:
     """Generate a corpus of homes whose characteristics correlate with their
     electrical behavior (more occupants -> more switching, larger area ->
-    bigger HVAC, older home -> longer HVAC duty, more floors -> more HVAC
-    circuits), then optionally write CSVs plus a manifest to out_dir.
+    bigger HVAC, older home -> longer HVAC duty), then optionally write CSVs
+    plus a manifest to out_dir. HVAC circuits, drawn to follow floors, exist
+    only as manifest metadata (hvac_circuits): no trace depends on them.
     """
     if n < 2:
         raise ValueError("need at least 2 homes")
     rng = np.random.default_rng(seed)
+    base = Path(out_dir) if out_dir is not None else None
 
     occ_class = _assign(rng, n, ("LE2", "GT2"), (0.55, 0.45))
     area_class = _assign(rng, n, ("Medium", "High"), (0.5, 0.5))
@@ -312,73 +279,62 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
         duty = rng.uniform(0.50, 0.68) if age_class[i] == "Old" \
             else rng.uniform(0.30, 0.45)
 
-        spec = HomeSpec(
+        home_id = f"home_{i:02d}"
+        home = homes[home_id] = gen_home(HomeSpec(
             seed=seed * 1009 + i,
             days=days,
             period_s=period_s,
             occupants=occupants,
-            area_sqft=round(area, 1),
-            floors=floors,
-            rooms=rooms,
-            income_usd=round(income, 2),
-            age_years=round(age, 1),
-            fridge=CyclicLoadSpec(power_w=rng.uniform(130, 175),
-                                  on_s=1200 + rng.uniform(-120, 120),
-                                  off_s=2400 + rng.uniform(-240, 240)),
-            hvac=HvacSpec(power_w=hvac_power, duty_fraction=duty,
-                          cycle_s=rng.uniform(1800, 3600), circuits=circuits),
-            occupant_load=OccupantLoadSpec(rate_per_occupied_hour=rate,
-                                           power_range_w=(100.0, power_hi)),
+            fridge_power_w=rng.uniform(130, 175),
+            fridge_on_s=1200 + rng.uniform(-120, 120),
+            fridge_off_s=2400 + rng.uniform(-240, 240),
+            hvac_power_w=hvac_power,
+            hvac_duty_fraction=duty,
+            hvac_cycle_s=rng.uniform(1800, 3600),
+            occupant_rate_per_hour=rate,
+            occupant_power_range_w=(100.0, power_hi),
             baseline_w=40.0 + 10.0 * rooms,
             timezone=timezone,
-        )
-        home_id = f"home_{i:02d}"
-        homes[home_id] = gen_home(spec)
-        entries.append((home_id, spec))
-
-    manifest = _build_manifest(entries, homes, seed, out_dir)
-    return Corpus(manifest=manifest, homes=homes)
-
-
-def _build_manifest(entries, homes, seed, out_dir) -> DatasetManifest:
-    home_entries = []
-    base = Path(out_dir) if out_dir is not None else None
-    for home_id, spec in entries:
-        gh = homes[home_id]
-        rel_agg = f"{home_id}/aggregate.csv"
-        rel_apps = {name: f"{home_id}/{name}.csv" for name in ("fridge", "hvac")}
-        rel_occ = f"{home_id}/occupancy.csv"
-        if base is not None:
-            d = base / home_id
-            d.mkdir(parents=True, exist_ok=True)
-            write_power_csv(gh.aggregate, base / rel_agg)
-            for name, rel in rel_apps.items():
-                write_power_csv(gh.appliances[name], base / rel)
-            write_occupancy_csv(gh.occupancy_ts, gh.occupancy_flags, base / rel_occ)
-            with open(d / "provenance.csv", "w") as f:
-                f.write("time,delta_w,source\n")
-                for e in gh.provenance:
-                    f.write(f"{e.time},{e.delta_w!r},{e.source}\n")
-        home_entries.append(HomeEntry(
-            home_id=home_id,
-            aggregate_path=rel_agg,
-            appliance_paths=rel_apps,
-            occupancy_path=rel_occ,
-            timezone=spec.timezone,
-            characteristics={
-                "age_years": spec.age_years,
-                "area_sqft": spec.area_sqft,
-                "income_usd_per_year": spec.income_usd,
-                "floors": spec.floors,
-                "rooms": spec.rooms,
-                "occupants": spec.occupants,
-            },
-            hvac_circuits=spec.hvac.circuits,
         ))
+        entry = HomeEntry(
+            home_id=home_id,
+            aggregate_path=f"{home_id}/aggregate.csv",
+            appliance_paths={name: f"{home_id}/{name}.csv" for name in ("fridge", "hvac")},
+            occupancy_path=f"{home_id}/occupancy.csv",
+            timezone=timezone,
+            characteristics={
+                "age_years": round(age, 1),
+                "area_sqft": round(area, 1),
+                "income_usd_per_year": round(income, 2),
+                "floors": floors,
+                "rooms": rooms,
+                "occupants": occupants,
+            },
+            hvac_circuits=circuits,
+        )
+        entries.append(entry)
+        if base is not None:
+            _write_home(home, entry, base)
+
     manifest = DatasetManifest(
-        homes=home_entries, base_dir=base,
+        homes=entries, base_dir=base,
         meta={"seed": seed, "generator": "nilminfer.synth",
               "gap_policy": f"forward-fill <= {MAX_GAP_PERIODS} periods, error beyond"})
     if base is not None:
         save_manifest(manifest, base / "manifest.json")
-    return manifest
+    return Corpus(manifest=manifest, homes=homes)
+
+
+def _write_home(home: GeneratedHome, entry: HomeEntry, base: Path) -> None:
+    """The home's CSVs at the entry's paths under base, and every planted
+    edge in <home_id>/provenance.csv, sorted by time and then by source."""
+    (base / entry.home_id).mkdir(parents=True, exist_ok=True)
+    write_power_csv(home.aggregate, base / entry.aggregate_path)
+    for name, rel in entry.appliance_paths.items():
+        write_power_csv(home.appliances[name], base / rel)
+    write_occupancy_csv(*home.occupancy, base / entry.occupancy_path)
+    rows = sorted((t, src, d) for src, edges in home.provenance.items()
+                  for t, d in zip(edges["time"].tolist(), edges["delta_w"].tolist()))
+    with open(base / entry.home_id / "provenance.csv", "w") as f:
+        f.write("time,delta_w,source\n")
+        f.writelines(f"{t},{d!r},{src}\n" for t, src, d in rows)

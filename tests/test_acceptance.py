@@ -23,7 +23,7 @@ from nilminfer.features import chi2_select, pearson
 from nilminfer.occupancy import (evaluate_occupancy, foreground_pairs,
                                  predict_occupancy_events,
                                  predict_occupancy_night_threshold, window_stats)
-from nilminfer.series import PowerSeries, clock_window_mean
+from nilminfer.series import PowerSeries, clock_window_mean, window_occupancy
 from nilminfer.synth import DEFAULT_START
 
 from test_classify import knn_oracle, separable_fixture
@@ -53,12 +53,12 @@ def test_criterion_1_event_recovery(default_corpus):
             by_time = {}
             for time, delta in events.tolist():
                 by_time.setdefault(time, []).append(delta)
-            for pe in home.provenance:
-                if pe.source != "occupant_load" or abs(pe.delta_w) < 70:
+            for planted, planted_w in home.provenance["occupant_load"].tolist():
+                if abs(planted_w) < 70:
                     continue
                 total += 1
-                hits += any(abs(delta - pe.delta_w) <= 15
-                            for tt in (pe.time - per, pe.time, pe.time + per)
+                hits += any(abs(delta - planted_w) <= 15
+                            for tt in (planted - per, planted, planted + per)
                             for delta in by_time.get(tt, []))
         rng = np.random.default_rng(0)
         spurious = 0
@@ -106,9 +106,10 @@ def test_criterion_3_occupancy_ordering(default_corpus):
             p_ours = predict_occupancy_events(s, foreground_pairs(s, DetectorConfig()))
             p_max = predict_occupancy_night_threshold(s, stats, "max")
             p_med = predict_occupancy_night_threshold(s, stats, "median")
-            m_ours = evaluate_occupancy(p_ours, *home.occupancy)
-            m_max = evaluate_occupancy(p_max, *home.occupancy)
-            m_med = evaluate_occupancy(p_med, *home.occupancy)
+            truth = window_occupancy(s, *home.occupancy)
+            m_ours = evaluate_occupancy(p_ours, *truth)
+            m_max = evaluate_occupancy(p_max, *truth)
+            m_med = evaluate_occupancy(p_med, *truth)
             acc_ours.append(m_ours["accuracy_pct"])
             acc_chen.append(m_max["accuracy_pct"])
             tp_ok.append(m_med["tp"] >= m_max["tp"])

@@ -13,7 +13,7 @@ from nilminfer.errors import AlignmentError, CapacityError, DegenerateModelError
 from nilminfer.events import (PAIR_DTYPE, cluster_magnitudes, detect_events,
                               pair_events)
 from nilminfer.series import PowerSeries
-from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
+from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
 
 
 def series(values, period=30, start=DEFAULT_START):
@@ -514,11 +514,9 @@ def test_hart_single_square_wave_exact():
 
 
 def test_hart_fridge_hvac_mixture():
-    spec = HomeSpec(seed=42, days=2,
-                    hvac=HvacSpec(power_w=3000.0, duty_fraction=0.5,
-                                  cycle_s=3000.0))
-    spec.occupant_load.rate_per_occupied_hour = 0.0
-    home = gen_home(spec)
+    home = gen_home(HomeSpec(seed=42, days=2, hvac_power_w=3000.0,
+                             hvac_duty_fraction=0.5, hvac_cycle_s=3000.0,
+                             occupant_rate_per_hour=0.0))
     result = hart_disaggregate(home.aggregate)
     hvac = result["hvac"].values
     assert hvac[hvac > 0] == pytest.approx(3000.0, rel=0.1)

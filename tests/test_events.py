@@ -10,7 +10,7 @@ from nilminfer.events import (BACKGROUND_MIN_SUPPORT, CLUSTER_GAP_FRAC,
                               cluster_magnitudes, detect_events,
                               learn_background, pair_events, remove_background)
 from nilminfer.series import PowerSeries
-from nilminfer.synth import DEFAULT_START, HomeSpec, HvacSpec, gen_home
+from nilminfer.synth import DEFAULT_START, HomeSpec, gen_home
 
 
 def make_series(values, period=1, start=DEFAULT_START):
@@ -31,24 +31,17 @@ def planted_edge_fixture():
     """One day, fridge + occupant loads only, additive noise sigma=5: every
     edge is isolated by construction, so the detector must recover all of
     them."""
-    spec = HomeSpec(seed=11, days=1, hvac=HvacSpec(power_w=0.0),
-                    appliance_noise_sigma_w=0.0)
-    spec.occupant_load.rate_per_occupied_hour = 2.0
-    return gen_home(spec)
+    return gen_home(HomeSpec(seed=11, days=1, hvac_power_w=0.0,
+                             appliance_noise_sigma_w=0.0,
+                             occupant_rate_per_hour=2.0))
 
 
 def match_events(detected, planted, period, tol_w=15.0):
-    """planted edges recovered within +-1 sample and +-tol_w."""
-    by_time = {}
-    for time, delta in detected.tolist():
-        by_time.setdefault(time, []).append(delta)
-    hits = []
-    for pe in planted:
-        ok = any(abs(delta - pe.delta_w) <= tol_w
-                 for t in (pe.time - period, pe.time, pe.time + period)
-                 for delta in by_time.get(t, []))
-        hits.append(ok)
-    return hits
+    """For each planted EVENT_DTYPE edge, whether a detected one lies within
+    +-1 sample and +-tol_w of it."""
+    dt = np.abs(planted["time"][:, None] - detected["time"][None, :])
+    dw = np.abs(planted["delta_w"][:, None] - detected["delta_w"][None, :])
+    return ((dt <= period) & (dw <= tol_w)).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -75,20 +68,15 @@ def test_small_steps_below_threshold_ignored():
 
 def test_planted_edges_all_recovered():
     home = planted_edge_fixture()
-    planted = [e for e in home.provenance if abs(e.delta_w) >= 70]
+    planted = np.concatenate(list(home.provenance.values()))
+    planted = planted[np.abs(planted["delta_w"]) >= 70]
     assert len(planted) >= 40
     detected = detect_events(home.aggregate)
     hits = match_events(detected, planted, home.aggregate.period_s)
-    assert all(hits), f"missed {hits.count(False)} of {len(hits)} planted edges"
+    assert hits.all(), f"missed {(~hits).sum()} of {len(hits)} planted edges"
     # and nothing spurious: every detection maps back to a planted edge
-    by = {}
-    for pe in planted:
-        by.setdefault(pe.time, []).append(pe)
-    for time, delta in detected.tolist():
-        ok = any(abs(delta - pe.delta_w) <= 15
-                 for t in (time - 30, time, time + 30)
-                 for pe in by.get(t, []))
-        assert ok, f"spurious event at {time}: {delta} W"
+    found = match_events(planted, detected, home.aggregate.period_s)
+    assert found.all(), f"spurious events: {detected[~found].tolist()}"
 
 
 def test_no_events_on_constant_plus_noise():
@@ -237,12 +225,11 @@ def test_pair_events_matches_unbounded_scan(specs):
 # ---------------------------------------------------------------------------
 
 def test_learn_background_ideal_fridge():
-    spec = HomeSpec(seed=21, days=2, hvac=HvacSpec(power_w=0.0))
-    spec.occupant_load.rate_per_occupied_hour = 0.0
+    spec = HomeSpec(seed=21, days=2, hvac_power_w=0.0, occupant_rate_per_hour=0.0)
     home = gen_home(spec)
     centers = learn_background(home.aggregate)
     assert len(centers) == 1
-    assert centers[0] == pytest.approx(spec.fridge.power_w, abs=15)
+    assert centers[0] == pytest.approx(spec.fridge_power_w, abs=15)
 
 
 def test_learn_background_flat_night_is_empty():
@@ -252,11 +239,9 @@ def test_learn_background_flat_night_is_empty():
 
 
 def test_learn_background_two_loads():
-    spec = HomeSpec(seed=22, days=2,
-                    hvac=HvacSpec(power_w=1200.0, duty_fraction=0.5,
-                                  cycle_s=2400.0))
-    spec.occupant_load.rate_per_occupied_hour = 0.0
-    home = gen_home(spec)
+    home = gen_home(HomeSpec(seed=22, days=2, hvac_power_w=1200.0,
+                             hvac_duty_fraction=0.5, hvac_cycle_s=2400.0,
+                             occupant_rate_per_hour=0.0))
     centers = learn_background(home.aggregate)
     assert len(centers) == 2
     assert centers[0] == pytest.approx(150.0, rel=0.1)
@@ -297,8 +282,8 @@ def test_foreground_pairs_are_occupant_driven():
     kept = remove_background(pairs, learn_background(home.aggregate))
     assert len(kept), "expected foreground pairs"
     per = home.aggregate.period_s
-    on_edges = {e.time for e in home.provenance
-                if e.source == "occupant_load" and e.delta_w > 0}
+    occupant = home.provenance["occupant_load"]
+    on_edges = set(occupant["time"][occupant["delta_w"] > 0].tolist())
     for on, off, _ in kept.tolist():
         near = {on - per, on, on + per}
         assert near & on_edges, f"pair ({on}, {off}) does not match an occupant ON edge"

@@ -148,11 +148,9 @@ def test_event_pipeline_monotone_in_pairs():
 def test_event_pipeline_background_removed(default_corpus):
     # a home with zero occupant activity predicts all-unoccupied even though
     # fridge and hvac cycle all day
-    spec = HomeSpec(seed=41, days=2)
-    spec.occupant_load.rate_per_occupied_hour = 0.0
-    home = gen_home(spec)
+    home = gen_home(HomeSpec(seed=41, days=2, occupant_rate_per_hour=0.0))
     pred = event_flags(home.aggregate)
-    m = evaluate_occupancy(pred, *home.occupancy)
+    m = evaluate_occupancy(pred, *window_occupancy(home.aggregate, *home.occupancy))
     assert m["tp"] + m["fp"] == 0
 
 
@@ -573,8 +571,9 @@ def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
                                    ("ours", "chen", "knn"))
     for row in res["per_home"]:
         home = new_york_corpus.homes[row["home_id"]]
+        truth = window_occupancy(home.aggregate, *home.occupancy)
         if row["algorithm"] == "knn":
-            m = evaluate_occupancy(event_flags(home.aggregate), *home.occupancy)
+            m = evaluate_occupancy(event_flags(home.aggregate), *truth)
             assert row["n_windows"] == m["n_windows"]
             continue
         with warnings.catch_warnings():
@@ -582,7 +581,7 @@ def test_loho_scores_the_windows_of_the_generated_truth(new_york_corpus):
             pred = (event_flags(home.aggregate) if row["algorithm"] == "ours"
                     else night_flags(home.aggregate, "max"))
         assert row == {"home_id": row["home_id"], "algorithm": row["algorithm"],
-                       **evaluate_occupancy(pred, *home.occupancy)}
+                       **evaluate_occupancy(pred, *truth)}
     assert {r["n_windows"] for r in res["per_home"]} == {896}
     ours, = [s for s in res["summary"] if s["algorithm"] == "ours"]
     assert round(ours["accuracy_pct"], 2) == 92.39

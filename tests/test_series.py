@@ -1006,6 +1006,15 @@ def test_occupancy_csv_round_trip(tmp_path):
     assert np.array_equal(ts, ts2) and np.array_equal(occ, occ2)
 
 
+@pytest.mark.parametrize("n_ts, n_flags", [(60, 59), (59, 60)])
+def test_occupancy_csv_writer_rejects_unequal_lengths(tmp_path, n_ts, n_flags):
+    from nilminfer.series import write_occupancy_csv
+    p = tmp_path / "occ.csv"
+    with pytest.raises(ValueError, match=f"{n_ts} timestamps but {n_flags}"):
+        write_occupancy_csv(np.arange(n_ts) * 60, np.ones(n_flags, dtype=bool), p)
+    assert not p.exists()
+
+
 def test_occupancy_csv_rejects_bad_flag(tmp_path):
     p = tmp_path / "occ.csv"
     p.write_text("timestamp,occupied\n0,2\n")

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from nilminfer.classify import label_characteristics, CLASS_SETS
-from nilminfer.series import MAX_GAP_PERIODS, load_power_csv
-from nilminfer.synth import (NOISE_SIGMA_W, HomeSpec, HvacSpec,
-                             OccupantLoadSpec, gen_corpus, gen_home)
+from nilminfer.events import EVENT_DTYPE
+from nilminfer.series import MAX_GAP_PERIODS, HomeData, load_power_csv
+from nilminfer.synth import NOISE_SIGMA_W, HomeSpec, gen_corpus, gen_home
 
 
 def test_same_seed_bit_identical(tmp_path):
     spec = HomeSpec(seed=50, days=2)
     a, b = gen_home(spec), gen_home(HomeSpec(seed=50, days=2))
     assert np.array_equal(a.aggregate.values, b.aggregate.values)
-    assert a.provenance == b.provenance
+    assert a.provenance.keys() == b.provenance.keys()
+    for source, edges in a.provenance.items():
+        assert edges.tobytes() == b.provenance[source].tobytes()
     assert np.array_equal(a.occupancy, b.occupancy)
     from nilminfer.series import write_power_csv
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -33,13 +35,41 @@ def test_different_seed_differs():
 
 
 def test_zero_occupant_rate_leaves_background_only():
-    spec = HomeSpec(seed=51, days=2)
-    spec.occupant_load.rate_per_occupied_hour = 0.0
-    home = gen_home(spec)
-    assert {e.source for e in home.provenance} <= {"fridge", "hvac"}
+    home = gen_home(HomeSpec(seed=51, days=2, occupant_rate_per_hour=0.0))
+    assert len(home.provenance["occupant_load"]) == 0
+    assert len(home.provenance["fridge"]) and len(home.provenance["hvac"])
     # occupancy truth is still nontrivial
-    flags, _ = home.occupancy
+    _, flags = home.occupancy
     assert flags.any() and not flags.all()
+
+
+def test_provenance_is_the_edges_of_each_clean_load():
+    """Each source's EVENT_DTYPE edges, in time order, are the steps of its
+    noise-free trace: with no appliance noise, the fridge and HVAC
+    submeters; the occupant trace is noise-free as generated."""
+    home = gen_home(HomeSpec(seed=55, days=2, appliance_noise_sigma_w=0.0))
+    for source, trace in (("fridge", "fridge"), ("hvac", "hvac"),
+                          ("occupant_load", "occupant")):
+        edges = home.provenance[source]
+        assert edges.dtype == EVENT_DTYPE and len(edges)
+        s = home.appliances[trace]
+        step = np.flatnonzero(np.diff(s.values)) + 1
+        assert edges["time"].tolist() == s.timestamps()[step].tolist()
+        assert np.allclose(edges["delta_w"], np.diff(s.values)[step - 1])
+
+
+def test_generated_truth_has_the_form_of_home_data_truth(small_corpus):
+    """The generated truth is per sample, (timestamps, flags) as
+    HomeData.occupancy reads it back, so window_occupancy means the same for
+    either kind of home."""
+    manifest = small_corpus.manifest
+    for entry in manifest.homes:
+        generated = small_corpus.homes[entry.home_id]
+        ts, flags = generated.occupancy
+        assert ts.size == flags.size == len(generated.aggregate)
+        loaded_ts, loaded_flags = HomeData(manifest, entry).occupancy
+        assert np.array_equal(ts, loaded_ts)
+        assert np.array_equal(flags, loaded_flags)
 
 
 def test_residual_is_the_noise_term():
@@ -57,17 +87,18 @@ def test_provenance_edges_visible_in_aggregate():
     home = gen_home(spec)
     per = home.aggregate.period_s
     t0 = home.aggregate.start_time
-    times = [e.time for e in home.provenance]
-    unique_times = {t for t in times if times.count(t) == 1}
+    edges = np.concatenate(list(home.provenance.values()))
+    times, counts = np.unique(edges["time"], return_counts=True)
+    unique_times = set(times[counts == 1].tolist())
     sigma_step = np.sqrt(2) * np.sqrt(NOISE_SIGMA_W ** 2
                                       + spec.appliance_noise_sigma_w ** 2)
     checked = 0
-    for e in home.provenance:
-        if abs(e.delta_w) < 70 or e.time not in unique_times:
+    for time, delta_w in edges.tolist():
+        if abs(delta_w) < 70 or time not in unique_times:
             continue
-        i = (e.time - t0) // per
+        i = (time - t0) // per
         step = home.aggregate.values[i] - home.aggregate.values[i - 1]
-        assert abs(step - e.delta_w) <= 5 * sigma_step
+        assert abs(step - delta_w) <= 5 * sigma_step
         checked += 1
     assert checked >= 100
 
@@ -75,7 +106,7 @@ def test_provenance_edges_visible_in_aggregate():
 def test_occupancy_independent_of_background():
     home = gen_home(HomeSpec(seed=54, days=14))
     fridge_on = home.appliances["fridge"].values > 50
-    occ = home.occupancy_flags
+    _, occ = home.occupancy
     r = np.corrcoef(fridge_on.astype(float), occ.astype(float))[0, 1]
     assert abs(r) < 0.1
 
@@ -90,25 +121,29 @@ def test_schedule_follows_the_local_weekday(tz):
     zone = ZoneInfo(tz)
     for seed in range(4):
         home = gen_home(HomeSpec(seed=seed, days=8, period_s=300, timezone=tz))
-        local = [datetime.fromtimestamp(t, zone) for t in home.occupancy_ts.tolist()]
+        ts, flags = home.occupancy
+        local = [datetime.fromtimestamp(t, zone) for t in ts.tolist()]
         hour = np.array([d.hour for d in local])
         weekday = np.array([d.weekday() < 5 for d in local])
         away, at_home = (hour == 9) & weekday, (hour < 10) & ~weekday
         assert away.any() and at_home.any()
-        assert not home.occupancy_flags[away].any(), (tz, seed)
-        assert home.occupancy_flags[at_home].all(), (tz, seed)
+        assert not flags[away].any(), (tz, seed)
+        assert flags[at_home].all(), (tz, seed)
 
 
 def test_home_spec_validation():
-    with pytest.raises(ValueError):
-        gen_home(HomeSpec(seed=0, days=0))
-    with pytest.raises(ValueError):
-        gen_home(HomeSpec(seed=0, period_s=7))  # does not divide the day
-    with pytest.raises(ValueError):
-        gen_home(HomeSpec(seed=0, hvac=HvacSpec(duty_fraction=1.2)))
-    with pytest.raises(ValueError):
-        gen_home(HomeSpec(seed=0, occupant_load=OccupantLoadSpec(
-            rate_per_occupied_hour=-1.0)))
+    for name, value, match in [
+        ("days", 0, "days and period_s"),
+        ("period_s", 7, "divide"),  # does not divide the day
+        ("hvac_duty_fraction", 1.2, "hvac_duty_fraction"),
+        ("occupant_rate_per_hour", -1.0, "occupant_rate_per_hour"),
+        ("fridge_power_w", -150.0, "fridge_power_w must be >= 0"),
+        ("hvac_power_w", -2000.0, "hvac_power_w must be >= 0"),
+        ("hvac_power_w", float("nan"), "hvac_power_w must be >= 0"),
+        ("baseline_w", -5.0, "baseline_w must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            gen_home(HomeSpec(**{"seed": 0, "days": 1, name: value}))
 
 
 def test_corpus_class_coverage(default_corpus):
@@ -128,7 +163,7 @@ def test_corpus_occupant_rate_coupling(default_corpus):
     for h in default_corpus.manifest.homes:
         home = default_corpus.homes[h.home_id]
         label = "LE2" if h.characteristics["occupants"] <= 2 else "GT2"
-        rates[label].append(home.spec.occupant_load.rate_per_occupied_hour)
+        rates[label].append(home.spec.occupant_rate_per_hour)
     assert np.mean(rates["GT2"]) > np.mean(rates["LE2"])
     assert min(rates["GT2"]) > max(rates["LE2"])  # strict by construction
 
