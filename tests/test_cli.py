@@ -1,6 +1,5 @@
 """CLI harness: subcommands, artifacts, determinism, exit codes."""
 import copy
-import hashlib
 import json
 import math
 import os
@@ -178,41 +177,6 @@ def test_disaggregate_hart_runs(tmp_path, small_corpus):
     assert (out / "home_00" / "highest_power_appliance.csv").exists()
 
 
-# sha256 (first 16 hex digits) of every CSV detect-events and disaggregate
-# --algo hart write on the small seed-3 corpus: the event layer's output bytes
-EVENT_LAYER_CSV_DIGESTS = {
-    "events/events_home_00.csv": "e7e912c6e2ed18d6",
-    "events/events_home_01.csv": "ea32cd26201bc1e5",
-    "events/events_home_02.csv": "9d2627d99cf9fd8f",
-    "events/events_home_03.csv": "9d2ffc4601cdb7ce",
-    "events/events_home_04.csv": "f65224f6f557f2e4",
-    "events/pairs_home_00.csv": "7e853f2ac5ac9644",
-    "events/pairs_home_01.csv": "3ef9d34826176821",
-    "events/pairs_home_02.csv": "a12ecd4101ef0717",
-    "events/pairs_home_03.csv": "8f394912fa0be3b3",
-    "events/pairs_home_04.csv": "395864f07d654fbf",
-    **{f"hart/home_0{i}/{name}.csv": digest
-       for i, digest in enumerate(("6917b28f63eeeeb6", "0e3eee2b0abc0089",
-                                   "319fb82f55a2398b", "53252b4dc1a0eadb",
-                                   "6389e5c7923da349"))
-       for name in ("highest_power_appliance", "hvac")},
-}
-
-
-def test_event_layer_csvs_keep_their_pinned_bytes(tmp_path, small_corpus):
-    """No benchmark workload runs detect-events or Hart disaggregation, so
-    their CSVs are pinned here: every home's events, pairs and both Hart
-    traces (each home's top cluster is HVAC, so its two traces agree)."""
-    for out, argv in (("events", ["detect-events"]),
-                      ("hart", ["disaggregate", "--algo", "hart"])):
-        assert run([*argv, "--manifest", manifest_path(small_corpus),
-                    "--out", str(tmp_path / out)]) == 0
-    digests = {p.relative_to(tmp_path).as_posix():
-               hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-               for p in tmp_path.rglob("*.csv")}
-    assert digests == EVENT_LAYER_CSV_DIGESTS
-
-
 def test_disaggregate_rerun_leaves_only_homes_and_metrics(tmp_path, small_corpus):
     """No staging directory is left behind, and a rerun into the first
     run's output writes the same bytes."""
@@ -308,23 +272,6 @@ def test_classify_subcommand(tmp_path, small_corpus):
     charts = tmp_path / "clf_charts"
     assert run(["report", "--results", str(out), "--out", str(charts)]) == 0
     ET.parse(charts / "characteristics_accuracy.svg")
-
-
-def test_rf_classification_keeps_its_pinned_bytes(tmp_path, small_corpus):
-    """No benchmark workload runs the forest on a characteristics table (at
-    most a few rows per fold), so the rf result of all three sources is
-    pinned here: the sha256 of the payload without its envelope."""
-    out = tmp_path / "table.json"
-    with pytest.warns(UserWarning, match="skipping rooms"):
-        assert run(["classify", "--manifest", manifest_path(small_corpus),
-                    "--source", "aggregate-only,both,disagg-hart",
-                    "--classifier", "rf", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    for key in ("tool_version", "seed", "config", "config_hash"):
-        del payload[key]
-    assert len(payload["rows"]) == 15
-    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()) \
-        .hexdigest()[:16] == "2f72996b7d7813f4"
 
 
 def test_report_of_a_classification_with_no_rows_renders_no_chart(tmp_path):
