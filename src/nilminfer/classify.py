@@ -6,68 +6,42 @@ numeric household metadata into labels.
 """
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from .events import DetectorConfig
 from .features import build_feature_table, chi2_select
 
-CHARACTERISTICS = ("age", "area", "income", "floors", "rooms", "occupants")
-
-CLASS_SETS = {
-    "age": ("Old", "New"),
-    "area": ("Medium", "High"),
-    "income": ("Below150k", "Above150k"),
-    "floors": ("One", "TwoPlus"),
-    "rooms": ("LE6", "SevenToEight", "GT8"),
-    "occupants": ("LE2", "GT2"),
+# characteristic -> (manifest key, least value labelled, cuts, classes lowest
+# first, the side a value equal to a cut falls on: ">=" the class above, so
+# age 30 is Old; "<=" the class below, so rooms 6 is LE6), in experiment order
+TAXONOMY = {
+    "age": ("age_years", 0, (30,), ("New", "Old"), ">="),
+    "area": ("area_sqft", 900, (1800,), ("Medium", "High"), ">="),
+    "income": ("income_usd_per_year", 0, (150_000,), ("Below150k", "Above150k"),
+               "<="),
+    "floors": ("floors", 1, (1,), ("One", "TwoPlus"), "<="),
+    "rooms": ("rooms", 0, (6, 8), ("LE6", "SevenToEight", "GT8"), "<="),
+    "occupants": ("occupants", 0, (2,), ("LE2", "GT2"), "<="),
 }
 
 
 def label_characteristics(characteristics: dict) -> dict:
     """Map numeric household metadata to a label (or None) per
-    characteristic.
-
-    Boundary values land on the class defined with ">=" (age 30 -> Old,
-    area 1800 -> High) and income 150000 -> Below150k. Area below 900 sq ft
-    falls outside the taxonomy and maps to an absent label, as does any
-    missing field.
+    characteristic of TAXONOMY: a value below the least labelled one (area
+    under 900 sq ft, floors under 1) or a missing key maps to None. Any
+    value that is not finite and >= 0 is a ValueError naming its key.
     """
-    c = characteristics
-    for key in ("age_years", "area_sqft", "income_usd_per_year",
-                "floors", "rooms", "occupants"):
-        v = c.get(key)
-        if v is not None and v < 0:
-            raise ValueError(f"{key} must be non-negative, got {v}")
-
-    labels: dict = {}
-    age = c.get("age_years")
-    labels["age"] = None if age is None else ("Old" if age >= 30 else "New")
-    area = c.get("area_sqft")
-    if area is None or area < 900:
-        labels["area"] = None
-    else:
-        labels["area"] = "High" if area >= 1800 else "Medium"
-    income = c.get("income_usd_per_year")
-    labels["income"] = None if income is None else (
-        "Below150k" if income <= 150_000 else "Above150k")
-    floors = c.get("floors")
-    if floors is None or floors < 1:
-        labels["floors"] = None
-    else:
-        labels["floors"] = "One" if floors == 1 else "TwoPlus"
-    rooms = c.get("rooms")
-    if rooms is None:
-        labels["rooms"] = None
-    elif rooms <= 6:
-        labels["rooms"] = "LE6"
-    elif rooms <= 8:
-        labels["rooms"] = "SevenToEight"
-    else:
-        labels["rooms"] = "GT8"
-    occ = c.get("occupants")
-    labels["occupants"] = None if occ is None else ("LE2" if occ <= 2 else "GT2")
+    labels = {}
+    for name, (key, least, cuts, classes, side) in TAXONOMY.items():
+        v = characteristics.get(key)
+        if v is not None and not 0 <= v < math.inf:
+            raise ValueError(f"{key} must be finite and >= 0, got {v!r}")
+        labels[name] = None if v is None or v < least else classes[
+            (bisect_right if side == ">=" else bisect_left)(cuts, v)]
     return labels
 
 
@@ -80,6 +54,7 @@ N_TREES = 25
 MAX_DEPTH = 6
 # chi-squared feature counts the inner scan tries; None keeps every feature
 CHI2_K_CANDIDATES = (2, 4, 6, 8, None)
+CLASSIFIERS = ("knn", "rf")
 
 
 def _encode_labels(train_y):
@@ -299,11 +274,7 @@ def _scan_k(X, y, classifier, seed):
     a prefix of one chi-squared ordering per inner fold."""
     y = np.asarray(y, dtype=object)
     d = X.shape[1]
-    cands = []
-    for k in CHI2_K_CANDIDATES:
-        kk = d if k is None else min(int(k), d)
-        if kk >= 1 and kk not in cands:
-            cands.append(kk)
+    cands = sorted({d if k is None else min(k, d) for k in CHI2_K_CANDIDATES})
     accs = {kk: [] for kk in cands}
     for te in stratified_folds(y, 2, seed + 1):
         tr = _complement(len(y), te)
@@ -315,12 +286,7 @@ def _scan_k(X, y, classifier, seed):
             pred = classifier_predict(classifier, X[tr][:, sel], y[tr],
                                       X[te][:, sel], seed)
             accs[kk].append(float(np.mean(pred == y[te])))
-    best_k, best_acc = cands[0], -1.0
-    for kk in cands:
-        acc = float(np.mean(accs[kk])) if accs[kk] else 0.0
-        if acc > best_acc:
-            best_k, best_acc = kk, acc
-    return best_k
+    return max(cands, key=lambda kk: float(np.mean(accs[kk])) if accs[kk] else 0.0)
 
 
 def characteristics_experiment(manifest, feature_sources=("both",),
@@ -340,7 +306,7 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     labels = [label_characteristics(e.characteristics) for e in manifest.homes]
 
     results = []
-    for characteristic in CHARACTERISTICS:
+    for characteristic in TAXONOMY:
         labelled = [i for i, home in enumerate(labels)
                     if home[characteristic] is not None]
         y_all = np.array([labels[i][characteristic] for i in labelled],

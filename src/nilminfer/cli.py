@@ -24,13 +24,14 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .classify import characteristics_experiment
+from .classify import CLASSIFIERS, characteristics_experiment
 from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_disaggregate,
                      nilm_metrics, train_appliance_models)
 from .errors import ParseError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
-from .occupancy import occupancy_experiment
+from .occupancy import (PROTOCOLS, SUPERVISED_ALGORITHMS,
+                        UNSUPERVISED_ALGORITHMS, occupancy_experiment)
 from .series import HomeData, load_manifest, write_power_csv
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 from .synth import gen_corpus
@@ -296,10 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("detect-events", cmd_detect_events, "export event/pair CSVs")
 
     p = command("occupancy", cmd_occupancy, "occupancy prediction experiment")
-    p.add_argument("--algo", default="ours,chen",
-                   help="comma list: ours,ours-optimised,chen,chen-median,knn,rf")
-    p.add_argument("--protocol", choices=("split-half", "loho"),
-                   default="split-half")
+    p.add_argument("--algo", default="ours,chen", help="comma list: " + ",".join(
+        UNSUPERVISED_ALGORITHMS + SUPERVISED_ALGORITHMS))
+    p.add_argument("--protocol", choices=PROTOCOLS, default="split-half")
     # accepted so existing command lines keep working; homes run serially
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("classify", cmd_classify, "household-characteristic experiment")
     p.add_argument("--source", default="both",
                    help=f"comma list from {FEATURE_SOURCES}")
-    p.add_argument("--classifier", choices=("knn", "rf"), default="knn")
+    p.add_argument("--classifier", choices=CLASSIFIERS, default="knn")
     p.add_argument("--folds", type=_int_at_least(2), default=2)
 
     command("report", cmd_report, "render SVG charts from results JSON",

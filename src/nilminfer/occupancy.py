@@ -26,7 +26,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .classify import classifier_predict
+from .classify import CLASSIFIERS, classifier_predict
 from .errors import (AlignmentError, ConfigurationError, CoverageError,
                      EmptyWindowError)
 from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
@@ -39,7 +39,8 @@ from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 EVENT_ALGORITHMS = ("ours", "ours-optimised")  # one event pipeline, two markings
 NIGHT_STATS = {"chen": "max", "chen-median": "median"}  # one windowing, two stats
 UNSUPERVISED_ALGORITHMS = EVENT_ALGORITHMS + tuple(NIGHT_STATS)
-SUPERVISED_ALGORITHMS = ("knn", "rf")
+SUPERVISED_ALGORITHMS = CLASSIFIERS
+PROTOCOLS = ("split-half", "loho")
 PAIR_GAP_FILL_S = 3600  # occupied intervals closer than this are bridged
 
 
@@ -236,60 +237,60 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     homes as training material. Unsupervised algorithms ignore the training
     side. Returns per-home metric rows plus per-algorithm means.
     """
-    if protocol not in ("split-half", "loho"):
+    if protocol not in PROTOCOLS:
         raise ValueError("protocol must be 'split-half' or 'loho'")
     for i, a in enumerate(algorithms):
         if a not in UNSUPERVISED_ALGORITHMS + SUPERVISED_ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
         if a in algorithms[:i]:
             raise ValueError(f"algorithm {a!r} is given twice")
-    needs_training = any(a in SUPERVISED_ALGORITHMS for a in algorithms)
+    supervised = [a for a in algorithms if a in SUPERVISED_ALGORITHMS]
+    windowed = supervised or any(a in NIGHT_STATS for a in algorithms)
 
-    # Each home is read, split and featurised once, each half windowed and its
-    # event pipeline run at most once, on first need; its truth windows score
-    # every algorithm and its supervised arrays serve every held-out home.
-    homes = []
+    # Pass 1 reads, splits and windows each home once (the test half's
+    # window_stats only for a night statistic or a classifier) and builds its
+    # supervised rows, the test half's then the train half's.
+    homes, train_xys = [], []
     for entry in manifest.homes:
         home = HomeData(manifest, entry)
         series = home.aggregate
-        train_series, test_series = (_split_half(series) if protocol == "split-half"
-                                     else (series, series))
-        truth = window_occupancy(test_series, *home.occupancy)
-        windows = cache(partial(window_stats, test_series))
+        train, test = (_split_half(series) if protocol == "split-half"
+                       else (series, series))
+        truth = window_occupancy(test, *home.occupancy)
+        stats = window_stats(test) if windowed else None
         train_xy = test_xy = None
-        if needs_training:
-            test_xy = _supervised_xy(windows(), *truth)
+        if supervised:
+            test_xy = _supervised_xy(stats, *truth)
             train_xy = test_xy if protocol == "loho" else _supervised_xy(
-                window_stats(train_series),
-                *window_occupancy(train_series, *home.occupancy))
-        homes.append([entry.home_id, test_series, truth, train_xy, test_xy, windows])
+                window_stats(train), *window_occupancy(train, *home.occupancy))
+        homes.append((entry.home_id, test, truth, stats, test_xy))
+        train_xys.append(train_xy)
 
+    # Pass 2 scores each home, running its event pipeline once, on first need.
     all_rows = []
-    for home in homes:
-        windows = home.pop()  # dropped once this home is scored
-        home_id, test_series, truth, train_xy, test_xy = home
-        if needs_training:
-            parts = [train_xy] if protocol == "split-half" else \
-                [h[3] for h in homes if h[0] != home_id]
+    for i, (home_id, test, truth, stats, test_xy) in enumerate(homes):
+        if supervised:
+            parts = ([train_xys[i]] if protocol == "split-half"
+                     else train_xys[:i] + train_xys[i + 1:])
             if not parts:
                 raise ConfigurationError(
                     "supervised algorithms require occupancy-labelled "
                     "training data from another home")
             train_X = np.vstack([X for _, X, _ in parts])
             train_y = np.concatenate([y for _, _, y in parts])
-        foreground = cache(partial(foreground_pairs, test_series, det))
+        foreground = cache(partial(foreground_pairs, test, det))
         for algorithm in algorithms:
-            if algorithm in SUPERVISED_ALGORITHMS:
+            if algorithm in supervised:
                 keep, X_te, _ = test_xy
                 labels = classifier_predict(algorithm, train_X, train_y, X_te,
                                             seed)
                 pred = np.zeros(keep.size, dtype=bool)
                 pred[keep] = np.asarray(labels, dtype=int) == 1
             elif algorithm in EVENT_ALGORITHMS:
-                pred = predict_occupancy_events(test_series, foreground(),
+                pred = predict_occupancy_events(test, foreground(),
                                                 mark_start_of_day=algorithm == "ours")
             else:
-                pred = predict_occupancy_night_threshold(test_series, windows(),
+                pred = predict_occupancy_night_threshold(test, stats,
                                                          NIGHT_STATS[algorithm])
             all_rows.append({"home_id": home_id, "algorithm": algorithm,
                              **evaluate_occupancy(pred, *truth)})

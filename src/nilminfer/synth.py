@@ -13,6 +13,7 @@ in the aggregate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,24 +54,26 @@ class HomeSpec:
     timezone: str = "UTC"
 
     def validate(self):
-        if self.days < 1 or self.period_s < 1:
-            raise ValueError("days and period_s must be positive")
+        """A ValueError naming the first field out of range: days, period_s
+        and occupants integers >= 1; every other number finite and in range."""
+        for name in ("days", "period_s", "occupants"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if SECONDS_PER_DAY % self.period_s != 0:
             raise ValueError("period_s must divide 86400")
-        for name in ("fridge_power_w", "hvac_power_w", "baseline_w"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if not 0 < self.hvac_duty_fraction < 1:
-            raise ValueError("hvac_duty_fraction must be in (0, 1)")
-        if self.appliance_noise_sigma_w < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if self.occupant_rate_per_hour < 0:
-            raise ValueError("occupant_rate_per_hour must be >= 0")
         lo, hi = self.occupant_power_range_w
-        if not 0 < lo <= hi:
-            raise ValueError("ranges must be positive and ordered")
-        if min(self.fridge_on_s, self.fridge_off_s, self.hvac_cycle_s) <= 0:
-            raise ValueError("cycle durations must be positive")
+        checks = [(n, 0 <= getattr(self, n) < math.inf, ">= 0 and finite")
+                  for n in ("fridge_power_w", "hvac_power_w", "baseline_w",
+                            "appliance_noise_sigma_w", "occupant_rate_per_hour")]
+        checks += [(n, 0 < getattr(self, n) < math.inf, "> 0 and finite")
+                   for n in ("fridge_on_s", "fridge_off_s", "hvac_cycle_s")]
+        checks += [("hvac_duty_fraction", 0 < self.hvac_duty_fraction < 1, "in (0, 1)"),
+                   ("occupant_power_range_w", 0 < lo <= hi < math.inf,
+                    "> 0, ordered and finite")]
+        for name, ok, need in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 """Label taxonomy, from-scratch classifiers, CV harness."""
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -51,6 +52,70 @@ def test_label_missing_and_out_of_range():
 def test_label_negative_rejected():
     with pytest.raises(ValueError):
         label_characteristics({"area_sqft": -1})
+
+
+def labels_by_if_chain(c):
+    """The taxonomy as one if-chain per characteristic, as it was written
+    before TAXONOMY: the reference the table is held to."""
+    labels = {}
+    age = c.get("age_years")
+    labels["age"] = None if age is None else ("Old" if age >= 30 else "New")
+    area = c.get("area_sqft")
+    if area is None or area < 900:
+        labels["area"] = None
+    else:
+        labels["area"] = "High" if area >= 1800 else "Medium"
+    income = c.get("income_usd_per_year")
+    labels["income"] = None if income is None else (
+        "Below150k" if income <= 150_000 else "Above150k")
+    floors = c.get("floors")
+    if floors is None or floors < 1:
+        labels["floors"] = None
+    else:
+        labels["floors"] = "One" if floors == 1 else "TwoPlus"
+    rooms = c.get("rooms")
+    if rooms is None:
+        labels["rooms"] = None
+    elif rooms <= 6:
+        labels["rooms"] = "LE6"
+    elif rooms <= 8:
+        labels["rooms"] = "SevenToEight"
+    else:
+        labels["rooms"] = "GT8"
+    occ = c.get("occupants")
+    labels["occupants"] = None if occ is None else ("LE2" if occ <= 2 else "GT2")
+    return labels
+
+
+KEYS = [key for key, *_ in classify.TAXONOMY.values()]
+EDGES = {edge for _, least, cuts, _, _ in classify.TAXONOMY.values()
+         for edge in (least, *cuts)}
+# every cut and least value with its neighbouring floats, the integers 0-12
+# and their halves, and large values; negatives are refused, not labelled
+LABEL_GRID = sorted(
+    v for v in EDGES | {float(np.nextafter(edge, to)) for edge in EDGES
+                        for to in (-np.inf, np.inf)}
+    | set(range(13)) | {i / 2 for i in range(25)}
+    | {1e6, 1e9, 2.0 ** 63, 1e300, sys.float_info.max} if v >= 0)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_taxonomy_table_labels_as_the_if_chain(key):
+    for v in LABEL_GRID:
+        assert label_characteristics({key: v}) == labels_by_if_chain({key: v}), v
+    every = {k: 7 for k in KEYS}
+    for missing in KEYS:
+        c = {k: v for k, v in every.items() if k != missing}
+        assert label_characteristics(c) == labels_by_if_chain(c)
+    assert label_characteristics({}) == labels_by_if_chain({})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   -1, -0.5])
+@pytest.mark.parametrize("key", KEYS)
+def test_label_refuses_a_value_not_finite_and_non_negative(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite and >= 0"):
+        label_characteristics({key: value})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
-from nilminfer.classify import label_characteristics, CLASS_SETS
+from nilminfer.classify import TAXONOMY, label_characteristics
 from nilminfer.events import EVENT_DTYPE
 from nilminfer.series import MAX_GAP_PERIODS, HomeData, load_power_csv
 from nilminfer.synth import NOISE_SIGMA_W, HomeSpec, gen_corpus, gen_home
@@ -132,15 +132,33 @@ def test_schedule_follows_the_local_weekday(tz):
 
 
 def test_home_spec_validation():
+    """Each value out of range is a ValueError naming its field, whether it
+    would have meant something else (occupants 0), failed deep inside the
+    generator (an inf cycle duration) or passed as no-op (a NaN sigma)."""
+    inf, nan = float("inf"), float("nan")
     for name, value, match in [
-        ("days", 0, "days and period_s"),
+        ("days", 0, "days must be an integer >= 1"),
+        ("days", 1.5, "days must be an integer >= 1"),
         ("period_s", 7, "divide"),  # does not divide the day
+        ("occupants", -3, "occupants must be an integer >= 1"),
+        ("occupants", 0, "occupants must be an integer >= 1"),
+        ("occupants", 2.5, "occupants must be an integer >= 1"),
         ("hvac_duty_fraction", 1.2, "hvac_duty_fraction"),
         ("occupant_rate_per_hour", -1.0, "occupant_rate_per_hour"),
+        ("occupant_rate_per_hour", nan, "occupant_rate_per_hour"),
         ("fridge_power_w", -150.0, "fridge_power_w must be >= 0"),
+        ("fridge_power_w", inf, "fridge_power_w must be >= 0 and finite"),
         ("hvac_power_w", -2000.0, "hvac_power_w must be >= 0"),
-        ("hvac_power_w", float("nan"), "hvac_power_w must be >= 0"),
+        ("hvac_power_w", nan, "hvac_power_w must be >= 0"),
+        ("hvac_power_w", inf, "hvac_power_w must be >= 0 and finite"),
         ("baseline_w", -5.0, "baseline_w must be >= 0"),
+        ("baseline_w", inf, "baseline_w must be >= 0 and finite"),
+        ("appliance_noise_sigma_w", nan, "appliance_noise_sigma_w"),
+        ("appliance_noise_sigma_w", inf, "appliance_noise_sigma_w"),
+        *((name, value, f"{name} must be > 0 and finite")
+          for name in ("fridge_on_s", "fridge_off_s", "hvac_cycle_s")
+          for value in (inf, nan)),
+        ("occupant_power_range_w", (100.0, inf), "occupant_power_range_w"),
     ]:
         with pytest.raises(ValueError, match=match):
             gen_home(HomeSpec(**{"seed": 0, "days": 1, name: value}))
@@ -149,7 +167,7 @@ def test_home_spec_validation():
 def test_corpus_class_coverage(default_corpus):
     records = [label_characteristics(h.characteristics)
                for h in default_corpus.manifest.homes]
-    for characteristic, classes in CLASS_SETS.items():
+    for characteristic, (_, _, _, classes, _) in TAXONOMY.items():
         counts = {c: 0 for c in classes}
         for r in records:
             label = r[characteristic]
