@@ -101,7 +101,7 @@ def _check_xy(train_X, train_y, test_X):
     return train_X, train_y, test_X
 
 
-def knn_classify(train_X, train_y, test_X, k: int = 5):
+def knn_classify(train_X, train_y, test_X, k: int = KNN_K):
     """k-nearest-neighbours with z-scored features and Euclidean distance.
 
     Zero-variance features are dropped from the distance. Neighbours are
@@ -299,9 +299,6 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     classifier, and report mean test accuracy along with the majority-class
     baseline. Characteristics with any class under 2 homes are skipped.
     """
-    for i, source in enumerate(feature_sources):
-        if source in feature_sources[:i]:
-            raise ValueError(f"feature source {source!r} is given twice")
     table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
     labels = [label_characteristics(e.characteristics) for e in manifest.homes]
 

@@ -30,8 +30,7 @@ from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_disaggregate,
 from .errors import ParseError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
-from .occupancy import (PROTOCOLS, SUPERVISED_ALGORITHMS,
-                        UNSUPERVISED_ALGORITHMS, occupancy_experiment)
+from .occupancy import PROTOCOLS, UNSUPERVISED_ALGORITHMS, occupancy_experiment
 from .series import HomeData, load_manifest, write_power_csv
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 from .synth import gen_corpus
@@ -66,7 +65,7 @@ def _config(args: argparse.Namespace) -> dict:
 def _config_hash(cfg: dict) -> str:
     """Hash of the keys that change results; `out` only says where they go."""
     hashed = {k: v for k, v in cfg.items() if k != "out"}
-    blob = json.dumps(hashed, sort_keys=True, default=str).encode()
+    blob = json.dumps(hashed, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -92,8 +91,8 @@ def _json_object(path) -> dict:
 
 def _write_json(path, obj) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=str)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -134,11 +133,11 @@ def cmd_detect_events(cfg: dict) -> int:
         for entry in manifest.homes:
             events = detect_events(HomeData(manifest, entry).aggregate, det)
             pairs = pair_events(events)
-            with open(staging / f"events_{entry.home_id}.csv", "w") as f:
+            with open(staging / f"events_{entry.home_id}.csv", "w", encoding="utf-8") as f:
                 f.write("time,delta_w\n")
                 for t, d in events.tolist():
                     f.write(f"{t},{d!r}\n")
-            with open(staging / f"pairs_{entry.home_id}.csv", "w") as f:
+            with open(staging / f"pairs_{entry.home_id}.csv", "w", encoding="utf-8") as f:
                 f.write("on_time,off_time,magnitude_w\n")
                 for on, off, m in pairs.tolist():
                     f.write(f"{on},{off},{m!r}\n")
@@ -251,7 +250,7 @@ def cmd_report(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, svg in sorted(charts.items()):
-        (out / name).write_text(svg)
+        (out / name).write_text(svg, encoding="utf-8")
     _write_json(out / "run_meta.json", _envelope(
         cfg, {"subcommand": "report", "charts": sorted(charts)}))
     print(f"wrote {len(charts)} chart(s) to {out}")
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("occupancy", cmd_occupancy, "occupancy prediction experiment")
     p.add_argument("--algo", default="ours,chen", help="comma list: " + ",".join(
-        UNSUPERVISED_ALGORITHMS + SUPERVISED_ALGORITHMS))
+        UNSUPERVISED_ALGORITHMS + CLASSIFIERS))
     p.add_argument("--protocol", choices=PROTOCOLS, default="split-half")
     # accepted so existing command lines keep working; homes run serially
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)

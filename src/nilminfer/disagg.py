@@ -143,7 +143,7 @@ def train_hmm(appliance: PowerSeries, n_states: int = 2, *, name: str,
         raise ValueError("need at least 2 states")
     if len(appliance) < 10 * n_states:
         raise ValueError(f"need at least {10 * n_states} samples")
-    values = appliance.values.astype(float)
+    values = appliance.values
 
     centers = _kmeans_1d(values, n_states, seed)
     if centers[0] < OFF_SNAP_W:
@@ -228,7 +228,6 @@ def _viterbi(log_init, log_trans, emit, n: int):
     steps = EMIT_BLOCK // total
     span, shortest = steps // total, max(total, 2)
     alone, backoff = (0 if span >= shortest else n), 1  # steps to take singly
-    walk = np.zeros(n, dtype=bool)  # steps taken singly, walked back one by one
     for t0 in range(1, n, steps):
         block = emit(t0, min(t0 + steps, n))
         t, t1 = t0, t0 + len(block)
@@ -244,7 +243,6 @@ def _viterbi(log_init, log_trans, emit, n: int):
                 alone, backoff = backoff, 2 * backoff
             run = min(max(alone, 1), t1 - t)
             alone = max(alone - run, 0)
-            walk[t:t + run] = True
             for t in range(t, t + run):
                 np.add(from_scores, log_trans, out=scores)
                 scores.argmax(axis=1, out=psi[t])
@@ -254,10 +252,10 @@ def _viterbi(log_init, log_trans, emit, n: int):
             t += 1
     path = np.empty(n, dtype=psi.dtype)
     path[-1] = delta.argmax()
-    # a leader step's psi row names one predecessor for every state, so it
-    # sets the previous step of the path whatever the current one
+    # a psi row naming one predecessor for every state (as a leader step's
+    # does) sets the previous path step whatever the current one; walk the rest
     path[:-1] = psi[1:, 0]
-    for t in np.flatnonzero(walk)[::-1]:
+    for t in (np.flatnonzero((psi[1:] != psi[1:, :1]).any(axis=1)) + 1)[::-1]:
         path[t - 1] = psi[t, path[t]]
     return path, delta
 

@@ -234,15 +234,21 @@ def build_home_features(home: HomeData, sources,
 
 
 def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(),
-                        **kwargs) -> dict:
+                        *, seed: int = 0) -> dict:
     """{source: (ids, X)}: the sorted feature ids as an object array and one row
     per manifest home, in manifest order, read one home's files at a time. A
-    home whose ids differ from the first home's, or a value that is not finite
-    and >= 0, is a ValueError naming the home (and the feature)."""
+    source unknown or given twice is a ValueError naming it, before any file
+    is read. A home whose ids differ from the first home's, or a value not
+    finite and >= 0, is a ValueError naming the home (and the feature)."""
+    for i, source in enumerate(sources):
+        if source not in FEATURE_SOURCES:
+            raise ValueError(f"unknown feature source {source!r}")
+        if source in sources[:i]:
+            raise ValueError(f"feature source {source!r} is given twice")
     homes = {source: [] for source in sources}
     for entry in manifest.homes:
         for source, features in build_home_features(
-                HomeData(manifest, entry), sources, det, **kwargs).items():
+                HomeData(manifest, entry), sources, det, seed=seed).items():
             homes[source].append(features)
     table = {}
     for source, rows in homes.items():
@@ -262,7 +268,7 @@ def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(
 
 def write_feature_csv(home_ids, ids, X, path) -> None:
     """CSV with a home_id column, then one column per feature id (a row of X)."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("home_id," + ",".join(ids) + "\n")
         for home_id, row in zip(home_ids, X):
             f.write(home_id + "," + ",".join(repr(float(v)) for v in row) + "\n")

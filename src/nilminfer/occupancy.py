@@ -39,7 +39,6 @@ from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 EVENT_ALGORITHMS = ("ours", "ours-optimised")  # one event pipeline, two markings
 NIGHT_STATS = {"chen": "max", "chen-median": "median"}  # one windowing, two stats
 UNSUPERVISED_ALGORITHMS = EVENT_ALGORITHMS + tuple(NIGHT_STATS)
-SUPERVISED_ALGORITHMS = CLASSIFIERS
 PROTOCOLS = ("split-half", "loho")
 PAIR_GAP_FILL_S = 3600  # occupied intervals closer than this are bridged
 
@@ -240,11 +239,11 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     if protocol not in PROTOCOLS:
         raise ValueError("protocol must be 'split-half' or 'loho'")
     for i, a in enumerate(algorithms):
-        if a not in UNSUPERVISED_ALGORITHMS + SUPERVISED_ALGORITHMS:
+        if a not in UNSUPERVISED_ALGORITHMS + CLASSIFIERS:
             raise ValueError(f"unknown algorithm {a!r}")
         if a in algorithms[:i]:
             raise ValueError(f"algorithm {a!r} is given twice")
-    supervised = [a for a in algorithms if a in SUPERVISED_ALGORITHMS]
+    supervised = [a for a in algorithms if a in CLASSIFIERS]
     windowed = supervised or any(a in NIGHT_STATS for a in algorithms)
 
     # Pass 1 reads, splits and windows each home once (the test half's

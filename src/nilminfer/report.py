@@ -19,7 +19,7 @@ CLASSIFICATION_KEYS = {"characteristic": str, "source": str,
                        "accuracy_pct": float, "baseline_accuracy_pct": float}
 
 _W, _H = 880, 460
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 50, 90
+_X0, _X1, _Y0, _Y1 = 70, _W - 30, _H - 90, 50  # plot box: left, right, bottom, top
 
 
 def _header(title: str) -> list[str]:
@@ -33,23 +33,21 @@ def _header(title: str) -> list[str]:
 
 
 def _axis(parts: list[str], y_max: float, y_label: str):
-    x0, x1 = _MARGIN_L, _W - _MARGIN_R
-    y0, y1 = _H - _MARGIN_B, _MARGIN_T
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" '
+    parts.append(f'<line x1="{_X0}" y1="{_Y0}" x2="{_X1}" y2="{_Y0}" '
                  f'stroke="black"/>')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" '
+    parts.append(f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0}" y2="{_Y1}" '
                  f'stroke="black"/>')
     for i in range(5):
         frac = i / 4
-        y = y0 - frac * (y0 - y1)
-        parts.append(f'<line x1="{x0 - 4}" y1="{y:.1f}" x2="{x0}" y2="{y:.1f}" '
+        y = _Y0 - frac * (_Y0 - _Y1)
+        parts.append(f'<line x1="{_X0 - 4}" y1="{y:.1f}" x2="{_X0}" y2="{y:.1f}" '
                      f'stroke="black"/>')
-        parts.append(f'<text x="{x0 - 8}" y="{y + 4:.1f}" text-anchor="end" '
+        parts.append(f'<text x="{_X0 - 8}" y="{y + 4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">'
                      f'{y_max * frac:.0f}</text>')
-    parts.append(f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+    parts.append(f'<text x="18" y="{(_Y0 + _Y1) / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">'
+                 f'transform="rotate(-90 18 {(_Y0 + _Y1) / 2:.1f})">'
                  f'{escape(y_label, quote=False)}</text>')
 
 
@@ -61,27 +59,25 @@ def grouped_bar_svg(title: str, group_labels: list, series: list,
     y_max = max(y_max, 1e-9) * 1.08
     _axis(parts, y_max, y_label)
 
-    x0, x1 = _MARGIN_L, _W - _MARGIN_R
-    y0, y1 = _H - _MARGIN_B, _MARGIN_T
     n_groups = len(group_labels)
     n_series = len(series)
-    group_w = (x1 - x0) / max(n_groups, 1)
+    group_w = (_X1 - _X0) / max(n_groups, 1)
     bar_w = group_w * 0.8 / max(n_series, 1)
     for gi, label in enumerate(group_labels):
-        gx = x0 + gi * group_w
+        gx = _X0 + gi * group_w
         for si, (name, vals) in enumerate(series):
             v = float(vals[gi])
-            h = (v / y_max) * (y0 - y1)
+            h = (v / y_max) * (_Y0 - _Y1)
             bx = gx + group_w * 0.1 + si * bar_w
             color = PALETTE[si % len(PALETTE)]
-            parts.append(f'<rect x="{bx:.1f}" y="{y0 - h:.1f}" '
+            parts.append(f'<rect x="{bx:.1f}" y="{_Y0 - h:.1f}" '
                          f'width="{bar_w:.1f}" height="{h:.1f}" '
                          f'fill="{color}"/>')
-        parts.append(f'<text x="{gx + group_w / 2:.1f}" y="{y0 + 16}" '
+        parts.append(f'<text x="{gx + group_w / 2:.1f}" y="{_Y0 + 16}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="11">{escape(str(label), quote=False)}</text>')
     for si, (name, _) in enumerate(series):
-        lx = x0 + si * 130
+        lx = _X0 + si * 130
         ly = _H - 40
         color = PALETTE[si % len(PALETTE)]
         parts.append(f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" '
@@ -100,24 +96,22 @@ def scatter_svg(title: str, points: list, x_label: str, y_label: str) -> str:
     x_max = max(max(xs), 1e-9) * 1.15
     y_max = max(max(ys), 1e-9) * 1.15
     _axis(parts, y_max, y_label)
-    x0, x1 = _MARGIN_L, _W - _MARGIN_R
-    y0, y1 = _H - _MARGIN_B, _MARGIN_T
     for i, (label, x, y) in enumerate(points):
-        px = x0 + (float(x) / x_max) * (x1 - x0)
-        py = y0 - (float(y) / y_max) * (y0 - y1)
+        px = _X0 + (float(x) / x_max) * (_X1 - _X0)
+        py = _Y0 - (float(y) / y_max) * (_Y0 - _Y1)
         color = PALETTE[i % len(PALETTE)]
         parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="6" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{px + 9:.1f}" y="{py + 4:.1f}" '
                      f'font-family="sans-serif" font-size="11">'
                      f'{escape(str(label), quote=False)}</text>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 14}" '
+    parts.append(f'<text x="{(_X0 + _X1) / 2:.1f}" y="{_H - 14}" '
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="12">{escape(x_label, quote=False)}</text>')
     for i in range(5):
         frac = i / 4
-        x = x0 + frac * (x1 - x0)
-        parts.append(f'<text x="{x:.1f}" y="{y0 + 16}" text-anchor="middle" '
+        x = _X0 + frac * (_X1 - _X0)
+        parts.append(f'<text x="{x:.1f}" y="{_Y0 + 16}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">'
                      f'{x_max * frac:.1f}</text>')
     parts.append("</svg>")

@@ -209,7 +209,7 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
     downstream evidence).
     """
     path = Path(path)
-    ts, vals = _read_csv(path, "power_w", _parse_reading)
+    ts, vals = _read_csv(path, "power_w")
 
     if (ts[1:] == ts[:-1]).any():  # ts is sorted, so a duplicate is adjacent
         ts, inverse, counts = np.unique(ts, return_inverse=True, return_counts=True)
@@ -256,7 +256,7 @@ def write_power_csv(s: PowerSeries, path) -> None:
     bits = s.values.view(np.int64)
     changes = bits[1:] != bits[:-1]
     t0, per = s.start_time, s.period_s
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("timestamp,power_w\n")
         if 2 * (np.count_nonzero(changes) + 1) <= len(s):
             starts = [0, *(np.flatnonzero(changes) + 1).tolist()]
@@ -303,7 +303,7 @@ def _parse_flag(text: str) -> bool:
     return bool(flag)
 
 
-def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:
+def _read_csv(path: Path, value_col: str) -> tuple[np.ndarray, np.ndarray]:
     """The one reader behind every CSV loader.
 
     Finds `timestamp` and value_col by header name, skips blank rows, parses
@@ -319,14 +319,13 @@ def _read_csv(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.n
     again. A file the reader refuses, or one that changes while it is
     parsed, gets no entry.
     """
-    result_dtype = _COLUMN_PARSERS[parse_value][2]
     keyed = _cache_entry(path, value_col)
-    cached = None if keyed is None else _load_entry(keyed[0], result_dtype)
+    cached = None if keyed is None else _load_entry(keyed[0], _COLUMNS[value_col][3])
     if cached is not None:
         return cached
-    arrays = _read_csv_arrays(path, value_col, parse_value)
+    arrays = _read_csv_arrays(path, value_col)
     if arrays is None:
-        arrays = _read_csv_rows(path, value_col, parse_value)
+        arrays = _read_csv_rows(path, value_col)
     if keyed is not None:
         _store_entry(*keyed, path, *arrays)
     return arrays
@@ -435,10 +434,10 @@ def _evict(cache_dir: Path) -> None:
             Path(path).unlink(missing_ok=True)
 
 
-def _read_csv_rows(path: Path, value_col: str, parse_value) -> tuple[np.ndarray, np.ndarray]:
+def _read_csv_rows(path: Path, value_col: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-by-row `_read_csv` of UTF-8 text. Any bad input is a ParseError
     naming the file and, for a bad row or byte, its 1-based line."""
-    ts, vals = [], []
+    ts, vals, parse_value = [], [], _COLUMNS[value_col][0]
     try:
         with open(path, "r", newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
@@ -487,9 +486,9 @@ def _by_time(ts: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ts[order], vals[order]
 
 
-# loadtxt dtype, the per-value test and the result dtype of each value parser
-_COLUMN_PARSERS = {_parse_reading: (np.float64, np.isfinite, np.float64),
-                   _parse_flag: (np.int64, lambda v: (v == 0) | (v == 1), bool)}
+# per value column: row-loop parser, loadtxt dtype, per-value test, result dtype
+_COLUMNS = {"power_w": (_parse_reading, np.float64, np.isfinite, np.float64),
+            "occupied": (_parse_flag, np.int64, lambda v: (v == 0) | (v == 1), bool)}
 
 _ISO_DTYPE = "S26"  # one byte past the offset form, so a longer stamp shows
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt's openers
@@ -551,7 +550,7 @@ def _plain_columns(path: Path, value_col: str) -> tuple[int, int, bool] | None:
     return t_idx, header.index(value_col), b":" in stamp
 
 
-def _read_csv_arrays(path: Path, value_col: str, parse_value):
+def _read_csv_arrays(path: Path, value_col: str):
     """`_read_csv` by `np.loadtxt`, for files whose stamps are all epoch
     integers or all in the fixed ISO form of `_iso_epochs`. None for any file
     it cannot vouch reads as `_read_csv_rows` would read it."""
@@ -562,7 +561,7 @@ def _read_csv_arrays(path: Path, value_col: str, parse_value):
         return None
     # the first stamp picks the one form tried; any other file is the row loop's
     stamp_dtype, epochs = (_ISO_DTYPE, _iso_epochs) if columns[2] else (np.int64, np.asarray)
-    value_dtype, valid, result_dtype = _COLUMN_PARSERS[parse_value]
+    _, value_dtype, valid, result_dtype = _COLUMNS[value_col]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. a header-only file
@@ -596,7 +595,7 @@ def _infer_period(ts: np.ndarray) -> int:
 def load_occupancy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the `timestamp` and `occupied` columns. Returns (timestamps, bool
     flags), sorted by time. Sampling rate is arbitrary; window downstream."""
-    return _read_csv(Path(path), "occupied", _parse_flag)
+    return _read_csv(Path(path), "occupied")
 
 
 def window_grid(s: PowerSeries) -> tuple[int, int]:
@@ -632,7 +631,7 @@ def write_occupancy_csv(ts: np.ndarray, occupied: np.ndarray, path) -> None:
     ts, occupied = np.asarray(ts).tolist(), np.asarray(occupied).tolist()
     if len(ts) != len(occupied):
         raise ValueError(f"{len(ts)} timestamps but {len(occupied)} occupancy flags")
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("timestamp,occupied\n")
         for t, o in zip(ts, occupied):
             f.write(f"{t},{1 if o else 0}\n")
@@ -680,7 +679,7 @@ def load_manifest(path) -> DatasetManifest:
     `hvac_circuits` >= 0 when given. Any fault is a ManifestError naming the
     manifest and the home."""
     path = Path(path)
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return _checked_manifest(f, path)
 
 
@@ -783,5 +782,5 @@ def save_manifest(m: DatasetManifest, path) -> None:
                                      for h in m.homes]}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _checked_manifest(io.StringIO(text), path)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)

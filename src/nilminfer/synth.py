@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -54,23 +55,29 @@ class HomeSpec:
     timezone: str = "UTC"
 
     def validate(self):
-        """A ValueError naming the first field out of range: days, period_s
-        and occupants integers >= 1; every other number finite and in range."""
-        for name in ("days", "period_s", "occupants"):
+        """A ValueError naming the first field out of range: integer seed >= 0
+        and days, period_s, occupants >= 1; a known timezone; the rest in range."""
+        for name, least in dict(seed=0, days=1, period_s=1, occupants=1).items():
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         if SECONDS_PER_DAY % self.period_s != 0:
             raise ValueError("period_s must divide 86400")
-        lo, hi = self.occupant_power_range_w
+        try:
+            ZoneInfo(self.timezone)
+        except (KeyError, TypeError, ValueError):  # ZoneInfoNotFoundError is a KeyError
+            raise ValueError("timezone must be a known zone, got "
+                             f"{self.timezone!r}") from None
+        pair = self.occupant_power_range_w
         checks = [(n, 0 <= getattr(self, n) < math.inf, ">= 0 and finite")
                   for n in ("fridge_power_w", "hvac_power_w", "baseline_w",
                             "appliance_noise_sigma_w", "occupant_rate_per_hour")]
         checks += [(n, 0 < getattr(self, n) < math.inf, "> 0 and finite")
                    for n in ("fridge_on_s", "fridge_off_s", "hvac_cycle_s")]
         checks += [("hvac_duty_fraction", 0 < self.hvac_duty_fraction < 1, "in (0, 1)"),
-                   ("occupant_power_range_w", 0 < lo <= hi < math.inf,
-                    "> 0, ordered and finite")]
+                   ("occupant_power_range_w",
+                    np.shape(pair) == (2,) and 0 < pair[0] <= pair[1] < math.inf,
+                    "a pair > 0, ordered and finite")]
         for name, ok, need in checks:
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
@@ -338,6 +345,6 @@ def _write_home(home: GeneratedHome, entry: HomeEntry, base: Path) -> None:
     write_occupancy_csv(*home.occupancy, base / entry.occupancy_path)
     rows = sorted((t, src, d) for src, edges in home.provenance.items()
                   for t, d in zip(edges["time"].tolist(), edges["delta_w"].tolist()))
-    with open(base / entry.home_id / "provenance.csv", "w") as f:
+    with open(base / entry.home_id / "provenance.csv", "w", encoding="utf-8") as f:
         f.write("time,delta_w,source\n")
         f.writelines(f"{t},{d!r},{src}\n" for t, src, d in rows)

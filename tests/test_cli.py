@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nilminfer
-from nilminfer.cli import _config, build_parser, run
+from nilminfer.cli import _config, _write_json, build_parser, run
 from nilminfer.errors import AlignmentError, ManifestError
 from nilminfer.series import (DatasetManifest, PowerSeries, load_manifest,
                               save_manifest, write_power_csv)
@@ -837,6 +837,36 @@ def test_cli_runs_import_no_numpy_ma_and_keep_one_thread(tmp_path,
                           text=True, timeout=300, check=True)
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got == {"codes": [0, 0, 0], "numpy_ma": False, "threads": 1}
+
+
+def test_features_csv_is_the_same_bytes_under_an_ascii_locale(tmp_path,
+                                                             small_corpus):
+    """Every file is read and written as UTF-8, whatever the host's locale:
+    a manifest with a non-ASCII home_id gives the same feature CSV under the
+    C locale with UTF-8 mode off as under UTF-8 mode."""
+    doc = corpus_doc(small_corpus, 2)
+    doc["homes"][0]["home_id"] = "h\u00f4me_00"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    csvs = []
+    for name, env in [("utf8", {"PYTHONUTF8": "1"}),
+                      ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"})]:
+        out = tmp_path / f"{name}.csv"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from nilminfer.cli import run; "
+             "sys.exit(run(sys.argv[1:]))", "features", "--manifest",
+             str(manifest), "--out", str(out)],
+            env={**os.environ, **env, "PYTHONPATH": SRC}, capture_output=True,
+            timeout=300, check=True)
+        csvs.append(out.read_bytes())
+    assert "\nh\u00f4me_00,".encode() in csvs[0]
+    assert csvs[1] == csvs[0]
+
+
+def test_write_json_refuses_a_value_json_has_no_form_for(tmp_path):
+    """A numpy integer is a TypeError, not silently written as a string."""
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "out.json", {"a": np.int64(3)})
 
 
 def test_import_keeps_a_callers_openblas_num_threads():

@@ -454,6 +454,22 @@ def test_feature_table_rejects_inconsistent_ids(small_corpus, monkeypatch):
         build_feature_table(manifest, ("both",))
 
 
+@pytest.mark.parametrize("sources, message", [
+    (("aggregate-only", "bogus"), "unknown feature source 'bogus'"),
+    (("both", "both"), "feature source 'both' is given twice"),
+], ids=["unknown", "twice"])
+def test_feature_table_checks_its_sources_before_reading_a_file(
+        small_corpus, monkeypatch, sources, message):
+    import nilminfer.series
+    loads = []
+    load = nilminfer.series.load_power_csv
+    monkeypatch.setattr(nilminfer.series, "load_power_csv",
+                        lambda *a, **k: loads.append(a) or load(*a, **k))
+    with pytest.raises(ValueError, match=message):
+        build_feature_table(small_corpus.manifest, sources)
+    assert loads == []
+
+
 @pytest.mark.parametrize("sources, prefixes, appliance, edges", [
     (("aggregate-only",), ["aggregate"], 0, 0),  # no event pipeline
     (("hvac-only",), ["hvac"], 1, 1),  # no aggregate catalog

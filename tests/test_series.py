@@ -352,8 +352,7 @@ def test_ingest_matches_model_or_raises_typed_error(tmp_path, data, period):
 
 FIXED_OFFSETS = [timezone(timedelta(minutes=m))
                  for m in (-1439, -300, 0, 60, 330, 1439)]
-VALUE_COLUMNS = {"power_w": series._parse_reading,
-                 "occupied": series._parse_flag}
+VALUE_COLUMNS = ("power_w", "occupied")
 
 
 def odd_stamps(t, iso):
@@ -454,7 +453,7 @@ def read_outcome(read, path, col):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            ts, vals = read(path, col, VALUE_COLUMNS[col])
+            ts, vals = read(path, col)
             result = (ts.dtype, ts.tobytes(), vals.dtype, vals.tobytes())
         except ParseError as exc:
             result = (exc.line, exc.path, str(exc))
@@ -475,7 +474,7 @@ def test_read_csv_equals_row_loop(tmp_path, file):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert_read_csv_equals_row_loop(path, col)
     if clean:
-        assert series._read_csv_arrays(path, col, VALUE_COLUMNS[col]) is not None
+        assert series._read_csv_arrays(path, col) is not None
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -500,7 +499,7 @@ def test_read_csv_equals_row_loop_on_each_odd_field(tmp_path, form, col):
                 for i in range(3)]
     path = tmp_path / "in.csv"
     path.write_text(csv_text(clean(), col))
-    assert series._read_csv_arrays(path, col, VALUE_COLUMNS[col]) is not None
+    assert series._read_csv_arrays(path, col) is not None
     quoted = clean()
     for row in quoted:
         row["note"] = ODD_NOTES[0]
@@ -557,7 +556,7 @@ def test_array_path_declines_a_bad_value_after_one_parse(tmp_path, monkeypatch,
 
     monkeypatch.setattr(np, "loadtxt", counted)
     with pytest.raises(ParseError) as exc:
-        series._read_csv(path, col, VALUE_COLUMNS[col])
+        series._read_csv(path, col)
     assert (exc.value.line, exc.value.path) == (3, str(path))
     assert len(calls) == 1
     assert_read_csv_equals_row_loop(path, col)
@@ -577,10 +576,9 @@ def test_array_path_reads_epoch_and_fixed_iso_files(tmp_path, offset):
         for t, v in zip(ts.tolist(), vals.tolist())))
     series.write_occupancy_csv(ts, rng.integers(0, 2, ts.size), occ)
     for path, col in ((epoch, "power_w"), (iso, "power_w"), (occ, "occupied")):
-        parse = VALUE_COLUMNS[col]
-        fast = series._read_csv_arrays(path, col, parse)
+        fast = series._read_csv_arrays(path, col)
         assert fast is not None, path
-        for a, b in zip(fast, series._read_csv_rows(path, col, parse)):
+        for a, b in zip(fast, series._read_csv_rows(path, col)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -754,7 +752,7 @@ def test_cache_bad_entry_is_reparsed_and_rewritten(tmp_path, monkeypatch,
     first = load_by_column(path, "power_w")
     [entry] = private_parse_cache.iterdir()
     good = entry.read_bytes()
-    ts, vals = series._read_csv_rows(path, "power_w", series._parse_reading)
+    ts, vals = series._read_csv_rows(path, "power_w")
     entry.write_bytes(BAD_ENTRIES[kind](ts, vals))
     parses = count_parses(monkeypatch)
     with warnings.catch_warnings():

@@ -137,6 +137,9 @@ def test_home_spec_validation():
     generator (an inf cycle duration) or passed as no-op (a NaN sigma)."""
     inf, nan = float("inf"), float("nan")
     for name, value, match in [
+        ("seed", -1, "seed must be an integer >= 0"),
+        ("seed", 1.5, "seed must be an integer >= 0"),
+        ("seed", True, "seed must be an integer >= 0"),
         ("days", 0, "days must be an integer >= 1"),
         ("days", 1.5, "days must be an integer >= 1"),
         ("period_s", 7, "divide"),  # does not divide the day
@@ -159,6 +162,8 @@ def test_home_spec_validation():
           for name in ("fridge_on_s", "fridge_off_s", "hvac_cycle_s")
           for value in (inf, nan)),
         ("occupant_power_range_w", (100.0, inf), "occupant_power_range_w"),
+        ("occupant_power_range_w", (100.0,), "occupant_power_range_w must be a pair"),
+        ("timezone", "Nowhere/Zone", "timezone must be a known zone"),
     ]:
         with pytest.raises(ValueError, match=match):
             gen_home(HomeSpec(**{"seed": 0, "days": 1, name: value}))
