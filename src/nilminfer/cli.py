@@ -90,10 +90,11 @@ def _json_object(path) -> dict:
 
 
 def _write_json(path, obj) -> None:
+    """obj as indented JSON at path. The text is built before the file is
+    opened, so a value JSON has no form for leaves no partial file."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 @contextmanager

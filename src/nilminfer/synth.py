@@ -14,6 +14,8 @@ in the aggregate.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -56,7 +58,8 @@ class HomeSpec:
 
     def validate(self):
         """A ValueError naming the first field out of range: integer seed >= 0
-        and days, period_s, occupants >= 1; a known timezone; the rest in range."""
+        and days, period_s, occupants >= 1; a known timezone; the rest real
+        numbers (not bools) in range."""
         for name, least in dict(seed=0, days=1, period_s=1, occupants=1).items():
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
@@ -68,19 +71,32 @@ class HomeSpec:
         except (KeyError, TypeError, ValueError):  # ZoneInfoNotFoundError is a KeyError
             raise ValueError("timezone must be a known zone, got "
                              f"{self.timezone!r}") from None
-        pair = self.occupant_power_range_w
-        checks = [(n, 0 <= getattr(self, n) < math.inf, ">= 0 and finite")
+        try:
+            lo, hi = self.occupant_power_range_w
+        except (TypeError, ValueError):
+            lo = hi = None
+        checks = [(n, _real_in(getattr(self, n), 0, math.inf, closed=True),
+                   ">= 0 and finite")
                   for n in ("fridge_power_w", "hvac_power_w", "baseline_w",
                             "appliance_noise_sigma_w", "occupant_rate_per_hour")]
-        checks += [(n, 0 < getattr(self, n) < math.inf, "> 0 and finite")
+        checks += [(n, _real_in(getattr(self, n), 0, math.inf), "> 0 and finite")
                    for n in ("fridge_on_s", "fridge_off_s", "hvac_cycle_s")]
-        checks += [("hvac_duty_fraction", 0 < self.hvac_duty_fraction < 1, "in (0, 1)"),
+        checks += [("hvac_duty_fraction", _real_in(self.hvac_duty_fraction, 0, 1),
+                    "in (0, 1)"),
                    ("occupant_power_range_w",
-                    np.shape(pair) == (2,) and 0 < pair[0] <= pair[1] < math.inf,
+                    _real_in(lo, 0, math.inf) and _real_in(hi, lo, math.inf, closed=True),
                     "a pair > 0, ordered and finite")]
         for name, ok, need in checks:
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
+
+
+def _real_in(v, lo, hi, closed=False) -> bool:
+    """Whether v is a real number (not a bool) above lo, or at lo if closed,
+    and below hi; NaN is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    return (lo <= v if closed else lo < v) and v < hi
 
 
 @dataclass
@@ -252,6 +268,8 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
     bigger HVAC, older home -> longer HVAC duty), then optionally write CSVs
     plus a manifest to out_dir. HVAC circuits, drawn to follow floors, exist
     only as manifest metadata (hvac_circuits): no trace depends on them.
+    Every spec is drawn before any home is built, so the output is the same
+    whether the homes are built in this process or in worker processes.
     """
     if n < 2:
         raise ValueError("need at least 2 homes")
@@ -265,8 +283,7 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
     income_class = _assign(rng, n, ("Below150k", "Above150k"), (0.6, 0.4))
     age_class = _assign(rng, n, ("Old", "New"), (0.5, 0.5))
 
-    homes = {}
-    entries = []
+    specs, entries = [], []
     for i in range(n):
         occupants = int(rng.integers(1, 3)) if occ_class[i] == "LE2" \
             else int(rng.integers(3, 6))
@@ -290,7 +307,7 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
             else rng.uniform(0.30, 0.45)
 
         home_id = f"home_{i:02d}"
-        home = homes[home_id] = gen_home(HomeSpec(
+        specs.append(HomeSpec(
             seed=seed * 1009 + i,
             days=days,
             period_s=period_s,
@@ -306,7 +323,7 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
             baseline_w=40.0 + 10.0 * rooms,
             timezone=timezone,
         ))
-        entry = HomeEntry(
+        entries.append(HomeEntry(
             home_id=home_id,
             aggregate_path=f"{home_id}/aggregate.csv",
             appliance_paths={name: f"{home_id}/{name}.csv" for name in ("fridge", "hvac")},
@@ -321,10 +338,23 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
                 "occupants": occupants,
             },
             hvac_circuits=circuits,
-        )
-        entries.append(entry)
-        if base is not None:
-            _write_home(home, entry, base)
+        ))
+
+    # Each home depends only on its spec, so the homes are built side by
+    # side, one forked process per CPU this process may run on. The pool's
+    # modules are imported here, not at the top: they cost about 24 ms, and
+    # every analysis command imports this module without generating a home.
+    jobs = (_build_home, specs, entries, [base] * n)
+    workers = min(n, _worker_cpus())
+    if workers > 1:
+        import concurrent.futures
+        import multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            built = list(pool.map(*jobs))
+    else:
+        built = list(map(*jobs))
+    homes = {entry.home_id: home for entry, home in zip(entries, built)}
 
     manifest = DatasetManifest(
         homes=entries, base_dir=base,
@@ -333,6 +363,27 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
     if base is not None:
         save_manifest(manifest, base / "manifest.json")
     return Corpus(manifest=manifest, homes=homes)
+
+
+def _worker_cpus() -> int:
+    """How many CPUs this process may run on, or 1 where it cannot fork or
+    tell, or where it already runs a second thread (an OpenBLAS pool, a
+    caller's thread): forking such a process can deadlock the child, and
+    Python 3.12 and later warn of it."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return cpus if hasattr(os, "fork") and threads == 1 else 1
+
+
+def _build_home(spec: HomeSpec, entry: HomeEntry, base: Path | None) -> GeneratedHome:
+    """gen_home(spec), its files written under base unless base is None."""
+    home = gen_home(spec)
+    if base is not None:
+        _write_home(home, entry, base)
+    return home
 
 
 def _write_home(home: GeneratedHome, entry: HomeEntry, base: Path) -> None:

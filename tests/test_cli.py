@@ -807,8 +807,15 @@ SRC = os.path.dirname(os.path.dirname(nilminfer.__file__))
 STARTUP_PROBE = """
 import json, os, sys
 from nilminfer.cli import run
+pool_modules = sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
+try:
+    os.waitpid(-1, os.WNOHANG)  # raises only when no child is left, live or not
+    children = True
+except ChildProcessError:
+    children = False
 print(json.dumps({"codes": codes, "numpy_ma": "numpy.ma" in sys.modules,
+                  "pool_modules_at_import": pool_modules, "children": children,
                   "threads": len(os.listdir("/proc/self/task"))}))
 """
 
@@ -817,26 +824,31 @@ print(json.dumps({"codes": codes, "numpy_ma": "numpy.ma" in sys.modules,
                     reason="counts the threads in /proc/self/task")
 def test_cli_runs_import_no_numpy_ma_and_keep_one_thread(tmp_path,
                                                          small_corpus):
-    """The benchmark's occupancy-split, disagg-fhmm and characteristics-iso
-    commands, run in a fresh interpreter with OPENBLAS_NUM_THREADS unset,
-    load no numpy.ma (np.median, np.unique or np.setdiff1d would) and leave
-    the process with its one thread: importing nilminfer before numpy keeps
-    OpenBLAS from starting a worker pool."""
+    """The benchmark's set-up (synth) and its occupancy-split, disagg-fhmm
+    and characteristics-iso commands, run in a fresh interpreter with
+    OPENBLAS_NUM_THREADS unset, load no numpy.ma (np.median, np.unique or
+    np.setdiff1d would) and leave the process with its one thread and no
+    child process: importing nilminfer before numpy keeps OpenBLAS from
+    starting a worker pool, and synth joins the workers it forks. Importing
+    the CLI loads neither concurrent.futures nor multiprocessing; only
+    synth's home generation does."""
     m = manifest_path(small_corpus)
-    runs = [["occupancy", "--protocol", "split-half", "--algo",
+    runs = [["synth", "--homes", "3", "--days", "1"],
+            ["occupancy", "--protocol", "split-half", "--algo",
              "ours,ours-optimised,chen,chen-median"],
             ["disaggregate", "--algo", "fhmm"],
             ["classify", "--classifier", "knn",
              "--source", "aggregate-only,both,disagg-hart"]]
-    argvs = [[*argv, "--manifest", m, "--out", str(tmp_path / f"out{i}")]
-             for i, argv in enumerate(runs)]
+    argvs = [[*argv, *(["--manifest", m] if i else []),
+              "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = SRC
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE,
                            json.dumps(argvs)], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got == {"codes": [0, 0, 0], "numpy_ma": False, "threads": 1}
+    assert got == {"codes": [0, 0, 0, 0], "numpy_ma": False,
+                   "pool_modules_at_import": [], "children": False, "threads": 1}
 
 
 def test_features_csv_is_the_same_bytes_under_an_ascii_locale(tmp_path,
@@ -867,6 +879,20 @@ def test_write_json_refuses_a_value_json_has_no_form_for(tmp_path):
     """A numpy integer is a TypeError, not silently written as a string."""
     with pytest.raises(TypeError):
         _write_json(tmp_path / "out.json", {"a": np.int64(3)})
+
+
+def test_write_json_that_fails_leaves_the_file_as_it_was(tmp_path):
+    """The JSON text is built before the path is opened: a payload that
+    cannot be encoded neither truncates an existing file nor leaves a
+    partial one."""
+    out = tmp_path / "out.json"
+    out.write_text('{"kept": true}\n')
+    with pytest.raises(TypeError):
+        _write_json(out, {"a": 1, "b": np.int64(3)})
+    assert out.read_text() == '{"kept": true}\n'
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "new.json", {"a": 1, "b": np.int64(3)})
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_import_keeps_a_callers_openblas_num_threads():

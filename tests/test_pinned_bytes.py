@@ -14,6 +14,7 @@ each moved entry and its reason in CHANGES.md.
 """
 import hashlib
 import json
+import os
 import sys
 import tempfile
 import warnings
@@ -130,6 +131,20 @@ def test_written_bytes_match_the_pinned_table(case, tmp_path, cli_corpus):
     run_case(case, tmp_path, cli_corpus)
     pinned = json.loads(TABLE_PATH.read_text())[case]
     assert written_digests(tmp_path) == pinned
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the CPUs from os.sched_getaffinity")
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("case", [c for c in sorted(CASES) if c.startswith("synth-")])
+def test_synth_writes_the_pinned_bytes_on_any_cpu_count(case, cpus, tmp_path,
+                                                       monkeypatch, pools):
+    """With one CPU gen_corpus builds every home in this process; with two,
+    in a pool of two forked workers. Both write the pinned bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    run_case(case, tmp_path, None)
+    assert pools == ([] if len(cpus) == 1 else [(2,)])
+    assert written_digests(tmp_path) == json.loads(TABLE_PATH.read_text())[case]
 
 
 def test_every_pinned_case_is_defined():

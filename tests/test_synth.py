@@ -1,5 +1,9 @@
 """Synthetic-home generator: determinism, ground-truth bookkeeping,
 corpus construction."""
+import multiprocessing
+import os
+import sys
+import threading
 import warnings
 from datetime import datetime
 from zoneinfo import ZoneInfo
@@ -134,7 +138,8 @@ def test_schedule_follows_the_local_weekday(tz):
 def test_home_spec_validation():
     """Each value out of range is a ValueError naming its field, whether it
     would have meant something else (occupants 0), failed deep inside the
-    generator (an inf cycle duration) or passed as no-op (a NaN sigma)."""
+    generator (an inf cycle duration), passed as no-op (a NaN sigma) or is
+    not a number at all (a string)."""
     inf, nan = float("inf"), float("nan")
     for name, value, match in [
         ("seed", -1, "seed must be an integer >= 0"),
@@ -163,6 +168,8 @@ def test_home_spec_validation():
           for value in (inf, nan)),
         ("occupant_power_range_w", (100.0, inf), "occupant_power_range_w"),
         ("occupant_power_range_w", (100.0,), "occupant_power_range_w must be a pair"),
+        ("occupant_power_range_w", ("a", "b"), "occupant_power_range_w must be a pair"),
+        ("fridge_power_w", "150", "fridge_power_w must be >= 0 and finite"),
         ("timezone", "Nowhere/Zone", "timezone must be a known zone"),
     ]:
         with pytest.raises(ValueError, match=match):
@@ -225,3 +232,43 @@ def test_corpus_deterministic():
 def test_corpus_minimum_size():
     with pytest.raises(ValueError):
         gen_corpus(1, seed=0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the CPUs from os.sched_getaffinity")
+def test_a_worker_error_reaches_the_caller_as_on_the_serial_path(
+        tmp_path, monkeypatch, pools):
+    """An out_dir under a regular file fails in the workers of a two-CPU
+    pool as it fails in this process on one CPU: the same exception type
+    and message, and no child process left behind."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    raised = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with pytest.raises(OSError) as info:
+            gen_corpus(3, days=1, out_dir=blocker / "corpus")
+        raised.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert pools == [(2,)]
+    assert raised[0] == raised[1]
+    assert raised[0][0] is NotADirectoryError
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the CPUs from os.sched_getaffinity")
+def test_a_second_thread_keeps_the_homes_in_process(monkeypatch, pools):
+    """Forking a process that runs another thread can deadlock the child, so
+    while one runs gen_corpus builds every home in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        corpus = gen_corpus(2, days=1)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert pools == []
+    assert sorted(corpus.homes) == ["home_00", "home_01"]
