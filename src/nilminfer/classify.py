@@ -160,23 +160,28 @@ def _best_split(X, hot, orders, counts, feats, mark):
     return feats[r], thr, go_left, hot[:, rows[r, :kk]].sum(axis=1).astype(int).tolist()
 
 
-def _grow_tree(X, hot, orders, counts, depth, max_depth, rng, m_features, mark):
+def _grow_tree(X, hot, orders, counts, depth, max_depth, rng, m_features, mark,
+               side=None):
     """A leaf is a class index; an inner node is (feature, threshold, left,
     right), rows with X[:, feature] <= threshold going left. Row f of
     `orders` holds the node's rows sorted by X[:, f], ties in any order (class
-    counts are only taken between distinct values); children keep the order.
-    `hot` holds each class's 0/1 row over X, `counts` the node's counts."""
+    counts are only taken between distinct values); below the root, the
+    parent's `orders` come with the node's `side` mask, applied only past the
+    leaf test. `hot` holds each class's 0/1 row over X, `counts` the node's
+    counts."""
     top = max(counts)
-    if depth >= max_depth or top == orders.shape[1]:
+    if depth >= max_depth or top == sum(counts):
         return counts.index(top)
+    if side is not None:
+        orders = orders[side].reshape(len(orders), -1)
     feats = rng.choice(X.shape[1], size=m_features, replace=False)
     feats.sort()
     split = _best_split(X, hot, orders, counts, feats, mark)  # temporaries freed here
     if split is None:
         return counts.index(top)
     f, thr, go_left, lc = split
-    left, right = (_grow_tree(X, hot, orders[side].reshape(len(orders), -1), c,
-                              depth + 1, max_depth, rng, m_features, mark)
+    left, right = (_grow_tree(X, hot, orders, c, depth + 1, max_depth, rng,
+                              m_features, mark, side)
                    for side, c in ((go_left, lc),  # left subtree drawn first
                                    (~go_left, [a - b for a, b in zip(counts, lc)])))
     return (f, thr, left, right)

@@ -35,6 +35,7 @@ from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, WINDOW_S,
                      in_clock_hours, local_day_bounds, median, window_grid,
                      window_occupancy)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
+from .workers import map_in_workers
 
 EVENT_ALGORITHMS = ("ours", "ours-optimised")  # one event pipeline, two markings
 NIGHT_STATS = {"chen": "max", "chen-median": "median"}  # one windowing, two stats
@@ -215,6 +216,16 @@ def _supervised_xy(stats, truth, scored):
     return rows, X, truth[rows].astype(int)
 
 
+def _supervised_flags(algorithm, parts, X_te, seed):
+    """Whether the classifier, trained on the stacked _supervised_xy parts,
+    calls each row of X_te occupied: bools, as the labels' numpy integer
+    objects would take milliseconds to pickle back from a worker."""
+    train_X = np.vstack([X for _, X, _ in parts])
+    train_y = np.concatenate([y for _, _, y in parts])
+    labels = classifier_predict(algorithm, train_X, train_y, X_te, seed)
+    return np.asarray(labels, dtype=int) == 1
+
+
 def _split_half(series: PowerSeries):
     """Split at the local midnight closest to the middle of the span."""
     days = local_day_bounds(series.start_time, series.end_time, series.timezone)
@@ -265,26 +276,26 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
         homes.append((entry.home_id, test, truth, stats, test_xy))
         train_xys.append(train_xy)
 
-    # Pass 2 scores each home, running its event pipeline once, on first need.
+    # Pass 2 fits one classifier per home and supervised algorithm across
+    # the CPUs, the flags coming back in task order, then scores each home,
+    # running its event pipeline once, on first need.
+    tasks = []  # (algorithm, training parts, test rows, seed) per fit
+    for i, (*_, test_xy) in enumerate(homes):
+        parts = ([train_xys[i]] if protocol == "split-half"
+                 else train_xys[:i] + train_xys[i + 1:])
+        if supervised and not parts:
+            raise ConfigurationError(
+                "supervised algorithms require occupancy-labelled "
+                "training data from another home")
+        tasks += [(a, parts, test_xy[1], seed) for a in supervised]
+    fitted = iter(map_in_workers(_supervised_flags, *zip(*tasks)) if tasks else [])
     all_rows = []
-    for i, (home_id, test, truth, stats, test_xy) in enumerate(homes):
-        if supervised:
-            parts = ([train_xys[i]] if protocol == "split-half"
-                     else train_xys[:i] + train_xys[i + 1:])
-            if not parts:
-                raise ConfigurationError(
-                    "supervised algorithms require occupancy-labelled "
-                    "training data from another home")
-            train_X = np.vstack([X for _, X, _ in parts])
-            train_y = np.concatenate([y for _, _, y in parts])
+    for home_id, test, truth, stats, test_xy in homes:
         foreground = cache(partial(foreground_pairs, test, det))
         for algorithm in algorithms:
             if algorithm in supervised:
-                keep, X_te, _ = test_xy
-                labels = classifier_predict(algorithm, train_X, train_y, X_te,
-                                            seed)
-                pred = np.zeros(keep.size, dtype=bool)
-                pred[keep] = np.asarray(labels, dtype=int) == 1
+                pred = np.zeros(test_xy[0].size, dtype=bool)
+                pred[test_xy[0]] = next(fitted)
             elif algorithm in EVENT_ALGORITHMS:
                 pred = predict_occupancy_events(test, foreground(),
                                                 mark_start_of_day=algorithm == "ours")

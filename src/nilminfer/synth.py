@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -27,6 +26,7 @@ from .series import (MAX_GAP_PERIODS, PowerSeries, SECONDS_PER_DAY,
                      DatasetManifest, HomeEntry, local_clock_hours,
                      local_day_bounds, local_weekdays, save_manifest,
                      write_occupancy_csv, write_power_csv)
+from .workers import map_in_workers
 
 # 2024-01-01 00:00 UTC, a Monday; keeps weekday arithmetic easy to reason about
 DEFAULT_START = 1704067200
@@ -341,19 +341,8 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
         ))
 
     # Each home depends only on its spec, so the homes are built side by
-    # side, one forked process per CPU this process may run on. The pool's
-    # modules are imported here, not at the top: they cost about 24 ms, and
-    # every analysis command imports this module without generating a home.
-    jobs = (_build_home, specs, entries, [base] * n)
-    workers = min(n, _worker_cpus())
-    if workers > 1:
-        import concurrent.futures
-        import multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            built = list(pool.map(*jobs))
-    else:
-        built = list(map(*jobs))
+    # side, one forked process per CPU this process may run on.
+    built = map_in_workers(_build_home, specs, entries, [base] * n)
     homes = {entry.home_id: home for entry, home in zip(entries, built)}
 
     manifest = DatasetManifest(
@@ -363,19 +352,6 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
     if base is not None:
         save_manifest(manifest, base / "manifest.json")
     return Corpus(manifest=manifest, homes=homes)
-
-
-def _worker_cpus() -> int:
-    """How many CPUs this process may run on, or 1 where it cannot fork or
-    tell, or where it already runs a second thread (an OpenBLAS pool, a
-    caller's thread): forking such a process can deadlock the child, and
-    Python 3.12 and later warn of it."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):
-        return 1
-    return cpus if hasattr(os, "fork") and threads == 1 else 1
 
 
 def _build_home(spec: HomeSpec, entry: HomeEntry, base: Path | None) -> GeneratedHome:

@@ -1,6 +1,4 @@
 import concurrent.futures
-import os
-import time
 
 import pytest
 
@@ -25,10 +23,9 @@ def small_corpus(tmp_path_factory):
 @pytest.fixture
 def pools(monkeypatch):
     """The argument tuples of every ProcessPoolExecutor made during the
-    test. It starts once this process runs only its main thread: the
-    helper threads of a pool that an earlier test shut down, though
-    joined, can take a few milliseconds to leave /proc/self/task, and
-    gen_corpus forks no pool while a second thread runs."""
+    test. No wait is needed first: map_in_workers returns only once its
+    pool's helper threads have left /proc/self/task, so a pool that an
+    earlier test shut down keeps no second thread alive."""
     made, real = [], concurrent.futures.ProcessPoolExecutor
 
     def spy(*args, **kwargs):
@@ -36,7 +33,4 @@ def pools(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    deadline = time.monotonic() + 5
-    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
-        time.sleep(0.001)
     return made

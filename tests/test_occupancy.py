@@ -1,4 +1,7 @@
 """Occupancy predictors, evaluation protocol and experiment harness."""
+import multiprocessing
+import os
+import sys
 import warnings
 from datetime import datetime
 from zoneinfo import ZoneInfo
@@ -540,6 +543,8 @@ def test_loho_supervised_rows_lie_inside_the_truth(small_corpus, tmp_path,
         return classify(algorithm, train_X, train_y, test_X, seed)
 
     monkeypatch.setattr(occupancy, "classifier_predict", spy)
+    # on one CPU every fit runs in this process, where the spy records it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     res = occupancy_experiment(manifest, "loho", ("knn",))
     # rows of a home: its eval-hour windows (UTC, 30 s, so none empty) from
     # its first truth sample's window to its last
@@ -556,6 +561,51 @@ def test_loho_supervised_rows_lie_inside_the_truth(small_corpus, tmp_path,
                      for h in manifest.homes]
     assert [r["n_windows"] for r in res["per_home"]] == \
         [rows[h.home_id] for h in manifest.homes]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the CPUs from os.sched_getaffinity")
+def test_a_failing_fit_raises_as_on_the_serial_path(small_corpus, monkeypatch,
+                                                    pools):
+    """A forest that fails on one home's rows fails in a worker of a
+    two-CPU pool as it fails in this process on one CPU: the same exception
+    type and message, and no child process left behind."""
+    manifest = small_corpus.manifest
+    home = HomeData(manifest, manifest.homes[2])
+    _, bad, _ = occupancy._supervised_xy(
+        window_stats(home.aggregate),
+        *window_occupancy(home.aggregate, *home.occupancy))
+    fit = occupancy.classifier_predict
+
+    def fail_on_bad(algorithm, train_X, train_y, test_X, seed):
+        if algorithm == "rf" and np.array_equal(test_X, bad):
+            raise ValueError(f"no forest for these {len(test_X)} rows")
+        return fit(algorithm, train_X, train_y, test_X, seed)
+
+    monkeypatch.setattr(occupancy, "classifier_predict", fail_on_bad)
+    raised = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with pytest.raises(ValueError) as info:
+            occupancy_experiment(manifest, "loho", ("knn", "rf"))
+        raised.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert pools == [(2,)]
+    assert raised[0] == raised[1] == (ValueError, f"no forest for these {len(bad)} rows")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the CPUs from os.sched_getaffinity")
+def test_back_to_back_pools_each_fork(tmp_path, monkeypatch, pools):
+    """A pool's helper threads are gone from /proc/self/task when
+    map_in_workers returns, so gen_corpus and then the supervised fits,
+    called back to back, each build a pool of two, 20 times over."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    manifest = gen_corpus(2, days=2, out_dir=tmp_path).manifest
+    for _ in range(20):
+        gen_corpus(2, days=1)
+        occupancy_experiment(manifest, "loho", ("knn", "rf"))
+    assert pools == [(2,)] * 41
 
 
 @pytest.fixture(scope="module")

@@ -147,6 +147,23 @@ def test_synth_writes_the_pinned_bytes_on_any_cpu_count(case, cpus, tmp_path,
     assert written_digests(tmp_path) == json.loads(TABLE_PATH.read_text())[case]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the CPUs from os.sched_getaffinity")
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("case", [c for c in sorted(CASES)
+                                  if c.startswith("occupancy-")])
+def test_occupancy_writes_the_pinned_bytes_on_any_cpu_count(case, cpus, tmp_path,
+                                                           cli_corpus,
+                                                           monkeypatch, pools):
+    """With one CPU the experiment fits every kNN and forest in this
+    process; with two, in a pool of two forked workers. Both write the
+    pinned bytes and warnings."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    run_case(case, tmp_path, cli_corpus)
+    assert pools == ([] if len(cpus) == 1 else [(2,)])
+    assert written_digests(tmp_path) == json.loads(TABLE_PATH.read_text())[case]
+
+
 def test_every_pinned_case_is_defined():
     """A pin outlives no case: the table holds exactly the cases defined."""
     assert sorted(json.loads(TABLE_PATH.read_text())) == sorted(CASES)
