@@ -15,8 +15,9 @@ The library is organized around plain numpy data types:
 * classify  -- from-scratch kNN / random forest and the characteristics
                cross-validation experiment
 * synth     -- seeded synthetic-home generator with full ground truth
-* workers   -- one function mapped across forked worker processes, one per
-               CPU of the affinity mask (synth's homes, occupancy's fits)
+* workers   -- one function mapped across this process and a forked child
+               per further CPU of the affinity mask (synth's homes,
+               occupancy's fits)
 * cli       -- experiment harness (`nilminfer <subcommand>`)
 """
 

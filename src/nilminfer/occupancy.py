@@ -216,14 +216,14 @@ def _supervised_xy(stats, truth, scored):
     return rows, X, truth[rows].astype(int)
 
 
-def _supervised_flags(algorithm, parts, X_te, seed):
-    """Whether the classifier, trained on the stacked _supervised_xy parts,
-    calls each row of X_te occupied: bools, as the labels' numpy integer
-    objects would take milliseconds to pickle back from a worker."""
-    train_X = np.vstack([X for _, X, _ in parts])
-    train_y = np.concatenate([y for _, _, y in parts])
-    labels = classifier_predict(algorithm, train_X, train_y, X_te, seed)
-    return np.asarray(labels, dtype=int) == 1
+def _classify_rows(algorithm, parts, test_X, seed):
+    """classifier_predict's labels of test_X, trained on the _supervised_xy
+    parts stacked here, in the task: a process holds one stacked training
+    set at a time, not one per home (11 MB more at the peak for 20 x 14
+    loho)."""
+    return classifier_predict(algorithm, np.vstack([X for _, X, _ in parts]),
+                              np.concatenate([y for _, _, y in parts]),
+                              test_X, seed)
 
 
 def _split_half(series: PowerSeries):
@@ -277,25 +277,26 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
         train_xys.append(train_xy)
 
     # Pass 2 fits one classifier per home and supervised algorithm across
-    # the CPUs, the flags coming back in task order, then scores each home,
+    # the CPUs, the labels coming back in task order, then scores each home,
     # running its event pipeline once, on first need.
-    tasks = []  # (algorithm, training parts, test rows, seed) per fit
-    for i, (*_, test_xy) in enumerate(homes):
+    tasks = []  # _classify_rows's arguments per fit
+    for i, (*_, test_xy) in enumerate(homes if supervised else []):
         parts = ([train_xys[i]] if protocol == "split-half"
                  else train_xys[:i] + train_xys[i + 1:])
-        if supervised and not parts:
+        if not parts:
             raise ConfigurationError(
                 "supervised algorithms require occupancy-labelled "
                 "training data from another home")
         tasks += [(a, parts, test_xy[1], seed) for a in supervised]
-    fitted = iter(map_in_workers(_supervised_flags, *zip(*tasks)) if tasks else [])
+    fitted = iter(map_in_workers(_classify_rows, *zip(*tasks)))
     all_rows = []
     for home_id, test, truth, stats, test_xy in homes:
         foreground = cache(partial(foreground_pairs, test, det))
         for algorithm in algorithms:
             if algorithm in supervised:
-                pred = np.zeros(test_xy[0].size, dtype=bool)
-                pred[test_xy[0]] = next(fitted)
+                keep = test_xy[0]
+                pred = np.zeros(keep.size, dtype=bool)
+                pred[keep] = np.asarray(next(fitted), dtype=int) == 1
             elif algorithm in EVENT_ALGORITHMS:
                 pred = predict_occupancy_events(test, foreground(),
                                                 mark_start_of_day=algorithm == "ours")

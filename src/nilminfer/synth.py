@@ -341,7 +341,7 @@ def gen_corpus(n: int = 20, seed: int = 7, days: int = 14, period_s: int = 30,
         ))
 
     # Each home depends only on its spec, so the homes are built side by
-    # side, one forked process per CPU this process may run on.
+    # side, across the CPUs this process may run on.
     built = map_in_workers(_build_home, specs, entries, [base] * n)
     homes = {entry.home_id: home for entry, home in zip(entries, built)}
 

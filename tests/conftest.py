@@ -1,4 +1,5 @@
-import concurrent.futures
+import os
+import time
 
 import pytest
 
@@ -21,16 +22,21 @@ def small_corpus(tmp_path_factory):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The argument tuples of every ProcessPoolExecutor made during the
-    test. No wait is needed first: map_in_workers returns only once its
-    pool's helper threads have left /proc/self/task, so a pool that an
-    earlier test shut down keeps no second thread alive."""
-    made, real = [], concurrent.futures.ProcessPoolExecutor
+def forks(monkeypatch):
+    """The pid of every child this process forks during the test. It starts
+    once this process runs only its main thread: a thread that an earlier
+    test joined can take a few milliseconds to leave /proc/self/task, and
+    map_in_workers forks nothing while a second thread runs."""
+    made, real = [], os.fork
 
-    def spy(*args, **kwargs):
-        made.append(args)
-        return real(*args, **kwargs)
+    def spy():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(os, "fork", spy)
+    deadline = time.monotonic() + 5
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
     return made

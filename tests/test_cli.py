@@ -807,19 +807,15 @@ SRC = os.path.dirname(os.path.dirname(nilminfer.__file__))
 STARTUP_PROBE = """
 import json, os, sys
 from nilminfer.cli import run
-def pool_modules():
-    return sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
-at_import, codes, after = pool_modules(), [], []
-for argv in json.loads(sys.argv[1]):
-    codes.append(run(argv))
-    after.append(pool_modules())
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
 try:
     os.waitpid(-1, os.WNOHANG)  # raises only when no child is left, live or not
     children = True
 except ChildProcessError:
     children = False
 print(json.dumps({"codes": codes, "numpy_ma": "numpy.ma" in sys.modules,
-                  "pool_modules_at_import": at_import, "pool_modules_after": after,
+                  "pool_modules": sorted({"concurrent.futures", "multiprocessing"}
+                                         & set(sys.modules)),
                   "children": children,
                   "threads": len(os.listdir("/proc/self/task"))}))
 """
@@ -829,24 +825,22 @@ print(json.dumps({"codes": codes, "numpy_ma": "numpy.ma" in sys.modules,
                     reason="counts the threads in /proc/self/task")
 def test_cli_runs_import_no_numpy_ma_and_keep_one_thread(tmp_path,
                                                          small_corpus):
-    """The benchmark's four commands and its set-up (synth), run in a
-    fresh interpreter with OPENBLAS_NUM_THREADS unset, load no numpy.ma
+    """The benchmark's set-up (synth) and its four commands, run in a fresh
+    interpreter with OPENBLAS_NUM_THREADS unset, load no numpy.ma
     (np.median, np.unique or np.setdiff1d would) and leave the process with
     its one thread and no child process: importing nilminfer before numpy
     keeps OpenBLAS from starting a worker pool, and synth and the loho fits
-    join the workers they fork and wait out the pool's helper threads.
-    Neither importing the CLI nor a command with no kNN or forest fit loads
-    concurrent.futures or multiprocessing; on two CPUs or more, synth and
-    the loho fits do."""
+    reap the children they fork. None of them loads concurrent.futures or
+    multiprocessing."""
     m = manifest_path(small_corpus)
-    runs = [["occupancy", "--protocol", "split-half", "--algo",
+    runs = [["synth", "--homes", "3", "--days", "1"],
+            ["occupancy", "--protocol", "split-half", "--algo",
              "ours,ours-optimised,chen,chen-median"],
             ["disaggregate", "--algo", "fhmm"],
             ["classify", "--classifier", "knn",
              "--source", "aggregate-only,both,disagg-hart"],
-            ["synth", "--homes", "3", "--days", "1"],
             ["occupancy", "--protocol", "loho", "--algo", "knn,rf"]]
-    argvs = [[*argv, *(["--manifest", m] if argv[0] != "synth" else []),
+    argvs = [[*argv, *(["--manifest", m] if i else []),
               "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = SRC
@@ -854,12 +848,8 @@ def test_cli_runs_import_no_numpy_ma_and_keep_one_thread(tmp_path,
                            json.dumps(argvs)], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    pooled = (["concurrent.futures", "multiprocessing"]
-              if len(os.sched_getaffinity(0)) > 1 else [])
     assert got == {"codes": [0, 0, 0, 0, 0], "numpy_ma": False,
-                   "pool_modules_at_import": [],
-                   "pool_modules_after": [[], [], [], pooled, pooled],
-                   "children": False, "threads": 1}
+                   "pool_modules": [], "children": False, "threads": 1}
 
 
 def test_features_csv_is_the_same_bytes_under_an_ascii_locale(tmp_path,

@@ -1,5 +1,4 @@
 """Occupancy predictors, evaluation protocol and experiment harness."""
-import multiprocessing
 import os
 import sys
 import warnings
@@ -566,10 +565,11 @@ def test_loho_supervised_rows_lie_inside_the_truth(small_corpus, tmp_path,
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the CPUs from os.sched_getaffinity")
 def test_a_failing_fit_raises_as_on_the_serial_path(small_corpus, monkeypatch,
-                                                    pools):
-    """A forest that fails on one home's rows fails in a worker of a
-    two-CPU pool as it fails in this process on one CPU: the same exception
-    type and message, and no child process left behind."""
+                                                    forks):
+    """A forest that fails on one home's rows (a fit of the second half,
+    made by the forked child on two CPUs) fails as it fails in this process
+    on one CPU: the same exception type and message, and no child process
+    left behind."""
     manifest = small_corpus.manifest
     home = HomeData(manifest, manifest.homes[2])
     _, bad, _ = occupancy._supervised_xy(
@@ -589,23 +589,24 @@ def test_a_failing_fit_raises_as_on_the_serial_path(small_corpus, monkeypatch,
         with pytest.raises(ValueError) as info:
             occupancy_experiment(manifest, "loho", ("knn", "rf"))
         raised.append((type(info.value), str(info.value)))
-        assert multiprocessing.active_children() == []
-    assert pools == [(2,)]
+        with pytest.raises(ChildProcessError):  # no child left, live or not
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
     assert raised[0] == raised[1] == (ValueError, f"no forest for these {len(bad)} rows")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the CPUs from os.sched_getaffinity")
-def test_back_to_back_pools_each_fork(tmp_path, monkeypatch, pools):
-    """A pool's helper threads are gone from /proc/self/task when
-    map_in_workers returns, so gen_corpus and then the supervised fits,
-    called back to back, each build a pool of two, 20 times over."""
+def test_back_to_back_maps_each_fork(tmp_path, monkeypatch, forks):
+    """map_in_workers leaves no thread behind, so gen_corpus and then the
+    supervised fits, called back to back, each fork a child on two CPUs,
+    20 times over."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     manifest = gen_corpus(2, days=2, out_dir=tmp_path).manifest
     for _ in range(20):
         gen_corpus(2, days=1)
         occupancy_experiment(manifest, "loho", ("knn", "rf"))
-    assert pools == [(2,)] * 41
+    assert len(forks) == 41
 
 
 @pytest.fixture(scope="module")

@@ -138,12 +138,12 @@ def test_written_bytes_match_the_pinned_table(case, tmp_path, cli_corpus):
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
 @pytest.mark.parametrize("case", [c for c in sorted(CASES) if c.startswith("synth-")])
 def test_synth_writes_the_pinned_bytes_on_any_cpu_count(case, cpus, tmp_path,
-                                                       monkeypatch, pools):
+                                                       monkeypatch, forks):
     """With one CPU gen_corpus builds every home in this process; with two,
-    in a pool of two forked workers. Both write the pinned bytes."""
+    in this process and one forked child. Both write the pinned bytes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     run_case(case, tmp_path, None)
-    assert pools == ([] if len(cpus) == 1 else [(2,)])
+    assert len(forks) == len(cpus) - 1
     assert written_digests(tmp_path) == json.loads(TABLE_PATH.read_text())[case]
 
 
@@ -154,13 +154,13 @@ def test_synth_writes_the_pinned_bytes_on_any_cpu_count(case, cpus, tmp_path,
                                   if c.startswith("occupancy-")])
 def test_occupancy_writes_the_pinned_bytes_on_any_cpu_count(case, cpus, tmp_path,
                                                            cli_corpus,
-                                                           monkeypatch, pools):
+                                                           monkeypatch, forks):
     """With one CPU the experiment fits every kNN and forest in this
-    process; with two, in a pool of two forked workers. Both write the
+    process; with two, in this process and one forked child. Both write the
     pinned bytes and warnings."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     run_case(case, tmp_path, cli_corpus)
-    assert pools == ([] if len(cpus) == 1 else [(2,)])
+    assert len(forks) == len(cpus) - 1
     assert written_digests(tmp_path) == json.loads(TABLE_PATH.read_text())[case]
 
 

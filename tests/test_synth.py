@@ -1,6 +1,5 @@
 """Synthetic-home generator: determinism, ground-truth bookkeeping,
 corpus construction."""
-import multiprocessing
 import os
 import sys
 import threading
@@ -237,9 +236,9 @@ def test_corpus_minimum_size():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the CPUs from os.sched_getaffinity")
 def test_a_worker_error_reaches_the_caller_as_on_the_serial_path(
-        tmp_path, monkeypatch, pools):
-    """An out_dir under a regular file fails in the workers of a two-CPU
-    pool as it fails in this process on one CPU: the same exception type
+        tmp_path, monkeypatch, forks):
+    """An out_dir under a regular file fails in the forked child on two
+    CPUs as it fails in this process on one CPU: the same exception type
     and message, and no child process left behind."""
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -249,15 +248,16 @@ def test_a_worker_error_reaches_the_caller_as_on_the_serial_path(
         with pytest.raises(OSError) as info:
             gen_corpus(3, days=1, out_dir=blocker / "corpus")
         raised.append((type(info.value), str(info.value)))
-        assert multiprocessing.active_children() == []
-    assert pools == [(2,)]
+        with pytest.raises(ChildProcessError):  # no child left, live or not
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
     assert raised[0] == raised[1]
     assert raised[0][0] is NotADirectoryError
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the CPUs from os.sched_getaffinity")
-def test_a_second_thread_keeps_the_homes_in_process(monkeypatch, pools):
+def test_a_second_thread_keeps_the_homes_in_process(monkeypatch, forks):
     """Forking a process that runs another thread can deadlock the child, so
     while one runs gen_corpus builds every home in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -270,5 +270,5 @@ def test_a_second_thread_keeps_the_homes_in_process(monkeypatch, pools):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
-    assert pools == []
+    assert forks == []
     assert sorted(corpus.homes) == ["home_00", "home_01"]
