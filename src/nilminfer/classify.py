@@ -12,6 +12,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from .errors import check_choices
 from .events import DetectorConfig
 from .features import build_feature_table, chi2_select
 
@@ -264,13 +265,11 @@ def _complement(n: int, fold: np.ndarray) -> np.ndarray:
 def classifier_predict(classifier: str, train_X, train_y, test_X,
                        seed: int = 0):
     """Labels of test_X from "knn" (k = KNN_K, capped at the training size)
-    or "rf" (with this seed) trained on (train_X, train_y)."""
+    or else "rf" (with this seed) trained on (train_X, train_y)."""
     if classifier == "knn":
         return knn_classify(train_X, train_y, test_X,
                             k=min(KNN_K, len(train_y)))
-    if classifier == "rf":
-        return rf_classify(train_X, train_y, test_X, seed)
-    raise ValueError(f"unknown classifier {classifier!r}")
+    return rf_classify(train_X, train_y, test_X, seed)
 
 
 def _scan_k(X, y, classifier, seed):
@@ -304,6 +303,7 @@ def characteristics_experiment(manifest, feature_sources=("both",),
     classifier, and report mean test accuracy along with the majority-class
     baseline. Characteristics with any class under 2 homes are skipped.
     """
+    check_choices((classifier,), CLASSIFIERS, "classifier")
     table = build_feature_table(manifest, feature_sources, det=det, seed=seed)
     labels = [label_characteristics(e.characteristics) for e in manifest.homes]
 

@@ -31,7 +31,7 @@ from .errors import ParseError
 from .events import (DetectorConfig, detect_events, pair_events)
 from .features import (FEATURE_SOURCES, build_feature_table, write_feature_csv)
 from .occupancy import PROTOCOLS, UNSUPERVISED_ALGORITHMS, occupancy_experiment
-from .series import HomeData, load_manifest, write_power_csv
+from .series import HomeData, load_manifest, write_csv, write_power_csv
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 from .synth import gen_corpus
 from .report import (CLASSIFICATION_KEYS, OCCUPANCY_KEYS,
@@ -134,14 +134,9 @@ def cmd_detect_events(cfg: dict) -> int:
         for entry in manifest.homes:
             events = detect_events(HomeData(manifest, entry).aggregate, det)
             pairs = pair_events(events)
-            with open(staging / f"events_{entry.home_id}.csv", "w", encoding="utf-8") as f:
-                f.write("time,delta_w\n")
-                for t, d in events.tolist():
-                    f.write(f"{t},{d!r}\n")
-            with open(staging / f"pairs_{entry.home_id}.csv", "w", encoding="utf-8") as f:
-                f.write("on_time,off_time,magnitude_w\n")
-                for on, off, m in pairs.tolist():
-                    f.write(f"{on},{off},{m!r}\n")
+            for name, records in (("events", events), ("pairs", pairs)):
+                write_csv(staging / f"{name}_{entry.home_id}.csv",
+                          records.dtype.names, records.tolist())
             counts[entry.home_id] = {"events": len(events), "pairs": len(pairs)}
         _write_json(staging / "run_meta.json",
                     _envelope(cfg, {"subcommand": "detect-events",
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", default="ours,chen", help="comma list: " + ",".join(
         UNSUPERVISED_ALGORITHMS + CLASSIFIERS))
     p.add_argument("--protocol", choices=PROTOCOLS, default="split-half")
-    # accepted so existing command lines keep working; homes run serially
+    # accepted and ignored, because existing command lines pass it
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
     p = command("disaggregate", cmd_disaggregate, "appliance disaggregation")

@@ -1,6 +1,15 @@
 """Exception types shared across the package."""
 
 
+def check_choices(chosen, known, kind: str) -> None:
+    """ValueError naming the first of the sequence chosen unknown or given twice."""
+    for i, choice in enumerate(chosen):
+        if choice not in known:
+            raise ValueError(f"unknown {kind} {choice!r}")
+        if choice in chosen[:i]:
+            raise ValueError(f"{kind} {choice!r} is given twice")
+
+
 class InputError(ValueError):
     """An input file is unusable; carries its path and, where one line is
     at fault, the 1-based line number."""

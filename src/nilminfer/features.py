@@ -17,11 +17,12 @@ import numpy as np
 
 from .disagg import (ON_THRESHOLD_W, fhmm_disaggregate, hart_reconstruct,
                      train_appliance_models)
-from .errors import ConfigurationError, CoverageError, UndefinedStatisticError
+from .errors import (ConfigurationError, CoverageError, UndefinedStatisticError,
+                     check_choices)
 from .events import (HVAC_MIN_W, DetectorConfig, cluster_magnitudes,
                      detect_events, pair_events)
 from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, check_same_axis,
-                     local_clock_hours, local_weekdays, median)
+                     local_clock_hours, local_weekdays, median, write_csv)
 from .series import load_power_csv  # noqa: F401 (perfbench/test_tracer.py)
 
 CLOCK_WINDOWS = {
@@ -160,17 +161,14 @@ def chi2_select(X, y, k: int):
 
 
 def pearson(a, b) -> tuple[float, float]:
-    """Pearson correlation and its square. Raises when either input has zero
-    variance."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Pearson correlation from np.corrcoef (clipped to [-1, 1]), as in
+    autocorr_day, and its square. Raises when either input has zero variance."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two equal-length 1-D sequences of length >= 2")
-    sa, sb = a.std(), b.std()
-    if sa == 0 or sb == 0:
+    if a.std() == 0 or b.std() == 0:
         raise UndefinedStatisticError("correlation undefined for zero variance")
-    r = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-    r = max(-1.0, min(1.0, r))
+    r = float(np.corrcoef(a, b)[0, 1])
     return r, r * r
 
 
@@ -221,30 +219,24 @@ def build_home_features(home: HomeData, sources,
             _, pairs, clusters = edges()
             hvac = hart_reconstruct(aggregate, pairs, clusters)["hvac"]
             out[source] = agg() | hvac_bundle(hvac)
-        elif source == "disagg-fhmm":
+        else:  # "disagg-fhmm"
             cut = max(len(aggregate) // 2, 1)
             models = train_appliance_models(home, cut, seed=seed)
             if not any(m.name == "hvac" for m in models):
                 raise ConfigurationError(f"home {entry.home_id}: no usable hvac model")
             hvac = fhmm_disaggregate(aggregate, models)["hvac"]
             out[source] = agg() | hvac_bundle(hvac)
-        else:
-            raise ValueError(f"unknown feature source {source!r}")
     return out
 
 
 def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(),
                         *, seed: int = 0) -> dict:
-    """{source: (ids, X)}: the sorted feature ids as an object array and one row
-    per manifest home, in manifest order, read one home's files at a time. A
-    source unknown or given twice is a ValueError naming it, before any file
-    is read. A home whose ids differ from the first home's, or a value not
-    finite and >= 0, is a ValueError naming the home (and the feature)."""
-    for i, source in enumerate(sources):
-        if source not in FEATURE_SOURCES:
-            raise ValueError(f"unknown feature source {source!r}")
-        if source in sources[:i]:
-            raise ValueError(f"feature source {source!r} is given twice")
+    """{source: (ids, X)}: the sorted feature ids (the extract_* catalogs fix
+    them) as an object array and one row per manifest home, in manifest
+    order, read one home's files at a time. A source unknown or given twice
+    is a ValueError naming it, before any file is read, and a value not
+    finite and >= 0 one naming the home and the feature."""
+    check_choices(sources, FEATURE_SOURCES, "feature source")
     homes = {source: [] for source in sources}
     for entry in manifest.homes:
         for source, features in build_home_features(
@@ -253,9 +245,6 @@ def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(
     table = {}
     for source, rows in homes.items():
         ids = sorted(rows[0])
-        odd = [e.home_id for e, f in zip(manifest.homes, rows) if sorted(f) != ids]
-        if odd:
-            raise ValueError(f"home {odd[0]} has inconsistent {source} feature ids")
         X = np.array([[features[i] for i in ids] for features in rows])
         bad = np.argwhere(~np.isfinite(X) | (X < 0))
         if bad.size:
@@ -268,7 +257,5 @@ def build_feature_table(manifest, sources, det: DetectorConfig = DetectorConfig(
 
 def write_feature_csv(home_ids, ids, X, path) -> None:
     """CSV with a home_id column, then one column per feature id (a row of X)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("home_id," + ",".join(ids) + "\n")
-        for home_id, row in zip(home_ids, X):
-            f.write(home_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    rows = np.asarray(X, dtype=float).tolist()
+    write_csv(path, ["home_id", *ids], ([h, *row] for h, row in zip(home_ids, rows)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .classify import CLASSIFIERS, classifier_predict
 from .errors import (AlignmentError, ConfigurationError, CoverageError,
-                     EmptyWindowError)
+                     EmptyWindowError, check_choices)
 from .events import (NIGHT_HOURS, DetectorConfig, detect_events,
                      learn_background, pair_events, remove_background)
 from .series import (HomeData, PowerSeries, SECONDS_PER_DAY, WINDOW_S,
@@ -152,8 +152,7 @@ def predict_occupancy_night_threshold(s: PowerSeries, stats,
     strictly exceeds the chosen statistic (max or median) of that feature
     over the same day's NIGHT_HOURS windows. Days without a usable night
     window are skipped with a warning."""
-    if stat not in NIGHT_STATS.values():
-        raise ValueError("stat must be 'max' or 'median'")
+    check_choices((stat,), NIGHT_STATS.values(), "night statistic")
     starts, counts, mean, std, rng = stats
     agg = np.max if stat == "max" else median
     night = in_clock_hours(starts, s.timezone, NIGHT_HOURS) & (counts > 0)
@@ -247,13 +246,8 @@ def occupancy_experiment(manifest, protocol: str = "split-half",
     homes as training material. Unsupervised algorithms ignore the training
     side. Returns per-home metric rows plus per-algorithm means.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError("protocol must be 'split-half' or 'loho'")
-    for i, a in enumerate(algorithms):
-        if a not in UNSUPERVISED_ALGORITHMS + CLASSIFIERS:
-            raise ValueError(f"unknown algorithm {a!r}")
-        if a in algorithms[:i]:
-            raise ValueError(f"algorithm {a!r} is given twice")
+    check_choices((protocol,), PROTOCOLS, "protocol")
+    check_choices(algorithms, UNSUPERVISED_ALGORITHMS + CLASSIFIERS, "algorithm")
     supervised = [a for a in algorithms if a in CLASSIFIERS]
     windowed = supervised or any(a in NIGHT_STATS for a in algorithms)
 

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -248,11 +249,19 @@ def load_power_csv(path, *, timezone: str = "UTC") -> PowerSeries:
     return PowerSeries(int(ts[0]), period_s, np.repeat(vals, holds), timezone)
 
 
+def write_csv(path, header, rows) -> None:
+    """Every CSV table's form: UTF-8, "\n" line ends, a header of names, and
+    each field unquoted, as str gives it (a float's repr, which reads back)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def write_power_csv(s: PowerSeries, path) -> None:
-    """Write the `timestamp,power_w` CSV form. Floats use repr so a
-    write -> load -> write cycle is byte-identical. A series with at most
-    half as many runs of equal bits (0.0 is not -0.0) as rows, such as a
-    decoded trace, is written a run at a time; noisy readings row by row."""
+    """Write the `timestamp,power_w` CSV form (write_csv's dialect). Floats
+    use repr so a write -> load -> write cycle is byte-identical. A series
+    with at most half as many runs of equal bits (0.0 is not -0.0) as rows,
+    such as a decoded trace, is written a run at a time; noisy ones row by row."""
     bits = s.values.view(np.int64)
     changes = bits[1:] != bits[:-1]
     t0, per = s.start_time, s.period_s
@@ -280,6 +289,8 @@ def _parse_timestamp(text: str) -> int:
         pass
     iso = text.replace("Z", "+00:00")
     dt = datetime.fromisoformat(iso)
+    if re.search(r"[.,]0*[1-9]", iso):  # int() of the timestamp would drop it
+        raise ValueError(f"non-zero fractional second in {text!r}")
     if dt.tzinfo is None:
         return int(dt.replace(tzinfo=_utc_tz.utc).timestamp())
     # fromisoformat reads +05:99 as +06:39; the offset follows the last sign
@@ -673,9 +684,10 @@ class DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest and check it once: `meta`, when given, an object, and
-    for each home a unique `home_id` that is one plain path component and one
-    unquoted CSV field, an `aggregate_path`, paths naming existing files, a
-    known timezone, finite characteristics >= 0 and an integer
+    for each home a unique `home_id` and appliance names that are each one
+    plain path component and one unquoted CSV field, an `aggregate_path`,
+    each path but an absent `occupancy_path` a string naming an existing
+    file, a known timezone, finite characteristics >= 0 and an integer
     `hvac_circuits` >= 0 when given. Any fault is a ManifestError naming the
     manifest and the home."""
     path = Path(path)
@@ -707,10 +719,6 @@ def _home_entry(h, i: int, base_dir: Path) -> HomeEntry:
         raise ValueError(f"home #{i + 1} is not an object with a 'home_id'")
     home_id = str(h["home_id"])
     home = f"home {home_id}"
-    # the id names the home's output directory and its row of a feature CSV
-    if home_id in ("", ".", "..") or any(c in home_id for c in '/\\\0,"\r\n'):
-        raise ValueError(f"home {home_id!r}: home_id must be one plain path "
-                         "component and one unquoted CSV field")
     if "aggregate_path" not in h:
         raise ValueError(f"{home}: no 'aggregate_path'")
     e = HomeEntry(home_id, h["aggregate_path"],
@@ -719,8 +727,15 @@ def _home_entry(h, i: int, base_dir: Path) -> HomeEntry:
                   h.get("hvac_circuits"))
     if not (isinstance(e.appliance_paths, dict) and isinstance(e.characteristics, dict)):
         raise ValueError(f"{home}: 'appliance_paths' and 'characteristics' must be objects")
-    for p in [e.aggregate_path, e.occupancy_path, *e.appliance_paths.values()]:
-        if p is not None and not (isinstance(p, str) and (base_dir / p).is_file()):
+    # they name output paths (<home_id>/<name>.csv), and a home_id a CSV row
+    for what, name in [(f"home {home_id!r}: home_id", home_id),
+                       *((f"{home}: appliance name {n!r}", n) for n in e.appliance_paths)]:
+        if name in ("", ".", "..") or any(c in name for c in '/\\\0,"\r\n'):
+            raise ValueError(f"{what} must be one plain path component and one "
+                             "unquoted CSV field")
+    occupancy = [] if e.occupancy_path is None else [e.occupancy_path]
+    for p in [e.aggregate_path, *occupancy, *e.appliance_paths.values()]:
+        if not (isinstance(p, str) and (base_dir / p).is_file()):
             raise ValueError(f"{home}: no file {p!r}")
     try:
         ZoneInfo(e.timezone)

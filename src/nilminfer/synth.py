@@ -25,7 +25,7 @@ from .events import EVENT_DTYPE
 from .series import (MAX_GAP_PERIODS, PowerSeries, SECONDS_PER_DAY,
                      DatasetManifest, HomeEntry, local_clock_hours,
                      local_day_bounds, local_weekdays, save_manifest,
-                     write_occupancy_csv, write_power_csv)
+                     write_csv, write_occupancy_csv, write_power_csv)
 from .workers import map_in_workers
 
 # 2024-01-01 00:00 UTC, a Monday; keeps weekday arithmetic easy to reason about
@@ -372,6 +372,5 @@ def _write_home(home: GeneratedHome, entry: HomeEntry, base: Path) -> None:
     write_occupancy_csv(*home.occupancy, base / entry.occupancy_path)
     rows = sorted((t, src, d) for src, edges in home.provenance.items()
                   for t, d in zip(edges["time"].tolist(), edges["delta_w"].tolist()))
-    with open(base / entry.home_id / "provenance.csv", "w", encoding="utf-8") as f:
-        f.write("time,delta_w,source\n")
-        f.writelines(f"{t},{d!r},{src}\n" for t, src, d in rows)
+    write_csv(base / entry.home_id / "provenance.csv", ("time", "delta_w", "source"),
+              ((t, d, src) for t, src, d in rows))

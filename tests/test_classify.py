@@ -629,6 +629,19 @@ def test_characteristics_experiment_rejects_repeated_source(small_corpus):
         characteristics_experiment(small_corpus.manifest, ("both", "both"))
 
 
+def test_characteristics_experiment_rejects_an_unknown_classifier_before_reading(
+        small_corpus, monkeypatch):
+    import nilminfer.series
+    loads = []
+    load = nilminfer.series.load_power_csv
+    monkeypatch.setattr(nilminfer.series, "load_power_csv",
+                        lambda *a, **k: loads.append(a) or load(*a, **k))
+    with pytest.raises(ValueError, match="unknown classifier 'svm'"):
+        characteristics_experiment(small_corpus.manifest, ("aggregate-only",),
+                                   classifier="svm")
+    assert loads == []
+
+
 def test_characteristics_experiment_skips_small_classes(small_corpus):
     # 5 homes: some classes have < 2 members and must be skipped with warning
     with pytest.warns(UserWarning) as caught:

@@ -672,6 +672,10 @@ def test_degenerate_appliance_warns_alike_in_disaggregate_and_features(
     pytest.param(lambda d: d["homes"].append(copy.deepcopy(d["homes"][0])), True,
                  id="duplicate-home-id"),
     pytest.param(lambda d: d.update(meta=5), False, id="meta-not-object"),
+    pytest.param(lambda d: d["homes"][0].update(aggregate_path=None), True,
+                 id="null-aggregate-path"),
+    pytest.param(lambda d: d["homes"][0]["appliance_paths"].update(hvac=None), True,
+                 id="null-appliance-path"),
 ])
 def test_manifest_faults_are_manifest_errors_naming_manifest_and_home(
         tmp_path, small_corpus, capsys, mutate, names_home):
@@ -753,6 +757,38 @@ def test_disaggregate_with_an_absolute_home_id_writes_nothing(
                 "--out", str(tmp_path / "traces")]) == 1
     assert error_record(capsys)["error"] == "ManifestError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../../../escaped", "/abs",
+                                  "a\\b", "a\0b", "a,b", 'a"b', "a\rb", "a\nb"])
+def test_appliance_name_must_be_one_path_component_and_one_csv_field(
+        tmp_path, small_corpus, name):
+    """An appliance name names a trace file, `<home_id>/<name>.csv`: the
+    home_id rule holds for it."""
+    doc = corpus_doc(small_corpus, 2)
+    home = doc["homes"][1]
+    home["appliance_paths"][name] = home["appliance_paths"].pop("fridge")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(manifest)
+    assert exc.value.path == str(manifest)
+    assert (f"home {home['home_id']}: appliance name {name!r} must be one plain "
+            "path component and one unquoted CSV field") in str(exc.value)
+
+
+def test_disaggregate_with_an_escaping_appliance_name_writes_nothing(
+        tmp_path, small_corpus, capsys, monkeypatch):
+    doc = corpus_doc(small_corpus, 2)
+    for home in doc["homes"]:
+        home["appliance_paths"]["../../../escaped"] = home["appliance_paths"].pop("fridge")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert run(["disaggregate", "--algo", "fhmm", "--manifest", str(manifest),
+                "--out", "deep/out/o4"]) == 1
+    assert error_record(capsys)["error"] == "ManifestError"
+    assert [p.name for p in tmp_path.rglob("*")] == ["manifest.json"]
 
 
 def test_home_with_only_constant_submeters_fails_alike_in_both_fhmm_callers(

@@ -303,6 +303,18 @@ def test_pearson_affine_invariance():
     assert r1 == pytest.approx(r0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pearson_is_np_corrcoef(seed):
+    """One correlation formula: autocorr_day's np.corrcoef, clipped to
+    [-1, 1] where rounding would take r past it."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0, 1, 30)
+    for b in (rng.normal(0, 1, 30), a, -a, 1e-3 * a + 1e6):
+        r, r2 = pearson(a, b)
+        assert r == float(np.corrcoef(a, b)[0, 1]) and r2 == r * r
+        assert -1.0 <= r <= 1.0
+
+
 def test_pearson_zero_variance_rejected():
     with pytest.raises(UndefinedStatisticError):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -442,15 +454,6 @@ def test_feature_table_names_the_home_and_feature_of_a_bad_value(
         hvac_on_fraction=value))
     with pytest.raises(ValueError, match=rf"home {manifest.homes[1].home_id}: "
                        r"feature 'hvac_on_fraction' must be finite and >= 0"):
-        build_feature_table(manifest, ("both",))
-
-
-def test_feature_table_rejects_inconsistent_ids(small_corpus, monkeypatch):
-    manifest = small_corpus.manifest
-    edit_nth_appliance_catalog(monkeypatch, 3, lambda features: features.pop(
-        "hvac_circuits"))
-    with pytest.raises(ValueError, match=f"home {manifest.homes[2].home_id} "
-                       "has inconsistent both feature ids"):
         build_feature_table(manifest, ("both",))
 
 

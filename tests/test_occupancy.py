@@ -265,7 +265,7 @@ def test_night_threshold_skips_day_without_night():
 
 def test_night_threshold_rejects_unknown_stat():
     s = day_series([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown night statistic 'mean'"):
         predict_occupancy_night_threshold(s, window_stats(s), "mean")
 
 
@@ -690,8 +690,13 @@ def test_supervised_requires_ground_truth(small_corpus, tmp_path):
 
 
 def test_experiment_rejects_unknown_algorithm(small_corpus):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown algorithm 'svm'"):
         occupancy_experiment(small_corpus.manifest, "split-half", ("svm",))
+
+
+def test_experiment_rejects_unknown_protocol(small_corpus):
+    with pytest.raises(ValueError, match="unknown protocol 'kfold'"):
+        occupancy_experiment(small_corpus.manifest, "kfold", ("chen",))
 
 
 def test_experiment_rejects_repeated_algorithm(small_corpus):

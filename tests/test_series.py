@@ -206,6 +206,29 @@ def test_iso_timestamps_accepted(tmp_path):
     assert np.array_equal(s.values, [50.0, 60.0])
 
 
+@pytest.mark.parametrize("fraction", [".2", ".7", ",5", ".0000001", ".250000"])
+def test_a_nonzero_fractional_second_is_a_parse_error(tmp_path, fraction):
+    """A fraction is not truncated to its second: rows at .2 and .7 would
+    collapse as duplicates of one stamp. (A stamp with a "," is quoted.)"""
+    p = tmp_path / "a.csv"
+    p.write_text("timestamp,power_w\n2024-01-01T00:00:00+00:00,50\n"
+                 f'"2024-01-01T00:00:30{fraction}+00:00",60\n')
+    with pytest.raises(ParseError, match="non-zero fractional second") as exc:
+        load_power_csv(p)
+    assert exc.value.line == 3 and exc.value.path == str(p)
+
+
+@pytest.mark.parametrize("fraction", [".0", ".000", ",000000", ".0000000"])
+@pytest.mark.parametrize("offset", ["Z", "+00:00", ""])
+def test_a_zero_fractional_second_reads(tmp_path, fraction, offset):
+    p = tmp_path / "a.csv"
+    p.write_text(f'timestamp,power_w\n"2024-01-01T00:00:00{fraction}{offset}",50\n'
+                 f'"2024-01-01T00:00:30{fraction}{offset}",60\n')
+    s = load_power_csv(p)
+    assert s.start_time == DEFAULT_START and s.period_s == 30
+    assert np.array_equal(s.values, [50.0, 60.0])
+
+
 def test_rows_sorted_before_gridding(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("timestamp,power_w\n2,300\n0,100\n1,200\n")
@@ -244,6 +267,20 @@ def test_write_power_csv_matches_row_by_row_form(tmp_path, values):
     path = tmp_path / "s.csv"
     write_power_csv(s, path)
     assert path.read_text() == _row_by_row_csv(s)
+    # the one CSV dialect: write_csv writes the same bytes from the same rows
+    series.write_csv(tmp_path / "t.csv", ("timestamp", "power_w"),
+                     zip(s.timestamps().tolist(), s.values.tolist()))
+    assert (tmp_path / "t.csv").read_bytes() == path.read_bytes()
+
+
+def test_write_csv_writes_str_fields_under_a_header(tmp_path):
+    path = tmp_path / "t.csv"
+    series.write_csv(path, ["time", "delta_w", "source"],
+                     [(0, 0.1, "fridge"), (30, -1e-05, "hvac"), (60, -0.0, "é")])
+    assert path.read_bytes() == ("time,delta_w,source\n0,0.1,fridge\n"
+                                 "30,-1e-05,hvac\n60,-0.0,é\n").encode("utf-8")
+    series.write_csv(path, ("time", "delta_w"), [])
+    assert path.read_bytes() == b"time,delta_w\n"
 
 
 def test_load_after_write_identity(tmp_path):
@@ -361,10 +398,12 @@ def odd_stamps(t, iso):
     if iso is None:
         return [f"+{t}", f"{str(t)[:1]}_{str(t)[1:]}", f" {t}", f"{t}.0"]
     naive = datetime.fromtimestamp(t, timezone.utc).replace(tzinfo=None).isoformat()
+    # a zero fraction of a second reads; any other is a ParseError
     fraction = datetime.fromtimestamp(t + 0.25, timezone.utc).isoformat()
     return [
         naive + "Z", naive, naive + "z", naive + "Zx", naive + "+00:00Z",
         naive + " ", fraction, fraction.replace("+00:00", "Z"),
+        naive + ".000+00:00", naive + ".000000Z", naive + ".0",
         f"{iso} ", f"{iso}0", iso.replace("T", " "), "0000" + iso[4:],
         f"{iso[:4]}/{iso[5:7]}/{iso[8:]}", iso[:3] + "x" + iso[4:],
         iso[:5] + "13" + iso[7:], iso[:5] + "00" + iso[7:],     # month
@@ -1142,6 +1181,9 @@ def test_mutated_manifest_loads_or_raises_manifest_error(tmp_path, home, where,
         return
     assert [h.home_id for h in m.homes] == sorted({h.home_id for h in m.homes})
     for h in m.homes:
+        assert all(isinstance(p, str) for p in [h.aggregate_path,
+                                                *h.appliance_paths.values()])
+        assert h.occupancy_path is None or isinstance(h.occupancy_path, str)
         assert all(type(v) in (int, float) and v >= 0
                    for v in h.characteristics.values())
         assert h.hvac_circuits is None or type(h.hvac_circuits) is int
